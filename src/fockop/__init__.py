@@ -6,7 +6,6 @@ from .arith import (
     GaussianRational,
     MultiIndex,
     RadicalCoefficient,
-    factorial_ratio_eval,
     multiindex_compare,
     radical_normalize,
 )
@@ -33,6 +32,7 @@ from .errors import (
     FockopError,
     InputError,
     InternalInvariantError,
+    MultiIndexError,
     RadicandMismatchError,
     SymbolSyntaxError,
     ValidityRangeError,

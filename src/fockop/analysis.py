@@ -290,11 +290,11 @@ def hankel_vector_norm_sq(f: SymbolPolynomial, alpha: MultiIndex, sp: SpaceParam
     c = image.coefficient(alpha)
     if c.is_zero():
         return Fraction(0)
-    if c.radicand != 1 or c.rational.im:
+    if c.radicand != 1 or c.im_num:
         raise InternalInvariantError(
             f"diagonal Hankel-product entry must be a real rational, got {c}"
         )
-    return c.rational.re
+    return c.re
 
 
 # ---------------------------------------------------------------------------

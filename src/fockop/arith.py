@@ -1,11 +1,27 @@
 """Exact numeric substrate: multi-indices, factorial ratios, radicals.
 
-Every value here is immutable and every operation is a pure function, so
-all of it is safe to share between threads.  Scalars stay exact end to
-end: integers, ``fractions.Fraction`` for rationals, Gaussian rationals
-for complex coefficients, and radical coefficients of the shape
-``(Gaussian rational) * sqrt(square-free integer)`` which are closed
-under every coefficient computation the operator engine performs.
+Scalars stay exact end to end and are plain Python integers underneath.
+A ``GaussianRational`` is ``(re_num + im_num*i) / den``; a
+``RadicalCoefficient`` is the flat four-integer form
+``(re_num + im_num*i) / den * sqrt(radicand)``.  One normalizing
+constructor per class keeps every value canonical:
+
+* ``den > 0`` and ``gcd(re_num, im_num, den) == 1``;
+* ``radicand`` is a square-free positive integer (1 for Gaussian-rational
+  values), and ``radicand == 0`` exactly for zero, which is ``(0, 0, 1, 0)``.
+
+Square factors of a radicand move into the rational part, and a
+fractional radicand ``p/q`` becomes ``sqrt(p*q)/q``, so every square
+class of rationals has one representative.  The form is closed under
+every coefficient computation the operator engine performs (sums within
+one square class, products, rational and Gaussian scaling, conjugation).
+Because it is canonical, equal values have equal fields: structural
+equality is value equality, and same-class contributions merge exactly.
+``fractions.Fraction`` appears only at the edges: the ``re``, ``im`` and
+``rational`` views, ``abs_sq()`` and text formatting.
+
+No operation mutates a value after construction, so all of it is safe
+to share between threads.
 """
 
 from __future__ import annotations
@@ -14,9 +30,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
+from operator import add
 from typing import Iterable, Union
 
-from .errors import DimensionMismatchError, RadicandMismatchError
+from .errors import DimensionMismatchError, MultiIndexError, RadicandMismatchError
 
 RationalLike = Union[int, Fraction]
 
@@ -31,12 +49,11 @@ class MultiIndex(tuple):
     __slots__ = ()
 
     def __new__(cls, components: Iterable[int]) -> "MultiIndex":
-        items = tuple(int(c) for c in components)
+        items = tuple(map(int, components))
         if not items:
-            raise ValueError("a multi-index needs at least one component")
-        for c in items:
-            if c < 0:
-                raise ValueError(f"multi-index components must be >= 0, got {items}")
+            raise MultiIndexError("a multi-index needs at least one component")
+        if min(items) < 0:
+            raise MultiIndexError(f"multi-index components must be >= 0, got {items}")
         return tuple.__new__(cls, items)
 
     @staticmethod
@@ -55,7 +72,7 @@ class MultiIndex(tuple):
 
     def __add__(self, other) -> "MultiIndex":  # type: ignore[override]
         _check_same_dimension(self, other)
-        return tuple.__new__(MultiIndex, tuple(a + b for a, b in zip(self, other)))
+        return tuple.__new__(MultiIndex, tuple(map(add, self, other)))
 
     def __radd__(self, other):  # pragma: no cover - symmetry only
         return self.__add__(other)
@@ -111,12 +128,6 @@ def multiindex_compare(a: MultiIndex, b: MultiIndex) -> ComponentwiseOrder:
         le=all(x <= y for x, y in zip(a, b)),
         lt=all(x < y for x, y in zip(a, b)),
     )
-
-
-def dominates(a: MultiIndex, b: MultiIndex) -> bool:
-    """a >= b componentwise."""
-    _check_same_dimension(a, b)
-    return all(x >= y for x, y in zip(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -195,16 +206,16 @@ class FactorialRatio:
         return tuple(num), tuple(den)
 
 
-def factorial_ratio_eval(ratio: FactorialRatio) -> Fraction:
-    """Exact value of a factorial ratio."""
-    return ratio.value()
-
-
 # ---------------------------------------------------------------------------
 # square-free bookkeeping
 
 
-@lru_cache(maxsize=None)
+# One engine call sees few distinct arguments (tens); the bound only keeps
+# a long-lived process from growing without limit.
+SQUARE_FREE_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=SQUARE_FREE_CACHE_SIZE)
 def square_free_split(k: int) -> "tuple[int, int]":
     """Split k >= 1 as root**2 * squarefree; returns (root, squarefree)."""
     if k < 1:
@@ -238,9 +249,8 @@ def _fold_square_free(factors: Iterable[int]) -> "tuple[int, int]":
     sf = 1
     for u in factors:
         r, s = square_free_split(u)
-        root *= r
-        g = math.gcd(sf, s)
-        root *= g
+        g = gcd(sf, s)
+        root *= r * g
         sf = (sf // g) * (s // g)
     return root, sf
 
@@ -248,79 +258,120 @@ def _fold_square_free(factors: Iterable[int]) -> "tuple[int, int]":
 # ---------------------------------------------------------------------------
 # Gaussian rationals
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
+_new = object.__new__
 
 
-@dataclass(frozen=True)
+def _raw_gaussian(a: int, b: int, d: int) -> "GaussianRational":
+    """Wrap fields that are already canonical."""
+    c = _new(GaussianRational)
+    c.re_num = a
+    c.im_num = b
+    c.den = d
+    return c
+
+
+def _gaussian(a: int, b: int, d: int) -> "GaussianRational":
+    """Canonical ``(a + b*i)/d`` for ints with d > 0."""
+    if d != 1:
+        g = gcd(a, b, d) if b else gcd(a, d)
+        if g != 1:
+            return _raw_gaussian(a // g, b // g, d // g)
+    return _raw_gaussian(a, b, d)
+
+
 class GaussianRational:
-    """Complex number with exact rational real and imaginary parts."""
+    """Exact complex rational ``(re_num + im_num*i) / den`` in canonical form."""
 
-    re: Fraction
-    im: Fraction
+    __slots__ = ("re_num", "im_num", "den")
+
+    def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
+        if re.__class__ is int and im.__class__ is int:
+            self.re_num, self.im_num, self.den = re, im, 1
+            return
+        re, im = Fraction(re), Fraction(im)
+        rd, id_ = re.denominator, im.denominator
+        d = rd // gcd(rd, id_) * id_
+        # over the lcm of two reduced denominators no common factor is left
+        self.re_num = re.numerator * (d // rd)
+        self.im_num = im.numerator * (d // id_)
+        self.den = d
 
     @staticmethod
     def of(re: RationalLike = 0, im: RationalLike = 0) -> "GaussianRational":
-        return GaussianRational(Fraction(re), Fraction(im))
+        return GaussianRational(re, im)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.re_num, self.den)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.im_num, self.den)
 
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        if not self.im and not other.im:
-            return GaussianRational(self.re + other.re, _F0)
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        if not self.im and not other.im:
-            return GaussianRational(self.re - other.re, _F0)
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
-
-    def __mul__(self, other: "GaussianRational") -> "GaussianRational":
-        if not self.im and not other.im:
-            return GaussianRational(self.re * other.re, _F0)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            return _gaussian(self.re_num + other.re_num, self.im_num + other.im_num, d1)
+        return _gaussian(
+            self.re_num * d2 + other.re_num * d1, self.im_num * d2 + other.im_num * d1, d1 * d2
         )
 
-    def scale(self, c: RationalLike) -> "GaussianRational":
-        if not self.im:
-            return GaussianRational(self.re * c, _F0)
-        return GaussianRational(self.re * c, self.im * c)
+    def __neg__(self) -> "GaussianRational":
+        return _raw_gaussian(-self.re_num, -self.im_num, self.den)
+
+    def __mul__(self, other: "GaussianRational") -> "GaussianRational":
+        a1, b1, a2, b2 = self.re_num, self.im_num, other.re_num, other.im_num
+        if not b1 and not b2:
+            return _gaussian(a1 * a2, 0, self.den * other.den)
+        return _gaussian(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self.den * other.den)
 
     def conjugate(self) -> "GaussianRational":
-        if not self.im:
+        if not self.im_num:
             return self
-        return GaussianRational(self.re, -self.im)
+        return _raw_gaussian(self.re_num, -self.im_num, self.den)
 
     def abs_sq(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
+        a, b = self.re_num, self.im_num
+        return Fraction(a * a + b * b, self.den * self.den)
 
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return not self.re_num and not self.im_num
 
-    def to_complex(self) -> complex:
-        return complex(float(self.re), float(self.im))
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not GaussianRational:
+            return NotImplemented
+        return (
+            self.re_num == other.re_num
+            and self.im_num == other.im_num
+            and self.den == other.den
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.re_num, self.im_num, self.den))
+
+    def __repr__(self) -> str:
+        return f"GaussianRational({self.re!r}, {self.im!r})"
 
     def __str__(self) -> str:
         return format_gaussian(self)
 
 
-GAUSSIAN_ZERO = GaussianRational(_F0, _F0)
-GAUSSIAN_ONE = GaussianRational(_F1, _F0)
+GAUSSIAN_ONE = GaussianRational(1)
 
 
-def format_gaussian(c: GaussianRational) -> str:
-    """Render like '3', '-2/5', '3*i', '1/2-2*i', '0'."""
-    if c.is_zero():
-        return "0"
-    if not c.im:
+def format_gaussian(c) -> str:
+    """Render like '3', '-2/5', '3*i', '1/2-2*i', '0'.
+
+    ``c`` is a GaussianRational, or a RadicalCoefficient whose rational
+    factor is rendered.
+    """
+    if not c.im_num:
         return str(c.re)
-    im_mag = "i" if abs(c.im) == 1 else f"{abs(c.im)}*i"
-    if not c.re:
-        return im_mag if c.im > 0 else f"-{im_mag}"
-    sign = "+" if c.im > 0 else "-"
+    im = c.im
+    im_mag = "i" if abs(im) == 1 else f"{abs(im)}*i"
+    if not c.re_num:
+        return im_mag if im > 0 else f"-{im_mag}"
+    sign = "+" if im > 0 else "-"
     return f"{c.re}{sign}{im_mag}"
 
 
@@ -328,46 +379,68 @@ def format_gaussian(c: GaussianRational) -> str:
 # radical coefficients
 
 
-@dataclass(frozen=True)
-class RadicalCoefficient:
-    """Exact scalar of the form (Gaussian rational) * sqrt(radicand).
+def _raw_radical(a: int, b: int, d: int, r: int) -> "RadicalCoefficient":
+    """Wrap fields that are already canonical."""
+    c = _new(RadicalCoefficient)
+    c.re_num = a
+    c.im_num = b
+    c.den = d
+    c.radicand = r
+    return c
 
-    Canonical form: ``radicand`` is a square-free positive integer (1 for
-    purely rational values), or 0 exactly when the whole coefficient is
-    zero.  Square factors of any constructed radicand are absorbed into
-    the rational part, and a fractional radicand p/q is rewritten as
-    sqrt(p*q)/q, so each square class of rationals has one representative.
-    That makes structural equality coincide with value equality and lets
-    same-class contributions merge exactly.
+
+def _radical(a: int, b: int, d: int, r: int) -> "RadicalCoefficient":
+    """Canonical ``(a + b*i)/d * sqrt(r)`` for ints with d > 0 and r square-free >= 1."""
+    if not b:
+        if not a:
+            return RADICAL_ZERO
+        if d != 1:
+            g = gcd(a, d)
+            if g != 1:
+                return _raw_radical(a // g, 0, d // g, r)
+    elif d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            return _raw_radical(a // g, b // g, d // g, r)
+    return _raw_radical(a, b, d, r)
+
+
+class RadicalCoefficient:
+    """Exact scalar ``(re_num + im_num*i) / den * sqrt(radicand)``, canonical.
+
+    ``RadicalCoefficient(rational, radicand)`` canonicalizes
+    ``rational * sqrt(radicand)`` for a rational or Gaussian-rational
+    ``rational`` and a rational ``radicand >= 0`` (see the module notes).
     """
 
-    rational: GaussianRational
-    radicand: int
+    __slots__ = ("re_num", "im_num", "den", "radicand")
 
-    @staticmethod
-    def from_rational(value) -> "RadicalCoefficient":
-        if isinstance(value, GaussianRational):
-            g = value
-        else:
-            g = GaussianRational(Fraction(value), _F0)
-        if g.is_zero():
-            return RADICAL_ZERO
-        return RadicalCoefficient(g, 1)
+    def __init__(self, rational, radicand):
+        c = RadicalCoefficient.normalize(rational, radicand)
+        self.re_num = c.re_num
+        self.im_num = c.im_num
+        self.den = c.den
+        self.radicand = c.radicand
 
     @staticmethod
     def normalize(rational, radicand) -> "RadicalCoefficient":
         """Canonicalize ``rational * sqrt(radicand)`` for radicand >= 0."""
         if not isinstance(rational, GaussianRational):
-            rational = GaussianRational(Fraction(rational), _F0)
+            rational = GaussianRational(rational)
         radicand = Fraction(radicand)
         if radicand < 0:
             raise ValueError("radicand must be >= 0")
-        if rational.is_zero() or radicand == 0:
+        if rational.is_zero() or not radicand:
             return RADICAL_ZERO
         root_n, sf_n = square_free_split(radicand.numerator)
         root_d, sf_d = square_free_split(radicand.denominator)
-        scale = Fraction(root_n, root_d * sf_d)
-        return RadicalCoefficient(rational.scale(scale), sf_n * sf_d)
+        # sqrt(p/q) = root_n / (root_d * sf_d) * sqrt(sf_n * sf_d); sf_n, sf_d are coprime
+        return _radical(
+            rational.re_num * root_n,
+            rational.im_num * root_n,
+            rational.den * root_d * sf_d,
+            sf_n * sf_d,
+        )
 
     @staticmethod
     def from_sqrt_ratio(rational: GaussianRational, num_factors, den_factors) -> "RadicalCoefficient":
@@ -381,90 +454,150 @@ class RadicalCoefficient:
             return RADICAL_ZERO
         root_n, sf_n = _fold_square_free(num_factors)
         root_d, sf_d = _fold_square_free(den_factors)
-        g = math.gcd(sf_n, sf_d)
-        sf_n //= g
-        sf_d //= g
-        scale = Fraction(root_n, root_d * sf_d)
-        return RadicalCoefficient(rational.scale(scale), sf_n * sf_d)
+        g = gcd(sf_n, sf_d)
+        if g != 1:
+            sf_n //= g
+            sf_d //= g
+        return _radical(
+            rational.re_num * root_n,
+            rational.im_num * root_n,
+            rational.den * root_d * sf_d,
+            sf_n * sf_d,
+        )
+
+    @property
+    def rational(self) -> GaussianRational:
+        """The Gaussian-rational factor ``(re_num + im_num*i) / den``."""
+        return _raw_gaussian(self.re_num, self.im_num, self.den)
+
+    @property
+    def re(self) -> Fraction:
+        """Real part of the rational factor."""
+        return Fraction(self.re_num, self.den)
+
+    @property
+    def im(self) -> Fraction:
+        """Imaginary part of the rational factor."""
+        return Fraction(self.im_num, self.den)
 
     def is_zero(self) -> bool:
-        return self.radicand == 0
+        return not self.radicand
 
     def __neg__(self) -> "RadicalCoefficient":
-        if self.radicand == 0:
+        if not self.radicand:
             return self
-        return RadicalCoefficient(-self.rational, self.radicand)
+        return _raw_radical(-self.re_num, -self.im_num, self.den, self.radicand)
 
     def __add__(self, other: "RadicalCoefficient") -> "RadicalCoefficient":
-        if self.radicand == 0:
-            return other
-        if other.radicand == 0:
-            return self
-        if self.radicand != other.radicand:
+        r = self.radicand
+        if r != other.radicand:
+            if not r:
+                return other
+            if not other.radicand:
+                return self
             raise RadicandMismatchError(
-                f"cannot add unlike radicands {self.radicand} and {other.radicand}"
+                f"cannot add unlike radicands {r} and {other.radicand}"
             )
-        s = self.rational + other.rational
-        if s.is_zero():
-            return RADICAL_ZERO
-        return RadicalCoefficient(s, self.radicand)
+        if not r:
+            return self
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            return _radical(self.re_num + other.re_num, self.im_num + other.im_num, d1, r)
+        return _radical(
+            self.re_num * d2 + other.re_num * d1,
+            self.im_num * d2 + other.im_num * d1,
+            d1 * d2,
+            r,
+        )
 
     def __sub__(self, other: "RadicalCoefficient") -> "RadicalCoefficient":
         return self + (-other)
 
     def __mul__(self, other: "RadicalCoefficient") -> "RadicalCoefficient":
-        if self.radicand == 0 or other.radicand == 0:
+        r1, r2 = self.radicand, other.radicand
+        if not r1 or not r2:
             return RADICAL_ZERO
-        if self.radicand == 1:
-            if not self.rational.im and self.rational.re == 1:
-                return other
-            return RadicalCoefficient(self.rational * other.rational, other.radicand)
-        if other.radicand == 1:
-            return RadicalCoefficient(self.rational * other.rational, self.radicand)
-        g = math.gcd(self.radicand, other.radicand)
-        rational = self.rational * other.rational
-        if g != 1:
-            rational = rational.scale(g)
-        return RadicalCoefficient(
-            rational, (self.radicand // g) * (other.radicand // g)
-        )
+        a1, b1, d1 = self.re_num, self.im_num, self.den
+        a2, b2, d2 = other.re_num, other.im_num, other.den
+        # canonical form makes the value 1 exactly (1, 0, 1, 1)
+        if r1 == 1 and a1 == d1 and not b1:
+            return other
+        if r2 == 1 and a2 == d2 and not b2:
+            return self
+        if b1 or b2:
+            a, b = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
+        else:
+            a, b = a1 * a2, 0
+        if r1 != 1 and r2 != 1:
+            # sqrt(r1) sqrt(r2) = g sqrt((r1/g) (r2/g)) with coprime quotients
+            g = gcd(r1, r2)
+            if g != 1:
+                a *= g
+                b *= g
+                r1 //= g
+                r2 //= g
+        return _radical(a, b, d1 * d2, r1 * r2)
 
     def scale(self, c) -> "RadicalCoefficient":
-        """Multiply by an exact rational or Gaussian-rational scalar."""
-        if self.radicand == 0:
+        """Multiply by an int, a ``Fraction`` or a ``GaussianRational``."""
+        if c.__class__ is not GaussianRational:
+            return self.scale_ratio(c.numerator, c.denominator)
+        r = self.radicand
+        if not r:
             return self
-        if isinstance(c, GaussianRational):
-            scaled = self.rational * c
-        else:
-            scaled = self.rational.scale(c)
-        if scaled.is_zero():
-            return RADICAL_ZERO
-        return RadicalCoefficient(scaled, self.radicand)
+        a1, b1, a2, b2 = self.re_num, self.im_num, c.re_num, c.im_num
+        if not b1 and not b2:
+            return _radical(a1 * a2, 0, self.den * c.den, r)
+        return _radical(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self.den * c.den, r)
+
+    def scale_ratio(self, num: int, den: int) -> "RadicalCoefficient":
+        """Multiply by ``num/den`` for ints ``num`` and ``den > 0``."""
+        r = self.radicand
+        if not r or (num == 1 and den == 1):
+            return self
+        return _radical(self.re_num * num, self.im_num * num, self.den * den, r)
 
     def conjugate(self) -> "RadicalCoefficient":
-        if self.radicand == 0:
+        if not self.im_num:
             return self
-        return RadicalCoefficient(self.rational.conjugate(), self.radicand)
+        return _raw_radical(self.re_num, -self.im_num, self.den, self.radicand)
 
     def abs_sq(self) -> Fraction:
         """|value|^2 as an exact rational."""
-        return self.rational.abs_sq() * self.radicand
+        a, b, d = self.re_num, self.im_num, self.den
+        return Fraction((a * a + b * b) * self.radicand, d * d)
 
     def to_complex(self) -> complex:
-        if self.radicand == 0:
+        if not self.radicand:
             return 0j
-        return self.rational.to_complex() * math.sqrt(self.radicand)
+        return complex(self.re_num / self.den, self.im_num / self.den) * math.sqrt(self.radicand)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not RadicalCoefficient:
+            return NotImplemented
+        return (
+            self.radicand == other.radicand
+            and self.re_num == other.re_num
+            and self.im_num == other.im_num
+            and self.den == other.den
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.re_num, self.im_num, self.den, self.radicand))
+
+    def __repr__(self) -> str:
+        return f"RadicalCoefficient({self.rational!r}, {self.radicand})"
 
     def __str__(self) -> str:
-        if self.radicand == 0:
+        if not self.radicand:
             return "0"
         if self.radicand == 1:
-            return format_gaussian(self.rational)
-        return f"({format_gaussian(self.rational)})*sqrt({self.radicand})"
+            return format_gaussian(self)
+        return f"({format_gaussian(self)})*sqrt({self.radicand})"
 
 
-RADICAL_ZERO = RadicalCoefficient(GAUSSIAN_ZERO, 0)
-RADICAL_ONE = RadicalCoefficient(GAUSSIAN_ONE, 1)
+RADICAL_ZERO = _raw_radical(0, 0, 1, 0)
+RADICAL_ONE = _raw_radical(1, 0, 1, 1)
 
 
 def radical_normalize(rational, radicand) -> RadicalCoefficient:

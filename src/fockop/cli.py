@@ -74,11 +74,16 @@ def _parse_t_range(text: str) -> Tuple[int, ...]:
     except ValueError as exc:
         raise InputError("--t bounds must be integers") from exc
     mode = parts[2]
-    step = int(parts[3]) if len(parts) == 4 else None
+    step = None
+    if len(parts) == 4:
+        try:
+            step = int(parts[3])
+        except ValueError as exc:
+            raise InputError(f"--t step must be an integer, got {parts[3]!r}") from exc
     if mode == "geometric":
-        return geometric_ts(lo, hi, step or 2)
+        return geometric_ts(lo, hi, 2 if step is None else step)
     if mode == "linear":
-        step = step or 1
+        step = 1 if step is None else step
         if step < 1 or lo < 1 or hi < lo:
             raise InputError("linear range needs 1 <= lo <= hi and step >= 1")
         return tuple(range(lo, hi + 1, step))
@@ -230,8 +235,11 @@ def _cmd_fit(args) -> int:
     if args.path == "-":
         text = sys.stdin.read()
     else:
-        with open(args.path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(args.path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise InputError(f"cannot read {args.path!r}: {exc.strerror}") from exc
     samples = []
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()

@@ -24,6 +24,10 @@ class SymbolSyntaxError(InputError):
         super().__init__(f"{message} (at position {pos}: {_caret_excerpt(text, pos)})")
 
 
+class MultiIndexError(InputError, ValueError):
+    """A multi-index with no components or a negative component."""
+
+
 class DimensionMismatchError(InputError):
     """Operands live in different ambient dimensions."""
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import Dict, Optional, Tuple
 
 from .arith import (
@@ -171,10 +172,18 @@ class BasisExpansion:
 
     def squared_norm(self) -> Fraction:
         """Exact Parseval sum of |coefficient|^2 over the orthonormal basis."""
-        total = Fraction(0)
+        num, den = 0, 1
         for c in self.coeffs.values():
-            total += c.abs_sq()
-        return total
+            a, b, d = c.re_num, c.im_num, c.den
+            term = (a * a + b * b) * c.radicand
+            d *= d
+            if d == den:
+                num += term
+            else:
+                g = gcd(den, d)
+                num = num * (d // g) + term * (den // g)
+                den = den // g * d
+        return Fraction(num, den)
 
     def sorted_items(self):
         return sorted(self.coeffs.items(), key=lambda kv: kv[0])
@@ -226,7 +235,7 @@ def toeplitz_apply(f: SymbolPolynomial, v: BasisExpansion) -> BasisExpansion:
                 continue
             tau, k = hit
             contrib = c * k
-            if a.im or a.re != 1:
+            if a.im_num or a.re_num != a.den:
                 contrib = contrib.scale(a)
             _merge_into(out, tau, contrib)
     return BasisExpansion(sp, out)
@@ -301,11 +310,7 @@ def hankel_coeff_closed_form(
     second *= rising_product(n - 1 + order_agmn, m)
     denom = rising_product(n - 1 + order_amn, m)
 
-    if denom == 1:
-        bracket = term1 - second
-    else:
-        bracket = Fraction(term1 * denom - second, denom)
-    return _sqrt_transition(alpha, tau, sp).scale(bracket)
+    return _sqrt_transition(alpha, tau, sp).scale_ratio(term1 * denom - second, denom)
 
 
 def hankel_product_target(

@@ -12,7 +12,6 @@ from fockop.arith import (
     RADICAL_ONE,
     RADICAL_ZERO,
     RadicalCoefficient,
-    factorial_ratio_eval,
     multiindex_compare,
     radical_normalize,
     rising_product,
@@ -65,14 +64,14 @@ def test_compare_dimension_mismatch():
 
 
 def test_factorial_ratio_examples():
-    assert factorial_ratio_eval(FactorialRatio([5], [3])) == 20
-    assert factorial_ratio_eval(FactorialRatio([], [])) == 1
+    assert FactorialRatio([5], [3]).value() == 20
+    assert FactorialRatio([], []).value() == 1
     # direct big-integer evaluation: 3628800 * 6 / (5040 * 720)
-    assert factorial_ratio_eval(FactorialRatio([10, 3], [7, 6])) == Fraction(
+    assert FactorialRatio([10, 3], [7, 6]).value() == Fraction(
         math.factorial(10) * math.factorial(3),
         math.factorial(7) * math.factorial(6),
     )
-    assert factorial_ratio_eval(FactorialRatio([10, 3], [7, 6])) == 6
+    assert FactorialRatio([10, 3], [7, 6]).value() == 6
 
 
 def test_rising_product():
@@ -203,3 +202,132 @@ def test_radical_conjugate_and_complex():
     assert c.conjugate() == RadicalCoefficient(GaussianRational.of(1, -1), 2)
     assert abs(c.to_complex() - complex(2**0.5, 2**0.5)) < 1e-12
     assert RADICAL_ZERO.to_complex() == 0j
+
+
+# ---------------------------------------------------------------------------
+# the integer core against a Fraction-pair reference
+#
+# A reference value is (re, im, r): Fractions re and im and a square-free
+# r, meaning (re + im*i) * sqrt(r), with (0, 0, 0) for zero.  It is built
+# here with Fractions and trial division, independently of fockop.arith.
+
+
+def _ref_split(k):
+    """k = root**2 * squarefree by trial division (k's prime factors are small)."""
+    root, sf, p = 1, 1, 2
+    while k > 1:
+        e = 0
+        while k % p == 0:
+            k //= p
+            e += 1
+        root *= p ** (e // 2)
+        sf *= p ** (e % 2)
+        p += 1
+    return root, sf
+
+
+def _ref(re, im, radicand):
+    """Reference value of (re + im*i) * sqrt(radicand) for a rational radicand >= 0."""
+    radicand = Fraction(radicand)
+    if (re == 0 and im == 0) or radicand == 0:
+        return (Fraction(0), Fraction(0), 0)
+    p, q = radicand.numerator, radicand.denominator
+    root, sf = _ref_split(p * q)  # sqrt(p/q) = sqrt(p*q)/q
+    k = Fraction(root, q)
+    return (Fraction(re) * k, Fraction(im) * k, sf)
+
+
+def _value(c):
+    return (Fraction(c.re_num, c.den), Fraction(c.im_num, c.den), c.radicand)
+
+
+def _assert_canonical(c):
+    assert c.den > 0
+    assert math.gcd(c.re_num, c.im_num, c.den) == 1
+    assert (c.radicand == 0) == (c.re_num == 0 and c.im_num == 0)
+    if c.radicand == 0:
+        assert (c.re_num, c.im_num, c.den) == (0, 0, 1)
+    else:
+        assert _ref_split(c.radicand)[0] == 1
+
+
+_rationals = st.fractions(min_value=-30, max_value=30, max_denominator=24)
+_radicands = st.integers(0, 60)
+_factors = st.lists(st.integers(1, 30), max_size=6)
+
+
+@given(_rationals, _rationals, _rationals, _rationals)
+def test_gaussian_core_matches_fraction_pairs(x1, y1, x2, y2):
+    g1, g2 = GaussianRational(x1, y1), GaussianRational(x2, y2)
+    cases = [
+        (g1 + g2, (x1 + x2, y1 + y2)),
+        (-g1, (-x1, -y1)),
+        (g1 * g2, (x1 * x2 - y1 * y2, x1 * y2 + y1 * x2)),
+        (g1.conjugate(), (x1, -y1)),
+    ]
+    for g, (re, im) in cases:
+        assert math.gcd(g.re_num, g.im_num, g.den) == 1 and g.den > 0
+        assert (g.re, g.im) == (re, im)
+        assert g == GaussianRational(re, im) and hash(g) == hash(GaussianRational(re, im))
+    assert g1.abs_sq() == x1 * x1 + y1 * y1
+
+
+@given(_rationals, _rationals, _radicands, _rationals, _rationals, _radicands)
+def test_radical_core_matches_fraction_pairs(x1, y1, r1, x2, y2, r2):
+    a = RadicalCoefficient(GaussianRational(x1, y1), r1)
+    b = RadicalCoefficient(GaussianRational(x2, y2), r2)
+    ra, rb = _ref(x1, y1, r1), _ref(x2, y2, r2)
+    for c, want in ((a, ra), (b, rb)):
+        _assert_canonical(c)
+        assert _value(c) == want
+    (ax, ay, ar), (bx, by, br) = ra, rb
+
+    if ar == br or ar == 0 or br == 0:
+        s = a + b
+        _assert_canonical(s)
+        assert _value(s) == _ref(ax + bx, ay + by, max(ar, br))
+    else:
+        with pytest.raises(RadicandMismatchError):
+            _ = a + b
+
+    p = a * b
+    _assert_canonical(p)
+    assert _value(p) == _ref(ax * bx - ay * by, ax * by + ay * bx, ar * br)
+    assert p == b * a and hash(p) == hash(b * a)
+
+    for scaled, want in (
+        (a.scale(x2), _ref(ax * x2, ay * x2, ar)),
+        (a.scale(GaussianRational(x2, y2)), _ref(ax * x2 - ay * y2, ax * y2 + ay * x2, ar)),
+        (a.scale_ratio(x2.numerator, x2.denominator), _ref(ax * x2, ay * x2, ar)),
+        (a.conjugate(), _ref(ax, -ay, ar)),
+        (-a, _ref(-ax, -ay, ar)),
+    ):
+        _assert_canonical(scaled)
+        assert _value(scaled) == want
+
+    assert a.abs_sq() == (ax * ax + ay * ay) * ar
+
+
+@given(_rationals, _rationals, _radicands, st.integers(1, 6), st.integers(1, 6))
+def test_radical_equal_values_have_equal_structure(x, y, r, s, t):
+    # (x + y*i) * sqrt(r * s^2 / t^2) and ((x + y*i) * s/t) * sqrt(r) are one value
+    a = RadicalCoefficient(GaussianRational(x, y), Fraction(r * s * s, t * t))
+    b = RadicalCoefficient(GaussianRational(x * s / t, y * s / t), r)
+    c = radical_normalize(GaussianRational(x, y), Fraction(r * s * s, t * t))
+    assert (a.re_num, a.im_num, a.den, a.radicand) == (b.re_num, b.im_num, b.den, b.radicand)
+    assert a == b == c and hash(a) == hash(b) == hash(c)
+
+
+@given(_rationals, _rationals, _radicands, st.fractions(min_value=0, max_value=50, max_denominator=30))
+def test_radical_normalize_matches_reference(x, y, r, extra):
+    c = RadicalCoefficient.normalize(GaussianRational(x, y), r * extra)
+    _assert_canonical(c)
+    assert _value(c) == _ref(x, y, r * extra)
+
+
+@given(_rationals, _rationals, _factors, _factors)
+def test_from_sqrt_ratio_matches_reference(x, y, num, den):
+    c = RadicalCoefficient.from_sqrt_ratio(GaussianRational(x, y), num, den)
+    _assert_canonical(c)
+    assert _value(c) == _ref(x, y, Fraction(math.prod(num), math.prod(den)))
+    assert c.abs_sq() == (x * x + y * y) * Fraction(math.prod(num), math.prod(den))

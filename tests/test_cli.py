@@ -263,3 +263,31 @@ def test_failed_verification_exits_1(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert code == 1
     assert "FAIL" in out
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("apply", "-n", "1", "--op", "T(z)", "--alpha", "-1"), "must be >= 0"),
+        (("verify", "hankel-closed-form", "-n", "0"), "at least one component"),
+        (("norms", "-n", "1", "--op", "T(z)", "--t", "1:5:linear:x"), "step must be an integer"),
+        (("norms", "-n", "1", "--op", "T(z)", "--t", "1:5:linear:0"), "step >= 1"),
+        (("norms", "-n", "1", "--op", "T(z)", "--t", "64:4096:geometric:0"), "factor >= 2"),
+    ],
+    ids=["negative-alpha", "verify-n0", "t-step-not-int", "t-linear-step-0", "t-geometric-step-0"],
+)
+def test_bad_input_exits_2(capsys, argv, message):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_fit_missing_file_exits_2(capsys, tmp_path):
+    path = str(tmp_path / "missing.csv")
+    code = main(["fit", path])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert path in captured.err
