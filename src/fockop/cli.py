@@ -43,10 +43,6 @@ from .symbols import parse_symbol
 from . import verify as verify_mod
 
 
-def _fraction_str(x: Fraction) -> str:
-    return str(x)
-
-
 def _alpha_str(alpha: MultiIndex) -> str:
     return "|".join(str(c) for c in alpha)
 
@@ -65,6 +61,11 @@ def _coeff_dict(c: RadicalCoefficient) -> dict:
     return {"rational": format_gaussian(c.rational), "radicand": str(c.radicand)}
 
 
+# Most t values one --t range may ask for; each one is an exact operator
+# application.
+MAX_T_VALUES = 10_000
+
+
 def _parse_t_range(text: str) -> Tuple[int, ...]:
     parts = text.split(":")
     if len(parts) not in (3, 4):
@@ -81,13 +82,19 @@ def _parse_t_range(text: str) -> Tuple[int, ...]:
         except ValueError as exc:
             raise InputError(f"--t step must be an integer, got {parts[3]!r}") from exc
     if mode == "geometric":
-        return geometric_ts(lo, hi, 2 if step is None else step)
-    if mode == "linear":
+        ts = geometric_ts(lo, hi, 2 if step is None else step)
+        count = len(ts)
+    elif mode == "linear":
         step = 1 if step is None else step
         if step < 1 or lo < 1 or hi < lo:
             raise InputError("linear range needs 1 <= lo <= hi and step >= 1")
-        return tuple(range(lo, hi + 1, step))
-    raise InputError(f"unknown t-range mode {mode!r}")
+        ts = range(lo, hi + 1, step)
+        count = (hi - lo) // step + 1
+    else:
+        raise InputError(f"unknown t-range mode {mode!r}")
+    if count > MAX_T_VALUES:
+        raise InputError(f"--t asks for {count} t values; at most {MAX_T_VALUES} are allowed")
+    return tuple(ts)
 
 
 def _emit(report: dict, fmt: str, table_lines: Sequence[str]) -> None:
@@ -133,13 +140,13 @@ def _cmd_parse(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    n = args.n
-    f = parse_symbol(args.f, n)
+    sp = SpaceParams(args.n, args.m)
+    f = parse_symbol(args.f, sp.n)
     product_kinds = {"toeplitz-product", "hankel-product"}
     if args.kind in product_kinds:
         if args.g is None:
             raise InputError(f"classify {args.kind} needs -g")
-        g = parse_symbol(args.g, n)
+        g = parse_symbol(args.g, sp.n)
         if args.kind == "toeplitz-product":
             verdict = classify_toeplitz_product(f, g)
         else:
@@ -155,7 +162,7 @@ def _cmd_classify(args) -> int:
         inputs = {"f": f.pretty()}
     report = {
         "command": f"classify {args.kind}",
-        "space": {"n": n, "m": args.m},
+        "space": {"n": sp.n, "m": sp.m},
         "inputs": inputs,
         "outputs": {"verdict": _verdict_payload(verdict)},
     }
@@ -183,7 +190,7 @@ def _cmd_apply(args) -> int:
             "expansion": [
                 {"alpha": _alpha_str(a), "coeff": _coeff_dict(c)} for a, c in items
             ],
-            "squared_norm": _fraction_str(image.squared_norm()),
+            "squared_norm": str(image.squared_norm()),
         },
     }
     lines = [f"e_{_alpha_str(a)}: {c}" for a, c in items] or ["0 (zero vector)"]
@@ -204,7 +211,7 @@ def _cmd_norms(args) -> int:
     ray = RaySpec(base, direction, ts)
     samples = norm_squared_samples(expr, ray, sp, jobs=args.jobs)
     rows = [
-        (t, _alpha_str(ray.alpha_at(t)), _fraction_str(v)) for t, v in samples
+        (t, _alpha_str(ray.alpha_at(t)), str(v)) for t, v in samples
     ]
     if args.format == "csv":
         print("t,alpha,squared_norm")
@@ -232,6 +239,10 @@ def _cmd_norms(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    try:
+        predicted = None if args.predicted is None else Fraction(args.predicted)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"--predicted must be a rational like '3/2', got {args.predicted!r}") from exc
     if args.path == "-":
         text = sys.stdin.read()
     else:
@@ -252,14 +263,13 @@ def _cmd_fit(args) -> int:
             samples.append((int(parts[0]), Fraction(parts[2])))
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"line {lineno}: bad sample {line!r}") from exc
-    predicted = Fraction(args.predicted) if args.predicted is not None else None
     report_obj = fit_exponent(samples, predicted)
     outputs = {
         "degenerate": report_obj.degenerate,
         "fitted_exponent": report_obj.fitted_exponent,
         "residual": report_obj.residual,
         "predicted_exponent": (
-            _fraction_str(report_obj.predicted_exponent)
+            str(report_obj.predicted_exponent)
             if report_obj.predicted_exponent is not None
             else None
         ),
@@ -302,6 +312,12 @@ def _cmd_verify(args) -> int:
     tol = _env_override("FOCKOP_TOL", args.tol, float)
     cfg = OracleConfig(seed=seed, samples=samples, quad_tol=tol)
     jobs = max(1, args.jobs)
+    for n in args.n or (1,):  # every (n, m) grid point must be a valid space
+        for m in args.m or (0,):
+            SpaceParams(n, m)
+    for dest in ("max_order", "max_component", "max_alpha"):
+        if getattr(args, dest) < 0:
+            raise InputError(f"--{dest.replace('_', '-')} must be >= 0, got {getattr(args, dest)}")
     checks: List[Tuple[str, bool, str]] = []
 
     if args.what == "orthonormality":

@@ -37,7 +37,7 @@ from .errors import (
     SymbolSyntaxError,
     ValidityRangeError,
 )
-from .symbols import SymbolPolynomial, parse_symbol
+from .symbols import _T_END, _T_OPERATOR, SymbolPolynomial, _Parser
 
 
 @dataclass(frozen=True)
@@ -200,10 +200,6 @@ class BasisExpansion:
     def __repr__(self) -> str:
         inner = ", ".join(f"{tuple(a)}: {c}" for a, c in self.sorted_items())
         return f"BasisExpansion(n={self.space.n}, m={self.space.m}, {{{inner}}})"
-
-
-def squared_norm(v: BasisExpansion) -> Fraction:
-    return v.squared_norm()
 
 
 def _merge_into(out: Dict[MultiIndex, RadicalCoefficient], key: MultiIndex, value: RadicalCoefficient) -> None:
@@ -400,74 +396,33 @@ def matrix_entry(
 
 
 # ---------------------------------------------------------------------------
-# operator mini-language: T(<symbol>), HP(<symbol>; <symbol>), '*' composition
+# operator productions of the grammar in symbols.py: T(<symbol>),
+# HP(<symbol>; <symbol>), '*' composition
+
+
+class _OperatorParser(_Parser):
+    def parse(self) -> OperatorExpr:
+        expr = self.parse_atom()
+        while self.peek().kind != _T_END:
+            self.expect_op("*")
+            expr = Composition(expr, self.parse_atom())
+        return expr
+
+    def parse_atom(self) -> OperatorExpr:
+        tok = self.next()
+        if tok.kind != _T_OPERATOR:
+            raise SymbolSyntaxError("expected T(...) or HP(...; ...)", self.text, tok.pos)
+        self.expect_op("(")
+        left = self.parse_expr()
+        if tok.value == "HP":
+            self.expect_op(";")
+            right = self.parse_expr()
+            self.expect_op(")")
+            return HankelProductOp(left, right)
+        self.expect_op(")")
+        return ToeplitzOp(left)
 
 
 def parse_operator(text: str, dimension: int) -> OperatorExpr:
-    """Parse the operator mini-language into an expression tree."""
-    nodes = []
-    i = 0
-    size = len(text)
-    expect_node = True
-    while True:
-        while i < size and text[i].isspace():
-            i += 1
-        if i >= size:
-            break
-        if expect_node:
-            node, i = _parse_operator_atom(text, i, dimension)
-            nodes.append(node)
-            expect_node = False
-        else:
-            if text[i] != "*":
-                raise SymbolSyntaxError("expected '*' between operators", text, i)
-            i += 1
-            expect_node = True
-    if expect_node or not nodes:
-        raise SymbolSyntaxError("expected an operator term", text, size)
-    expr = nodes[0]
-    for node in nodes[1:]:
-        expr = Composition(expr, node)
-    return expr
-
-
-def _parse_operator_atom(text: str, i: int, dimension: int):
-    for name, takes_pair in (("HP", True), ("T", False)):
-        if text.startswith(name, i):
-            j = i + len(name)
-            while j < len(text) and text[j].isspace():
-                j += 1
-            if j >= len(text) or text[j] != "(":
-                raise SymbolSyntaxError(f"expected '(' after {name}", text, j)
-            body, end = _matched_parens(text, j)
-            if takes_pair:
-                f_text, g_text = _split_top_level(body, ";", text, j + 1)
-                f = parse_symbol(f_text, dimension)
-                g = parse_symbol(g_text, dimension)
-                return HankelProductOp(f, g), end
-            return ToeplitzOp(parse_symbol(body, dimension)), end
-    raise SymbolSyntaxError("expected T(...) or HP(...; ...)", text, i)
-
-
-def _matched_parens(text: str, open_pos: int):
-    depth = 0
-    for k in range(open_pos, len(text)):
-        if text[k] == "(":
-            depth += 1
-        elif text[k] == ")":
-            depth -= 1
-            if depth == 0:
-                return text[open_pos + 1 : k], k + 1
-    raise SymbolSyntaxError("unbalanced parentheses", text, open_pos)
-
-
-def _split_top_level(body: str, sep: str, full_text: str, offset: int):
-    depth = 0
-    for k, ch in enumerate(body):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == sep and depth == 0:
-            return body[:k], body[k + 1 :]
-    raise SymbolSyntaxError("HP takes two symbols separated by ';'", full_text, offset)
+    """Parse an operator expression; '*' composes, the right factor applies first."""
+    return _OperatorParser(text, dimension).parse()

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Dict, Iterable, Optional, Tuple
 
 from .arith import GaussianRational, MultiIndex, format_gaussian
@@ -91,15 +92,9 @@ class SymbolPolynomial:
 
     def __add__(self, other: "SymbolPolynomial") -> "SymbolPolynomial":
         self._check_dim(other)
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            prev = out.get(key)
-            total = coeff if prev is None else prev + coeff
-            if total.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = total
-        return SymbolPolynomial(self.dimension, out)
+        return SymbolPolynomial.from_terms(
+            self.dimension, chain(self.terms.items(), other.terms.items())
+        )
 
     def __neg__(self) -> "SymbolPolynomial":
         return SymbolPolynomial(self.dimension, {k: -c for k, c in self.terms.items()})
@@ -109,6 +104,8 @@ class SymbolPolynomial:
 
     def __mul__(self, other: "SymbolPolynomial") -> "SymbolPolynomial":
         self._check_dim(other)
+        # from_terms' loop, inlined: feeding it a generator costs about 1 us more
+        # per single-term product, a few percent of the closed-form sweep.
         acc: Dict[TermKey, GaussianRational] = {}
         for (b1, g1), c1 in self.terms.items():
             for (b2, g2), c2 in other.terms.items():
@@ -228,7 +225,7 @@ def _coefficient_text(c: GaussianRational, has_monomial: bool) -> "tuple[str, st
 
 
 # ---------------------------------------------------------------------------
-# structural analysis used by the classifiers
+# graded decomposition of a single-variable symbol (only the tests use it)
 
 
 @dataclass(frozen=True)
@@ -278,21 +275,16 @@ def graded_decompose(p: SymbolPolynomial, s: int) -> GradedDecomposition:
     return GradedDecomposition(tuple(pieces), lo, hi)
 
 
-def conjugate(p: SymbolPolynomial) -> SymbolPolynomial:
-    return p.conjugate()
-
-
-def holomorphic_split(p: SymbolPolynomial):
-    return p.holomorphic_split()
-
-
-def is_constant(p: SymbolPolynomial) -> bool:
-    return p.is_constant()
-
-
 # ---------------------------------------------------------------------------
 # parser
 #
+# One grammar and one tokenizer: ``parse_symbol`` starts at ``expr`` and
+# ``operators.parse_operator`` at ``op``.  The two operator productions live in
+# a ``_Parser`` subclass there, because this module cannot import the operator
+# types.  A syntax error carries its position in the whole text parsed.
+#
+# op      := atom ("*" atom)* ;
+# atom    := "T" "(" expr ")" | "HP" "(" expr ";" expr ")" ;
 # expr    := ["-"] term (("+"|"-") term)* ;
 # term    := factor ("*" factor)* ;
 # factor  := base ("^" uint)? ;
@@ -300,12 +292,19 @@ def is_constant(p: SymbolPolynomial) -> bool:
 # var     := "z" uint | "z" (n=1 only) ;
 # number  := uint | uint "/" uint ;
 
+# Bound on max(1, degree of the base) * exponent in ``factor``, checked before
+# the power is expanded.  A constant base counts as degree 1: its power grows
+# the coefficient's integers instead.
+MAX_SYMBOL_DEGREE = 256
+
 _T_INT = "int"
 _T_VAR = "var"
 _T_CONJ = "conj"
 _T_IMAG = "imag"
+_T_OPERATOR = "operator"
 _T_OP = "op"
 _T_END = "end"
+_NAMES = {"conj": _T_CONJ, "i": _T_IMAG, "T": _T_OPERATOR, "HP": _T_OPERATOR}
 
 
 @dataclass(frozen=True)
@@ -313,6 +312,13 @@ class _Token:
     kind: str
     value: object
     pos: int
+
+
+def _read_int(text: str, i: int, j: int) -> int:
+    try:
+        return int(text[i:j])
+    except ValueError:  # more digits than the interpreter converts from text
+        raise SymbolSyntaxError("number too long", text, i) from None
 
 
 def _tokenize(text: str) -> "list[_Token]":
@@ -328,7 +334,7 @@ def _tokenize(text: str) -> "list[_Token]":
             j = i
             while j < n and text[j].isdigit():
                 j += 1
-            tokens.append(_Token(_T_INT, int(text[i:j]), i))
+            tokens.append(_Token(_T_INT, _read_int(text, i, j), i))
             i = j
             continue
         if ch.isalpha():
@@ -340,20 +346,17 @@ def _tokenize(text: str) -> "list[_Token]":
                 k = j
                 while k < n and text[k].isdigit():
                     k += 1
-                index = int(text[j:k]) if k > j else None
+                index = _read_int(text, j, k) if k > j else None
                 tokens.append(_Token(_T_VAR, index, i))
                 i = k
                 continue
-            if word == "conj":
-                tokens.append(_Token(_T_CONJ, word, i))
-                i = j
-                continue
-            if word == "i":
-                tokens.append(_Token(_T_IMAG, word, i))
-                i = j
-                continue
-            raise SymbolSyntaxError(f"unknown name '{word}'", text, i)
-        if ch in "+-*/^()":
+            kind = _NAMES.get(word)
+            if kind is None:
+                raise SymbolSyntaxError(f"unknown name '{word}'", text, i)
+            tokens.append(_Token(kind, word, i))
+            i = j
+            continue
+        if ch in "+-*/^();":
             tokens.append(_Token(_T_OP, ch, i))
             i += 1
             continue
@@ -364,6 +367,8 @@ def _tokenize(text: str) -> "list[_Token]":
 
 class _Parser:
     def __init__(self, text: str, dimension: int):
+        if dimension < 1:
+            raise InputError("dimension must be >= 1")
         self.text = text
         self.dimension = dimension
         self.tokens = _tokenize(text)
@@ -422,6 +427,10 @@ class _Parser:
             tok = self.next()
             if tok.kind != _T_INT:
                 raise SymbolSyntaxError("exponent must be a nonnegative integer", self.text, tok.pos)
+            degree = max((b.order + g.order for b, g in base.terms), default=0) or 1
+            if degree * tok.value > MAX_SYMBOL_DEGREE:
+                message = f"degree {degree} * exponent {tok.value} exceeds MAX_SYMBOL_DEGREE = {MAX_SYMBOL_DEGREE}"
+                raise SymbolSyntaxError(message, self.text, tok.pos)
             return base ** tok.value
         return base
 
@@ -480,6 +489,4 @@ class _Parser:
 
 def parse_symbol(text: str, dimension: int) -> SymbolPolynomial:
     """Parse a polynomial symbol in z1..zn (bare 'z' allowed when n=1)."""
-    if dimension < 1:
-        raise InputError("dimension must be >= 1")
     return _Parser(text, dimension).parse()

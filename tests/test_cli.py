@@ -269,12 +269,38 @@ def test_failed_verification_exits_1(capsys, monkeypatch):
     "argv, message",
     [
         (("apply", "-n", "1", "--op", "T(z)", "--alpha", "-1"), "must be >= 0"),
-        (("verify", "hankel-closed-form", "-n", "0"), "at least one component"),
+        (("verify", "hankel-closed-form", "-n", "0"), "dimension n must be >= 1"),
         (("norms", "-n", "1", "--op", "T(z)", "--t", "1:5:linear:x"), "step must be an integer"),
         (("norms", "-n", "1", "--op", "T(z)", "--t", "1:5:linear:0"), "step >= 1"),
         (("norms", "-n", "1", "--op", "T(z)", "--t", "64:4096:geometric:0"), "factor >= 2"),
+        (("fit", "-", "--predicted", "x"), "--predicted"),
+        (("fit", "-", "--predicted", "1/0"), "--predicted"),
+        (("classify", "toeplitz", "-n", "1", "-m", "-3", "-f", "z"), "weight order m must be >= 0"),
+        (("verify", "orthonormality", "-n", "1,2", "-m", "0,-1"), "weight order m must be >= 0"),
+        (("verify", "hankel-closed-form", "--max-alpha", "-1"), "--max-alpha must be >= 0"),
+        (("verify", "hankel-closed-form", "--max-component", "-1"), "--max-component must be >= 0"),
+        (("verify", "orthonormality", "--max-order", "-1"), "--max-order must be >= 0"),
+        (("apply", "-n", "1", "--op", "T(z^100000000)", "--alpha", "0"), "at position 4"),
+        (("norms", "-n", "1", "--op", "T(z)", "--t", "1:100000000:linear"), "at most 10000"),
+        (("apply", "-n", "1", "--op", "HP(z;zz)", "--alpha", "1"), "at position 5"),
     ],
-    ids=["negative-alpha", "verify-n0", "t-step-not-int", "t-linear-step-0", "t-geometric-step-0"],
+    ids=[
+        "negative-alpha",
+        "verify-n0",
+        "t-step-not-int",
+        "t-linear-step-0",
+        "t-geometric-step-0",
+        "fit-predicted-not-rational",
+        "fit-predicted-zero-denominator",
+        "classify-negative-m",
+        "verify-negative-m",
+        "verify-negative-max-alpha",
+        "verify-negative-max-component",
+        "verify-negative-max-order",
+        "symbol-degree-bound",
+        "t-count-bound",
+        "op-error-absolute-position",
+    ],
 )
 def test_bad_input_exits_2(capsys, argv, message):
     code = main(list(argv))

@@ -3,6 +3,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fockop.arith import (
     GaussianRational,
@@ -31,7 +33,6 @@ from fockop.operators import (
     matrix_entry,
     monomial_inner,
     parse_operator,
-    squared_norm,
     toeplitz_apply,
     toeplitz_mono_apply,
 )
@@ -312,12 +313,12 @@ def test_apply_operator_composition_order():
 
 def test_squared_norm_parseval():
     sp = SpaceParams(1, 0)
-    assert squared_norm(e(sp, 5)) == 1
+    assert e(sp, 5).squared_norm() == 1
     v = BasisExpansion(sp, {mi(0): rational_coeff(2), mi(1): rational_coeff(3)})
-    assert squared_norm(v) == 13
+    assert v.squared_norm() == 13
     expr = parse_operator("T(z*conj(z)) * T(z*conj(z))", 1)
     image = apply_operator(expr, e(sp, 3))
-    assert squared_norm(image) == 256
+    assert image.squared_norm() == 256
 
 
 def test_matrix_entries():
@@ -346,3 +347,83 @@ def test_parse_operator_mini_language():
         parse_operator("Q(z)", 1)
     with pytest.raises(SymbolSyntaxError):
         parse_operator("T(z", 1)
+
+
+@pytest.mark.parametrize(
+    "text, pos",
+    [
+        ("HP(z;zz)", 5),
+        ("T(z) * T(z + )", 13),
+        ("T(z)*HP(z; conj(z); z)", 18),
+        ("HP(z; z", 7),
+    ],
+)
+def test_parse_operator_errors_carry_absolute_positions(text, pos):
+    with pytest.raises(SymbolSyntaxError) as info:
+        parse_operator(text, 1)
+    assert info.value.text == text
+    assert info.value.pos == pos
+
+
+# Symbol text in the style of the benchmark's generator: sums of a
+# coefficient times powers of z_j and conj(z_j).
+_COEFFS = ("1", "2", "3", "1/2", "3/4", "5/3", "i", "(1-2*i)")
+
+
+@st.composite
+def symbol_texts(draw, n):
+    terms = []
+    for k in range(draw(st.integers(1, 4))):
+        factors = []
+        for _ in range(draw(st.integers(0, 3))):
+            j = draw(st.integers(1, n))
+            var = "z" if n == 1 else f"z{j}"
+            var = f"conj({var})" if draw(st.booleans()) else var
+            power = draw(st.integers(1, 3))
+            factors.append(var if power == 1 else f"{var}^{power}")
+        sign = draw(st.sampled_from(("", "-"))) if k else ""
+        terms.append(sign + "*".join([draw(st.sampled_from(_COEFFS))] + factors))
+    return " + ".join(terms).replace("+ -", "- ")
+
+
+_SHAPES = {
+    "T({f})": lambda f, g: ToeplitzOp(f),
+    "HP({f}; {g})": HankelProductOp,
+    "T({f}) * T({g})": lambda f, g: Composition(ToeplitzOp(f), ToeplitzOp(g)),
+}
+
+
+@st.composite
+def operator_texts(draw):
+    n = draw(st.integers(1, 3))
+    f = draw(symbol_texts(n))
+    g = draw(symbol_texts(n))
+    shape = draw(st.sampled_from(sorted(_SHAPES)))
+    return n, f, g, shape
+
+
+@given(operator_texts())
+def test_parse_operator_agrees_with_parse_symbol(case):
+    n, f_text, g_text, shape = case
+    expected = _SHAPES[shape](parse_symbol(f_text, n), parse_symbol(g_text, n))
+    assert parse_operator(shape.format(f=f_text, g=g_text), n) == expected
+
+
+@given(operator_texts(), st.data())
+def test_parse_operator_corruption_fails_with_a_position(case, data):
+    n, f_text, g_text, shape = case
+    text = shape.format(f=f_text, g=g_text)
+    k = data.draw(st.integers(0, len(text)))
+    ch = data.draw(st.sampled_from("()*;^+-/ 0123456789zicTHPQ$"))
+    how = data.draw(st.sampled_from(("insert", "replace", "delete")))
+    if how == "insert":
+        bad = text[:k] + ch + text[k:]
+    elif how == "replace":
+        bad = text[:k] + ch + text[k + 1 :]
+    else:
+        bad = text[:k] + text[k + 1 :]
+    try:
+        parse_operator(bad, n)
+    except SymbolSyntaxError as err:
+        assert err.text == bad
+        assert 0 <= err.pos <= len(bad)

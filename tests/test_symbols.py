@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from fockop.arith import GaussianRational, MultiIndex
 from fockop.errors import InputError, SymbolSyntaxError
 from fockop.symbols import (
+    MAX_SYMBOL_DEGREE,
     SymbolPolynomial,
     graded_decompose,
     parse_symbol,
@@ -85,6 +86,25 @@ def test_parse_errors_carry_positions():
         parse_symbol("z1 z2", 2)  # missing '*'
     with pytest.raises(SymbolSyntaxError):
         parse_symbol("w", 1)
+
+
+def test_power_degree_bound_is_checked_before_expanding():
+    assert parse_symbol(f"z^{MAX_SYMBOL_DEGREE}", 1) == SymbolPolynomial.monomial(
+        1, (MAX_SYMBOL_DEGREE,), (0,)
+    )
+    assert parse_symbol(f"(z*conj(z))^{MAX_SYMBOL_DEGREE // 2}", 1).terms
+    for text, pos in (
+        ("z^100000000", 2),
+        (f"(z*conj(z))^{MAX_SYMBOL_DEGREE // 2 + 1}", 12),
+        (f"1 + 2^{MAX_SYMBOL_DEGREE + 1}", 6),  # a constant counts as degree 1
+        ("((z^16)^16)^2", 12),
+    ):
+        with pytest.raises(SymbolSyntaxError) as err:
+            parse_symbol(text, 1)
+        assert err.value.pos == pos
+    with pytest.raises(SymbolSyntaxError) as err:
+        parse_symbol("1" * 5000, 1)  # past the interpreter's int-from-text limit
+    assert err.value.pos == 0
 
 
 # ---------------------------------------------------------------------------
