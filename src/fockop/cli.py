@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -38,7 +39,7 @@ from .operators import (
     apply_operator,
     parse_operator,
 )
-from .oracle import DEFAULT_SEED, OracleConfig
+from .oracle import DEFAULT_SEED, MIN_QUAD_TOL, OracleConfig
 from .symbols import parse_symbol
 from . import verify as verify_mod
 
@@ -47,14 +48,27 @@ def _alpha_str(alpha: MultiIndex) -> str:
     return "|".join(str(c) for c in alpha)
 
 
-def _parse_alpha(text: str, n: int) -> MultiIndex:
+# Largest order |alpha| = a1 + ... + an a basis index may reach.  A basis
+# action factors integers near |alpha| by trial division, at up to
+# sqrt(|alpha|) steps each.
+MAX_ALPHA_ORDER = 10**9
+
+
+def _check_alpha_order(order: int, flag: str) -> None:
+    if order > MAX_ALPHA_ORDER:
+        raise InputError(f"{flag} reaches |alpha| = {order}; at most MAX_ALPHA_ORDER = {MAX_ALPHA_ORDER} is allowed")
+
+
+def _parse_alpha(text: str, n: int, flag: str) -> MultiIndex:
     try:
         comps = [int(p) for p in text.split("|")]
     except ValueError as exc:
         raise InputError(f"bad multi-index {text!r}; use 'a1|a2|...'") from exc
     if len(comps) != n:
         raise InputError(f"multi-index {text!r} has {len(comps)} components, expected {n}")
-    return MultiIndex(comps)
+    alpha = MultiIndex(comps)
+    _check_alpha_order(alpha.order, flag)
+    return alpha
 
 
 def _coeff_dict(c: RadicalCoefficient) -> dict:
@@ -179,7 +193,7 @@ def _cmd_classify(args) -> int:
 def _cmd_apply(args) -> int:
     sp = SpaceParams(args.n, args.m)
     expr = parse_operator(args.op, args.n)
-    alpha = _parse_alpha(args.alpha, args.n)
+    alpha = _parse_alpha(args.alpha, args.n, "--alpha")
     image = apply_operator(expr, BasisExpansion.basis_vector(sp, alpha))
     items = image.sorted_items()
     report = {
@@ -206,8 +220,9 @@ def _cmd_norms(args) -> int:
     if args.ray == "ones":
         direction = MultiIndex.ones(args.n)
     else:
-        direction = _parse_alpha(args.ray, args.n)
-    base = _parse_alpha(args.base, args.n) if args.base else default_base(expr)
+        direction = _parse_alpha(args.ray, args.n, "--ray")
+    base = _parse_alpha(args.base, args.n, "--base") if args.base else default_base(expr)
+    _check_alpha_order(base.order + max(ts) * direction.order, "--t")
     ray = RaySpec(base, direction, ts)
     samples = norm_squared_samples(expr, ray, sp, jobs=args.jobs)
     rows = [
@@ -296,20 +311,26 @@ def _split_grid(n_values, m_values):
     return [(n, m) for n in n_values for m in m_values]
 
 
-def _env_override(name: str, fallback, convert):
+def _env_override(name: str, flag: str, fallback, convert):
+    """(value, source): the environment variable ``name`` if set, else the
+    flag's value; ``source`` names where the value came from."""
     raw = os.environ.get(name)
     if raw is None:
-        return fallback
+        return fallback, flag
     try:
-        return convert(raw)
+        return convert(raw), name
     except ValueError as exc:
         raise InputError(f"{name} must be a {convert.__name__}") from exc
 
 
 def _cmd_verify(args) -> int:
-    seed = _env_override("FOCKOP_SEED", args.seed, int)
-    samples = _env_override("FOCKOP_SAMPLES", args.samples, int)
-    tol = _env_override("FOCKOP_TOL", args.tol, float)
+    seed, seed_source = _env_override("FOCKOP_SEED", "--seed", args.seed, int)
+    if seed < 0:
+        raise InputError(f"{seed_source} must be >= 0, got {seed}")
+    samples, _ = _env_override("FOCKOP_SAMPLES", "--samples", args.samples, int)
+    tol, tol_source = _env_override("FOCKOP_TOL", "--tol", args.tol, float)
+    if not MIN_QUAD_TOL <= tol < math.inf:
+        raise InputError(f"{tol_source} must be finite and >= {MIN_QUAD_TOL}, got {tol}")
     cfg = OracleConfig(seed=seed, samples=samples, quad_tol=tol)
     jobs = max(1, args.jobs)
     for n in args.n or (1,):  # every (n, m) grid point must be a valid space

@@ -415,8 +415,9 @@ class _OperatorParser(_Parser):
         self.expect_op("(")
         left = self.parse_expr()
         if tok.value == "HP":
-            self.expect_op(";")
+            semicolon = self.expect_op(";")
             right = self.parse_expr()
+            self.check_product(left, right, semicolon)  # HP(f; g) applies T_{conj(f) g}
             self.expect_op(")")
             return HankelProductOp(left, right)
         self.expect_op(")")

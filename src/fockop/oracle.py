@@ -6,6 +6,11 @@ from float Gamma-function recurrences grown out of Gamma(1) = 1, or
 from seeded importance-sampled Monte Carlo against the standard complex
 Gaussian (n >= 2).  Agreement of these routes with the exact engine is
 the point; sharing code with it would verify nothing.
+
+Monte Carlo cases of one dimension share their draws (common random
+numbers): each chunk of samples is drawn once and every case is
+evaluated on it, so a case's estimate is the same whether it is asked
+for alone or with others.  Quadratures are memoized per (k, tolerance).
 """
 
 from __future__ import annotations
@@ -14,7 +19,8 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Optional, Tuple
+from functools import lru_cache
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -108,10 +114,23 @@ def _adaptive_simpson(f, a, fa, b, fb, fm, whole, tol, depth):
     return lv + rv, le + re
 
 
+# Smallest relative tolerance ``gamma_integral_quadrature`` accepts.  Below
+# float64 resolution adaptive Simpson never meets it and subdivides to its
+# depth limit, 2^48 panels.
+MIN_QUAD_TOL = 1e-15
+
+# Integrals kept by ``gamma_integral_quadrature``; one n=1 check needs
+# max_order + max(m) + 1 of them (14 for the default orders 0..10, m 0..3).
+QUADRATURE_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=QUADRATURE_CACHE_SIZE)
 def gamma_integral_quadrature(k: int, rel_tol: float = 1e-13) -> Tuple[float, float]:
     """(value, absolute error bound) for int_0^inf u^k e^-u du."""
     if k < 0:
         raise InputError("k must be >= 0")
+    if not MIN_QUAD_TOL <= rel_tol < math.inf:
+        raise InputError(f"quadrature tolerance must be finite and >= {MIN_QUAD_TOL}, got {rel_tol}")
 
     def f(u: float) -> float:
         return u**k * math.exp(-u)
@@ -134,68 +153,110 @@ def gamma_integral_quadrature(k: int, rel_tol: float = 1e-13) -> Tuple[float, fl
 # Monte Carlo with importance sampling from the standard complex Gaussian
 
 
-def _mc_worker(a: MultiIndex, b: MultiIndex, sp: SpaceParams, weight: float,
-               seed_seq: "np.random.SeedSequence", count: int, chunk: int):
+@dataclass(frozen=True)
+class MonteCarloBatch:
+    """Estimates for several cases of one dimension n, in case order, all
+    taken from the same draws."""
+
+    estimates: Tuple[OracleEstimate, ...]
+
+    @property
+    def samples(self) -> int:
+        """Samples summed over the cases (each case is evaluated on every draw)."""
+        return sum(est.samples for est in self.estimates)
+
+
+def _mc_worker(cases, n: int, seed_seq: "np.random.SeedSequence", count: int, chunk: int):
+    """Sums (re, re^2, im, im^2) per case over ``count`` draws.
+
+    Each chunk of at most ``chunk`` draws is made once and every case
+    ``(a, b, m, weight)`` is evaluated on it.  Cases with the same (a, b)
+    share the product z^a conj(z)^b, which m and the weight only scale;
+    each case still takes the same float operations in the same order,
+    whichever cases share its chunk.
+    """
     rng = np.random.Generator(np.random.PCG64(seed_seq))
-    n = sp.n
-    sums = np.zeros(4)  # re, re^2, im, im^2
+    orders = sorted({m for _, _, m, _ in cases if m})
+    groups = {}  # (a, b) -> [(case row, m, weight)]
+    for row, (a, b, m, weight) in enumerate(cases):
+        groups.setdefault((a, b), []).append((row, m, weight))
+    sums = np.zeros((len(cases), 4))
     done = 0
     while done < count:
         size = min(chunk, count - done)
         xy = rng.standard_normal((size, 2 * n)) * math.sqrt(0.5)
         z = xy[:, :n] + 1j * xy[:, n:]
-        w = np.ones(size, dtype=np.complex128)
-        for j in range(n):
-            if a[j]:
-                w *= z[:, j] ** a[j]
-            if b[j]:
-                w *= np.conj(z[:, j]) ** b[j]
-        if sp.m:
+        if orders:
             r2 = np.sum(xy * xy, axis=1)
-            w *= r2**sp.m
-        w *= weight
-        sums[0] += float(np.sum(w.real))
-        sums[1] += float(np.sum(w.real**2))
-        sums[2] += float(np.sum(w.imag))
-        sums[3] += float(np.sum(w.imag**2))
+            radial = {m: r2**m for m in orders}
+            del r2
+        del xy
+        for (a, b), members in groups.items():
+            angular = np.ones(size, dtype=np.complex128)
+            for j in range(n):
+                if a[j]:
+                    angular *= z[:, j] ** a[j]
+                if b[j]:
+                    angular *= np.conj(z[:, j]) ** b[j]
+            for row, m, weight in members:
+                w = angular * radial[m] if m else angular.copy()
+                w *= weight
+                out = sums[row]
+                out[0] += float(np.sum(w.real))
+                out[1] += float(np.sum(w.real**2))
+                out[2] += float(np.sum(w.imag))
+                out[3] += float(np.sum(w.imag**2))
         done += size
     return sums
 
 
-def _mc_inner(a: MultiIndex, b: MultiIndex, sp: SpaceParams, cfg: OracleConfig) -> OracleEstimate:
+def _mc_inner(
+    cases: Sequence[Tuple[MultiIndex, MultiIndex, SpaceParams]], cfg: OracleConfig
+) -> MonteCarloBatch:
+    """Monte Carlo estimates of <z^a, z^b> in sp for every case ``(a, b, sp)``,
+    all from one set of seeded draws."""
     total = cfg.samples
     if total < 2:
         raise InputError("Monte Carlo needs at least 2 samples")
-    workers = max(1, cfg.workers)
+    if not cases:
+        return MonteCarloBatch(())
+    n = cases[0][2].n
+    if any(sp.n != n or a.dimension != n or b.dimension != n for a, b, sp in cases):
+        raise DimensionMismatchError("Monte Carlo cases must share one dimension n")
     # importance weight: dv-measure density over the sampling density,
     # times the normalizing constant of the weighted measure
-    weight = gamma_recurrence(sp.n) / gamma_recurrence(sp.m + sp.n)
+    work = [(a, b, sp.m, gamma_recurrence(n) / gamma_recurrence(sp.m + n)) for a, b, sp in cases]
+    workers = max(1, cfg.workers)
     counts = [total // workers] * workers
     counts[0] += total - sum(counts)
     seeds = np.random.SeedSequence(cfg.seed).spawn(workers)
     if workers == 1:
-        partials = [_mc_worker(a, b, sp, weight, seeds[0], counts[0], cfg.chunk)]
+        partials = [_mc_worker(work, n, seeds[0], counts[0], cfg.chunk)]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             partials = list(
                 pool.map(
-                    lambda args: _mc_worker(a, b, sp, weight, *args),
+                    lambda args: _mc_worker(work, n, *args),
                     [(s, c, cfg.chunk) for s, c in zip(seeds, counts)],
                 )
             )
-    sums = np.sum(np.stack(partials), axis=0)
-    mean_re = sums[0] / total
-    var_re = max(sums[1] / total - mean_re**2, 0.0)
-    mean_im = sums[2] / total
-    var_im = max(sums[3] / total - mean_im**2, 0.0)
-    return OracleEstimate(
-        value=mean_re,
-        method=OracleMethod.MONTE_CARLO,
-        standard_error=math.sqrt(var_re / total),
-        samples=total,
-        imag_value=mean_im,
-        imag_standard_error=math.sqrt(var_im / total),
-    )
+    estimates = []
+    for sums in np.sum(np.stack(partials), axis=0):
+        mean_re = sums[0] / total
+        var_re = max(sums[1] / total - mean_re**2, 0.0)
+        mean_im = sums[2] / total
+        var_im = max(sums[3] / total - mean_im**2, 0.0)
+        estimates.append(
+            OracleEstimate(
+                value=mean_re,
+                method=OracleMethod.MONTE_CARLO,
+                standard_error=math.sqrt(var_re / total),
+                samples=total,
+                imag_value=mean_im,
+                imag_standard_error=math.sqrt(var_im / total),
+            )
+        )
+    return MonteCarloBatch(tuple(estimates))
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +297,7 @@ def oracle_inner(
         ops = 2 * (sp.m + sp.n + a.order) + 8
         return OracleEstimate(value, method, error_bound=abs(value) * ops * 2.3e-16)
     if method is OracleMethod.MONTE_CARLO:
-        return _mc_inner(a, b, sp, cfg)
+        return _mc_inner([(a, b, sp)], cfg).estimates[0]
     raise InputError(f"unknown oracle method {method}")
 
 

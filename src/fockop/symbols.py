@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from math import comb
 from typing import Dict, Iterable, Optional, Tuple
 
 from .arith import GaussianRational, MultiIndex, format_gaussian
@@ -297,6 +298,35 @@ def graded_decompose(p: SymbolPolynomial, s: int) -> GradedDecomposition:
 # the coefficient's integers instead.
 MAX_SYMBOL_DEGREE = 256
 
+# Bound on the term pairs, len(a) * len(b), of one symbol product the parser
+# asks for, checked before multiplying; it bounds the product's terms too.
+# A power is expanded by repeated squaring (``SymbolPolynomial.__pow__``) and
+# every product of that expansion is checked, with base^j counted at its most
+# possible terms: C(k+j-1, j) for a k-term base, the monomials of degree j in
+# k unknowns.  At 20_000 every power of a two-term base that MAX_SYMBOL_DEGREE
+# allows still parses (at most 129^2 = 16641 pairs).
+MAX_SYMBOL_TERMS = 20_000
+
+
+def _power_pairs(k: int, e: int) -> int:
+    """Most term pairs of one product in ``SymbolPolynomial.__pow__`` for a
+    base of k >= 1 terms to the power e."""
+
+    def most_terms(j: int) -> int:
+        return comb(k + j - 1, j)
+
+    worst, have, square = 0, 0, 1  # out = base^have, base^square
+    while e:
+        if e & 1:
+            worst = max(worst, most_terms(have) * most_terms(square))
+            have += square
+        if e > 1:
+            worst = max(worst, most_terms(square) ** 2)
+            square *= 2
+        e >>= 1
+    return worst
+
+
 _T_INT = "int"
 _T_VAR = "var"
 _T_CONJ = "conj"
@@ -413,11 +443,22 @@ class _Parser:
             poly = poly + (-rhs if op == "-" else rhs)
         return poly
 
+    def check_product(self, a: SymbolPolynomial, b: SymbolPolynomial, tok: _Token) -> None:
+        """Reject a product of more than MAX_SYMBOL_TERMS term pairs at ``tok``."""
+        if len(a.terms) * len(b.terms) > MAX_SYMBOL_TERMS:
+            message = (
+                f"product of {len(a.terms)} and {len(b.terms)} terms exceeds "
+                f"MAX_SYMBOL_TERMS = {MAX_SYMBOL_TERMS} term pairs"
+            )
+            raise SymbolSyntaxError(message, self.text, tok.pos)
+
     def parse_term(self) -> SymbolPolynomial:
         poly = self.parse_factor()
         while self.at_op("*"):
-            self.next()
-            poly = poly * self.parse_factor()
+            tok = self.next()
+            rhs = self.parse_factor()
+            self.check_product(poly, rhs, tok)
+            poly = poly * rhs
         return poly
 
     def parse_factor(self) -> SymbolPolynomial:
@@ -430,6 +471,14 @@ class _Parser:
             degree = max((b.order + g.order for b, g in base.terms), default=0) or 1
             if degree * tok.value > MAX_SYMBOL_DEGREE:
                 message = f"degree {degree} * exponent {tok.value} exceeds MAX_SYMBOL_DEGREE = {MAX_SYMBOL_DEGREE}"
+                raise SymbolSyntaxError(message, self.text, tok.pos)
+            k = max(len(base.terms), 1)
+            pairs = _power_pairs(k, tok.value)
+            if pairs > MAX_SYMBOL_TERMS:
+                message = (
+                    f"a {k}-term base to the power {tok.value} needs {pairs} term pairs in one "
+                    f"product, more than MAX_SYMBOL_TERMS = {MAX_SYMBOL_TERMS}"
+                )
                 raise SymbolSyntaxError(message, self.text, tok.pos)
             return base ** tok.value
         return base

@@ -15,7 +15,7 @@ from itertools import product
 from typing import Callable, List, Optional, Sequence
 
 from .arith import MultiIndex, RADICAL_ONE
-from .oracle import OracleConfig, OracleMethod, oracle_inner
+from .oracle import OracleConfig, OracleMethod, _mc_inner, oracle_inner
 from .operators import (
     BasisExpansion,
     SpaceParams,
@@ -276,23 +276,26 @@ def verify_oracle_monte_carlo(
     sigmas: float = 3.0,
     cfg: OracleConfig = OracleConfig(),
 ) -> MonteCarloAgreementResult:
-    """n>=2: seeded Monte Carlo must bracket each exact value within ``sigmas``."""
+    """n>=2: seeded Monte Carlo must bracket each exact value within ``sigmas``.
+
+    All cases are estimated in one call, from the same draws.
+    """
     out = MonteCarloAgreementResult()
-    for m in m_values:
-        sp = SpaceParams(n, m)
-        for a in indices_up_to_order(n, max_order):
-            exact = float(monomial_inner(a, a, sp))
-            est = oracle_inner(a, a, sp, OracleMethod.MONTE_CARLO, cfg)
-            out.cases += 1
-            if est.standard_error == 0:
-                if est.value != exact:
-                    out.failures.append(f"m={m} a={tuple(a)}: zero spread but off")
-                continue
-            pull = abs(est.value - exact) / est.standard_error
-            out.max_sigmas = max(out.max_sigmas, pull)
-            if pull > sigmas:
-                out.failures.append(
-                    f"m={m} a={tuple(a)}: {est.value:.8f} vs exact {exact:.8f} "
-                    f"is {pull:.2f} standard errors (> {sigmas})"
-                )
+    spaces = [SpaceParams(n, m) for m in m_values]
+    cases = [(a, a, sp) for sp in spaces for a in indices_up_to_order(n, max_order)]
+    estimates = _mc_inner(cases, cfg).estimates
+    for (a, _, sp), est in zip(cases, estimates):
+        exact = float(monomial_inner(a, a, sp))
+        out.cases += 1
+        if est.standard_error == 0:
+            if est.value != exact:
+                out.failures.append(f"m={sp.m} a={tuple(a)}: zero spread but off")
+            continue
+        pull = abs(est.value - exact) / est.standard_error
+        out.max_sigmas = max(out.max_sigmas, pull)
+        if pull > sigmas:
+            out.failures.append(
+                f"m={sp.m} a={tuple(a)}: {est.value:.8f} vs exact {exact:.8f} "
+                f"is {pull:.2f} standard errors (> {sigmas})"
+            )
     return out

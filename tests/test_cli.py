@@ -283,6 +283,19 @@ def test_failed_verification_exits_1(capsys, monkeypatch):
         (("apply", "-n", "1", "--op", "T(z^100000000)", "--alpha", "0"), "at position 4"),
         (("norms", "-n", "1", "--op", "T(z)", "--t", "1:100000000:linear"), "at most 10000"),
         (("apply", "-n", "1", "--op", "HP(z;zz)", "--alpha", "1"), "at position 5"),
+        (("verify", "oracle", "-n", "1", "--max-order", "1", "--tol", "0"), "--tol must be finite"),
+        (("verify", "oracle", "-n", "1", "--max-order", "1", "--tol", "-1"), "--tol must be finite"),
+        (("verify", "oracle", "-n", "1", "--max-order", "1", "--tol", "nan"), "--tol must be finite"),
+        (("verify", "oracle", "-n", "1", "--max-order", "1", "--tol", "inf"), "--tol must be finite"),
+        (("verify", "oracle", "-n", "1", "--max-order", "1", "--tol", "1e-17"), "--tol must be finite"),
+        (("verify", "oracle", "-n", "2", "--seed", "-1"), "--seed must be >= 0"),
+        (("apply", "-n", "1", "--op", "T(z)", "--alpha", "1000000001"), "--alpha reaches |alpha| = 1000000001"),
+        (("apply", "-n", "2", "--op", "T(z1)", "--alpha", "999999999|2"), "--alpha reaches"),
+        (("norms", "-n", "1", "--op", "T(z)", "--base", "1000000001", "--t", "1:2:linear"), "--base reaches"),
+        (("norms", "-n", "1", "--op", "T(z)", "--ray", "1000000001", "--t", "1:2:linear"), "--ray reaches"),
+        (("norms", "-n", "1", "--op", "T(z)", "--base", "999999999", "--t", "1:2:linear"), "--t reaches"),
+        (("norms", "-n", "2", "--op", "T(z1)", "--t", "1:1000000000:geometric"), "--t reaches"),
+        (("parse", "-n", "3", "-f", "(z1+z2+z3+conj(z1)+conj(z2)+conj(z3)+1)^40"), "MAX_SYMBOL_TERMS"),
     ],
     ids=[
         "negative-alpha",
@@ -300,10 +313,40 @@ def test_failed_verification_exits_1(capsys, monkeypatch):
         "symbol-degree-bound",
         "t-count-bound",
         "op-error-absolute-position",
+        "oracle-tol-zero",
+        "oracle-tol-negative",
+        "oracle-tol-nan",
+        "oracle-tol-inf",
+        "oracle-tol-below-float-resolution",
+        "oracle-seed-negative",
+        "alpha-order-bound",
+        "alpha-order-bound-sums-components",
+        "base-order-bound",
+        "ray-order-bound",
+        "t-range-order-bound",
+        "geometric-t-range-order-bound",
+        "symbol-term-bound",
     ],
 )
 def test_bad_input_exits_2(capsys, argv, message):
     code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert message in captured.err
+
+
+@pytest.mark.parametrize(
+    "name, value, message",
+    [
+        ("FOCKOP_TOL", "0", "FOCKOP_TOL must be finite"),
+        ("FOCKOP_TOL", "nan", "FOCKOP_TOL must be finite"),
+        ("FOCKOP_SEED", "-1", "FOCKOP_SEED must be >= 0"),
+    ],
+)
+def test_bad_oracle_environment_exits_2(capsys, monkeypatch, name, value, message):
+    monkeypatch.setenv(name, value)
+    code = main(["verify", "oracle", "-n", "1,2", "--max-order", "1"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""

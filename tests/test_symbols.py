@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 
 from fockop.arith import GaussianRational, MultiIndex
 from fockop.errors import InputError, SymbolSyntaxError
+from fockop.operators import parse_operator
 from fockop.symbols import (
     MAX_SYMBOL_DEGREE,
+    MAX_SYMBOL_TERMS,
     SymbolPolynomial,
     graded_decompose,
     parse_symbol,
@@ -105,6 +107,56 @@ def test_power_degree_bound_is_checked_before_expanding():
     with pytest.raises(SymbolSyntaxError) as err:
         parse_symbol("1" * 5000, 1)  # past the interpreter's int-from-text limit
     assert err.value.pos == 0
+
+
+def _powers_of_z1(count):
+    return "+".join(f"z1^{i}" for i in range(count))
+
+
+def test_term_bound_is_checked_before_expanding():
+    # degree 40 passes MAX_SYMBOL_DEGREE, but the power has millions of terms
+    text = "(z1+z2+z3+conj(z1)+conj(z2)+conj(z3)+1)^40"
+    with pytest.raises(SymbolSyntaxError, match="MAX_SYMBOL_TERMS") as err:
+        parse_symbol(text, 3)
+    assert err.value.pos == text.index("40")
+    # every power of a two-term base that the degree bound allows still parses
+    assert len(parse_symbol(f"(z1+conj(z1))^{MAX_SYMBOL_DEGREE}", 2).terms) == MAX_SYMBOL_DEGREE + 1
+    width = MAX_SYMBOL_TERMS // 100
+    wide = _powers_of_z1(width)
+    assert len(parse_symbol(f"({wide})*({_powers_of_z1(100)})", 2).terms) == width + 99
+    text = f"({wide})*({_powers_of_z1(101)})"
+    with pytest.raises(SymbolSyntaxError, match="MAX_SYMBOL_TERMS") as err:
+        parse_symbol(text, 2)
+    assert err.value.pos == len(wide) + 2
+    text = f"HP({wide}; {_powers_of_z1(101)})"  # applying it multiplies the two symbols
+    with pytest.raises(SymbolSyntaxError, match="MAX_SYMBOL_TERMS") as err:
+        parse_operator(text, 2)
+    assert err.value.pos == text.index(";")
+
+
+@st.composite
+def dense_symbol_texts(draw, n):
+    """Sums of 1-20 monomials of degree <= 4 with small coefficients, the
+    shape of the symbols the benchmark draws."""
+    terms = []
+    for k in range(draw(st.integers(1, 20))):
+        factors = []
+        for _ in range(draw(st.integers(0, 4))):
+            var = f"z{draw(st.integers(1, n))}"
+            factors.append(f"conj({var})" if draw(st.booleans()) else var)
+        sign = draw(st.sampled_from(("", "-"))) if k else ""
+        coeff = draw(st.sampled_from(("1", "3", "1/2", "5/3", "i", "(1-2*i)")))
+        terms.append(sign + "*".join([coeff] + factors))
+    return "+".join(terms).replace("+-", "-")
+
+
+@given(st.data())
+def test_dense_symbols_stay_within_the_term_bound(data):
+    n = data.draw(st.integers(2, 3))
+    f, g = data.draw(dense_symbol_texts(n)), data.draw(dense_symbol_texts(n))
+    assert parse_symbol(f"({f})*({g})", n) == parse_symbol(f, n) * parse_symbol(g, n)
+    parse_operator(f"T({f}) * T({g})", n)
+    parse_operator(f"HP({f}; {g})", n)
 
 
 # ---------------------------------------------------------------------------
