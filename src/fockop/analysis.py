@@ -11,7 +11,6 @@ the Stirling-predicted rational exponents.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -28,6 +27,7 @@ from .operators import (
     apply_operator,
     hankel_product_apply,
 )
+from .parallel import fan_out
 from .symbols import SymbolPolynomial, _monomial_text
 
 
@@ -270,18 +270,21 @@ def default_ray(expr: OperatorExpr, t_values: Optional[Sequence[int]] = None) ->
 def norm_squared_samples(
     expr: OperatorExpr, ray: RaySpec, sp: SpaceParams, jobs: int = 1
 ) -> List[Tuple[int, Fraction]]:
-    """Exact ||expr e_alpha(t)||^2 for each t, in t order."""
+    """Exact ||expr e_alpha(t)||^2 for each t, in t order.
+
+    The t values are spread over up to ``jobs`` processes
+    (``parallel.fan_out``); the result does not depend on ``jobs``.
+    """
     if ray.base.dimension != sp.n:
         raise DimensionMismatchError("ray dimension must equal n")
+    tasks = [(expr, sp, t, ray.alpha_at(t)) for t in ray.t_values]
+    return fan_out(_norm_squared_at, tasks, jobs)
 
-    def one(t: int) -> Tuple[int, Fraction]:
-        image = apply_operator(expr, BasisExpansion.basis_vector(sp, ray.alpha_at(t)))
-        return t, image.squared_norm()
 
-    if jobs <= 1 or len(ray.t_values) <= 1:
-        return [one(t) for t in ray.t_values]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(one, ray.t_values))
+def _norm_squared_at(task) -> Tuple[int, Fraction]:
+    expr, sp, t, alpha = task
+    image = apply_operator(expr, BasisExpansion.basis_vector(sp, alpha))
+    return t, image.squared_norm()
 
 
 def hankel_vector_norm_sq(f: SymbolPolynomial, alpha: MultiIndex, sp: SpaceParams) -> Fraction:

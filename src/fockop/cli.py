@@ -15,7 +15,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -39,7 +38,7 @@ from .operators import (
     apply_operator,
     parse_operator,
 )
-from .oracle import DEFAULT_SEED, MIN_QUAD_TOL, OracleConfig
+from .oracle import DEFAULT_SEED, MAX_QUAD_ORDER, MIN_QUAD_TOL, OracleConfig
 from .symbols import parse_symbol
 from . import verify as verify_mod
 
@@ -69,6 +68,12 @@ def _parse_alpha(text: str, n: int, flag: str) -> MultiIndex:
     alpha = MultiIndex(comps)
     _check_alpha_order(alpha.order, flag)
     return alpha
+
+
+def _check_jobs(jobs: int) -> int:
+    if jobs < 1:
+        raise InputError(f"--jobs must be >= 1, got {jobs}")
+    return jobs
 
 
 def _coeff_dict(c: RadicalCoefficient) -> dict:
@@ -214,6 +219,7 @@ def _cmd_apply(args) -> int:
 
 
 def _cmd_norms(args) -> int:
+    jobs = _check_jobs(args.jobs)
     sp = SpaceParams(args.n, args.m)
     expr = parse_operator(args.op, args.n)
     ts = _parse_t_range(args.t)
@@ -224,7 +230,7 @@ def _cmd_norms(args) -> int:
     base = _parse_alpha(args.base, args.n, "--base") if args.base else default_base(expr)
     _check_alpha_order(base.order + max(ts) * direction.order, "--t")
     ray = RaySpec(base, direction, ts)
-    samples = norm_squared_samples(expr, ray, sp, jobs=args.jobs)
+    samples = norm_squared_samples(expr, ray, sp, jobs=jobs)
     rows = [
         (t, _alpha_str(ray.alpha_at(t)), str(v)) for t, v in samples
     ]
@@ -307,10 +313,6 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _split_grid(n_values, m_values):
-    return [(n, m) for n in n_values for m in m_values]
-
-
 def _env_override(name: str, flag: str, fallback, convert):
     """(value, source): the environment variable ``name`` if set, else the
     flag's value; ``source`` names where the value came from."""
@@ -332,7 +334,7 @@ def _cmd_verify(args) -> int:
     if not MIN_QUAD_TOL <= tol < math.inf:
         raise InputError(f"{tol_source} must be finite and >= {MIN_QUAD_TOL}, got {tol}")
     cfg = OracleConfig(seed=seed, samples=samples, quad_tol=tol)
-    jobs = max(1, args.jobs)
+    jobs = _check_jobs(args.jobs)
     for n in args.n or (1,):  # every (n, m) grid point must be a valid space
         for m in args.m or (0,):
             SpaceParams(n, m)
@@ -342,47 +344,30 @@ def _cmd_verify(args) -> int:
     checks: List[Tuple[str, bool, str]] = []
 
     if args.what == "orthonormality":
-        grid = _split_grid(args.n or (1, 2, 3), args.m or (0, 1, 2, 3))
-
-        def one(nm):
-            return verify_mod.verify_orthonormality((nm[0],), (nm[1],), args.max_order)
-
-        parts = _fan(one, grid, jobs)
-        pairs = sum(p.pairs_checked for p in parts)
-        failures = [f for p in parts for f in p.failures]
+        ortho = verify_mod.verify_orthonormality(
+            args.n or (1, 2, 3), args.m or (0, 1, 2, 3), args.max_order, jobs=jobs
+        )
         checks.append(
             (
                 "orthonormality",
-                not failures,
-                f"{pairs} pairs exact" if not failures else failures[0],
+                ortho.passed,
+                f"{ortho.pairs_checked} pairs exact" if ortho.passed else ortho.failures[0],
             )
         )
     elif args.what == "hankel-closed-form":
-        grid = _split_grid(args.n or (1, 2), args.m or (0, 1, 2))
-
-        def one(nm):
-            return verify_mod.sweep_hankel_closed_form(
-                (nm[0],), (nm[1],), args.max_component, args.max_alpha
-            )
-
-        parts = _fan(one, grid, jobs)
-        cases = sum(p.cases for p in parts)
-        match_ok = all(p.closed_form_matches for p in parts)
-        vanish_ok = all(p.vanishing_with_degenerate_family for p in parts)
-        degenerate = sum(p.degenerate_zero_cases for p in parts)
-        mismatches = [x for p in parts for x in p.mismatches + p.stray_support]
-        vanish_bad = [
-            x
-            for p in parts
-            for x in p.vanish_false_nonzero
-            + p.vanish_false_zero_strict
-            + p.degenerate_nonzero
-        ]
+        sweep = verify_mod.sweep_hankel_closed_form(
+            args.n or (1, 2), args.m or (0, 1, 2), args.max_component, args.max_alpha, jobs=jobs
+        )
+        match_ok = sweep.closed_form_matches
+        vanish_ok = sweep.vanishing_with_degenerate_family
+        degenerate = sweep.degenerate_zero_cases
+        mismatches = sweep.mismatches + sweep.stray_support
+        vanish_bad = sweep.vanish_false_nonzero + sweep.vanish_false_zero_strict + sweep.degenerate_nonzero
         checks.append(
             (
                 "closed-form vs composition",
                 match_ok,
-                f"{cases} cases exact" if match_ok else mismatches[0],
+                f"{sweep.cases} cases exact" if match_ok else mismatches[0],
             )
         )
         checks.append(
@@ -401,9 +386,14 @@ def _cmd_verify(args) -> int:
     elif args.what == "oracle":
         n_values = args.n or (1, 2)
         if 1 in n_values:
-            det = verify_mod.verify_oracle_deterministic(
-                args.m or (0, 1, 2, 3), args.max_order, rel_tol=1e-10, cfg=cfg
-            )
+            det_m = args.m or (0, 1, 2, 3)
+            order = args.max_order + max(det_m)
+            if order > MAX_QUAD_ORDER:
+                raise InputError(
+                    f"--max-order {args.max_order} with m up to {max(det_m)} reaches quadrature "
+                    f"order {order}; at most MAX_QUAD_ORDER = {MAX_QUAD_ORDER} is allowed"
+                )
+            det = verify_mod.verify_oracle_deterministic(det_m, args.max_order, rel_tol=1e-10, cfg=cfg)
             checks.append(
                 (
                     "n=1 quadrature/gamma agreement",
@@ -443,13 +433,6 @@ def _cmd_verify(args) -> int:
     ]
     _emit(report, args.format, lines)
     return 0 if passed else 1
-
-
-def _fan(fn, items, jobs):
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ray", default="ones", help="'ones' or custom direction 'd1|d2|...'")
     p.add_argument("--base", help="ray base 'b1|b2|...' (default: validity base)")
     p.add_argument("--t", default="64:4096:geometric", help="lo:hi:geometric|linear[:step]")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="worker processes (>= 1); output does not depend on it")
     p.add_argument("--format", choices=("csv", "json", "table"), default="csv")
     p.set_defaults(handler=_cmd_norms)
 
@@ -533,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--samples", type=int, default=200_000)
     p.add_argument("--tol", type=float, default=1e-13)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="worker processes (>= 1); output does not depend on it")
     p.add_argument("--format", choices=("json", "table"), default="table")
     p.set_defaults(handler=_cmd_verify)
 

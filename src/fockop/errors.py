@@ -19,9 +19,15 @@ class SymbolSyntaxError(InputError):
     """Symbol or operator grammar violation, annotated with a position."""
 
     def __init__(self, message: str, text: str, pos: int):
+        self.message = message
         self.text = text
         self.pos = pos
         super().__init__(f"{message} (at position {pos}: {_caret_excerpt(text, pos)})")
+
+    def __reduce__(self):
+        # rebuilt from the constructor's arguments, not from ``args``, so it
+        # survives pickling across a process boundary
+        return type(self), (self.message, self.text, self.pos)
 
 
 class MultiIndexError(InputError, ValueError):

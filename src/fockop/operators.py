@@ -16,7 +16,7 @@ restriction on the input vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -40,18 +40,42 @@ from .errors import (
 from .symbols import _T_END, _T_OPERATOR, SymbolPolynomial, _Parser
 
 
-@dataclass(frozen=True)
 class SpaceParams:
-    """Ambient dimension n >= 1 and integer weight order m >= 0."""
+    """Ambient dimension n >= 1 and integer weight order m >= 0.
 
-    n: int
-    m: int
+    Immutable; its hash is computed once, since it is part of the
+    ``_sqrt_transition`` cache key of every basis action.
+    """
 
-    def __post_init__(self):
-        if self.n < 1:
+    __slots__ = ("n", "m", "_hash")
+
+    def __init__(self, n: int, m: int):
+        if n < 1:
             raise InputError("dimension n must be >= 1")
-        if self.m < 0:
+        if m < 0:
             raise InputError("weight order m must be >= 0")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "_hash", hash((n, m)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"SpaceParams is immutable; cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not SpaceParams:
+            return NotImplemented
+        return self.n == other.n and self.m == other.m
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"SpaceParams(n={self.n!r}, m={self.m!r})"
+
+    def __reduce__(self):
+        return SpaceParams, (self.n, self.m)
 
 
 # ---------------------------------------------------------------------------
@@ -131,9 +155,10 @@ def toeplitz_mono_apply(
     tau = MultiIndex._wrap(tuple(tau_comps))
     rational = 1
     for a, b in zip(alpha, beta):
-        rational *= rising_product(a, b)
-    ab_order = sum(alpha) + sum(beta)
-    rational *= rising_product(n - 1 + ab_order, sp.m)
+        if b:
+            rational *= rising_product(a, b)
+    if sp.m:
+        rational *= rising_product(n - 1 + sum(alpha) + sum(beta), sp.m)
     coeff = _sqrt_transition(alpha, tau, sp)
     if rational != 1:
         coeff = coeff.scale(rational)
@@ -247,12 +272,24 @@ def expansion_sub(u: BasisExpansion, v: BasisExpansion) -> BasisExpansion:
 
 
 def hankel_product_apply(
-    f: SymbolPolynomial, g: SymbolPolynomial, v: BasisExpansion
+    f: SymbolPolynomial,
+    g: SymbolPolynomial,
+    v: BasisExpansion,
+    *,
+    f_conj: Optional[SymbolPolynomial] = None,
+    f_conj_g: Optional[SymbolPolynomial] = None,
 ) -> BasisExpansion:
-    """Exact H*_f H_g via T_{conj(f) g} - T_{conj(f)} T_g; valid for every v."""
-    fbar = f.conjugate()
-    first = toeplitz_apply(fbar * g, v)
-    second = toeplitz_apply(fbar, toeplitz_apply(g, v))
+    """Exact H*_f H_g via T_{conj(f) g} - T_{conj(f)} T_g; valid for every v.
+
+    ``f_conj`` = conj(f) and ``f_conj_g`` = conj(f) * g are built here
+    unless the caller built them already (``HankelProductOp`` does, once).
+    """
+    if f_conj is None:
+        f_conj = f.conjugate()
+    if f_conj_g is None:
+        f_conj_g = f_conj * g
+    first = toeplitz_apply(f_conj_g, v)
+    second = toeplitz_apply(f_conj, toeplitz_apply(g, v))
     return expansion_sub(first, second)
 
 
@@ -287,25 +324,26 @@ def hankel_coeff_closed_form(
         tuple(a + g_ + u - b - w for a, b, g_, u, w in zip(alpha, beta, gamma, mu, nu))
     )
 
-    term1 = 1
-    for a, g_, u in zip(alpha, gamma, mu):
-        term1 *= rising_product(a, g_ + u)
-    order_a = sum(alpha)
-    order_gm = order_a + sum(gamma) + sum(mu)
-    term1 *= rising_product(n - 1 + order_gm, m)
-
-    second = 1
-    for a, u in zip(alpha, mu):
-        second *= rising_product(a, u)
+    # empty rising products (count 0) are 1 and skipped
+    term1 = second = 1
     for a, g_, u, w in zip(alpha, gamma, mu, nu):
-        second *= rising_product(a + u - w, g_)
-    order_am = order_a + sum(mu)
-    order_amn = order_am - sum(nu)
-    order_agmn = order_amn + sum(gamma)
-    second *= rising_product(n - 1 + order_am, m)
-    second *= rising_product(n - 1 + order_agmn, m)
-    denom = rising_product(n - 1 + order_amn, m)
-
+        if g_ or u:
+            term1 *= rising_product(a, g_ + u)
+        if u:
+            second *= rising_product(a, u)
+        if g_:
+            second *= rising_product(a + u - w, g_)
+    denom = 1
+    if m:
+        order_a = sum(alpha)
+        order_gm = order_a + sum(gamma) + sum(mu)
+        term1 *= rising_product(n - 1 + order_gm, m)
+        order_am = order_a + sum(mu)
+        order_amn = order_am - sum(nu)
+        order_agmn = order_amn + sum(gamma)
+        second *= rising_product(n - 1 + order_am, m)
+        second *= rising_product(n - 1 + order_agmn, m)
+        denom = rising_product(n - 1 + order_amn, m)
     return _sqrt_transition(alpha, tau, sp).scale_ratio(term1 * denom - second, denom)
 
 
@@ -347,14 +385,23 @@ class ToeplitzOp(OperatorExpr):
 
 @dataclass(frozen=True)
 class HankelProductOp(OperatorExpr):
-    """H*_left H_right for two polynomial symbols."""
+    """H*_left H_right for two polynomial symbols.
+
+    ``left_conj`` = conj(left) and ``left_conj_right`` = conj(left) * right
+    are built once, here, for every vector the operator is applied to.
+    """
 
     left: SymbolPolynomial
     right: SymbolPolynomial
+    left_conj: SymbolPolynomial = field(init=False, repr=False, compare=False)
+    left_conj_right: SymbolPolynomial = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.left.dimension != self.right.dimension:
             raise DimensionMismatchError("Hankel product symbols must share a dimension")
+        fbar = self.left.conjugate()
+        object.__setattr__(self, "left_conj", fbar)
+        object.__setattr__(self, "left_conj_right", fbar * self.right)
 
     @property
     def dimension(self) -> int:
@@ -381,7 +428,9 @@ def apply_operator(expr: OperatorExpr, v: BasisExpansion) -> BasisExpansion:
     if isinstance(expr, ToeplitzOp):
         return toeplitz_apply(expr.symbol, v)
     if isinstance(expr, HankelProductOp):
-        return hankel_product_apply(expr.left, expr.right, v)
+        return hankel_product_apply(
+            expr.left, expr.right, v, f_conj=expr.left_conj, f_conj_g=expr.left_conj_right
+        )
     if isinstance(expr, Composition):
         return apply_operator(expr.outer, apply_operator(expr.inner, v))
     raise TypeError(f"unknown operator expression: {expr!r}")

@@ -16,7 +16,6 @@ for alone or with others.  Quadratures are memoized per (k, tolerance).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
@@ -124,11 +123,17 @@ MIN_QUAD_TOL = 1e-15
 QUADRATURE_CACHE_SIZE = 256
 
 
+# Largest k = |a| + m of an n = 1 oracle check.  Beyond it float64
+# overflows: the Gamma route's a! (m+a)! at m = 0 from k = 99, and the
+# quadrature's tail bound upper**k from k = 115.
+MAX_QUAD_ORDER = 98
+
+
 @lru_cache(maxsize=QUADRATURE_CACHE_SIZE)
 def gamma_integral_quadrature(k: int, rel_tol: float = 1e-13) -> Tuple[float, float]:
     """(value, absolute error bound) for int_0^inf u^k e^-u du."""
-    if k < 0:
-        raise InputError("k must be >= 0")
+    if not 0 <= k <= MAX_QUAD_ORDER:
+        raise InputError(f"quadrature order k must be in 0..{MAX_QUAD_ORDER}, got {k}")
     if not MIN_QUAD_TOL <= rel_tol < math.inf:
         raise InputError(f"quadrature tolerance must be finite and >= {MIN_QUAD_TOL}, got {rel_tol}")
 
@@ -230,16 +235,7 @@ def _mc_inner(
     counts = [total // workers] * workers
     counts[0] += total - sum(counts)
     seeds = np.random.SeedSequence(cfg.seed).spawn(workers)
-    if workers == 1:
-        partials = [_mc_worker(work, n, seeds[0], counts[0], cfg.chunk)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(
-                pool.map(
-                    lambda args: _mc_worker(work, n, *args),
-                    [(s, c, cfg.chunk) for s, c in zip(seeds, counts)],
-                )
-            )
+    partials = [_mc_worker(work, n, s, c, cfg.chunk) for s, c in zip(seeds, counts)]
     estimates = []
     for sums in np.sum(np.stack(partials), axis=0):
         mean_re = sums[0] / total

@@ -10,6 +10,7 @@ floating-point oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable, List, Optional, Sequence
@@ -18,13 +19,15 @@ from .arith import MultiIndex, RADICAL_ONE
 from .oracle import OracleConfig, OracleMethod, _mc_inner, oracle_inner
 from .operators import (
     BasisExpansion,
+    HankelProductOp,
     SpaceParams,
+    apply_operator,
     basis_coefficient,
     hankel_coeff_closed_form,
-    hankel_product_apply,
     hankel_product_target,
     monomial_inner,
 )
+from .parallel import fan_out
 from .symbols import SymbolPolynomial
 
 
@@ -56,33 +59,47 @@ class OrthonormalityResult:
         return not self.failures
 
 
+def _orthonormality_block(task) -> OrthonormalityResult:
+    """Orthonormality of one space ``(n, m)`` up to ``max_order``."""
+    n, m, max_order = task
+    result = OrthonormalityResult(0)
+    pool = indices_up_to_order(n, max_order)
+    sp = SpaceParams(n, m)
+    constants = {alpha: basis_coefficient(alpha, sp) for alpha in pool}
+    for alpha in pool:
+        c_alpha = constants[alpha]
+        for eta in pool:
+            inner = monomial_inner(alpha, eta, sp)
+            value = (c_alpha * constants[eta]).scale(inner)
+            result.pairs_checked += 1
+            if alpha == eta:
+                if value != RADICAL_ONE:
+                    result.failures.append(
+                        f"n={n} m={m} alpha={tuple(alpha)}: <e,e> = {value}"
+                    )
+            elif not value.is_zero():
+                result.failures.append(
+                    f"n={n} m={m} alpha={tuple(alpha)} eta={tuple(eta)}: nonzero {value}"
+                )
+    return result
+
+
 def verify_orthonormality(
     n_values: Sequence[int] = (1, 2, 3),
     m_values: Sequence[int] = (0, 1, 2, 3),
     max_order: int = 8,
+    jobs: int = 1,
 ) -> OrthonormalityResult:
-    """Exact check of <e_alpha, e_eta> = delta over all pairs up to max order."""
+    """Exact check of <e_alpha, e_eta> = delta over all pairs up to max order.
+
+    The spaces ``(n, m)`` are checked in up to ``jobs`` processes; the
+    failures are listed in the serial order whatever ``jobs`` is.
+    """
+    tasks = [(n, m, max_order) for n in n_values for m in m_values]
     result = OrthonormalityResult(0)
-    for n in n_values:
-        pool = indices_up_to_order(n, max_order)
-        for m in m_values:
-            sp = SpaceParams(n, m)
-            constants = {alpha: basis_coefficient(alpha, sp) for alpha in pool}
-            for alpha in pool:
-                c_alpha = constants[alpha]
-                for eta in pool:
-                    inner = monomial_inner(alpha, eta, sp)
-                    value = (c_alpha * constants[eta]).scale(inner)
-                    result.pairs_checked += 1
-                    if alpha == eta:
-                        if value != RADICAL_ONE:
-                            result.failures.append(
-                                f"n={n} m={m} alpha={tuple(alpha)}: <e,e> = {value}"
-                            )
-                    elif not value.is_zero():
-                        result.failures.append(
-                            f"n={n} m={m} alpha={tuple(alpha)} eta={tuple(eta)}: nonzero {value}"
-                        )
+    for part in fan_out(_orthonormality_block, tasks, jobs):
+        result.pairs_checked += part.pairs_checked
+        result.failures.extend(part.failures)
     return result
 
 
@@ -134,80 +151,109 @@ class ClosedFormSweep:
         )
 
 
+def _sweep_block(task) -> ClosedFormSweep:
+    """The sweep over every (gamma, mu, nu) for one ``(n, m, beta)``.
+
+    ``task`` is ``(n, m, beta, max_component, max_alpha)``.  The Hankel
+    product operator is built once per exponent tuple, and only for
+    tuples with at least one alpha in the validity range.
+    """
+    n, m, beta, max_component, max_alpha = task
+    sp = SpaceParams(n, m)
+    beta = MultiIndex(beta)
+    exps = indices_by_component(n, max_component)
+    out = ClosedFormSweep()
+
+    def label() -> str:  # formatted only for a case that lands in a failure list
+        return (
+            f"n={n} m={m} beta={tuple(beta)} gamma={tuple(gamma)} "
+            f"mu={tuple(mu)} nu={tuple(nu)} alpha={tuple(alpha)}"
+        )
+
+    for gamma in exps:
+        gamma_zero = gamma.order == 0
+        f = SymbolPolynomial.monomial(n, beta, gamma)
+        for mu in exps:
+            for nu in exps:
+                out.tuples += 1
+                need = [abs(g - b) + abs(u - w) for b, g, u, w in zip(beta, gamma, mu, nu)]
+                if max(need) > max_alpha:
+                    continue  # no alpha in the validity range
+                expect_zero = gamma_zero or nu.order == 0
+                degenerate = m == 0 and sum(x * y for x, y in zip(gamma, nu)) == 0
+                op = HankelProductOp(f, SymbolPolynomial.monomial(n, mu, nu))
+                # the alphas with need <= alpha <= max_alpha, in the order
+                # of indices_by_component(n, max_alpha)
+                for comps in product(*(range(k, max_alpha + 1) for k in need)):
+                    alpha = MultiIndex._wrap(comps)
+                    out.cases += 1
+                    closed = hankel_coeff_closed_form(beta, gamma, mu, nu, alpha, sp)
+                    image = apply_operator(op, BasisExpansion.basis_vector(sp, alpha))
+                    target = hankel_product_target(beta, gamma, mu, nu, alpha)
+                    comp = image.coefficient(target)
+                    if closed != comp:
+                        out.mismatches.append(f"{label()}: closed {closed} vs composition {comp}")
+                    if len(image.coeffs) > (0 if comp.is_zero() else 1):
+                        out.stray_support.append(label())
+                    if expect_zero:
+                        if not closed.is_zero():
+                            out.vanish_false_nonzero.append(label())
+                    elif closed.is_zero():
+                        if degenerate:
+                            out.degenerate_zero_cases += 1
+                        else:
+                            out.vanish_false_zero_strict.append(label())
+                    elif degenerate:
+                        out.degenerate_nonzero.append(label())
+    return out
+
+
 def sweep_hankel_closed_form(
     n_values: Sequence[int] = (1, 2),
     m_values: Sequence[int] = (0, 1, 2),
     max_component: int = 2,
     max_alpha: int = 12,
     progress: Optional[Callable[[int, int], None]] = None,
+    jobs: int = 1,
 ) -> ClosedFormSweep:
     """Compare the closed-form coefficient with the composition route.
 
     Runs over all monomial exponent 4-tuples with components up to
     ``max_component`` and all alpha in the validity range with
     components up to ``max_alpha``.
+
+    The work is split into blocks, one per ``(n, m, beta)``, run in up
+    to ``jobs`` processes (see ``parallel.fan_out``).  The blocks'
+    results are merged in block order, so every count and failure list
+    is the same, in the same order, whatever ``jobs`` is.
+    ``progress(done, total)`` is called here, in the calling process,
+    as each block's exponent tuples are merged.
     """
+    tasks = [
+        (n, m, beta, max_component, max_alpha)
+        for n in n_values
+        for m in m_values
+        for beta in indices_by_component(n, max_component)
+    ]
+    total = sum((max_component + 1) ** (3 * n) for n, *_ in tasks)
     out = ClosedFormSweep()
-    for n in n_values:
-        exps = indices_by_component(n, max_component)
-        alphas = indices_by_component(n, max_alpha)
-        total_tuples = len(exps) ** 4 * len(m_values)
-        done = 0
-        for m in m_values:
-            sp = SpaceParams(n, m)
-            for beta in exps:
-                for gamma in exps:
-                    gamma_zero = gamma.order == 0
-                    for mu in exps:
-                        for nu in exps:
-                            done += 1
-                            if progress and done % 2048 == 0:
-                                progress(done, total_tuples)
-                            out.tuples += 1
-                            nu_zero = nu.order == 0
-                            expect_zero = gamma_zero or nu_zero
-                            coupling = sum(x * y for x, y in zip(gamma, nu))
-                            need = tuple(
-                                abs(g - b) + abs(u - w)
-                                for b, g, u, w in zip(beta, gamma, mu, nu)
-                            )
-                            f = SymbolPolynomial.monomial(n, beta, gamma)
-                            g_sym = SymbolPolynomial.monomial(n, mu, nu)
-                            for alpha in alphas:
-                                ok = True
-                                for a, k in zip(alpha, need):
-                                    if a < k:
-                                        ok = False
-                                        break
-                                if not ok:
-                                    continue
-                                out.cases += 1
-                                closed = hankel_coeff_closed_form(beta, gamma, mu, nu, alpha, sp)
-                                image = hankel_product_apply(
-                                    f, g_sym, BasisExpansion.basis_vector(sp, alpha)
-                                )
-                                target = hankel_product_target(beta, gamma, mu, nu, alpha)
-                                comp = image.coefficient(target)
-                                label = (
-                                    f"n={n} m={m} beta={tuple(beta)} gamma={tuple(gamma)} "
-                                    f"mu={tuple(mu)} nu={tuple(nu)} alpha={tuple(alpha)}"
-                                )
-                                if closed != comp:
-                                    out.mismatches.append(
-                                        f"{label}: closed {closed} vs composition {comp}"
-                                    )
-                                if len(image.coeffs) > (0 if comp.is_zero() else 1):
-                                    out.stray_support.append(label)
-                                if expect_zero:
-                                    if not closed.is_zero():
-                                        out.vanish_false_nonzero.append(label)
-                                elif closed.is_zero():
-                                    if m == 0 and coupling == 0:
-                                        out.degenerate_zero_cases += 1
-                                    else:
-                                        out.vanish_false_zero_strict.append(label)
-                                elif m == 0 and coupling == 0:
-                                    out.degenerate_nonzero.append(label)
+
+    def merge(part: ClosedFormSweep) -> None:
+        out.cases += part.cases
+        out.tuples += part.tuples
+        out.degenerate_zero_cases += part.degenerate_zero_cases
+        for name in (
+            "mismatches",
+            "stray_support",
+            "vanish_false_nonzero",
+            "vanish_false_zero_strict",
+            "degenerate_nonzero",
+        ):
+            getattr(out, name).extend(getattr(part, name))
+        if progress:
+            progress(out.tuples, total)
+
+    fan_out(_sweep_block, tasks, jobs, on_result=merge)
     return out
 
 
@@ -245,13 +291,13 @@ def verify_oracle_deterministic(
             for name, est in (("quadrature", quad), ("gamma", gamma)):
                 rel = abs(est.value - exact) / exact
                 out.max_relative_error = max(out.max_relative_error, rel)
-                if rel > rel_tol:
+                if not rel <= rel_tol:  # a NaN error fails too
                     out.failures.append(
                         f"m={m} a={order} {name}: rel error {rel:.3e} > {rel_tol:.1e}"
                     )
             cross = abs(quad.value - gamma.value) / exact
             out.max_relative_error = max(out.max_relative_error, cross)
-            if cross > rel_tol:
+            if not cross <= rel_tol:
                 out.failures.append(
                     f"m={m} a={order}: quadrature vs gamma differ by {cross:.3e}"
                 )
@@ -291,7 +337,10 @@ def verify_oracle_monte_carlo(
             if est.value != exact:
                 out.failures.append(f"m={sp.m} a={tuple(a)}: zero spread but off")
             continue
-        pull = abs(est.value - exact) / est.standard_error
+        if math.isfinite(est.value) and math.isfinite(est.standard_error):
+            pull = abs(est.value - exact) / est.standard_error
+        else:
+            pull = math.inf  # a NaN or infinite estimate brackets nothing
         out.max_sigmas = max(out.max_sigmas, pull)
         if pull > sigmas:
             out.failures.append(

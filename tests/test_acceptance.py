@@ -41,6 +41,7 @@ from fockop.operators import (
     parse_operator,
 )
 from fockop.oracle import DEFAULT_SEED, OracleConfig
+from fockop.parallel import usable_cpus
 from fockop.symbols import parse_symbol
 from fockop.verify import (
     sweep_hankel_closed_form,
@@ -77,8 +78,9 @@ def test_criterion_1_orthonormality():
 
 @pytest.fixture(scope="module")
 def closed_form_sweep():
+    # the same grid at any job count: results merge in the serial order
     return sweep_hankel_closed_form(
-        n_values=(1, 2), m_values=(0, 1, 2), max_component=2, max_alpha=12
+        n_values=(1, 2), m_values=(0, 1, 2), max_component=2, max_alpha=12, jobs=usable_cpus()
     )
 
 

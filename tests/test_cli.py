@@ -255,7 +255,7 @@ def test_failed_verification_exits_1(capsys, monkeypatch):
     from fockop import cli as cli_mod
     from fockop.verify import OrthonormalityResult
 
-    def failing(n_values, m_values, max_order):
+    def failing(n_values, m_values, max_order, jobs=1):
         return OrthonormalityResult(pairs_checked=1, failures=["n=1 m=0: broken"])
 
     monkeypatch.setattr(cli_mod.verify_mod, "verify_orthonormality", failing)
@@ -296,6 +296,12 @@ def test_failed_verification_exits_1(capsys, monkeypatch):
         (("norms", "-n", "1", "--op", "T(z)", "--base", "999999999", "--t", "1:2:linear"), "--t reaches"),
         (("norms", "-n", "2", "--op", "T(z1)", "--t", "1:1000000000:geometric"), "--t reaches"),
         (("parse", "-n", "3", "-f", "(z1+z2+z3+conj(z1)+conj(z2)+conj(z3)+1)^40"), "MAX_SYMBOL_TERMS"),
+        (("verify", "hankel-closed-form", "--jobs", "0"), "--jobs must be >= 1, got 0"),
+        (("verify", "orthonormality", "--jobs", "-2"), "--jobs must be >= 1, got -2"),
+        (("norms", "-n", "1", "--op", "T(z)", "--t", "1:2:linear", "--jobs", "0"), "--jobs must be >= 1"),
+        (("verify", "oracle", "-n", "1", "-m", "0", "--max-order", "200"), "--max-order 200"),
+        (("verify", "oracle", "-n", "1", "-m", "0", "--max-order", "99"), "MAX_QUAD_ORDER = 98"),
+        (("verify", "oracle", "-n", "1,2", "-m", "300", "--max-order", "0"), "--max-order 0 with m up to 300"),
     ],
     ids=[
         "negative-alpha",
@@ -326,6 +332,12 @@ def test_failed_verification_exits_1(capsys, monkeypatch):
         "t-range-order-bound",
         "geometric-t-range-order-bound",
         "symbol-term-bound",
+        "verify-jobs-0",
+        "verify-jobs-negative",
+        "norms-jobs-0",
+        "oracle-quadrature-order-bound",
+        "oracle-quadrature-order-just-past-bound",
+        "oracle-quadrature-order-bound-counts-m",
     ],
 )
 def test_bad_input_exits_2(capsys, argv, message):
@@ -360,3 +372,130 @@ def test_fit_missing_file_exits_2(capsys, tmp_path):
     assert code == 2
     assert captured.out == ""
     assert path in captured.err
+
+
+# ---------------------------------------------------------------------------
+# process fan-out: output independent of --jobs, no process left behind
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Let --jobs 2 and 3 fork workers even on a one-CPU machine."""
+    from fockop import parallel
+
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+
+
+def assert_no_children():
+    import multiprocessing
+    import os
+
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "hankel-closed-form", "-n", "1,2", "-m", "0,1",
+         "--max-component", "1", "--max-alpha", "3", "--format", "json"),
+        ("verify", "orthonormality", "-n", "1,2", "-m", "0,1,2", "--max-order", "4",
+         "--format", "json"),
+    ],
+    ids=["hankel-closed-form", "orthonormality"],
+)
+def test_verify_json_is_identical_for_every_jobs(capsys, two_cpus, argv):
+    outputs = []
+    for jobs in ("1", "2", "3"):
+        code, out = run(capsys, *argv, "--jobs", jobs)
+        assert code == 0
+        assert_no_children()
+        outputs.append(out)
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert json.loads(outputs[0])["outputs"]["passed"] is True
+
+
+@pytest.fixture
+def broken_closed_form(monkeypatch):
+    """A closed form that is off by a factor 2 at alpha_1 = 2."""
+    from fockop import verify
+
+    real = verify.hankel_coeff_closed_form
+
+    def off(beta, gamma, mu, nu, alpha, sp):
+        value = real(beta, gamma, mu, nu, alpha, sp)
+        return value.scale(2) if alpha[0] == 2 else value
+
+    monkeypatch.setattr(verify, "hankel_coeff_closed_form", off)
+
+
+def test_failing_sweep_lists_are_identical_for_every_jobs(capsys, two_cpus, broken_closed_form):
+    from fockop.verify import sweep_hankel_closed_form
+
+    args = ((1, 2), (0, 1), 1, 3)
+    serial = sweep_hankel_closed_form(*args, jobs=1)
+    forked = sweep_hankel_closed_form(*args, jobs=2)
+    assert_no_children()
+    assert serial.mismatches
+    assert vars(serial) == vars(forked)
+
+    argv = ("verify", "hankel-closed-form", "-n", "1,2", "-m", "0,1",
+            "--max-component", "1", "--max-alpha", "3", "--format", "json")
+    code1, out1 = run(capsys, *argv, "--jobs", "1")
+    code2, out2 = run(capsys, *argv, "--jobs", "2")
+    assert code1 == code2 == 1
+    assert out1 == out2
+
+
+def test_sweep_progress_reaches_the_total(two_cpus):
+    from fockop.verify import sweep_hankel_closed_form
+
+    calls = []
+    sweep = sweep_hankel_closed_form((1, 2), (0,), 1, 2, progress=lambda d, t: calls.append((d, t)), jobs=2)
+    assert calls[-1] == (sweep.tuples, sweep.tuples) == (2**4 + 4**4, 2**4 + 4**4)
+    assert [d for d, _ in calls] == sorted(d for d, _ in calls)
+
+
+def test_worker_invariant_violation_exits_1_without_traceback(capsys, monkeypatch, two_cpus):
+    from fockop import verify
+    from fockop.errors import InternalInvariantError
+
+    def broken(*args):
+        raise InternalInvariantError("closed form reached an impossible state")
+
+    monkeypatch.setattr(verify, "hankel_coeff_closed_form", broken)
+    code = main(["verify", "hankel-closed-form", "-n", "1,2", "-m", "0",
+                 "--max-component", "1", "--max-alpha", "2", "--jobs", "2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "internal invariant violation: closed form reached an impossible state" in captured.err
+    assert "Traceback" not in captured.err
+    assert_no_children()
+
+
+def test_norms_fan_out_matches_serial_and_leaves_no_children(capsys, two_cpus):
+    args = ("norms", "-n", "2", "-m", "1", "--op", "HP(conj(z1); z2 + conj(z2)) * T(z1*conj(z2))",
+            "--t", "1:4:linear")
+    code1, out1 = run(capsys, *args, "--jobs", "1")
+    code2, out2 = run(capsys, *args, "--jobs", "2")
+    assert code1 == code2 == 0
+    assert out1 == out2
+    assert_no_children()
+
+
+def test_oracle_non_finite_estimate_fails(capsys):
+    code, out = run(capsys, "verify", "oracle", "-n", "3", "-m", "300", "--max-order", "2",
+                    "--samples", "1000")
+    assert code == 1
+    assert out.startswith("FAIL  n=3 Monte Carlo bracket: 10 cases, max inf sigmas")
+
+
+def test_oracle_largest_quadrature_order_passes(capsys):
+    from fockop.oracle import MAX_QUAD_ORDER
+
+    code, out = run(capsys, "verify", "oracle", "-n", "1", "-m", "0",
+                    "--max-order", str(MAX_QUAD_ORDER))
+    assert code == 0
+    assert out.startswith(f"PASS  n=1 quadrature/gamma agreement: {MAX_QUAD_ORDER + 1} cases")

@@ -15,6 +15,7 @@ from fockop.arith import (
 )
 from fockop.errors import (
     DimensionMismatchError,
+    InputError,
     RadicandMismatchError,
     SymbolSyntaxError,
     ValidityRangeError,
@@ -54,6 +55,22 @@ def rational_coeff(value) -> RadicalCoefficient:
 
 # ---------------------------------------------------------------------------
 # inner products and basis constants
+
+
+def test_space_params_value_semantics():
+    import pickle
+
+    sp = SpaceParams(2, 3)
+    assert sp == SpaceParams(n=2, m=3) and hash(sp) == hash(SpaceParams(2, 3))
+    assert sp != SpaceParams(3, 2) and sp != (2, 3)
+    assert repr(sp) == "SpaceParams(n=2, m=3)"
+    assert pickle.loads(pickle.dumps(sp)) == sp
+    with pytest.raises(AttributeError):
+        sp.m = 4
+    with pytest.raises(InputError, match="dimension n must be >= 1"):
+        SpaceParams(0, 0)
+    with pytest.raises(InputError, match="weight order m must be >= 0"):
+        SpaceParams(1, -1)
 
 
 def test_constant_function_has_norm_one_any_weight():
