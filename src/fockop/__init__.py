@@ -1,14 +1,6 @@
 """Exact Toeplitz/Hankel operator calculator on weighted entire-function spaces."""
 
-from .arith import (
-    ComponentwiseOrder,
-    FactorialRatio,
-    GaussianRational,
-    MultiIndex,
-    RadicalCoefficient,
-    multiindex_compare,
-    radical_normalize,
-)
+from .arith import FactorialRatio, GaussianRational, MultiIndex, RadicalCoefficient
 from .analysis import (
     ExponentReport,
     PredictedRate,
@@ -48,20 +40,18 @@ from .operators import (
     basis_coefficient,
     hankel_coeff_closed_form,
     hankel_product_apply,
-    matrix_entry,
     monomial_inner,
     parse_operator,
     toeplitz_apply,
     toeplitz_mono_apply,
 )
 from .oracle import OracleConfig, OracleEstimate, OracleMethod, oracle_inner, oracle_toeplitz_coeff
-from .symbols import GradedPiece, SymbolPolynomial, graded_decompose, parse_symbol
+from .symbols import SymbolPolynomial, parse_symbol
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ComponentwiseOrder", "FactorialRatio", "GaussianRational", "MultiIndex",
-    "RadicalCoefficient", "multiindex_compare", "radical_normalize",
+    "FactorialRatio", "GaussianRational", "MultiIndex", "RadicalCoefficient",
     "ExponentReport", "PredictedRate", "RateKind", "RaySpec", "SingleOperatorKind",
     "Verdict", "VerdictCase", "classify_hankel_product", "classify_single",
     "classify_toeplitz_product", "default_ray", "fit_exponent", "geometric_ts",
@@ -71,9 +61,9 @@ __all__ = [
     "ValidityRangeError",
     "BasisExpansion", "Composition", "HankelProductOp", "OperatorExpr",
     "SpaceParams", "ToeplitzOp", "apply_operator", "basis_coefficient",
-    "hankel_coeff_closed_form", "hankel_product_apply", "matrix_entry",
+    "hankel_coeff_closed_form", "hankel_product_apply",
     "monomial_inner", "parse_operator", "toeplitz_apply", "toeplitz_mono_apply",
     "OracleConfig", "OracleEstimate", "OracleMethod", "oracle_inner",
     "oracle_toeplitz_coeff",
-    "GradedPiece", "SymbolPolynomial", "graded_decompose", "parse_symbol",
+    "SymbolPolynomial", "parse_symbol",
 ]

@@ -25,6 +25,7 @@ from .operators import (
     OperatorExpr,
     SpaceParams,
     apply_operator,
+    closed_form_min_alpha,
     hankel_product_apply,
 )
 from .parallel import fan_out
@@ -214,9 +215,6 @@ class RaySpec:
     def alpha_at(self, t: int) -> MultiIndex:
         return self.base.scaled_add(t, self.direction)
 
-    def alphas(self) -> List[MultiIndex]:
-        return [self.alpha_at(t) for t in self.t_values]
-
 
 def geometric_ts(lo: int = 64, hi: int = 4096, factor: int = 2) -> Tuple[int, ...]:
     if lo <= 0 or hi < lo or factor < 2:
@@ -233,14 +231,10 @@ def hankel_validity_base(f: SymbolPolynomial, g: SymbolPolynomial) -> MultiIndex
     """Smallest alpha admitted by the closed form for every term pair of (f, g)."""
     if f.dimension != g.dimension:
         raise DimensionMismatchError("symbols must share a dimension")
-    dim = f.dimension
-    comps = [0] * dim
+    comps = [0] * f.dimension
     for beta, gamma in f.terms:
         for mu, nu in g.terms:
-            for j in range(dim):
-                need = abs(gamma[j] - beta[j]) + abs(mu[j] - nu[j])
-                if need > comps[j]:
-                    comps[j] = need
+            comps = list(map(max, comps, closed_form_min_alpha(beta, gamma, mu, nu)))
     return MultiIndex(comps)
 
 
@@ -323,7 +317,6 @@ class PredictedRate:
 def predicted_exponent(
     kind: RateKind,
     exponents: Tuple[MultiIndex, MultiIndex, MultiIndex, MultiIndex],
-    ray: Optional[RaySpec] = None,
 ) -> PredictedRate:
     """Predicted growth exponent of the coefficient amplitude in t.
 
@@ -338,8 +331,6 @@ def predicted_exponent(
     dim = a.dimension
     if not (b.dimension == c.dimension == d.dimension == dim):
         raise DimensionMismatchError("exponent multi-indices must share a dimension")
-    if ray is not None and ray.base.dimension != dim:
-        raise DimensionMismatchError("ray dimension must match the exponents")
     total = a.order + b.order + c.order + d.order
     if kind is RateKind.TOEPLITZ_MONO_PRODUCT:
         return PredictedRate(Fraction(total, 2), False)

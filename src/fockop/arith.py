@@ -74,9 +74,6 @@ class MultiIndex(tuple):
         _check_same_dimension(self, other)
         return tuple.__new__(MultiIndex, tuple(map(add, self, other)))
 
-    def __radd__(self, other):  # pragma: no cover - symmetry only
-        return self.__add__(other)
-
     def scaled_add(self, t: int, direction: "MultiIndex") -> "MultiIndex":
         """Return ``self + t * direction``."""
         _check_same_dimension(self, direction)
@@ -103,31 +100,6 @@ def _check_same_dimension(a, b) -> None:
         raise DimensionMismatchError(
             f"multi-index dimensions differ: {len(a)} vs {len(b)}"
         )
-
-
-@dataclass(frozen=True)
-class ComponentwiseOrder:
-    """Result of comparing two multi-indices componentwise."""
-
-    ge: bool
-    gt: bool
-    le: bool
-    lt: bool
-
-    @property
-    def incomparable(self) -> bool:
-        return not (self.ge or self.le)
-
-
-def multiindex_compare(a: MultiIndex, b: MultiIndex) -> ComponentwiseOrder:
-    """Componentwise partial order: a >= b iff every component dominates."""
-    _check_same_dimension(a, b)
-    return ComponentwiseOrder(
-        ge=all(x >= y for x, y in zip(a, b)),
-        gt=all(x > y for x, y in zip(a, b)),
-        le=all(x <= y for x, y in zip(a, b)),
-        lt=all(x < y for x, y in zip(a, b)),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -163,12 +135,6 @@ class FactorialRatio:
                 raise ValueError("factorial arguments must be >= 0")
         object.__setattr__(self, "numerator_terms", num)
         object.__setattr__(self, "denominator_terms", den)
-
-    def __mul__(self, other: "FactorialRatio") -> "FactorialRatio":
-        return FactorialRatio(
-            self.numerator_terms + other.numerator_terms,
-            self.denominator_terms + other.denominator_terms,
-        )
 
     def value(self) -> Fraction:
         num = den = 1
@@ -296,10 +262,6 @@ class GaussianRational:
         self.im_num = im.numerator * (d // id_)
         self.den = d
 
-    @staticmethod
-    def of(re: RationalLike = 0, im: RationalLike = 0) -> "GaussianRational":
-        return GaussianRational(re, im)
-
     @property
     def re(self) -> Fraction:
         return Fraction(self.re_num, self.den)
@@ -356,9 +318,6 @@ class GaussianRational:
         return format_gaussian(self)
 
 
-GAUSSIAN_ONE = GaussianRational(1)
-
-
 def format_gaussian(c) -> str:
     """Render like '3', '-2/5', '3*i', '1/2-2*i', '0'.
 
@@ -410,21 +369,13 @@ class RadicalCoefficient:
 
     ``RadicalCoefficient(rational, radicand)`` canonicalizes
     ``rational * sqrt(radicand)`` for a rational or Gaussian-rational
-    ``rational`` and a rational ``radicand >= 0`` (see the module notes).
+    ``rational`` and a rational ``radicand >= 0`` (see the module notes);
+    a zero value is the shared ``RADICAL_ZERO``.
     """
 
     __slots__ = ("re_num", "im_num", "den", "radicand")
 
-    def __init__(self, rational, radicand):
-        c = RadicalCoefficient.normalize(rational, radicand)
-        self.re_num = c.re_num
-        self.im_num = c.im_num
-        self.den = c.den
-        self.radicand = c.radicand
-
-    @staticmethod
-    def normalize(rational, radicand) -> "RadicalCoefficient":
-        """Canonicalize ``rational * sqrt(radicand)`` for radicand >= 0."""
+    def __new__(cls, rational, radicand) -> "RadicalCoefficient":
         if not isinstance(rational, GaussianRational):
             rational = GaussianRational(rational)
         radicand = Fraction(radicand)
@@ -442,28 +393,24 @@ class RadicalCoefficient:
             sf_n * sf_d,
         )
 
+    def __reduce__(self):  # ``__new__`` takes arguments; pickle the canonical fields
+        return _raw_radical, (self.re_num, self.im_num, self.den, self.radicand)
+
     @staticmethod
-    def from_sqrt_ratio(rational: GaussianRational, num_factors, den_factors) -> "RadicalCoefficient":
-        """Canonical ``rational * sqrt(prod(num_factors)/prod(den_factors))``.
+    def from_sqrt_ratio(num_factors, den_factors) -> "RadicalCoefficient":
+        """Canonical ``sqrt(prod(num_factors)/prod(den_factors))``.
 
         The factor lists hold positive integers small enough to factor by
         trial division; they typically come straight from
         ``FactorialRatio.cancelled_factors``.
         """
-        if rational.is_zero():
-            return RADICAL_ZERO
         root_n, sf_n = _fold_square_free(num_factors)
         root_d, sf_d = _fold_square_free(den_factors)
         g = gcd(sf_n, sf_d)
         if g != 1:
             sf_n //= g
             sf_d //= g
-        return _radical(
-            rational.re_num * root_n,
-            rational.im_num * root_n,
-            rational.den * root_d * sf_d,
-            sf_n * sf_d,
-        )
+        return _radical(root_n, 0, root_d * sf_d, sf_n * sf_d)
 
     @property
     def rational(self) -> GaussianRational:
@@ -599,7 +546,3 @@ class RadicalCoefficient:
 RADICAL_ZERO = _raw_radical(0, 0, 1, 0)
 RADICAL_ONE = _raw_radical(1, 0, 1, 1)
 
-
-def radical_normalize(rational, radicand) -> RadicalCoefficient:
-    """Public canonicalization entry point (see RadicalCoefficient.normalize)."""
-    return RadicalCoefficient.normalize(rational, radicand)

@@ -70,6 +70,22 @@ def _parse_alpha(text: str, n: int, flag: str) -> MultiIndex:
     return alpha
 
 
+# Work bounds of ``verify``, counted exactly from the flags before any index
+# is enumerated (n <= MAX_DIMENSION keeps the counts cheap): basis pairs of
+# ``orthonormality``, the most cases of ``hankel-closed-form`` (exponent
+# tuples times alpha grid points), and Monte Carlo case evaluations (cases
+# times samples) of ``oracle``.  At each bound the check runs for minutes;
+# the defaults need 117324 pairs, 3.3 million cases and 9 million evaluations.
+MAX_VERIFY_PAIRS = 10**8
+MAX_VERIFY_CASES = 10**8
+MAX_VERIFY_EVALUATIONS = 10**10
+
+
+def _check_work(count: int, cap: int, name: str, what: str, flags: str) -> None:
+    if count > cap:  # the count itself may have too many digits to print
+        raise InputError(f"{flags} ask for more than {name} = {cap} {what}")
+
+
 def _check_jobs(jobs: int) -> int:
     if jobs < 1:
         raise InputError(f"--jobs must be >= 1, got {jobs}")
@@ -329,7 +345,7 @@ def _cmd_verify(args) -> int:
     seed, seed_source = _env_override("FOCKOP_SEED", "--seed", args.seed, int)
     if seed < 0:
         raise InputError(f"{seed_source} must be >= 0, got {seed}")
-    samples, _ = _env_override("FOCKOP_SAMPLES", "--samples", args.samples, int)
+    samples, samples_source = _env_override("FOCKOP_SAMPLES", "--samples", args.samples, int)
     tol, tol_source = _env_override("FOCKOP_TOL", "--tol", args.tol, float)
     if not MIN_QUAD_TOL <= tol < math.inf:
         raise InputError(f"{tol_source} must be finite and >= {MIN_QUAD_TOL}, got {tol}")
@@ -344,9 +360,10 @@ def _cmd_verify(args) -> int:
     checks: List[Tuple[str, bool, str]] = []
 
     if args.what == "orthonormality":
-        ortho = verify_mod.verify_orthonormality(
-            args.n or (1, 2, 3), args.m or (0, 1, 2, 3), args.max_order, jobs=jobs
-        )
+        n_values, m_values = args.n or (1, 2, 3), args.m or (0, 1, 2, 3)
+        pairs = len(m_values) * sum(math.comb(n + args.max_order, n) ** 2 for n in n_values)
+        _check_work(pairs, MAX_VERIFY_PAIRS, "MAX_VERIFY_PAIRS", "basis pairs", "-n, -m and --max-order")
+        ortho = verify_mod.verify_orthonormality(n_values, m_values, args.max_order, jobs=jobs)
         checks.append(
             (
                 "orthonormality",
@@ -355,8 +372,13 @@ def _cmd_verify(args) -> int:
             )
         )
     elif args.what == "hankel-closed-form":
+        n_values, m_values = args.n or (1, 2), args.m or (0, 1, 2)
+        side = (args.max_component + 1) ** 4 * (args.max_alpha + 1)  # per component of n
+        cases = len(m_values) * sum(side**n for n in n_values)
+        flags = "-n, -m, --max-component and --max-alpha"
+        _check_work(cases, MAX_VERIFY_CASES, "MAX_VERIFY_CASES", "closed-form cases", flags)
         sweep = verify_mod.sweep_hankel_closed_form(
-            args.n or (1, 2), args.m or (0, 1, 2), args.max_component, args.max_alpha, jobs=jobs
+            n_values, m_values, args.max_component, args.max_alpha, jobs=jobs
         )
         match_ok = sweep.closed_form_matches
         vanish_ok = sweep.vanishing_with_degenerate_family
@@ -385,6 +407,12 @@ def _cmd_verify(args) -> int:
         )
     elif args.what == "oracle":
         n_values = args.n or (1, 2)
+        mc_ns = [n for n in n_values if n >= 2]
+        mc_m, mc_order = args.m or (0, 1, 2), min(args.max_order, 4)
+        evaluations = len(mc_m) * sum(math.comb(n + mc_order, n) for n in mc_ns) * samples
+        flags = f"{samples_source} with -n, -m and --max-order"
+        what = "Monte Carlo case evaluations"
+        _check_work(evaluations, MAX_VERIFY_EVALUATIONS, "MAX_VERIFY_EVALUATIONS", what, flags)
         if 1 in n_values:
             det_m = args.m or (0, 1, 2, 3)
             order = args.max_order + max(det_m)
@@ -401,11 +429,8 @@ def _cmd_verify(args) -> int:
                     f"{det.cases} cases, max rel err {det.max_relative_error:.2e}",
                 )
             )
-        mc_ns = [n for n in n_values if n >= 2]
         for n in mc_ns:
-            mc = verify_mod.verify_oracle_monte_carlo(
-                n, args.m or (0, 1, 2), min(args.max_order, 4), cfg=cfg
-            )
+            mc = verify_mod.verify_oracle_monte_carlo(n, mc_m, mc_order, cfg=cfg)
             checks.append(
                 (
                     f"n={n} Monte Carlo bracket",

@@ -42,7 +42,6 @@ class OracleConfig:
     seed: int = DEFAULT_SEED
     samples: int = 200_000
     quad_tol: float = 1e-13
-    workers: int = 1
     chunk: int = 1 << 18
 
 
@@ -93,7 +92,7 @@ def _gamma_tail_bound(k: int, upper: float) -> float:
     return upper**k * math.exp(-upper) / (1.0 - k / upper)
 
 
-def _simpson(f, a: float, fa: float, b: float, fb: float, fm: float) -> float:
+def _simpson(a: float, fa: float, b: float, fb: float, fm: float) -> float:
     return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
 
 
@@ -103,8 +102,8 @@ def _adaptive_simpson(f, a, fa, b, fb, fm, whole, tol, depth):
     rm = 0.5 * (m + b)
     flm = f(lm)
     frm = f(rm)
-    left = _simpson(f, a, fa, m, fm, flm)
-    right = _simpson(f, m, fm, b, fb, frm)
+    left = _simpson(a, fa, m, fm, flm)
+    right = _simpson(m, fm, b, fb, frm)
     delta = left + right - whole
     if depth <= 0 or abs(delta) <= 15.0 * tol:
         return left + right + delta / 15.0, abs(delta) / 15.0
@@ -149,7 +148,7 @@ def gamma_integral_quadrature(k: int, rel_tol: float = 1e-13) -> Tuple[float, fl
     fa, fb = f(a), f(b)
     m = 0.5 * (a + b)
     fm = f(m)
-    whole = _simpson(f, a, fa, b, fb, fm)
+    whole = _simpson(a, fa, b, fb, fm)
     value, err = _adaptive_simpson(f, a, fa, b, fb, fm, whole, rel_tol * scale, 48)
     return value, err + _gamma_tail_bound(k, upper)
 
@@ -171,8 +170,9 @@ class MonteCarloBatch:
         return sum(est.samples for est in self.estimates)
 
 
-def _mc_worker(cases, n: int, seed_seq: "np.random.SeedSequence", count: int, chunk: int):
-    """Sums (re, re^2, im, im^2) per case over ``count`` draws.
+def _mc_sums(cases, n: int, seed_seq: "np.random.SeedSequence", count: int, chunk: int):
+    """Sums (re, re^2, im, im^2) per case over ``count`` draws from one
+    generator seeded by ``seed_seq``.
 
     Each chunk of at most ``chunk`` draws is made once and every case
     ``(a, b, m, weight)`` is evaluated on it.  Cases with the same (a, b)
@@ -219,7 +219,7 @@ def _mc_inner(
     cases: Sequence[Tuple[MultiIndex, MultiIndex, SpaceParams]], cfg: OracleConfig
 ) -> MonteCarloBatch:
     """Monte Carlo estimates of <z^a, z^b> in sp for every case ``(a, b, sp)``,
-    all from one set of seeded draws."""
+    all from one stream of draws seeded by ``cfg.seed``."""
     total = cfg.samples
     if total < 2:
         raise InputError("Monte Carlo needs at least 2 samples")
@@ -231,13 +231,10 @@ def _mc_inner(
     # importance weight: dv-measure density over the sampling density,
     # times the normalizing constant of the weighted measure
     work = [(a, b, sp.m, gamma_recurrence(n) / gamma_recurrence(sp.m + n)) for a, b, sp in cases]
-    workers = max(1, cfg.workers)
-    counts = [total // workers] * workers
-    counts[0] += total - sum(counts)
-    seeds = np.random.SeedSequence(cfg.seed).spawn(workers)
-    partials = [_mc_worker(work, n, s, c, cfg.chunk) for s, c in zip(seeds, counts)]
+    # the seed's first child stream; the pinned oracle estimates depend on it
+    stream = np.random.SeedSequence(cfg.seed).spawn(1)[0]
     estimates = []
-    for sums in np.sum(np.stack(partials), axis=0):
+    for sums in _mc_sums(work, n, stream, total, cfg.chunk):
         mean_re = sums[0] / total
         var_re = max(sums[1] / total - mean_re**2, 0.0)
         mean_im = sums[2] / total

@@ -41,23 +41,20 @@ class SymbolPolynomial:
     @staticmethod
     def constant(dimension: int, value) -> "SymbolPolynomial":
         if not isinstance(value, GaussianRational):
-            value = GaussianRational.of(value)
+            value = GaussianRational(value)
         if value.is_zero():
             return SymbolPolynomial.zero(dimension)
         z = MultiIndex.zero(dimension)
         return SymbolPolynomial(dimension, {(z, z): value})
 
     @staticmethod
-    def monomial(dimension: int, beta, gamma, coefficient=1) -> "SymbolPolynomial":
-        if not isinstance(coefficient, GaussianRational):
-            coefficient = GaussianRational.of(coefficient)
-        if coefficient.is_zero():
-            return SymbolPolynomial.zero(dimension)
+    def monomial(dimension: int, beta, gamma) -> "SymbolPolynomial":
+        """z^beta conj(z)^gamma with coefficient 1."""
         b = MultiIndex(beta)
         g = MultiIndex(gamma)
         if b.dimension != dimension or g.dimension != dimension:
             raise DimensionMismatchError("exponent length must equal dimension")
-        return SymbolPolynomial(dimension, {(b, g): coefficient})
+        return SymbolPolynomial(dimension, {(b, g): GaussianRational(1)})
 
     @staticmethod
     def from_terms(dimension: int, items: Iterable[Tuple[TermKey, GaussianRational]]) -> "SymbolPolynomial":
@@ -79,9 +76,6 @@ class SymbolPolynomial:
     def is_constant(self) -> bool:
         """True iff every term has beta = gamma = 0 (the zero symbol counts)."""
         return all(b.order == 0 and g.order == 0 for b, g in self.terms)
-
-    def is_holomorphic(self) -> bool:
-        return all(g.order == 0 for _, g in self.terms)
 
     # -- algebra -----------------------------------------------------------
 
@@ -119,13 +113,6 @@ class SymbolPolynomial:
                 else:
                     acc[key] = total
         return SymbolPolynomial(self.dimension, acc)
-
-    def scaled(self, c) -> "SymbolPolynomial":
-        if not isinstance(c, GaussianRational):
-            c = GaussianRational.of(c)
-        if c.is_zero():
-            return SymbolPolynomial.zero(self.dimension)
-        return SymbolPolynomial(self.dimension, {k: v * c for k, v in self.terms.items()})
 
     def __pow__(self, exponent: int) -> "SymbolPolynomial":
         if exponent < 0:
@@ -226,57 +213,6 @@ def _coefficient_text(c: GaussianRational, has_monomial: bool) -> "tuple[str, st
 
 
 # ---------------------------------------------------------------------------
-# graded decomposition of a single-variable symbol (only the tests use it)
-
-
-@dataclass(frozen=True)
-class GradedPiece:
-    """Terms of fixed degree difference beta_s - gamma_s in one variable."""
-
-    variable_index: int  # 1-based, matching z1..zn
-    degree: int
-    piece: SymbolPolynomial
-
-
-@dataclass(frozen=True)
-class GradedDecomposition:
-    pieces: tuple
-    min_degree: int
-    max_degree: int
-
-
-def graded_decompose(p: SymbolPolynomial, s: int) -> GradedDecomposition:
-    """Group a univariate symbol by theta = beta_s - gamma_s.
-
-    Requires ``p`` nonzero and supported on variable ``s`` alone (for a
-    multivariate product symbol, decompose its per-variable factors).
-    Gaps in [min_degree, max_degree] appear as zero pieces.
-    """
-    if p.is_zero():
-        raise InputError("graded decomposition of the zero symbol is undefined")
-    if not 1 <= s <= p.dimension:
-        raise InputError(f"variable index {s} out of 1..{p.dimension}")
-    j = s - 1
-    for beta, gamma in p.terms:
-        for k in range(p.dimension):
-            if k != j and (beta[k] or gamma[k]):
-                raise InputError(
-                    f"symbol involves z{k + 1}; graded decomposition works on "
-                    f"single-variable symbols only"
-                )
-    by_degree: Dict[int, list] = {}
-    for (beta, gamma), coeff in p.terms.items():
-        by_degree.setdefault(beta[j] - gamma[j], []).append(((beta, gamma), coeff))
-    lo = min(by_degree)
-    hi = max(by_degree)
-    pieces = []
-    for theta in range(lo, hi + 1):
-        items = by_degree.get(theta, [])
-        pieces.append(GradedPiece(s, theta, SymbolPolynomial.from_terms(p.dimension, items)))
-    return GradedDecomposition(tuple(pieces), lo, hi)
-
-
-# ---------------------------------------------------------------------------
 # parser
 #
 # One grammar and one tokenizer: ``parse_symbol`` starts at ``expr`` and
@@ -292,6 +228,11 @@ def graded_decompose(p: SymbolPolynomial, s: int) -> GradedDecomposition:
 # base    := var | "conj(" var ")" | number | "i" | "(" expr ")" ;
 # var     := "z" uint | "z" (n=1 only) ;
 # number  := uint | uint "/" uint ;
+
+# Largest dimension n.  Every multi-index holds n ints, and the Monte Carlo
+# oracle draws each chunk of up to 2^18 samples as 2n floats per sample, about
+# 8 MB per unit of n with its complex view.
+MAX_DIMENSION = 32
 
 # Bound on max(1, degree of the base) * exponent in ``factor``, checked before
 # the power is expanded.  A constant base counts as degree 1: its power grows
@@ -399,6 +340,8 @@ class _Parser:
     def __init__(self, text: str, dimension: int):
         if dimension < 1:
             raise InputError("dimension must be >= 1")
+        if dimension > MAX_DIMENSION:
+            raise InputError(f"dimension n = {dimension} exceeds MAX_DIMENSION = {MAX_DIMENSION}")
         self.text = text
         self.dimension = dimension
         self.tokens = _tokenize(text)
@@ -497,9 +440,7 @@ class _Parser:
                 value = Fraction(tok.value, den.value)
             return SymbolPolynomial.constant(self.dimension, value)
         if tok.kind == _T_IMAG:
-            return SymbolPolynomial.constant(
-                self.dimension, GaussianRational.of(0, 1)
-            )
+            return SymbolPolynomial.constant(self.dimension, GaussianRational(0, 1))
         if tok.kind == _T_VAR:
             j = self._variable_index(tok)
             return SymbolPolynomial.monomial(

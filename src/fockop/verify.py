@@ -23,8 +23,8 @@ from .operators import (
     SpaceParams,
     apply_operator,
     basis_coefficient,
+    closed_form_min_alpha,
     hankel_coeff_closed_form,
-    hankel_product_target,
     monomial_inner,
 )
 from .parallel import fan_out
@@ -32,13 +32,12 @@ from .symbols import SymbolPolynomial
 
 
 def indices_up_to_order(dimension: int, max_order: int) -> List[MultiIndex]:
-    out = [
-        MultiIndex(c)
-        for c in product(range(max_order + 1), repeat=dimension)
-        if sum(c) <= max_order
-    ]
-    out.sort()
-    return out
+    """The C(dimension + max_order, dimension) multi-indices of order at most
+    ``max_order``, sorted; no other tuple is visited."""
+    prefixes = [((), max_order)]  # (leading components, order left for the rest)
+    for _ in range(dimension):
+        prefixes = [(p + (c,), left - c) for p, left in prefixes for c in range(left + 1)]
+    return [MultiIndex(p) for p, _ in prefixes]
 
 
 def indices_by_component(dimension: int, max_component: int) -> List[MultiIndex]:
@@ -176,7 +175,7 @@ def _sweep_block(task) -> ClosedFormSweep:
         for mu in exps:
             for nu in exps:
                 out.tuples += 1
-                need = [abs(g - b) + abs(u - w) for b, g, u, w in zip(beta, gamma, mu, nu)]
+                need = closed_form_min_alpha(beta, gamma, mu, nu)
                 if max(need) > max_alpha:
                     continue  # no alpha in the validity range
                 expect_zero = gamma_zero or nu.order == 0
@@ -187,9 +186,8 @@ def _sweep_block(task) -> ClosedFormSweep:
                 for comps in product(*(range(k, max_alpha + 1) for k in need)):
                     alpha = MultiIndex._wrap(comps)
                     out.cases += 1
-                    closed = hankel_coeff_closed_form(beta, gamma, mu, nu, alpha, sp)
+                    target, closed = hankel_coeff_closed_form(beta, gamma, mu, nu, alpha, sp)
                     image = apply_operator(op, BasisExpansion.basis_vector(sp, alpha))
-                    target = hankel_product_target(beta, gamma, mu, nu, alpha)
                     comp = image.coefficient(target)
                     if closed != comp:
                         out.mismatches.append(f"{label()}: closed {closed} vs composition {comp}")

@@ -141,7 +141,7 @@ def test_criterion_3_conjugate_pair_identity():
             checked += 1
         # closed form agrees on its validity range
         for a in range(2, 51):
-            assert hankel_coeff_closed_form(mi(0), mi(1), mi(0), mi(1), mi(a), sp) == RADICAL_ONE
+            assert hankel_coeff_closed_form(mi(0), mi(1), mi(0), mi(1), mi(a), sp) == (mi(a), RADICAL_ONE)
         # boundary alpha = 0 for m >= 1: exact value is (m+1) e_0
         if m >= 1:
             image = hankel_product_apply(zbar, zbar, BasisExpansion.basis_vector(sp, mi(0)))

@@ -302,6 +302,17 @@ def test_failed_verification_exits_1(capsys, monkeypatch):
         (("verify", "oracle", "-n", "1", "-m", "0", "--max-order", "200"), "--max-order 200"),
         (("verify", "oracle", "-n", "1", "-m", "0", "--max-order", "99"), "MAX_QUAD_ORDER = 98"),
         (("verify", "oracle", "-n", "1,2", "-m", "300", "--max-order", "0"), "--max-order 0 with m up to 300"),
+        (("apply", "-n", "1", "-m", "100000", "--op", "T(z)", "--alpha", "1"), "MAX_WEIGHT_ORDER = 1000"),
+        (("norms", "-n", "1", "-m", "1001", "--op", "T(z)", "--t", "1:4:linear"), "m = 1001 exceeds MAX_WEIGHT_ORDER"),
+        (("verify", "oracle", "-n", "2", "-m", "0,1000000000"), "MAX_WEIGHT_ORDER = 1000"),
+        (("parse", "-n", "33", "-f", "z1"), "dimension n = 33 exceeds MAX_DIMENSION = 32"),
+        (("verify", "orthonormality", "-n", "40", "--max-order", "2"), "MAX_DIMENSION = 32"),
+        (("verify", "orthonormality", "-n", "1", "--max-order", "100000000"), "--max-order ask for more than MAX_VERIFY_PAIRS"),
+        (("verify", "orthonormality", "-n", "32", "--max-order", "4"), "MAX_VERIFY_PAIRS = 100000000 basis pairs"),
+        (("verify", "hankel-closed-form", "-n", "9", "--max-alpha", "0"), "--max-alpha ask for more than MAX_VERIFY_CASES"),
+        (("verify", "hankel-closed-form", "-n", "1", "--max-component", "10" * 1000), "MAX_VERIFY_CASES = 100000000"),
+        (("verify", "oracle", "-n", "2", "--samples", "1000000000000"), "--samples with -n, -m and --max-order ask"),
+        (("verify", "oracle", "-n", "1,32", "--max-order", "4"), "MAX_VERIFY_EVALUATIONS = 10000000000"),
     ],
     ids=[
         "negative-alpha",
@@ -338,6 +349,17 @@ def test_failed_verification_exits_1(capsys, monkeypatch):
         "oracle-quadrature-order-bound",
         "oracle-quadrature-order-just-past-bound",
         "oracle-quadrature-order-bound-counts-m",
+        "weight-order-bound",
+        "weight-order-bound-norms",
+        "weight-order-bound-verify-grid",
+        "dimension-bound",
+        "dimension-bound-verify",
+        "orthonormality-pairs-bound",
+        "orthonormality-pairs-bound-not-enumerated",
+        "closed-form-cases-bound",
+        "closed-form-cases-bound-huge-flag",
+        "oracle-evaluations-bound",
+        "oracle-evaluations-bound-dimension",
     ],
 )
 def test_bad_input_exits_2(capsys, argv, message):
@@ -424,8 +446,8 @@ def broken_closed_form(monkeypatch):
     real = verify.hankel_coeff_closed_form
 
     def off(beta, gamma, mu, nu, alpha, sp):
-        value = real(beta, gamma, mu, nu, alpha, sp)
-        return value.scale(2) if alpha[0] == 2 else value
+        target, value = real(beta, gamma, mu, nu, alpha, sp)
+        return target, value.scale(2) if alpha[0] == 2 else value
 
     monkeypatch.setattr(verify, "hankel_coeff_closed_form", off)
 

@@ -95,19 +95,13 @@ def test_monte_carlo_off_diagonal_is_noise_around_zero():
     assert abs(est.imag_value) <= 3 * est.imag_standard_error
 
 
-def test_monte_carlo_is_deterministic_given_seed_and_workers():
+def test_monte_carlo_is_deterministic_given_seed():
     sp = SpaceParams(2, 0)
     a = mi(2, 1)
     cfg = OracleConfig(seed=123, samples=50_000)
     est1 = oracle_inner(a, a, sp, OracleMethod.MONTE_CARLO, cfg)
     est2 = oracle_inner(a, a, sp, OracleMethod.MONTE_CARLO, cfg)
     assert est1 == est2
-    two = OracleConfig(seed=123, samples=50_000, workers=2)
-    est3 = oracle_inner(a, a, sp, OracleMethod.MONTE_CARLO, two)
-    est4 = oracle_inner(a, a, sp, OracleMethod.MONTE_CARLO, two)
-    assert est3 == est4
-    # different partition, same target: statistically compatible
-    assert abs(est3.value - est1.value) <= 6 * (est1.standard_error + est3.standard_error)
 
 
 def test_oracle_toeplitz_coeff_matches_engine():
@@ -159,13 +153,9 @@ def _per_case_worker(a, b, sp, weight, seed_seq, count, chunk):
 
 def _per_case_estimate(a, b, sp, cfg):
     total = cfg.samples
-    workers = max(1, cfg.workers)
     weight = gamma_recurrence(sp.n) / gamma_recurrence(sp.m + sp.n)
-    counts = [total // workers] * workers
-    counts[0] += total - sum(counts)
-    seeds = np.random.SeedSequence(cfg.seed).spawn(workers)
-    partials = [_per_case_worker(a, b, sp, weight, s, c, cfg.chunk) for s, c in zip(seeds, counts)]
-    sums = np.sum(np.stack(partials), axis=0)
+    stream = np.random.SeedSequence(cfg.seed).spawn(1)[0]
+    sums = _per_case_worker(a, b, sp, weight, stream, total, cfg.chunk)
     mean_re = sums[0] / total
     mean_im = sums[2] / total
     return OracleEstimate(
@@ -191,10 +181,9 @@ def _mc_cases(n):
     [
         (2, OracleConfig(seed=5, samples=3_000)),
         (2, OracleConfig(seed=6, samples=2_500, chunk=1_000)),  # three chunks, the last one short
-        (2, OracleConfig(seed=7, samples=3_001, chunk=1_000, workers=2)),
         (3, OracleConfig(seed=8, samples=2_000, chunk=700)),
     ],
-    ids=["n2-one-chunk", "n2-partial-chunk", "n2-two-workers", "n3-chunks"],
+    ids=["n2-one-chunk", "n2-partial-chunk", "n3-chunks"],
 )
 def test_batched_monte_carlo_is_bit_identical_to_per_case(n, cfg):
     cases = _mc_cases(n)
@@ -212,9 +201,7 @@ def test_batched_monte_carlo_is_bit_identical_to_per_case(n, cfg):
 
 
 @pytest.mark.parametrize(
-    "cfg",
-    [OracleConfig(seed=3, samples=4_000, chunk=1_500), OracleConfig(seed=4, samples=3_000, workers=2)],
-    ids=["chunks", "two-workers"],
+    "cfg", [OracleConfig(seed=3, samples=4_000, chunk=1_500)], ids=["chunks"]
 )
 def test_monte_carlo_agreement_matches_per_case_loop(cfg):
     n, m_values, max_order, sigmas = 2, (0, 1, 2), 3, 1.0  # low enough that some cases fail

@@ -5,13 +5,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fockop.arith import GaussianRational, MultiIndex
-from fockop.errors import InputError, SymbolSyntaxError
+from fockop.errors import SymbolSyntaxError
 from fockop.operators import parse_operator
 from fockop.symbols import (
     MAX_SYMBOL_DEGREE,
     MAX_SYMBOL_TERMS,
     SymbolPolynomial,
-    graded_decompose,
     parse_symbol,
 )
 
@@ -21,7 +20,7 @@ def mi(*comps):
 
 
 def g(re, im=0):
-    return GaussianRational.of(re, im)
+    return GaussianRational(re, im)
 
 
 # ---------------------------------------------------------------------------
@@ -190,50 +189,6 @@ def test_is_constant_examples():
     assert SymbolPolynomial.zero(1).is_constant()
 
 
-def test_graded_decompose_z_plus_zbar():
-    dec = graded_decompose(parse_symbol("z + conj(z)", 1), 1)
-    assert (dec.min_degree, dec.max_degree) == (-1, 1)
-    by_deg = {p.degree: p.piece for p in dec.pieces}
-    assert by_deg[1] == parse_symbol("z", 1)
-    assert by_deg[-1] == parse_symbol("conj(z)", 1)
-    assert by_deg[0].is_zero()
-
-
-def test_graded_decompose_mixed():
-    dec = graded_decompose(parse_symbol("z*conj(z) + z^2*conj(z)", 1), 1)
-    assert (dec.min_degree, dec.max_degree) == (0, 1)
-    by_deg = {p.degree: p.piece for p in dec.pieces}
-    assert by_deg[0] == parse_symbol("z*conj(z)", 1)
-    assert by_deg[1] == parse_symbol("z^2*conj(z)", 1)
-
-
-def test_graded_decompose_constant():
-    dec = graded_decompose(parse_symbol("4", 1), 1)
-    assert (dec.min_degree, dec.max_degree) == (0, 0)
-    assert dec.pieces[0].piece == parse_symbol("4", 1)
-
-
-def test_graded_decompose_rejects_zero_and_foreign_variables():
-    with pytest.raises(InputError):
-        graded_decompose(SymbolPolynomial.zero(1), 1)
-    with pytest.raises(InputError):
-        graded_decompose(parse_symbol("z1*z2", 2), 1)
-    # single-variable symbol in higher dimension is fine
-    dec = graded_decompose(parse_symbol("z2 + conj(z2)^2", 2), 2)
-    assert (dec.min_degree, dec.max_degree) == (-2, 1)
-
-
-def test_graded_pieces_reconstruct_symbol():
-    p = parse_symbol("z^3*conj(z) + 2*z*conj(z) + conj(z)^2 - 5", 1)
-    dec = graded_decompose(p, 1)
-    total = SymbolPolynomial.zero(1)
-    for piece in dec.pieces:
-        total = total + piece.piece
-        for (beta, gamma), _ in piece.piece.terms.items():
-            assert beta[0] - gamma[0] == piece.degree
-    assert total == p
-
-
 # ---------------------------------------------------------------------------
 # round-trip property
 
@@ -248,7 +203,7 @@ def symbols(draw):
         gamma = MultiIndex([draw(st.integers(0, 3)) for _ in range(dim)])
         re = Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 4)))
         im = Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 4)))
-        terms.append(((beta, gamma), GaussianRational.of(re, im)))
+        terms.append(((beta, gamma), GaussianRational(re, im)))
     return SymbolPolynomial.from_terms(dim, terms), dim
 
 
