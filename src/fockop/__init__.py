@@ -1,6 +1,6 @@
 """Exact Toeplitz/Hankel operator calculator on weighted entire-function spaces."""
 
-from .arith import FactorialRatio, GaussianRational, MultiIndex, RadicalCoefficient
+from .arith import MultiIndex, RadicalCoefficient
 from .analysis import (
     ExponentReport,
     PredictedRate,
@@ -51,7 +51,7 @@ from .symbols import SymbolPolynomial, parse_symbol
 __version__ = "0.1.0"
 
 __all__ = [
-    "FactorialRatio", "GaussianRational", "MultiIndex", "RadicalCoefficient",
+    "MultiIndex", "RadicalCoefficient",
     "ExponentReport", "PredictedRate", "RateKind", "RaySpec", "SingleOperatorKind",
     "Verdict", "VerdictCase", "classify_hankel_product", "classify_single",
     "classify_toeplitz_product", "default_ray", "fit_exponent", "geometric_ts",

@@ -1,24 +1,24 @@
-"""Exact numeric substrate: multi-indices, factorial ratios, radicals.
+"""Exact numeric substrate: multi-indices, rising products, one exact scalar.
 
 Scalars stay exact end to end and are plain Python integers underneath.
-A ``GaussianRational`` is ``(re_num + im_num*i) / den``; a
-``RadicalCoefficient`` is the flat four-integer form
-``(re_num + im_num*i) / den * sqrt(radicand)``.  One normalizing
-constructor per class keeps every value canonical:
+The package has one exact scalar, ``RadicalCoefficient``, the flat
+four-integer form ``(re_num + im_num*i) / den * sqrt(radicand)``; a
+Gaussian rational, such as a symbol coefficient, is the same form with
+radicand 1.  One normalizing constructor keeps every value canonical:
 
 * ``den > 0`` and ``gcd(re_num, im_num, den) == 1``;
-* ``radicand`` is a square-free positive integer (1 for Gaussian-rational
-  values), and ``radicand == 0`` exactly for zero, which is ``(0, 0, 1, 0)``.
+* ``radicand`` is a square-free positive integer, and ``radicand == 0``
+  exactly for zero, which is ``(0, 0, 1, 0)``.
 
 Square factors of a radicand move into the rational part, and a
 fractional radicand ``p/q`` becomes ``sqrt(p*q)/q``, so every square
 class of rationals has one representative.  The form is closed under
 every coefficient computation the operator engine performs (sums within
-one square class, products, rational and Gaussian scaling, conjugation).
-Because it is canonical, equal values have equal fields: structural
-equality is value equality, and same-class contributions merge exactly.
-``fractions.Fraction`` appears only at the edges: the ``re``, ``im`` and
-``rational`` views, ``abs_sq()`` and text formatting.
+one square class, products, rational scaling, conjugation).  Because it
+is canonical, equal values have equal fields: structural equality is
+value equality, and same-class contributions merge exactly.
+``fractions.Fraction`` appears only at the edges: the constructor, the
+``re`` and ``im`` views, ``abs_sq()`` and text formatting.
 
 No operation mutates a value after construction, so all of it is safe
 to share between threads.
@@ -27,16 +27,13 @@ to share between threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from operator import add
-from typing import Iterable, Union
+from typing import Iterable
 
 from .errors import DimensionMismatchError, MultiIndexError, RadicandMismatchError
-
-RationalLike = Union[int, Fraction]
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +100,7 @@ def _check_same_dimension(a, b) -> None:
 
 
 # ---------------------------------------------------------------------------
-# factorial ratios
+# rising products
 
 
 def rising_product(start: int, count: int) -> int:
@@ -112,64 +109,6 @@ def rising_product(start: int, count: int) -> int:
     for i in range(start + 1, start + count + 1):
         out *= i
     return out
-
-
-@dataclass(frozen=True)
-class FactorialRatio:
-    """A product of factorials divided by a product of factorials.
-
-    Terms are multisets of nonnegative integers; ``(t,)`` denotes ``t!``.
-    Evaluation cancels paired numerator/denominator terms into short
-    rising products so no full factorial is computed when a shorter
-    product suffices.
-    """
-
-    numerator_terms: tuple
-    denominator_terms: tuple
-
-    def __init__(self, numerator_terms: Iterable[int] = (), denominator_terms: Iterable[int] = ()):
-        num = tuple(sorted((int(t) for t in numerator_terms), reverse=True))
-        den = tuple(sorted((int(t) for t in denominator_terms), reverse=True))
-        for t in num + den:
-            if t < 0:
-                raise ValueError("factorial arguments must be >= 0")
-        object.__setattr__(self, "numerator_terms", num)
-        object.__setattr__(self, "denominator_terms", den)
-
-    def value(self) -> Fraction:
-        num = den = 1
-        pairs = min(len(self.numerator_terms), len(self.denominator_terms))
-        for a, b in zip(self.numerator_terms, self.denominator_terms):
-            if a >= b:
-                num *= rising_product(b, a - b)
-            else:
-                den *= rising_product(a, b - a)
-        for t in self.numerator_terms[pairs:]:
-            num *= math.factorial(t)
-        for t in self.denominator_terms[pairs:]:
-            den *= math.factorial(t)
-        return Fraction(num, den)
-
-    def cancelled_factors(self) -> "tuple[tuple[int, ...], tuple[int, ...]]":
-        """Post-cancellation integer factor lists (numerator, denominator).
-
-        Each factor is a plain integer in ``[2, max_term]``; the product of
-        the numerator list over the denominator list equals ``value()``.
-        Useful when the ratio feeds a radicand and must stay factored.
-        """
-        num: list = []
-        den: list = []
-        pairs = min(len(self.numerator_terms), len(self.denominator_terms))
-        for a, b in zip(self.numerator_terms, self.denominator_terms):
-            if a >= b:
-                num.extend(range(max(b + 1, 2), a + 1))
-            else:
-                den.extend(range(max(a + 1, 2), b + 1))
-        for t in self.numerator_terms[pairs:]:
-            num.extend(range(2, t + 1))
-        for t in self.denominator_terms[pairs:]:
-            den.extend(range(2, t + 1))
-        return tuple(num), tuple(den)
 
 
 # ---------------------------------------------------------------------------
@@ -222,120 +161,9 @@ def _fold_square_free(factors: Iterable[int]) -> "tuple[int, int]":
 
 
 # ---------------------------------------------------------------------------
-# Gaussian rationals
+# radical coefficients
 
 _new = object.__new__
-
-
-def _raw_gaussian(a: int, b: int, d: int) -> "GaussianRational":
-    """Wrap fields that are already canonical."""
-    c = _new(GaussianRational)
-    c.re_num = a
-    c.im_num = b
-    c.den = d
-    return c
-
-
-def _gaussian(a: int, b: int, d: int) -> "GaussianRational":
-    """Canonical ``(a + b*i)/d`` for ints with d > 0."""
-    if d != 1:
-        g = gcd(a, b, d) if b else gcd(a, d)
-        if g != 1:
-            return _raw_gaussian(a // g, b // g, d // g)
-    return _raw_gaussian(a, b, d)
-
-
-class GaussianRational:
-    """Exact complex rational ``(re_num + im_num*i) / den`` in canonical form."""
-
-    __slots__ = ("re_num", "im_num", "den")
-
-    def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
-        if re.__class__ is int and im.__class__ is int:
-            self.re_num, self.im_num, self.den = re, im, 1
-            return
-        re, im = Fraction(re), Fraction(im)
-        rd, id_ = re.denominator, im.denominator
-        d = rd // gcd(rd, id_) * id_
-        # over the lcm of two reduced denominators no common factor is left
-        self.re_num = re.numerator * (d // rd)
-        self.im_num = im.numerator * (d // id_)
-        self.den = d
-
-    @property
-    def re(self) -> Fraction:
-        return Fraction(self.re_num, self.den)
-
-    @property
-    def im(self) -> Fraction:
-        return Fraction(self.im_num, self.den)
-
-    def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        d1, d2 = self.den, other.den
-        if d1 == d2:
-            return _gaussian(self.re_num + other.re_num, self.im_num + other.im_num, d1)
-        return _gaussian(
-            self.re_num * d2 + other.re_num * d1, self.im_num * d2 + other.im_num * d1, d1 * d2
-        )
-
-    def __neg__(self) -> "GaussianRational":
-        return _raw_gaussian(-self.re_num, -self.im_num, self.den)
-
-    def __mul__(self, other: "GaussianRational") -> "GaussianRational":
-        a1, b1, a2, b2 = self.re_num, self.im_num, other.re_num, other.im_num
-        if not b1 and not b2:
-            return _gaussian(a1 * a2, 0, self.den * other.den)
-        return _gaussian(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self.den * other.den)
-
-    def conjugate(self) -> "GaussianRational":
-        if not self.im_num:
-            return self
-        return _raw_gaussian(self.re_num, -self.im_num, self.den)
-
-    def abs_sq(self) -> Fraction:
-        a, b = self.re_num, self.im_num
-        return Fraction(a * a + b * b, self.den * self.den)
-
-    def is_zero(self) -> bool:
-        return not self.re_num and not self.im_num
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not GaussianRational:
-            return NotImplemented
-        return (
-            self.re_num == other.re_num
-            and self.im_num == other.im_num
-            and self.den == other.den
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.re_num, self.im_num, self.den))
-
-    def __repr__(self) -> str:
-        return f"GaussianRational({self.re!r}, {self.im!r})"
-
-    def __str__(self) -> str:
-        return format_gaussian(self)
-
-
-def format_gaussian(c) -> str:
-    """Render like '3', '-2/5', '3*i', '1/2-2*i', '0'.
-
-    ``c`` is a GaussianRational, or a RadicalCoefficient whose rational
-    factor is rendered.
-    """
-    if not c.im_num:
-        return str(c.re)
-    im = c.im
-    im_mag = "i" if abs(im) == 1 else f"{abs(im)}*i"
-    if not c.re_num:
-        return im_mag if im > 0 else f"-{im_mag}"
-    sign = "+" if im > 0 else "-"
-    return f"{c.re}{sign}{im_mag}"
-
-
-# ---------------------------------------------------------------------------
-# radical coefficients
 
 
 def _raw_radical(a: int, b: int, d: int, r: int) -> "RadicalCoefficient":
@@ -364,32 +192,46 @@ def _radical(a: int, b: int, d: int, r: int) -> "RadicalCoefficient":
     return _raw_radical(a, b, d, r)
 
 
+def format_gaussian(c: "RadicalCoefficient") -> str:
+    """Render the rational factor ``(re_num + im_num*i) / den`` of ``c``
+    like '3', '-2/5', '3*i', '1/2-2*i', '0'."""
+    if not c.im_num:
+        return str(c.re)
+    im = c.im
+    im_mag = "i" if abs(im) == 1 else f"{abs(im)}*i"
+    if not c.re_num:
+        return im_mag if im > 0 else f"-{im_mag}"
+    sign = "+" if im > 0 else "-"
+    return f"{c.re}{sign}{im_mag}"
+
+
 class RadicalCoefficient:
     """Exact scalar ``(re_num + im_num*i) / den * sqrt(radicand)``, canonical.
 
-    ``RadicalCoefficient(rational, radicand)`` canonicalizes
-    ``rational * sqrt(radicand)`` for a rational or Gaussian-rational
-    ``rational`` and a rational ``radicand >= 0`` (see the module notes);
-    a zero value is the shared ``RADICAL_ZERO``.
+    ``RadicalCoefficient(re, radicand=1, *, im=0)`` canonicalizes
+    ``(re + im*i) * sqrt(radicand)`` for int or ``Fraction`` ``re`` and
+    ``im`` and a rational ``radicand >= 0`` (see the module notes); a zero
+    value is the shared ``RADICAL_ZERO``.  With radicand 1 it is a
+    Gaussian rational, the form of every symbol coefficient.
     """
 
     __slots__ = ("re_num", "im_num", "den", "radicand")
 
-    def __new__(cls, rational, radicand) -> "RadicalCoefficient":
-        if not isinstance(rational, GaussianRational):
-            rational = GaussianRational(rational)
-        radicand = Fraction(radicand)
+    def __new__(cls, re, radicand=1, *, im=0) -> "RadicalCoefficient":
+        re, im, radicand = Fraction(re), Fraction(im), Fraction(radicand)
         if radicand < 0:
             raise ValueError("radicand must be >= 0")
-        if rational.is_zero() or not radicand:
+        if not (re or im) or not radicand:
             return RADICAL_ZERO
+        rd, id_ = re.denominator, im.denominator
+        d = rd // gcd(rd, id_) * id_  # lcm of the two denominators
         root_n, sf_n = square_free_split(radicand.numerator)
         root_d, sf_d = square_free_split(radicand.denominator)
         # sqrt(p/q) = root_n / (root_d * sf_d) * sqrt(sf_n * sf_d); sf_n, sf_d are coprime
         return _radical(
-            rational.re_num * root_n,
-            rational.im_num * root_n,
-            rational.den * root_d * sf_d,
+            re.numerator * (d // rd) * root_n,
+            im.numerator * (d // id_) * root_n,
+            d * root_d * sf_d,
             sf_n * sf_d,
         )
 
@@ -401,8 +243,8 @@ class RadicalCoefficient:
         """Canonical ``sqrt(prod(num_factors)/prod(den_factors))``.
 
         The factor lists hold positive integers small enough to factor by
-        trial division; they typically come straight from
-        ``FactorialRatio.cancelled_factors``.
+        trial division, such as the runs of consecutive integers of a
+        factorial ratio.
         """
         root_n, sf_n = _fold_square_free(num_factors)
         root_d, sf_d = _fold_square_free(den_factors)
@@ -411,11 +253,6 @@ class RadicalCoefficient:
             sf_n //= g
             sf_d //= g
         return _radical(root_n, 0, root_d * sf_d, sf_n * sf_d)
-
-    @property
-    def rational(self) -> GaussianRational:
-        """The Gaussian-rational factor ``(re_num + im_num*i) / den``."""
-        return _raw_gaussian(self.re_num, self.im_num, self.den)
 
     @property
     def re(self) -> Fraction:
@@ -486,16 +323,8 @@ class RadicalCoefficient:
         return _radical(a, b, d1 * d2, r1 * r2)
 
     def scale(self, c) -> "RadicalCoefficient":
-        """Multiply by an int, a ``Fraction`` or a ``GaussianRational``."""
-        if c.__class__ is not GaussianRational:
-            return self.scale_ratio(c.numerator, c.denominator)
-        r = self.radicand
-        if not r:
-            return self
-        a1, b1, a2, b2 = self.re_num, self.im_num, c.re_num, c.im_num
-        if not b1 and not b2:
-            return _radical(a1 * a2, 0, self.den * c.den, r)
-        return _radical(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self.den * c.den, r)
+        """Multiply by an int or a ``Fraction``."""
+        return self.scale_ratio(c.numerator, c.denominator)
 
     def scale_ratio(self, num: int, den: int) -> "RadicalCoefficient":
         """Multiply by ``num/den`` for ints ``num`` and ``den > 0``."""
@@ -533,7 +362,7 @@ class RadicalCoefficient:
         return hash((self.re_num, self.im_num, self.den, self.radicand))
 
     def __repr__(self) -> str:
-        return f"RadicalCoefficient({self.rational!r}, {self.radicand})"
+        return f"RadicalCoefficient({self.re!r}, {self.radicand}, im={self.im!r})"
 
     def __str__(self) -> str:
         if not self.radicand:

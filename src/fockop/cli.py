@@ -72,10 +72,10 @@ def _parse_alpha(text: str, n: int, flag: str) -> MultiIndex:
 
 # Work bounds of ``verify``, counted exactly from the flags before any index
 # is enumerated (n <= MAX_DIMENSION keeps the counts cheap): basis pairs of
-# ``orthonormality``, the most cases of ``hankel-closed-form`` (exponent
-# tuples times alpha grid points), and Monte Carlo case evaluations (cases
-# times samples) of ``oracle``.  At each bound the check runs for minutes;
-# the defaults need 117324 pairs, 3.3 million cases and 9 million evaluations.
+# ``orthonormality``, cases of ``hankel-closed-form``, and Monte Carlo case
+# evaluations (cases times samples) of ``oracle``.  At each bound the check
+# runs for minutes; the defaults need 117324 pairs, 2.5 million cases and
+# 9 million evaluations.
 MAX_VERIFY_PAIRS = 10**8
 MAX_VERIFY_CASES = 10**8
 MAX_VERIFY_EVALUATIONS = 10**10
@@ -93,7 +93,7 @@ def _check_jobs(jobs: int) -> int:
 
 
 def _coeff_dict(c: RadicalCoefficient) -> dict:
-    return {"rational": format_gaussian(c.rational), "radicand": str(c.radicand)}
+    return {"rational": format_gaussian(c), "radicand": str(c.radicand)}
 
 
 # Most t values one --t range may ask for; each one is an exact operator
@@ -373,8 +373,12 @@ def _cmd_verify(args) -> int:
         )
     elif args.what == "hankel-closed-form":
         n_values, m_values = args.n or (1, 2), args.m or (0, 1, 2)
-        side = (args.max_component + 1) ** 4 * (args.max_alpha + 1)  # per component of n
-        cases = len(m_values) * sum(side**n for n in n_values)
+        c, a = args.max_component, args.max_alpha
+        # the tuples with both distances 0 alone give (c+1)^2 (a+1) cases per
+        # component; below the bound c and a are small enough to count exactly
+        cases = len(m_values) * sum(((c + 1) ** 2 * (a + 1)) ** n for n in n_values)
+        if cases <= MAX_VERIFY_CASES:
+            cases = verify_mod.closed_form_case_count(n_values, m_values, c, a)
         flags = "-n, -m, --max-component and --max-alpha"
         _check_work(cases, MAX_VERIFY_CASES, "MAX_VERIFY_CASES", "closed-form cases", flags)
         sweep = verify_mod.sweep_hankel_closed_form(
@@ -421,7 +425,7 @@ def _cmd_verify(args) -> int:
                     f"--max-order {args.max_order} with m up to {max(det_m)} reaches quadrature "
                     f"order {order}; at most MAX_QUAD_ORDER = {MAX_QUAD_ORDER} is allowed"
                 )
-            det = verify_mod.verify_oracle_deterministic(det_m, args.max_order, rel_tol=1e-10, cfg=cfg)
+            det = verify_mod.verify_oracle_deterministic(det_m, args.max_order, cfg=cfg)
             checks.append(
                 (
                     "n=1 quadrature/gamma agreement",

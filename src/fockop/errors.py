@@ -50,8 +50,12 @@ class RadicandMismatchError(InternalInvariantError):
     """Attempted exact addition of radical coefficients with unlike radicands."""
 
 
-def _caret_excerpt(text: str, pos: int, width: int = 24) -> str:
-    lo = max(0, pos - width // 2)
-    hi = min(len(text), lo + width)
+# Characters of the input shown around an error position.
+EXCERPT_WIDTH = 24
+
+
+def _caret_excerpt(text: str, pos: int) -> str:
+    lo = max(0, pos - EXCERPT_WIDTH // 2)
+    hi = min(len(text), lo + EXCERPT_WIDTH)
     snippet = text[lo:hi]
     return f"'{snippet}' -> offset {pos - lo}"

@@ -19,11 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import factorial, gcd, prod
 from typing import Dict, Optional, Tuple
 
 from .arith import (
-    FactorialRatio,
     MultiIndex,
     RADICAL_ONE,
     RADICAL_ZERO,
@@ -36,7 +35,7 @@ from .errors import (
     SymbolSyntaxError,
     ValidityRangeError,
 )
-from .symbols import _T_END, _T_OPERATOR, MAX_DIMENSION, SymbolPolynomial, _Parser
+from .symbols import _T_END, _T_OPERATOR, SymbolPolynomial, _Parser, check_dimension
 
 
 # Largest weight order m.  Every basis action multiplies rising products of
@@ -56,10 +55,7 @@ class SpaceParams:
     __slots__ = ("n", "m", "_hash")
 
     def __init__(self, n: int, m: int):
-        if n < 1:
-            raise InputError("dimension n must be >= 1")
-        if n > MAX_DIMENSION:
-            raise InputError(f"dimension n = {n} exceeds MAX_DIMENSION = {MAX_DIMENSION}")
+        check_dimension(n)
         if m < 0:
             raise InputError("weight order m must be >= 0")
         if m > MAX_WEIGHT_ORDER:
@@ -98,23 +94,19 @@ def monomial_inner(a: MultiIndex, b: MultiIndex, sp: SpaceParams) -> Fraction:
         raise DimensionMismatchError("multi-index dimension must equal n")
     if a != b:
         return Fraction(0)
-    ratio = FactorialRatio(
-        numerator_terms=(*a, sp.n - 1, sp.m + sp.n - 1 + a.order),
-        denominator_terms=(sp.m + sp.n - 1, sp.n - 1 + a.order),
-    )
-    return ratio.value()
+    # a! (n-1)! (m+n-1+|a|)! / ((m+n-1)! (n-1+|a|)!)
+    num = prod(map(factorial, a)) * rising_product(sp.n - 1 + a.order, sp.m)
+    return Fraction(num, rising_product(sp.n - 1, sp.m))
 
 
 def basis_coefficient(alpha: MultiIndex, sp: SpaceParams) -> RadicalCoefficient:
-    """Normalizing constant of e_alpha: 1/sqrt(<z^alpha, z^alpha>)."""
+    """Normalizing constant of e_alpha: 1/sqrt(<z^alpha, z^alpha>).
+
+    It is the transition factor from e_0 to e_alpha times (m+n-1)!/(n-1)!.
+    """
     if alpha.dimension != sp.n:
         raise DimensionMismatchError("multi-index dimension must equal n")
-    ratio = FactorialRatio(
-        numerator_terms=(sp.m + sp.n - 1, sp.n - 1 + alpha.order),
-        denominator_terms=(*alpha, sp.n - 1, sp.m + sp.n - 1 + alpha.order),
-    )
-    num, den = ratio.cancelled_factors()
-    return RadicalCoefficient.from_sqrt_ratio(num, den)
+    return _sqrt_transition(MultiIndex.zero(sp.n), alpha, sp).scale(rising_product(sp.n - 1, sp.m))
 
 
 def _sqrt_transition_factors(alpha: MultiIndex, tau: MultiIndex, sp: SpaceParams):
@@ -262,8 +254,8 @@ def toeplitz_apply(f: SymbolPolynomial, v: BasisExpansion) -> BasisExpansion:
                 continue
             tau, k = hit
             contrib = c * k
-            if a.im_num or a.re_num != a.den:
-                contrib = contrib.scale(a)
+            if a.radicand != 1 or a.im_num or a.re_num != a.den:  # a != 1
+                contrib = contrib * a
             _merge_into(out, tau, contrib)
     return BasisExpansion(sp, out)
 

@@ -2,9 +2,10 @@
 
 A symbol is stored flat, as a finite map from exponent pairs
 ``(beta, gamma)`` (powers of ``z`` and of ``conj(z)``) to nonzero
-Gaussian-rational coefficients.  Products in the input grammar are
-expanded at parse time; like terms are always merged and zero terms
-dropped, so equal symbols have equal term maps.
+Gaussian-rational coefficients, ``RadicalCoefficient``s with radicand 1.
+Products in the input grammar are expanded at parse time; like terms are
+always merged and zero terms dropped, so equal symbols have equal term
+maps.
 """
 
 from __future__ import annotations
@@ -15,10 +16,23 @@ from itertools import chain
 from math import comb
 from typing import Dict, Iterable, Optional, Tuple
 
-from .arith import GaussianRational, MultiIndex, format_gaussian
+from .arith import RADICAL_ONE, MultiIndex, RadicalCoefficient, format_gaussian
 from .errors import DimensionMismatchError, InputError, SymbolSyntaxError
 
 TermKey = Tuple[MultiIndex, MultiIndex]
+
+# Largest dimension n.  Every multi-index holds n ints, and the Monte Carlo
+# oracle draws each chunk of up to 2^18 samples as 2n floats per sample, about
+# 8 MB per unit of n with its complex view.
+MAX_DIMENSION = 32
+
+
+def check_dimension(n: int) -> None:
+    """Reject a dimension n outside 1..MAX_DIMENSION."""
+    if n < 1:
+        raise InputError("dimension n must be >= 1")
+    if n > MAX_DIMENSION:
+        raise InputError(f"dimension n = {n} exceeds MAX_DIMENSION = {MAX_DIMENSION}")
 
 
 class SymbolPolynomial:
@@ -26,9 +40,8 @@ class SymbolPolynomial:
 
     __slots__ = ("dimension", "terms")
 
-    def __init__(self, dimension: int, terms: Dict[TermKey, GaussianRational]):
-        if dimension < 1:
-            raise ValueError("dimension must be >= 1")
+    def __init__(self, dimension: int, terms: Dict[TermKey, RadicalCoefficient]):
+        check_dimension(dimension)
         self.dimension = dimension
         self.terms = terms
 
@@ -40,8 +53,8 @@ class SymbolPolynomial:
 
     @staticmethod
     def constant(dimension: int, value) -> "SymbolPolynomial":
-        if not isinstance(value, GaussianRational):
-            value = GaussianRational(value)
+        if not isinstance(value, RadicalCoefficient):
+            value = RadicalCoefficient(value)
         if value.is_zero():
             return SymbolPolynomial.zero(dimension)
         z = MultiIndex.zero(dimension)
@@ -54,11 +67,11 @@ class SymbolPolynomial:
         g = MultiIndex(gamma)
         if b.dimension != dimension or g.dimension != dimension:
             raise DimensionMismatchError("exponent length must equal dimension")
-        return SymbolPolynomial(dimension, {(b, g): GaussianRational(1)})
+        return SymbolPolynomial(dimension, {(b, g): RADICAL_ONE})
 
     @staticmethod
-    def from_terms(dimension: int, items: Iterable[Tuple[TermKey, GaussianRational]]) -> "SymbolPolynomial":
-        acc: Dict[TermKey, GaussianRational] = {}
+    def from_terms(dimension: int, items: Iterable[Tuple[TermKey, RadicalCoefficient]]) -> "SymbolPolynomial":
+        acc: Dict[TermKey, RadicalCoefficient] = {}
         for key, coeff in items:
             prev = acc.get(key)
             total = coeff if prev is None else prev + coeff
@@ -101,7 +114,7 @@ class SymbolPolynomial:
         self._check_dim(other)
         # from_terms' loop, inlined: feeding it a generator costs about 1 us more
         # per single-term product, a few percent of the closed-form sweep.
-        acc: Dict[TermKey, GaussianRational] = {}
+        acc: Dict[TermKey, RadicalCoefficient] = {}
         for (b1, g1), c1 in self.terms.items():
             for (b2, g2), c2 in other.terms.items():
                 key = (b1 + b2, g1 + g2)
@@ -136,8 +149,8 @@ class SymbolPolynomial:
 
     def holomorphic_split(self) -> "tuple[SymbolPolynomial, SymbolPolynomial]":
         """(pure holomorphic part, remainder); the parts sum to self."""
-        holo: Dict[TermKey, GaussianRational] = {}
-        rest: Dict[TermKey, GaussianRational] = {}
+        holo: Dict[TermKey, RadicalCoefficient] = {}
+        rest: Dict[TermKey, RadicalCoefficient] = {}
         for key, coeff in self.terms.items():
             (holo if key[1].order == 0 else rest)[key] = coeff
         return (
@@ -147,7 +160,7 @@ class SymbolPolynomial:
 
     # -- inspection ---------------------------------------------------------
 
-    def sorted_terms(self) -> "list[tuple[TermKey, GaussianRational]]":
+    def sorted_terms(self) -> "list[tuple[TermKey, RadicalCoefficient]]":
         return sorted(self.terms.items(), key=lambda kv: kv[0])
 
     def __eq__(self, other) -> bool:
@@ -196,7 +209,7 @@ def _monomial_text(beta: MultiIndex, gamma: MultiIndex, dimension: int) -> str:
     return "*".join(parts)
 
 
-def _coefficient_text(c: GaussianRational, has_monomial: bool) -> "tuple[str, str]":
+def _coefficient_text(c: RadicalCoefficient, has_monomial: bool) -> "tuple[str, str]":
     """Return (sign, body) where body omits a leading minus."""
     if c.re and c.im:
         return "+", f"({format_gaussian(c)})"
@@ -228,11 +241,6 @@ def _coefficient_text(c: GaussianRational, has_monomial: bool) -> "tuple[str, st
 # base    := var | "conj(" var ")" | number | "i" | "(" expr ")" ;
 # var     := "z" uint | "z" (n=1 only) ;
 # number  := uint | uint "/" uint ;
-
-# Largest dimension n.  Every multi-index holds n ints, and the Monte Carlo
-# oracle draws each chunk of up to 2^18 samples as 2n floats per sample, about
-# 8 MB per unit of n with its complex view.
-MAX_DIMENSION = 32
 
 # Bound on max(1, degree of the base) * exponent in ``factor``, checked before
 # the power is expanded.  A constant base counts as degree 1: its power grows
@@ -338,10 +346,7 @@ def _tokenize(text: str) -> "list[_Token]":
 
 class _Parser:
     def __init__(self, text: str, dimension: int):
-        if dimension < 1:
-            raise InputError("dimension must be >= 1")
-        if dimension > MAX_DIMENSION:
-            raise InputError(f"dimension n = {dimension} exceeds MAX_DIMENSION = {MAX_DIMENSION}")
+        check_dimension(dimension)
         self.text = text
         self.dimension = dimension
         self.tokens = _tokenize(text)
@@ -440,7 +445,7 @@ class _Parser:
                 value = Fraction(tok.value, den.value)
             return SymbolPolynomial.constant(self.dimension, value)
         if tok.kind == _T_IMAG:
-            return SymbolPolynomial.constant(self.dimension, GaussianRational(0, 1))
+            return SymbolPolynomial.constant(self.dimension, RadicalCoefficient(0, im=1))
         if tok.kind == _T_VAR:
             j = self._variable_index(tok)
             return SymbolPolynomial.monomial(

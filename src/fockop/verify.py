@@ -206,6 +206,25 @@ def _sweep_block(task) -> ClosedFormSweep:
     return out
 
 
+def closed_form_case_count(
+    n_values: Sequence[int], m_values: Sequence[int], max_component: int, max_alpha: int
+) -> int:
+    """The cases ``sweep_hankel_closed_form`` checks, counted without enumerating them.
+
+    In one component an exponent tuple (b, g, u, w) admits the alphas from
+    |g-b| + |u-w| to ``max_alpha``, so it counts only through its two
+    distances; ``pairs[d]`` pairs of components lie at distance d.
+    """
+    c, a = max_component, max_alpha
+    pairs = [c + 1] + [2 * (c + 1 - d) for d in range(1, min(a, c) + 1)]
+    side = sum(
+        p1 * p2 * (a + 1 - d1 - d2)
+        for d1, p1 in enumerate(pairs)
+        for d2, p2 in enumerate(pairs[: a + 1 - d1])
+    )
+    return len(m_values) * sum(side**n for n in n_values)
+
+
 def sweep_hankel_closed_form(
     n_values: Sequence[int] = (1, 2),
     m_values: Sequence[int] = (0, 1, 2),
@@ -270,13 +289,18 @@ class OracleAgreementResult:
         return not self.failures
 
 
+# Largest relative error the n=1 quadrature and Gamma-recurrence routes may
+# show against the exact inner products, and against each other.
+DETERMINISTIC_REL_TOL = 1e-10
+
+
 def verify_oracle_deterministic(
     m_values: Sequence[int] = (0, 1, 2, 3),
     max_order: int = 10,
-    rel_tol: float = 1e-10,
     cfg: OracleConfig = OracleConfig(),
 ) -> OracleAgreementResult:
-    """n=1: exact inner products vs quadrature and Gamma-recurrence routes."""
+    """n=1: exact inner products vs quadrature and Gamma-recurrence routes,
+    within ``DETERMINISTIC_REL_TOL``."""
     out = OracleAgreementResult()
     for m in m_values:
         sp = SpaceParams(1, m)
@@ -289,13 +313,13 @@ def verify_oracle_deterministic(
             for name, est in (("quadrature", quad), ("gamma", gamma)):
                 rel = abs(est.value - exact) / exact
                 out.max_relative_error = max(out.max_relative_error, rel)
-                if not rel <= rel_tol:  # a NaN error fails too
+                if not rel <= DETERMINISTIC_REL_TOL:  # a NaN error fails too
                     out.failures.append(
-                        f"m={m} a={order} {name}: rel error {rel:.3e} > {rel_tol:.1e}"
+                        f"m={m} a={order} {name}: rel error {rel:.3e} > {DETERMINISTIC_REL_TOL:.1e}"
                     )
             cross = abs(quad.value - gamma.value) / exact
             out.max_relative_error = max(out.max_relative_error, cross)
-            if not cross <= rel_tol:
+            if not cross <= DETERMINISTIC_REL_TOL:
                 out.failures.append(
                     f"m={m} a={order}: quadrature vs gamma differ by {cross:.3e}"
                 )

@@ -6,8 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fockop.arith import (
-    FactorialRatio,
-    GaussianRational,
     MultiIndex,
     RADICAL_ONE,
     RADICAL_ZERO,
@@ -40,57 +38,13 @@ def test_multiindex_rejects_negative_and_empty():
 
 
 # ---------------------------------------------------------------------------
-# factorial ratios
-
-
-def test_factorial_ratio_examples():
-    assert FactorialRatio([5], [3]).value() == 20
-    assert FactorialRatio([], []).value() == 1
-    # direct big-integer evaluation: 3628800 * 6 / (5040 * 720)
-    assert FactorialRatio([10, 3], [7, 6]).value() == Fraction(
-        math.factorial(10) * math.factorial(3),
-        math.factorial(7) * math.factorial(6),
-    )
-    assert FactorialRatio([10, 3], [7, 6]).value() == 6
+# rising products
 
 
 def test_rising_product():
     assert rising_product(3, 0) == 1
     assert rising_product(3, 2) == 4 * 5
     assert rising_product(0, 4) == 24
-
-
-@given(
-    st.lists(st.integers(0, 40), max_size=5),
-    st.lists(st.integers(0, 40), max_size=5),
-)
-def test_factorial_ratio_matches_naive_oracle(num, den):
-    ratio = FactorialRatio(num, den)
-    naive = Fraction(
-        math.prod(math.factorial(t) for t in num),
-        math.prod(math.factorial(t) for t in den),
-    )
-    assert ratio.value() == naive
-
-
-@given(
-    st.lists(st.integers(0, 25), max_size=4),
-    st.lists(st.integers(0, 25), max_size=4),
-    st.lists(st.integers(0, 25), max_size=4),
-    st.lists(st.integers(0, 25), max_size=4),
-)
-def test_factorial_ratio_product_homomorphism(n1, d1, n2, d2):
-    r1 = FactorialRatio(n1, d1)
-    r2 = FactorialRatio(n2, d2)
-    assert FactorialRatio(n1 + n2, d1 + d2).value() == r1.value() * r2.value()
-
-
-def test_cancelled_factors_reproduce_value():
-    ratio = FactorialRatio([10, 3, 7], [8, 8])
-    num, den = ratio.cancelled_factors()
-    assert Fraction(math.prod(num), math.prod(den)) == ratio.value()
-    # paired terms must not expand into full factorials
-    assert max(num, default=1) <= 10 and all(f >= 2 for f in num + den)
 
 
 # ---------------------------------------------------------------------------
@@ -106,15 +60,15 @@ def test_square_free_split_reconstructs(k):
 
 
 def test_radical_normalize_examples():
-    assert RadicalCoefficient(1, 4) == RadicalCoefficient(GaussianRational(2), 1)
-    assert RadicalCoefficient(2, Fraction(9, 4)) == RadicalCoefficient(GaussianRational(3), 1)
-    assert RadicalCoefficient(1, 8) == RadicalCoefficient(GaussianRational(2), 2)
+    assert RadicalCoefficient(1, 4) == RadicalCoefficient(2, 1)
+    assert RadicalCoefficient(2, Fraction(9, 4)) == RadicalCoefficient(3, 1)
+    assert RadicalCoefficient(1, 8) == RadicalCoefficient(2, 2)
 
 
 def test_radical_normalize_fractional_radicand_value():
     # sqrt(1/6) canonicalizes with an integer radicand; the value is exact
     c = RadicalCoefficient(1, Fraction(1, 6))
-    assert c == RadicalCoefficient(GaussianRational(Fraction(1, 6)), 6)
+    assert c == RadicalCoefficient(Fraction(1, 6), 6)
     assert c.abs_sq() == Fraction(1, 6)
 
 
@@ -128,7 +82,7 @@ def test_radical_normalize_zero_and_negative():
 @given(st.integers(-40, 40), st.integers(1, 30), st.integers(0, 400), st.integers(1, 30))
 def test_radical_normalize_idempotent_and_value_preserving(pn, pd, rn, rd):
     c = RadicalCoefficient(Fraction(pn, pd), Fraction(rn, rd))
-    again = RadicalCoefficient(c.rational, c.radicand)
+    again = RadicalCoefficient(c.re, c.radicand, im=c.im)
     assert again == c
     assert c.abs_sq() == Fraction(pn, pd) ** 2 * Fraction(rn, rd)
 
@@ -151,11 +105,9 @@ def test_radical_addition_zero_and_cancellation():
 
 
 def test_radical_multiplication():
-    assert RadicalCoefficient(1, 2) * RadicalCoefficient(1, 8) == RadicalCoefficient(
-        GaussianRational(4), 1
-    )
+    assert RadicalCoefficient(1, 2) * RadicalCoefficient(1, 8) == RadicalCoefficient(4, 1)
     c = RadicalCoefficient(1, 6) * RadicalCoefficient(1, 10)
-    assert c == RadicalCoefficient(GaussianRational(2), 15)
+    assert c == RadicalCoefficient(2, 15)
     assert RADICAL_ONE * c == c
     assert (RADICAL_ZERO * c) is RADICAL_ZERO
 
@@ -168,18 +120,20 @@ def test_radical_multiplication_value(r1, r2, q1, q2):
 
 
 def test_gaussian_rational_ops():
-    c = GaussianRational(Fraction(1, 2), -3)
+    # a Gaussian rational is a RadicalCoefficient with radicand 1
+    c = RadicalCoefficient(Fraction(1, 2), im=-3)
+    assert c.radicand == 1
     assert c.conjugate().conjugate() == c
     assert c.abs_sq() == Fraction(1, 4) + 9
-    assert (c * GaussianRational(0, 1)) == GaussianRational(3, Fraction(1, 2))
-    assert str(GaussianRational(Fraction(1, 2), -2)) == "1/2-2*i"
-    assert str(GaussianRational(0, 1)) == "i"
-    assert str(GaussianRational(0, 0)) == "0"
+    assert (c * RadicalCoefficient(0, im=1)) == RadicalCoefficient(3, im=Fraction(1, 2))
+    assert str(RadicalCoefficient(Fraction(1, 2), im=-2)) == "1/2-2*i"
+    assert str(RadicalCoefficient(0, im=1)) == "i"
+    assert str(RadicalCoefficient(0, im=0)) == "0"
 
 
 def test_radical_conjugate_and_complex():
-    c = RadicalCoefficient(GaussianRational(1, 1), 2)
-    assert c.conjugate() == RadicalCoefficient(GaussianRational(1, -1), 2)
+    c = RadicalCoefficient(1, 2, im=1)
+    assert c.conjugate() == RadicalCoefficient(1, 2, im=-1)
     assert abs(c.to_complex() - complex(2**0.5, 2**0.5)) < 1e-12
     assert RADICAL_ZERO.to_complex() == 0j
 
@@ -238,7 +192,7 @@ _factors = st.lists(st.integers(1, 30), max_size=6)
 
 @given(_rationals, _rationals, _rationals, _rationals)
 def test_gaussian_core_matches_fraction_pairs(x1, y1, x2, y2):
-    g1, g2 = GaussianRational(x1, y1), GaussianRational(x2, y2)
+    g1, g2 = RadicalCoefficient(x1, im=y1), RadicalCoefficient(x2, im=y2)
     cases = [
         (g1 + g2, (x1 + x2, y1 + y2)),
         (-g1, (-x1, -y1)),
@@ -247,15 +201,16 @@ def test_gaussian_core_matches_fraction_pairs(x1, y1, x2, y2):
     ]
     for g, (re, im) in cases:
         assert math.gcd(g.re_num, g.im_num, g.den) == 1 and g.den > 0
+        assert g.radicand == (1 if re or im else 0)
         assert (g.re, g.im) == (re, im)
-        assert g == GaussianRational(re, im) and hash(g) == hash(GaussianRational(re, im))
+        assert g == RadicalCoefficient(re, im=im) and hash(g) == hash(RadicalCoefficient(re, im=im))
     assert g1.abs_sq() == x1 * x1 + y1 * y1
 
 
 @given(_rationals, _rationals, _radicands, _rationals, _rationals, _radicands)
 def test_radical_core_matches_fraction_pairs(x1, y1, r1, x2, y2, r2):
-    a = RadicalCoefficient(GaussianRational(x1, y1), r1)
-    b = RadicalCoefficient(GaussianRational(x2, y2), r2)
+    a = RadicalCoefficient(x1, r1, im=y1)
+    b = RadicalCoefficient(x2, r2, im=y2)
     ra, rb = _ref(x1, y1, r1), _ref(x2, y2, r2)
     for c, want in ((a, ra), (b, rb)):
         _assert_canonical(c)
@@ -277,7 +232,7 @@ def test_radical_core_matches_fraction_pairs(x1, y1, r1, x2, y2, r2):
 
     for scaled, want in (
         (a.scale(x2), _ref(ax * x2, ay * x2, ar)),
-        (a.scale(GaussianRational(x2, y2)), _ref(ax * x2 - ay * y2, ax * y2 + ay * x2, ar)),
+        (a * RadicalCoefficient(x2, im=y2), _ref(ax * x2 - ay * y2, ax * y2 + ay * x2, ar)),
         (a.scale_ratio(x2.numerator, x2.denominator), _ref(ax * x2, ay * x2, ar)),
         (a.conjugate(), _ref(ax, -ay, ar)),
         (-a, _ref(-ax, -ay, ar)),
@@ -291,22 +246,22 @@ def test_radical_core_matches_fraction_pairs(x1, y1, r1, x2, y2, r2):
 @given(_rationals, _rationals, _radicands, st.integers(1, 6), st.integers(1, 6))
 def test_radical_equal_values_have_equal_structure(x, y, r, s, t):
     # (x + y*i) * sqrt(r * s^2 / t^2) and ((x + y*i) * s/t) * sqrt(r) are one value
-    a = RadicalCoefficient(GaussianRational(x, y), Fraction(r * s * s, t * t))
-    b = RadicalCoefficient(GaussianRational(x * s / t, y * s / t), r)
+    a = RadicalCoefficient(x, Fraction(r * s * s, t * t), im=y)
+    b = RadicalCoefficient(x * s / t, r, im=y * s / t)
     assert (a.re_num, a.im_num, a.den, a.radicand) == (b.re_num, b.im_num, b.den, b.radicand)
     assert a == b and hash(a) == hash(b)
 
 
 @given(_rationals, _rationals, _radicands, st.fractions(min_value=0, max_value=50, max_denominator=30))
 def test_radical_normalize_matches_reference(x, y, r, extra):
-    c = RadicalCoefficient(GaussianRational(x, y), r * extra)
+    c = RadicalCoefficient(x, r * extra, im=y)
     _assert_canonical(c)
     assert _value(c) == _ref(x, y, r * extra)
 
 
 @given(_rationals, _rationals, _factors, _factors)
 def test_from_sqrt_ratio_matches_reference(x, y, num, den):
-    c = RadicalCoefficient.from_sqrt_ratio(num, den).scale(GaussianRational(x, y))
+    c = RadicalCoefficient.from_sqrt_ratio(num, den) * RadicalCoefficient(x, im=y)
     _assert_canonical(c)
     assert _value(c) == _ref(x, y, Fraction(math.prod(num), math.prod(den)))
     assert c.abs_sq() == (x * x + y * y) * Fraction(math.prod(num), math.prod(den))

@@ -159,6 +159,37 @@ def test_verify_closed_form_small(capsys):
     assert report["outputs"]["passed"] is True
 
 
+@pytest.mark.parametrize(
+    "grid",
+    [((1,), (0,), 3, 1), ((1, 2), (0, 1), 1, 3), ((1, 2), (2,), 2, 2), ((2,), (0, 0), 0, 0)],
+)
+def test_closed_form_case_count_is_the_sweep_count(grid):
+    from fockop.verify import closed_form_case_count, sweep_hankel_closed_form
+
+    assert closed_form_case_count(*grid) == sweep_hankel_closed_form(*grid).cases
+
+
+def test_closed_form_cases_are_counted_exactly(capsys, monkeypatch):
+    from fockop import cli as cli_mod
+    from fockop.verify import ClosedFormSweep, closed_form_case_count
+
+    # (c+1)^4 (a+1) exponent tuples times alphas per component would be 3.4e9
+    assert closed_form_case_count((2,), (0,), 10, 3) == 19_963_024
+    assert closed_form_case_count((1, 2), (0, 1, 2), 2, 12) == 2_481_570  # the defaults
+    grids = []
+
+    def stub(n_values, m_values, max_component, max_alpha, jobs=1):
+        grids.append((n_values, m_values, max_component, max_alpha))
+        return ClosedFormSweep(cases=19_963_024)
+
+    monkeypatch.setattr(cli_mod.verify_mod, "sweep_hankel_closed_form", stub)
+    code, out = run(capsys, "verify", "hankel-closed-form", "-n", "2", "-m", "0",
+                    "--max-component", "10", "--max-alpha", "3")
+    assert code == 0
+    assert grids == [((2,), (0,), 10, 3)]
+    assert out.startswith("PASS  closed-form vs composition: 19963024 cases exact")
+
+
 def test_verify_oracle_deterministic_only(capsys):
     code, out = run(
         capsys,

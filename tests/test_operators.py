@@ -7,7 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fockop.arith import (
-    GaussianRational,
     MultiIndex,
     RADICAL_ONE,
     RADICAL_ZERO,
@@ -37,6 +36,7 @@ from fockop.operators import (
 )
 from fockop.oracle import OracleMethod, oracle_inner, oracle_toeplitz_coeff
 from fockop.symbols import SymbolPolynomial, parse_symbol
+from fockop.verify import indices_up_to_order
 
 
 def mi(*comps):
@@ -92,15 +92,16 @@ def test_monomial_inner_orthogonality():
 
 def test_monomial_inner_closed_value_general():
     # a!(n-1)!(m+n-1+|a|)! / ((m+n-1)!(n-1+|a|)!) via direct big integers
-    for n, m, a in [(2, 1, (1, 0)), (2, 2, (3, 1)), (3, 1, (2, 0, 1))]:
+    f = math.factorial
+    for n, m in product((1, 2, 3), range(7)):
         sp = SpaceParams(n, m)
-        aa = MultiIndex(a)
-        f = math.factorial
-        expected = Fraction(
-            math.prod(f(c) for c in a) * f(n - 1) * f(m + n - 1 + sum(a)),
-            f(m + n - 1) * f(n - 1 + sum(a)),
-        )
-        assert monomial_inner(aa, aa, sp) == expected
+        for a in indices_up_to_order(n, 8):
+            expected = Fraction(
+                math.prod(f(c) for c in a) * f(n - 1) * f(m + n - 1 + sum(a)),
+                f(m + n - 1) * f(n - 1 + sum(a)),
+            )
+            assert monomial_inner(a, a, sp) == expected
+            assert basis_coefficient(a, sp).abs_sq() == 1 / expected
 
 
 def test_basis_coefficient_values():
@@ -111,7 +112,7 @@ def test_basis_coefficient_values():
     c = basis_coefficient(mi(2), SpaceParams(1, 1))
     f = math.factorial
     assert c.abs_sq() == Fraction(f(1) * f(2), f(2) * f(0) * f(3)) == Fraction(1, 6)
-    assert c == RadicalCoefficient(GaussianRational(Fraction(1, 6)), 6)
+    assert c == RadicalCoefficient(Fraction(1, 6), 6)
 
 
 def test_basis_normalizes_monomial_inner():
@@ -196,6 +197,14 @@ def test_identity_symbol_acts_trivially():
     sp = SpaceParams(2, 1)
     v = e(sp, 3, 1)
     assert toeplitz_apply(parse_symbol("1", 2), v) == v
+
+
+def test_constant_symbol_scales_by_its_coefficient():
+    sp = SpaceParams(2, 1)
+    v = e(sp, 3, 1)
+    for c in (RADICAL_ONE, RadicalCoefficient(Fraction(-3, 2)), RadicalCoefficient(0, im=1),
+              RadicalCoefficient(1, 2)):
+        assert toeplitz_apply(SymbolPolynomial.constant(2, c), v) == BasisExpansion(sp, {mi(3, 1): c})
 
 
 def test_radial_symbol_is_diagonal():

@@ -8,16 +8,18 @@ from fockop import analysis, arith, operators, oracle, symbols
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
-# Names that were deleted because nothing in the program used them.
+# Names that were deleted because nothing in the program used them, or
+# because another name does their work.
 DELETED = [
     (arith, "ComponentwiseOrder"),
     (arith, "multiindex_compare"),
     (arith, "radical_normalize"),
     (arith, "GAUSSIAN_ONE"),
     (arith.MultiIndex, "__radd__"),
-    (arith.FactorialRatio, "__mul__"),
-    (arith.GaussianRational, "of"),
+    (arith, "FactorialRatio"),
+    (arith, "GaussianRational"),
     (arith.RadicalCoefficient, "normalize"),
+    (arith.RadicalCoefficient, "rational"),
     (symbols, "GradedPiece"),
     (symbols, "GradedDecomposition"),
     (symbols, "graded_decompose"),

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fockop.arith import GaussianRational, MultiIndex
+from fockop.arith import MultiIndex, RadicalCoefficient
 from fockop.errors import SymbolSyntaxError
 from fockop.operators import parse_operator
 from fockop.symbols import (
@@ -20,7 +20,7 @@ def mi(*comps):
 
 
 def g(re, im=0):
-    return GaussianRational(re, im)
+    return RadicalCoefficient(re, im=im)
 
 
 # ---------------------------------------------------------------------------
@@ -153,9 +153,22 @@ def dense_symbol_texts(draw, n):
 def test_dense_symbols_stay_within_the_term_bound(data):
     n = data.draw(st.integers(2, 3))
     f, g = data.draw(dense_symbol_texts(n)), data.draw(dense_symbol_texts(n))
-    assert parse_symbol(f"({f})*({g})", n) == parse_symbol(f, n) * parse_symbol(g, n)
-    parse_operator(f"T({f}) * T({g})", n)
-    parse_operator(f"HP({f}; {g})", n)
+    fg = parse_symbol(f"({f})*({g})", n)
+    assert fg == parse_symbol(f, n) * parse_symbol(g, n)
+    toeplitz = parse_operator(f"T({f}) * T({g})", n)
+    hankel = parse_operator(f"HP({f}; {g})", n)
+    # symbol coefficients are Gaussian rationals: the text form has no sqrt
+    symbols = (
+        parse_symbol(f, n),
+        parse_symbol(f, n).conjugate(),
+        fg,
+        toeplitz.outer.symbol,
+        toeplitz.inner.symbol,
+        hankel.left_conj,
+        hankel.left_conj_right,
+    )
+    for sym in symbols:
+        assert all(c.radicand == 1 for c in sym.terms.values())
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +216,7 @@ def symbols(draw):
         gamma = MultiIndex([draw(st.integers(0, 3)) for _ in range(dim)])
         re = Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 4)))
         im = Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 4)))
-        terms.append(((beta, gamma), GaussianRational(re, im)))
+        terms.append(((beta, gamma), RadicalCoefficient(re, im=im)))
     return SymbolPolynomial.from_terms(dim, terms), dim
 
 
