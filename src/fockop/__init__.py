@@ -19,16 +19,7 @@ from .analysis import (
     norm_squared_samples,
     predicted_exponent,
 )
-from .errors import (
-    DimensionMismatchError,
-    FockopError,
-    InputError,
-    InternalInvariantError,
-    MultiIndexError,
-    RadicandMismatchError,
-    SymbolSyntaxError,
-    ValidityRangeError,
-)
+from .errors import FockopError, InputError, InternalInvariantError, SymbolSyntaxError
 from .operators import (
     BasisExpansion,
     Composition,
@@ -56,9 +47,7 @@ __all__ = [
     "Verdict", "VerdictCase", "classify_hankel_product", "classify_single",
     "classify_toeplitz_product", "default_ray", "fit_exponent", "geometric_ts",
     "hankel_vector_norm_sq", "norm_squared_samples", "predicted_exponent",
-    "DimensionMismatchError", "FockopError", "InputError", "InternalInvariantError",
-    "MultiIndexError", "RadicandMismatchError", "SymbolSyntaxError",
-    "ValidityRangeError",
+    "FockopError", "InputError", "InternalInvariantError", "SymbolSyntaxError",
     "BasisExpansion", "Composition", "HankelProductOp", "OperatorExpr",
     "SpaceParams", "ToeplitzOp", "apply_operator", "basis_coefficient",
     "hankel_coeff_closed_form", "hankel_product_apply",

@@ -16,8 +16,8 @@ from enum import Enum
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .arith import MultiIndex
-from .errors import DimensionMismatchError, InputError, InternalInvariantError
+from .arith import MultiIndex, check_same_dimension
+from .errors import InputError, InternalInvariantError
 from .operators import (
     BasisExpansion,
     Composition,
@@ -119,8 +119,7 @@ def _is_conjugate_linear(p: SymbolPolynomial) -> bool:
 
 def classify_toeplitz_product(f: SymbolPolynomial, g: SymbolPolynomial) -> Verdict:
     """Bounded iff both symbols are constants (zero symbols give the zero operator)."""
-    if f.dimension != g.dimension:
-        raise DimensionMismatchError("symbols must share a dimension")
+    check_same_dimension(f.dimension, g.dimension)
     if f.is_zero() or g.is_zero():
         which = "f" if f.is_zero() else "g"
         return _verdict(VerdictCase.ZERO_OPERATOR, f"{which} = 0, so the product is the zero operator")
@@ -137,8 +136,7 @@ def classify_hankel_product(f: SymbolPolynomial, g: SymbolPolynomial) -> Verdict
     The three rules overlap; the first matching one (in that order) is
     reported.
     """
-    if f.dimension != g.dimension:
-        raise DimensionMismatchError("symbols must share a dimension")
+    check_same_dimension(f.dimension, g.dimension)
     _, f_rest = f.holomorphic_split()
     if f_rest.is_zero():
         return _verdict(VerdictCase.F_HOLOMORPHIC, "f is holomorphic, so its Hankel operator vanishes")
@@ -188,7 +186,7 @@ def classify_single(kind: SingleOperatorKind, f: SymbolPolynomial) -> Verdict:
             VerdictCase.NON_HOLOMORPHIC_SYMBOL,
             "f is not holomorphic, so the Hankel operator is not compact",
         )
-    raise InputError(f"unknown operator kind {kind}")
+    raise InternalInvariantError(f"unknown operator kind {kind}")
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +202,7 @@ class RaySpec:
     t_values: Tuple[int, ...]
 
     def __post_init__(self):
-        if self.base.dimension != self.direction.dimension:
-            raise DimensionMismatchError("ray base and direction dimensions differ")
+        check_same_dimension(self.base.dimension, self.direction.dimension)
         if any(d < 1 for d in self.direction):
             raise InputError("ray direction components must be >= 1")
         ts = self.t_values
@@ -229,8 +226,7 @@ def geometric_ts(lo: int = 64, hi: int = 4096, factor: int = 2) -> Tuple[int, ..
 
 def hankel_validity_base(f: SymbolPolynomial, g: SymbolPolynomial) -> MultiIndex:
     """Smallest alpha admitted by the closed form for every term pair of (f, g)."""
-    if f.dimension != g.dimension:
-        raise DimensionMismatchError("symbols must share a dimension")
+    check_same_dimension(f.dimension, g.dimension)
     comps = [0] * f.dimension
     for beta, gamma in f.terms:
         for mu, nu in g.terms:
@@ -269,8 +265,7 @@ def norm_squared_samples(
     The t values are spread over up to ``jobs`` processes
     (``parallel.fan_out``); the result does not depend on ``jobs``.
     """
-    if ray.base.dimension != sp.n:
-        raise DimensionMismatchError("ray dimension must equal n")
+    check_same_dimension(sp.n, ray.base.dimension)
     tasks = [(expr, sp, t, ray.alpha_at(t)) for t in ray.t_values]
     return fan_out(_norm_squared_at, tasks, jobs)
 
@@ -328,9 +323,7 @@ def predicted_exponent(
     per-component log-slope is 1.
     """
     a, b, c, d = exponents
-    dim = a.dimension
-    if not (b.dimension == c.dimension == d.dimension == dim):
-        raise DimensionMismatchError("exponent multi-indices must share a dimension")
+    check_same_dimension(a.dimension, b.dimension, c.dimension, d.dimension)
     total = a.order + b.order + c.order + d.order
     if kind is RateKind.TOEPLITZ_MONO_PRODUCT:
         return PredictedRate(Fraction(total, 2), False)
@@ -339,7 +332,7 @@ def predicted_exponent(
         if coupling == 0:
             return PredictedRate(None, True)
         return PredictedRate(Fraction(total, 2) - 1, False)
-    raise InputError(f"unknown rate kind {kind}")
+    raise InternalInvariantError(f"unknown rate kind {kind}")
 
 
 @dataclass(frozen=True)
@@ -354,7 +347,7 @@ class ExponentReport:
 def log_fraction(x: Fraction) -> float:
     """log of a positive rational, safe for huge numerators/denominators."""
     if x <= 0:
-        raise ValueError("log_fraction needs a positive rational")
+        raise InputError("log_fraction needs a positive rational")
     return math.log(x.numerator) - math.log(x.denominator)
 
 

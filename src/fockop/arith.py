@@ -33,7 +33,7 @@ from math import gcd
 from operator import add
 from typing import Iterable
 
-from .errors import DimensionMismatchError, MultiIndexError, RadicandMismatchError
+from .errors import InputError, InternalInvariantError
 
 
 # ---------------------------------------------------------------------------
@@ -48,9 +48,9 @@ class MultiIndex(tuple):
     def __new__(cls, components: Iterable[int]) -> "MultiIndex":
         items = tuple(map(int, components))
         if not items:
-            raise MultiIndexError("a multi-index needs at least one component")
+            raise InputError("a multi-index needs at least one component")
         if min(items) < 0:
-            raise MultiIndexError(f"multi-index components must be >= 0, got {items}")
+            raise InputError(f"multi-index components must be >= 0, got {items}")
         return tuple.__new__(cls, items)
 
     @staticmethod
@@ -68,14 +68,15 @@ class MultiIndex(tuple):
         return sum(self)
 
     def __add__(self, other) -> "MultiIndex":  # type: ignore[override]
-        _check_same_dimension(self, other)
+        if len(self) != len(other):
+            check_same_dimension(len(self), len(other))
         return tuple.__new__(MultiIndex, tuple(map(add, self, other)))
 
     def scaled_add(self, t: int, direction: "MultiIndex") -> "MultiIndex":
         """Return ``self + t * direction``."""
-        _check_same_dimension(self, direction)
+        check_same_dimension(len(self), len(direction))
         if t < 0:
-            raise ValueError("scale must be >= 0")
+            raise InputError("scale must be >= 0")
         return MultiIndex(a + t * d for a, d in zip(self, direction))
 
     @staticmethod
@@ -92,11 +93,17 @@ class MultiIndex(tuple):
         return MultiIndex((1,) * dimension)
 
 
-def _check_same_dimension(a, b) -> None:
-    if len(a) != len(b):
-        raise DimensionMismatchError(
-            f"multi-index dimensions differ: {len(a)} vs {len(b)}"
-        )
+def check_same_dimension(*dims) -> None:
+    """Raise ``InputError`` unless all ``dims`` are equal.
+
+    The package's one dimension check: every operation on operands of
+    different dimensions n fails here (and a subtraction of expansions in
+    different spaces, whose ``SpaceParams`` it compares).  Hot paths
+    compare inline and call it only to raise.
+    """
+    if dims.count(dims[0]) != len(dims):
+        shown = " vs ".join(map(str, dict.fromkeys(dims)))
+        raise InputError(f"dimensions differ: {shown}")
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +131,7 @@ SQUARE_FREE_CACHE_SIZE = 4096
 def square_free_split(k: int) -> "tuple[int, int]":
     """Split k >= 1 as root**2 * squarefree; returns (root, squarefree)."""
     if k < 1:
-        raise ValueError("square_free_split needs k >= 1")
+        raise InputError("square_free_split needs k >= 1")
     root = 1
     sf = 1
     while k % 4 == 0:
@@ -220,7 +227,7 @@ class RadicalCoefficient:
     def __new__(cls, re, radicand=1, *, im=0) -> "RadicalCoefficient":
         re, im, radicand = Fraction(re), Fraction(im), Fraction(radicand)
         if radicand < 0:
-            raise ValueError("radicand must be >= 0")
+            raise InputError("radicand must be >= 0")
         if not (re or im) or not radicand:
             return RADICAL_ZERO
         rd, id_ = re.denominator, im.denominator
@@ -279,7 +286,7 @@ class RadicalCoefficient:
                 return other
             if not other.radicand:
                 return self
-            raise RadicandMismatchError(
+            raise InternalInvariantError(
                 f"cannot add unlike radicands {r} and {other.radicand}"
             )
         if not r:

@@ -39,8 +39,18 @@ from .operators import (
     parse_operator,
 )
 from .oracle import DEFAULT_SEED, MAX_QUAD_ORDER, MIN_QUAD_TOL, OracleConfig
-from .symbols import parse_symbol
+from .symbols import check_dimension, parse_symbol
 from . import verify as verify_mod
+
+
+def _with_source(source: str, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, with an ``InputError`` from the library
+    re-raised to name ``source``, the flag or environment variable whose
+    value it rejected."""
+    try:
+        return fn(*args, **kwargs)
+    except InputError as exc:
+        raise InputError(f"{source}: {exc}") from exc
 
 
 def _alpha_str(alpha: MultiIndex) -> str:
@@ -62,10 +72,10 @@ def _parse_alpha(text: str, n: int, flag: str) -> MultiIndex:
     try:
         comps = [int(p) for p in text.split("|")]
     except ValueError as exc:
-        raise InputError(f"bad multi-index {text!r}; use 'a1|a2|...'") from exc
+        raise InputError(f"{flag}: bad multi-index {text!r}; use 'a1|a2|...'") from exc
     if len(comps) != n:
-        raise InputError(f"multi-index {text!r} has {len(comps)} components, expected {n}")
-    alpha = MultiIndex(comps)
+        raise InputError(f"{flag}: multi-index {text!r} has {len(comps)} components, expected {n}")
+    alpha = _with_source(flag, MultiIndex, comps)
     _check_alpha_order(alpha.order, flag)
     return alpha
 
@@ -117,16 +127,16 @@ def _parse_t_range(text: str) -> Tuple[int, ...]:
         except ValueError as exc:
             raise InputError(f"--t step must be an integer, got {parts[3]!r}") from exc
     if mode == "geometric":
-        ts = geometric_ts(lo, hi, 2 if step is None else step)
+        ts = _with_source("--t", geometric_ts, lo, hi, 2 if step is None else step)
         count = len(ts)
     elif mode == "linear":
         step = 1 if step is None else step
         if step < 1 or lo < 1 or hi < lo:
-            raise InputError("linear range needs 1 <= lo <= hi and step >= 1")
+            raise InputError("--t linear range needs 1 <= lo <= hi and step >= 1")
         ts = range(lo, hi + 1, step)
         count = (hi - lo) // step + 1
     else:
-        raise InputError(f"unknown t-range mode {mode!r}")
+        raise InputError(f"--t mode must be geometric or linear, got {mode!r}")
     if count > MAX_T_VALUES:
         raise InputError(f"--t asks for {count} t values; at most {MAX_T_VALUES} are allowed")
     return tuple(ts)
@@ -153,7 +163,8 @@ def _verdict_payload(v: Verdict) -> dict:
 
 
 def _cmd_parse(args) -> int:
-    poly = parse_symbol(args.f, args.n)
+    check_dimension(args.n)
+    poly = _with_source("-f", parse_symbol, args.f, args.n)
     report = {
         "command": "parse",
         "inputs": {"n": args.n, "f": args.f},
@@ -176,12 +187,12 @@ def _cmd_parse(args) -> int:
 
 def _cmd_classify(args) -> int:
     sp = SpaceParams(args.n, args.m)
-    f = parse_symbol(args.f, sp.n)
+    f = _with_source("-f", parse_symbol, args.f, sp.n)
     product_kinds = {"toeplitz-product", "hankel-product"}
     if args.kind in product_kinds:
         if args.g is None:
             raise InputError(f"classify {args.kind} needs -g")
-        g = parse_symbol(args.g, sp.n)
+        g = _with_source("-g", parse_symbol, args.g, sp.n)
         if args.kind == "toeplitz-product":
             verdict = classify_toeplitz_product(f, g)
         else:
@@ -213,7 +224,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_apply(args) -> int:
     sp = SpaceParams(args.n, args.m)
-    expr = parse_operator(args.op, args.n)
+    expr = _with_source("--op", parse_operator, args.op, args.n)
     alpha = _parse_alpha(args.alpha, args.n, "--alpha")
     image = apply_operator(expr, BasisExpansion.basis_vector(sp, alpha))
     items = image.sorted_items()
@@ -237,7 +248,7 @@ def _cmd_apply(args) -> int:
 def _cmd_norms(args) -> int:
     jobs = _check_jobs(args.jobs)
     sp = SpaceParams(args.n, args.m)
-    expr = parse_operator(args.op, args.n)
+    expr = _with_source("--op", parse_operator, args.op, args.n)
     ts = _parse_t_range(args.t)
     if args.ray == "ones":
         direction = MultiIndex.ones(args.n)
@@ -245,7 +256,7 @@ def _cmd_norms(args) -> int:
         direction = _parse_alpha(args.ray, args.n, "--ray")
     base = _parse_alpha(args.base, args.n, "--base") if args.base else default_base(expr)
     _check_alpha_order(base.order + max(ts) * direction.order, "--t")
-    ray = RaySpec(base, direction, ts)
+    ray = _with_source("--ray", RaySpec, base, direction, ts)
     samples = norm_squared_samples(expr, ray, sp, jobs=jobs)
     rows = [
         (t, _alpha_str(ray.alpha_at(t)), str(v)) for t, v in samples
@@ -300,7 +311,7 @@ def _cmd_fit(args) -> int:
             samples.append((int(parts[0]), Fraction(parts[2])))
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"line {lineno}: bad sample {line!r}") from exc
-    report_obj = fit_exponent(samples, predicted)
+    report_obj = _with_source("stdin" if args.path == "-" else args.path, fit_exponent, samples, predicted)
     outputs = {
         "degenerate": report_obj.degenerate,
         "fitted_exponent": report_obj.fitted_exponent,
@@ -331,14 +342,16 @@ def _cmd_fit(args) -> int:
 
 def _env_override(name: str, flag: str, fallback, convert):
     """(value, source): the environment variable ``name`` if set, else the
-    flag's value; ``source`` names where the value came from."""
+    flag's value; ``source`` names where the value came from.  ``convert``
+    is ``int`` or ``float``."""
     raw = os.environ.get(name)
     if raw is None:
         return fallback, flag
     try:
         return convert(raw), name
     except ValueError as exc:
-        raise InputError(f"{name} must be a {convert.__name__}") from exc
+        kind = "an integer" if convert is int else "a number"
+        raise InputError(f"{name} must be {kind}, got {raw!r}") from exc
 
 
 def _cmd_verify(args) -> int:
@@ -434,7 +447,7 @@ def _cmd_verify(args) -> int:
                 )
             )
         for n in mc_ns:
-            mc = verify_mod.verify_oracle_monte_carlo(n, mc_m, mc_order, cfg=cfg)
+            mc = _with_source(samples_source, verify_mod.verify_oracle_monte_carlo, n, mc_m, mc_order, cfg=cfg)
             checks.append(
                 (
                     f"n={n} Monte Carlo bracket",
@@ -444,7 +457,7 @@ def _cmd_verify(args) -> int:
                 )
             )
     else:  # pragma: no cover - argparse restricts choices
-        raise InputError(f"unknown verification {args.what}")
+        raise InternalInvariantError(f"unknown verification {args.what}")
 
     passed = all(ok for _, ok, _ in checks)
     report = {
@@ -481,8 +494,17 @@ def _int_list(text: str) -> Tuple[int, ...]:
         raise argparse.ArgumentTypeError("expected a comma-separated integer list") from exc
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ``InputError`` on bad arguments instead of exiting, so that
+    ``main`` reports every rejected input the same way.  Subparsers are
+    made of the same class."""
+
+    def error(self, message: str):
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="fockop",
         description="Exact Toeplitz/Hankel operator calculator and classifier "
         "on weighted entire-function spaces.",
@@ -553,10 +575,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command; returns its exit code.  Only ``--help`` raises
+    (``SystemExit(0)``, after printing the help)."""
     ap = build_parser()
-    args = ap.parse_args(argv)
     start = time.monotonic()
     try:
+        args = ap.parse_args(argv)
         code = args.handler(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,9 +1,11 @@
 """Exception taxonomy shared across the package.
 
-Two families matter to callers: ``InputError`` covers anything a user can
-cause from the outside (bad grammar, wrong dimensions, out-of-range
-arguments) and maps to CLI exit code 2; ``InternalInvariantError`` covers
-states the engine promises never to reach and maps to exit code 1.
+The package raises only its own two families.  ``InputError`` covers
+anything a caller can cause from the outside (bad grammar, wrong
+dimensions, out-of-range arguments) and maps to CLI exit code 2;
+``SymbolSyntaxError`` is its case for text, with a position.
+``InternalInvariantError`` covers states the engine promises never to
+reach and maps to exit code 1.
 """
 
 
@@ -30,24 +32,8 @@ class SymbolSyntaxError(InputError):
         return type(self), (self.message, self.text, self.pos)
 
 
-class MultiIndexError(InputError, ValueError):
-    """A multi-index with no components or a negative component."""
-
-
-class DimensionMismatchError(InputError):
-    """Operands live in different ambient dimensions."""
-
-
-class ValidityRangeError(InputError):
-    """A closed-form formula was requested outside its stated range."""
-
-
 class InternalInvariantError(FockopError):
     """The engine reached a state its invariants rule out."""
-
-
-class RadicandMismatchError(InternalInvariantError):
-    """Attempted exact addition of radical coefficients with unlike radicands."""
 
 
 # Characters of the input shown around an error position.

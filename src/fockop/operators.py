@@ -27,14 +27,10 @@ from .arith import (
     RADICAL_ONE,
     RADICAL_ZERO,
     RadicalCoefficient,
+    check_same_dimension,
     rising_product,
 )
-from .errors import (
-    DimensionMismatchError,
-    InputError,
-    SymbolSyntaxError,
-    ValidityRangeError,
-)
+from .errors import InputError, SymbolSyntaxError
 from .symbols import _T_END, _T_OPERATOR, SymbolPolynomial, _Parser, check_dimension
 
 
@@ -90,8 +86,7 @@ class SpaceParams:
 
 def monomial_inner(a: MultiIndex, b: MultiIndex, sp: SpaceParams) -> Fraction:
     """Exact inner product <z^a, z^b> in the weighted space; 0 unless a == b."""
-    if a.dimension != sp.n or b.dimension != sp.n:
-        raise DimensionMismatchError("multi-index dimension must equal n")
+    check_same_dimension(sp.n, a.dimension, b.dimension)
     if a != b:
         return Fraction(0)
     # a! (n-1)! (m+n-1+|a|)! / ((m+n-1)! (n-1+|a|)!)
@@ -104,8 +99,7 @@ def basis_coefficient(alpha: MultiIndex, sp: SpaceParams) -> RadicalCoefficient:
 
     It is the transition factor from e_0 to e_alpha times (m+n-1)!/(n-1)!.
     """
-    if alpha.dimension != sp.n:
-        raise DimensionMismatchError("multi-index dimension must equal n")
+    check_same_dimension(sp.n, alpha.dimension)
     return _sqrt_transition(MultiIndex.zero(sp.n), alpha, sp).scale(rising_product(sp.n - 1, sp.m))
 
 
@@ -147,7 +141,7 @@ def toeplitz_mono_apply(
     """
     n = sp.n
     if not (len(beta) == len(gamma) == len(alpha) == n):
-        raise DimensionMismatchError("multi-index dimension must equal n")
+        check_same_dimension(n, len(beta), len(gamma), len(alpha))
     tau_comps = []
     for a, b, g in zip(alpha, beta, gamma):
         t = a + b - g
@@ -183,8 +177,7 @@ class BasisExpansion:
     @staticmethod
     def basis_vector(space: SpaceParams, alpha: MultiIndex) -> "BasisExpansion":
         alpha = MultiIndex(alpha)
-        if alpha.dimension != space.n:
-            raise DimensionMismatchError("multi-index dimension must equal n")
+        check_same_dimension(space.n, alpha.dimension)
         return BasisExpansion(space, {alpha: RADICAL_ONE})
 
     def is_zero(self) -> bool:
@@ -242,10 +235,7 @@ def toeplitz_apply(f: SymbolPolynomial, v: BasisExpansion) -> BasisExpansion:
     input expansion mixed incompatible square classes and are rejected.
     """
     sp = v.space
-    if f.dimension != sp.n:
-        raise DimensionMismatchError(
-            f"symbol dimension {f.dimension} does not match space dimension {sp.n}"
-        )
+    check_same_dimension(sp.n, f.dimension)
     out: Dict[MultiIndex, RadicalCoefficient] = {}
     for alpha, c in v.coeffs.items():
         for (beta, gamma), a in f.terms.items():
@@ -254,15 +244,14 @@ def toeplitz_apply(f: SymbolPolynomial, v: BasisExpansion) -> BasisExpansion:
                 continue
             tau, k = hit
             contrib = c * k
-            if a.radicand != 1 or a.im_num or a.re_num != a.den:  # a != 1
+            if a.im_num or a.re_num != a.den:  # a != 1 (symbol coefficients have radicand 1)
                 contrib = contrib * a
             _merge_into(out, tau, contrib)
     return BasisExpansion(sp, out)
 
 
 def expansion_sub(u: BasisExpansion, v: BasisExpansion) -> BasisExpansion:
-    if u.space != v.space:
-        raise DimensionMismatchError("expansions live in different spaces")
+    check_same_dimension(u.space, v.space)
     out = dict(u.coeffs)
     for key, c in v.coeffs.items():
         _merge_into(out, key, -c)
@@ -317,10 +306,10 @@ def hankel_coeff_closed_form(
     """
     n = sp.n
     if not (len(beta) == len(gamma) == len(mu) == len(nu) == len(alpha) == n):
-        raise DimensionMismatchError("multi-index dimension must equal n")
+        check_same_dimension(n, len(beta), len(gamma), len(mu), len(nu), len(alpha))
     for a, k in zip(alpha, closed_form_min_alpha(beta, gamma, mu, nu)):
         if a < k:
-            raise ValidityRangeError(
+            raise InputError(
                 "alpha outside the closed form's validity range; "
                 "use the composition path"
             )
@@ -389,8 +378,7 @@ class HankelProductOp(OperatorExpr):
     left_conj_right: SymbolPolynomial = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.left.dimension != self.right.dimension:
-            raise DimensionMismatchError("Hankel product symbols must share a dimension")
+        check_same_dimension(self.left.dimension, self.right.dimension)
         fbar = self.left.conjugate()
         object.__setattr__(self, "left_conj", fbar)
         object.__setattr__(self, "left_conj_right", fbar * self.right)
@@ -408,8 +396,7 @@ class Composition(OperatorExpr):
     inner: OperatorExpr
 
     def __post_init__(self):
-        if self.outer.dimension != self.inner.dimension:
-            raise DimensionMismatchError("composed operators must share a dimension")
+        check_same_dimension(self.outer.dimension, self.inner.dimension)
 
     @property
     def dimension(self) -> int:
@@ -425,7 +412,7 @@ def apply_operator(expr: OperatorExpr, v: BasisExpansion) -> BasisExpansion:
         )
     if isinstance(expr, Composition):
         return apply_operator(expr.outer, apply_operator(expr.inner, v))
-    raise TypeError(f"unknown operator expression: {expr!r}")
+    raise InputError(f"unknown operator expression: {expr!r}")
 
 
 # ---------------------------------------------------------------------------

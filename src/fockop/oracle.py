@@ -23,8 +23,8 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .arith import MultiIndex
-from .errors import DimensionMismatchError, InputError
+from .arith import MultiIndex, check_same_dimension
+from .errors import InputError, InternalInvariantError
 from .operators import SpaceParams
 
 
@@ -187,31 +187,35 @@ def _mc_sums(cases, n: int, seed_seq: "np.random.SeedSequence", count: int, chun
         groups.setdefault((a, b), []).append((row, m, weight))
     sums = np.zeros((len(cases), 4))
     done = 0
-    while done < count:
-        size = min(chunk, count - done)
-        xy = rng.standard_normal((size, 2 * n)) * math.sqrt(0.5)
-        z = xy[:, :n] + 1j * xy[:, n:]
-        if orders:
-            r2 = np.sum(xy * xy, axis=1)
-            radial = {m: r2**m for m in orders}
-            del r2
-        del xy
-        for (a, b), members in groups.items():
-            angular = np.ones(size, dtype=np.complex128)
-            for j in range(n):
-                if a[j]:
-                    angular *= z[:, j] ** a[j]
-                if b[j]:
-                    angular *= np.conj(z[:, j]) ** b[j]
-            for row, m, weight in members:
-                w = angular * radial[m] if m else angular.copy()
-                w *= weight
-                out = sums[row]
-                out[0] += float(np.sum(w.real))
-                out[1] += float(np.sum(w.real**2))
-                out[2] += float(np.sum(w.imag))
-                out[3] += float(np.sum(w.imag**2))
-        done += size
+    # at large m (300 at n = 3) r2**m overflows and the weight underflows to 0;
+    # the estimate turns inf or nan and its check fails, so numpy's warnings
+    # would only repeat that on stderr
+    with np.errstate(over="ignore", invalid="ignore"):
+        while done < count:
+            size = min(chunk, count - done)
+            xy = rng.standard_normal((size, 2 * n)) * math.sqrt(0.5)
+            z = xy[:, :n] + 1j * xy[:, n:]
+            if orders:
+                r2 = np.sum(xy * xy, axis=1)
+                radial = {m: r2**m for m in orders}
+                del r2
+            del xy
+            for (a, b), members in groups.items():
+                angular = np.ones(size, dtype=np.complex128)
+                for j in range(n):
+                    if a[j]:
+                        angular *= z[:, j] ** a[j]
+                    if b[j]:
+                        angular *= np.conj(z[:, j]) ** b[j]
+                for row, m, weight in members:
+                    w = angular * radial[m] if m else angular.copy()
+                    w *= weight
+                    out = sums[row]
+                    out[0] += float(np.sum(w.real))
+                    out[1] += float(np.sum(w.real**2))
+                    out[2] += float(np.sum(w.imag))
+                    out[3] += float(np.sum(w.imag**2))
+            done += size
     return sums
 
 
@@ -226,8 +230,7 @@ def _mc_inner(
     if not cases:
         return MonteCarloBatch(())
     n = cases[0][2].n
-    if any(sp.n != n or a.dimension != n or b.dimension != n for a, b, sp in cases):
-        raise DimensionMismatchError("Monte Carlo cases must share one dimension n")
+    check_same_dimension(*(d for a, b, sp in cases for d in (sp.n, a.dimension, b.dimension)))
     # importance weight: dv-measure density over the sampling density,
     # times the normalizing constant of the weighted measure
     work = [(a, b, sp.m, gamma_recurrence(n) / gamma_recurrence(sp.m + n)) for a, b, sp in cases]
@@ -264,8 +267,7 @@ def oracle_inner(
     cfg: OracleConfig = OracleConfig(),
 ) -> OracleEstimate:
     """Numerical estimate of <z^a, z^b> in the weighted space."""
-    if a.dimension != sp.n or b.dimension != sp.n:
-        raise DimensionMismatchError("multi-index dimension must equal n")
+    check_same_dimension(sp.n, a.dimension, b.dimension)
     if method is OracleMethod.RADIAL_QUADRATURE:
         if sp.n != 1:
             raise InputError("radial quadrature is a one-dimensional method")
@@ -291,7 +293,7 @@ def oracle_inner(
         return OracleEstimate(value, method, error_bound=abs(value) * ops * 2.3e-16)
     if method is OracleMethod.MONTE_CARLO:
         return _mc_inner([(a, b, sp)], cfg).estimates[0]
-    raise InputError(f"unknown oracle method {method}")
+    raise InternalInvariantError(f"unknown oracle method {method}")
 
 
 def oracle_toeplitz_coeff(

@@ -16,8 +16,8 @@ from itertools import chain
 from math import comb
 from typing import Dict, Iterable, Optional, Tuple
 
-from .arith import RADICAL_ONE, MultiIndex, RadicalCoefficient, format_gaussian
-from .errors import DimensionMismatchError, InputError, SymbolSyntaxError
+from .arith import RADICAL_ONE, MultiIndex, RadicalCoefficient, check_same_dimension, format_gaussian
+from .errors import InputError, SymbolSyntaxError
 
 TermKey = Tuple[MultiIndex, MultiIndex]
 
@@ -36,12 +36,19 @@ def check_dimension(n: int) -> None:
 
 
 class SymbolPolynomial:
-    """Finite linear combination of monomials z^beta * conj(z)^gamma."""
+    """Finite linear combination of monomials z^beta * conj(z)^gamma.
+
+    Every coefficient is a nonzero Gaussian rational (radicand 1); the
+    text form has no square roots.
+    """
 
     __slots__ = ("dimension", "terms")
 
     def __init__(self, dimension: int, terms: Dict[TermKey, RadicalCoefficient]):
         check_dimension(dimension)
+        for c in terms.values():
+            if c.radicand != 1:
+                raise InputError(f"symbol coefficients must be nonzero Gaussian rationals, got {c}")
         self.dimension = dimension
         self.terms = terms
 
@@ -65,8 +72,7 @@ class SymbolPolynomial:
         """z^beta conj(z)^gamma with coefficient 1."""
         b = MultiIndex(beta)
         g = MultiIndex(gamma)
-        if b.dimension != dimension or g.dimension != dimension:
-            raise DimensionMismatchError("exponent length must equal dimension")
+        check_same_dimension(dimension, b.dimension, g.dimension)
         return SymbolPolynomial(dimension, {(b, g): RADICAL_ONE})
 
     @staticmethod
@@ -92,14 +98,8 @@ class SymbolPolynomial:
 
     # -- algebra -----------------------------------------------------------
 
-    def _check_dim(self, other: "SymbolPolynomial") -> None:
-        if self.dimension != other.dimension:
-            raise DimensionMismatchError(
-                f"symbol dimensions differ: {self.dimension} vs {other.dimension}"
-            )
-
     def __add__(self, other: "SymbolPolynomial") -> "SymbolPolynomial":
-        self._check_dim(other)
+        check_same_dimension(self.dimension, other.dimension)
         return SymbolPolynomial.from_terms(
             self.dimension, chain(self.terms.items(), other.terms.items())
         )
@@ -111,7 +111,7 @@ class SymbolPolynomial:
         return self + (-other)
 
     def __mul__(self, other: "SymbolPolynomial") -> "SymbolPolynomial":
-        self._check_dim(other)
+        check_same_dimension(self.dimension, other.dimension)
         # from_terms' loop, inlined: feeding it a generator costs about 1 us more
         # per single-term product, a few percent of the closed-form sweep.
         acc: Dict[TermKey, RadicalCoefficient] = {}
@@ -129,7 +129,7 @@ class SymbolPolynomial:
 
     def __pow__(self, exponent: int) -> "SymbolPolynomial":
         if exponent < 0:
-            raise ValueError("negative exponents are not representable")
+            raise InputError("negative exponents are not representable")
         out = SymbolPolynomial.constant(self.dimension, 1)
         base = self
         e = exponent

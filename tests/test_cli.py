@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -25,10 +26,12 @@ def test_parse_error_exits_2(capsys):
     assert "position" in err
 
 
-def test_unknown_flag_exits_2():
-    with pytest.raises(SystemExit) as err:
-        main(["parse", "--bogus"])
-    assert err.value.code == 2
+def test_unknown_flag_exits_2(capsys):
+    code = main(["parse", "-n", "1", "-f", "z", "--bogus"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: unrecognized arguments: --bogus\n"
 
 
 def test_classify_hankel_product_bounded(capsys):
@@ -271,10 +274,10 @@ def test_fit_reports_degenerate_ray(capsys, tmp_path):
 
 def test_internal_invariant_violation_exits_1(capsys, monkeypatch):
     from fockop import cli as cli_mod
-    from fockop.errors import RadicandMismatchError
+    from fockop.errors import InternalInvariantError
 
     def boom(args):
-        raise RadicandMismatchError("cannot add unlike radicands 2 and 3")
+        raise InternalInvariantError("cannot add unlike radicands 2 and 3")
 
     monkeypatch.setattr(cli_mod, "_cmd_parse", boom)
     code = cli_mod.main(["parse", "-n", "1", "-f", "z"])
@@ -344,6 +347,18 @@ def test_failed_verification_exits_1(capsys, monkeypatch):
         (("verify", "hankel-closed-form", "-n", "1", "--max-component", "10" * 1000), "MAX_VERIFY_CASES = 100000000"),
         (("verify", "oracle", "-n", "2", "--samples", "1000000000000"), "--samples with -n, -m and --max-order ask"),
         (("verify", "oracle", "-n", "1,32", "--max-order", "4"), "MAX_VERIFY_EVALUATIONS = 10000000000"),
+        (("classify", "hankel-product", "-n", "1", "-f", "z", "-g", "z2"), "-g: variable index 2 out of 1..1"),
+        (("classify", "hankel-product", "-n", "1", "-f", "z3", "-g", "z"), "-f: variable index 3"),
+        (("norms", "-n", "1", "--op", "T(z)", "--t", "5:3:geometric"), "--t: need 0 < lo <= hi"),
+        (("norms", "-n", "1", "--op", "T(z", "--t", "1:2:linear"), "--op: expected ')'"),
+        (("norms", "-n", "1", "--op", "T(z)", "--ray", "0", "--t", "1:2:linear"), "--ray: ray direction"),
+        (("apply", "-n", "1", "--op", "T(z)", "--alpha", "x"), "--alpha: bad multi-index"),
+        (("verify", "oracle", "-n", "2", "--samples", "1"), "--samples: Monte Carlo needs at least 2 samples"),
+        (("parse", "-n", "1", "-f", "z", "--format", "yaml"), "argument --format: invalid choice: 'yaml'"),
+        (("parse", "-n", "one", "-f", "z"), "argument -n: invalid int value: 'one'"),
+        (("verify", "oracle", "-n", "1,x"), "argument -n: expected a comma-separated integer list"),
+        (("norms", "-n", "1"), "the following arguments are required: --op"),
+        (("bogus",), "argument command: invalid choice"),
     ],
     ids=[
         "negative-alpha",
@@ -391,6 +406,18 @@ def test_failed_verification_exits_1(capsys, monkeypatch):
         "closed-form-cases-bound-huge-flag",
         "oracle-evaluations-bound",
         "oracle-evaluations-bound-dimension",
+        "g-names-flag",
+        "f-names-flag",
+        "t-geometric-empty-names-flag",
+        "op-names-flag",
+        "ray-names-flag",
+        "alpha-names-flag",
+        "samples-names-flag",
+        "argparse-invalid-choice",
+        "argparse-invalid-int",
+        "argparse-invalid-type",
+        "argparse-missing-required",
+        "argparse-unknown-command",
     ],
 )
 def test_bad_input_exits_2(capsys, argv, message):
@@ -407,6 +434,10 @@ def test_bad_input_exits_2(capsys, argv, message):
         ("FOCKOP_TOL", "0", "FOCKOP_TOL must be finite"),
         ("FOCKOP_TOL", "nan", "FOCKOP_TOL must be finite"),
         ("FOCKOP_SEED", "-1", "FOCKOP_SEED must be >= 0"),
+        ("FOCKOP_SEED", "x", "FOCKOP_SEED must be an integer, got 'x'"),
+        ("FOCKOP_SAMPLES", "abc", "FOCKOP_SAMPLES must be an integer, got 'abc'"),
+        ("FOCKOP_TOL", "small", "FOCKOP_TOL must be a number, got 'small'"),
+        ("FOCKOP_SAMPLES", "1", "FOCKOP_SAMPLES: Monte Carlo needs at least 2 samples"),
     ],
 )
 def test_bad_oracle_environment_exits_2(capsys, monkeypatch, name, value, message):
@@ -539,10 +570,14 @@ def test_norms_fan_out_matches_serial_and_leaves_no_children(capsys, two_cpus):
 
 
 def test_oracle_non_finite_estimate_fails(capsys):
-    code, out = run(capsys, "verify", "oracle", "-n", "3", "-m", "300", "--max-order", "2",
-                    "--samples", "1000")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["verify", "oracle", "-n", "3", "-m", "300", "--max-order", "2", "--samples", "1000"])
+    captured = capsys.readouterr()
     assert code == 1
-    assert out.startswith("FAIL  n=3 Monte Carlo bracket: 10 cases, max inf sigmas")
+    assert captured.out.startswith("FAIL  n=3 Monte Carlo bracket: 10 cases, max inf sigmas")
+    assert "RuntimeWarning" not in captured.err
+    assert [str(w.message) for w in caught] == []
 
 
 def test_oracle_largest_quadrature_order_passes(capsys):

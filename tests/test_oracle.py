@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fockop.arith import MultiIndex
-from fockop.errors import DimensionMismatchError, InputError
+from fockop.errors import InputError
 from fockop.operators import SpaceParams, monomial_inner, toeplitz_mono_apply
 from fockop.oracle import (
     QUADRATURE_CACHE_SIZE,
@@ -232,7 +232,7 @@ def test_monte_carlo_agreement_matches_per_case_loop(cfg):
 
 
 def test_monte_carlo_needs_one_dimension_per_batch():
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(InputError, match="dimensions differ: 2 vs 1"):
         _mc_inner([(mi(1, 0), mi(1, 0), SpaceParams(2, 0)), (mi(1), mi(1), SpaceParams(1, 0))], OracleConfig())
 
 

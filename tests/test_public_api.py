@@ -1,12 +1,16 @@
-"""The package's public surface: ``__all__`` and the README's library example."""
+"""The package's public surface: ``__all__``, the errors it raises and the
+README's library example."""
 
+import ast
+import builtins
 import re
 from pathlib import Path
 
 import fockop
-from fockop import analysis, arith, operators, oracle, symbols
+from fockop import analysis, arith, errors, operators, oracle, symbols
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SOURCE = Path(fockop.__file__).resolve().parent
 
 # Names that were deleted because nothing in the program used them, or
 # because another name does their work.
@@ -30,7 +34,16 @@ DELETED = [
     (operators.BasisExpansion, "zero"),
     (analysis.RaySpec, "alphas"),
     (oracle.OracleConfig, "workers"),
+    (errors, "MultiIndexError"),
+    (errors, "DimensionMismatchError"),
+    (errors, "ValidityRangeError"),
+    (errors, "RadicandMismatchError"),
 ]
+
+# Builtin exceptions the package may raise: ``AttributeError`` is how an
+# immutable ``SpaceParams`` refuses assignment, and ``NotImplementedError``
+# marks the abstract ``OperatorExpr.dimension``.
+ALLOWED_BUILTIN_RAISES = {"AttributeError", "NotImplementedError"}
 
 
 def test_every_exported_name_resolves_once():
@@ -42,6 +55,23 @@ def test_every_exported_name_resolves_once():
 def test_deleted_names_stay_deleted():
     left = [name for owner, name in DELETED if name in vars(owner) or name in fockop.__all__]
     assert not left
+
+
+def test_package_raises_only_its_own_errors():
+    builtin_errors = {
+        name for name, value in vars(builtins).items()
+        if isinstance(value, type) and issubclass(value, BaseException)
+    }
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            target = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = target.id if isinstance(target, ast.Name) else None
+            if name in builtin_errors and name not in ALLOWED_BUILTIN_RAISES:
+                found.append(f"{path.name}:{node.lineno} raises {name}")
+    assert not found
 
 
 def test_readme_library_example_runs():

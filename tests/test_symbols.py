@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fockop.arith import MultiIndex, RadicalCoefficient
-from fockop.errors import SymbolSyntaxError
+from fockop.errors import InputError, SymbolSyntaxError
 from fockop.operators import parse_operator
 from fockop.symbols import (
     MAX_SYMBOL_DEGREE,
@@ -169,6 +169,14 @@ def test_dense_symbols_stay_within_the_term_bound(data):
     )
     for sym in symbols:
         assert all(c.radicand == 1 for c in sym.terms.values())
+
+
+def test_symbol_rejects_a_coefficient_with_a_square_root():
+    # the text form has no square roots: pretty() would print sqrt(2) as 1
+    with pytest.raises(InputError, match="Gaussian rationals"):
+        SymbolPolynomial.constant(1, RadicalCoefficient(1, 2))
+    with pytest.raises(InputError, match="Gaussian rationals"):
+        SymbolPolynomial.from_terms(2, [((mi(1, 0), mi(0, 0)), RadicalCoefficient(3, 5))])
 
 
 # ---------------------------------------------------------------------------
