@@ -111,11 +111,9 @@ def check_same_dimension(*dims) -> None:
 
 
 def rising_product(start: int, count: int) -> int:
-    """(start+1) * (start+2) * ... * (start+count), i.e. (start+count)!/start!."""
-    out = 1
-    for i in range(start + 1, start + count + 1):
-        out *= i
-    return out
+    """(start+1) * (start+2) * ... * (start+count), i.e. (start+count)!/start!,
+    for ``start, count >= 0``; an empty product (``count == 0``) is 1."""
+    return math.perm(start + count, count)
 
 
 # ---------------------------------------------------------------------------
@@ -155,16 +153,42 @@ def square_free_split(k: int) -> "tuple[int, int]":
     return root, sf
 
 
-def _fold_square_free(factors: Iterable[int]) -> "tuple[int, int]":
-    """Accumulate (root, squarefree) over a product of positive integers."""
+# Distinct runs of consecutive integers ``run_square_free_split`` keeps.
+# One dense ``norms`` command meets a few thousand (the n + 2 runs of each
+# distinct transition, most shared with its neighbours); the bound keeps a
+# long-lived process from growing without limit.
+RUN_SPLIT_CACHE_SIZE = 16384
+
+
+@lru_cache(maxsize=RUN_SPLIT_CACHE_SIZE)
+def run_square_free_split(start: int, count: int) -> "tuple[int, int]":
+    """(root, squarefree) split of the run (start+1) * ... * (start+count),
+    i.e. of ``rising_product(start, count)``, for ``start, count >= 0``."""
+    return _fold_square_free(map(square_free_split, range(start + 1, start + count + 1)))
+
+
+def _fold_square_free(splits: Iterable["tuple[int, int]"]) -> "tuple[int, int]":
+    """Accumulate (root, squarefree) over the product of split factors."""
     root = 1
     sf = 1
-    for u in factors:
-        r, s = square_free_split(u)
+    for r, s in splits:
         g = gcd(sf, s)
         root *= r * g
         sf = (sf // g) * (s // g)
     return root, sf
+
+
+def sqrt_of_split_ratio(num_splits, den_splits) -> "RadicalCoefficient":
+    """Canonical ``sqrt(N/D)`` for N and D given as (root, squarefree) splits
+    of their factors, such as those of ``run_square_free_split``."""
+    root_n, sf_n = _fold_square_free(num_splits)
+    root_d, sf_d = _fold_square_free(den_splits)
+    g = gcd(sf_n, sf_d)
+    if g != 1:
+        sf_n //= g
+        sf_d //= g
+    # sqrt(rn^2 sn / (rd^2 sd)) = rn / (rd sd) * sqrt(sn sd), sn and sd coprime
+    return _radical(root_n, 0, root_d * sf_d, sf_n * sf_d)
 
 
 # ---------------------------------------------------------------------------
@@ -250,16 +274,12 @@ class RadicalCoefficient:
         """Canonical ``sqrt(prod(num_factors)/prod(den_factors))``.
 
         The factor lists hold positive integers small enough to factor by
-        trial division, such as the runs of consecutive integers of a
-        factorial ratio.
+        trial division.  Each factor is split on its own; the basis
+        actions, whose radicands are runs of consecutive integers, use
+        the run-cached ``run_square_free_split`` and ``sqrt_of_split_ratio``
+        instead, and tests check the two paths agree.
         """
-        root_n, sf_n = _fold_square_free(num_factors)
-        root_d, sf_d = _fold_square_free(den_factors)
-        g = gcd(sf_n, sf_d)
-        if g != 1:
-            sf_n //= g
-            sf_d //= g
-        return _radical(root_n, 0, root_d * sf_d, sf_n * sf_d)
+        return sqrt_of_split_ratio(map(square_free_split, num_factors), map(square_free_split, den_factors))
 
     @property
     def re(self) -> Fraction:

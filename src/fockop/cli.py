@@ -38,7 +38,7 @@ from .operators import (
     apply_operator,
     parse_operator,
 )
-from .oracle import DEFAULT_SEED, MAX_QUAD_ORDER, MIN_QUAD_TOL, OracleConfig
+from .oracle import DEFAULT_SEED, MAX_QUAD_ORDER, MIN_QUAD_TOL, OracleConfig, check_mc_samples
 from .symbols import check_dimension, parse_symbol
 from . import verify as verify_mod
 
@@ -426,6 +426,8 @@ def _cmd_verify(args) -> int:
         n_values = args.n or (1, 2)
         mc_ns = [n for n in n_values if n >= 2]
         mc_m, mc_order = args.m or (0, 1, 2), min(args.max_order, 4)
+        if mc_ns:  # before the n=1 stage runs
+            _with_source(samples_source, check_mc_samples, samples)
         evaluations = len(mc_m) * sum(math.comb(n + mc_order, n) for n in mc_ns) * samples
         flags = f"{samples_source} with -n, -m and --max-order"
         what = "Monte Carlo case evaluations"

@@ -27,17 +27,21 @@ from .arith import (
     RADICAL_ONE,
     RADICAL_ZERO,
     RadicalCoefficient,
+    _radical,
     check_same_dimension,
     rising_product,
+    run_square_free_split,
+    sqrt_of_split_ratio,
 )
 from .errors import InputError, SymbolSyntaxError
 from .symbols import _T_END, _T_OPERATOR, SymbolPolynomial, _Parser, check_dimension
 
 
 # Largest weight order m.  Every basis action multiplies rising products of
-# m factors and factors 2m integers for its square root, so its cost grows
-# about as m^2: one three-sample ``norms`` of a small Hankel product takes
-# 0.06 s at m = 1000 and 4.3 s at m = 10000.
+# m factors, and each new transition's square root needs the split of its
+# two weight runs of m integers (factored once per run, then cached), so the
+# cost grows with m: one three-sample ``norms`` of a small Hankel product
+# takes about 0.01 s at m = 1000 on a 2-core Xeon.
 MAX_WEIGHT_ORDER = 1000
 
 
@@ -103,32 +107,55 @@ def basis_coefficient(alpha: MultiIndex, sp: SpaceParams) -> RadicalCoefficient:
     return _sqrt_transition(MultiIndex.zero(sp.n), alpha, sp).scale(rising_product(sp.n - 1, sp.m))
 
 
-def _sqrt_transition_factors(alpha: MultiIndex, tau: MultiIndex, sp: SpaceParams):
-    """Factor lists for the square-root factor shared by all basis actions.
-
-    The radicand is
-    alpha! (n-1+|alpha|)! (n-1+|tau|)! / (tau! (m+n-1+|alpha|)! (m+n-1+|tau|)!)
-    and depends only on the source and target indices.
-    """
-    num: list = []
-    den: list = []
-    for a, t in zip(alpha, tau):
-        if a > t:
-            num.extend(range(t + 1, a + 1))
-        elif t > a:
-            den.extend(range(a + 1, t + 1))
-    base_a = sp.n - 1 + sum(alpha)
-    base_t = sp.n - 1 + sum(tau)
-    den.extend(range(base_a + 1, base_a + sp.m + 1))
-    den.extend(range(base_t + 1, base_t + sp.m + 1))
-    return num, den
-
-
 @lru_cache(maxsize=200_000)
 def _sqrt_transition(alpha: MultiIndex, tau: MultiIndex, sp: SpaceParams) -> RadicalCoefficient:
-    """Canonical sqrt factor for the source->target transition (cached)."""
-    num, den = _sqrt_transition_factors(alpha, tau, sp)
-    return RadicalCoefficient.from_sqrt_ratio(num, den)
+    """Canonical sqrt factor for the source->target transition (cached).
+
+    The radicand
+    alpha! (n-1+|alpha|)! (n-1+|tau|)! / (tau! (m+n-1+|alpha|)! (m+n-1+|tau|)!)
+    depends only on the source and target indices.  It is a product of at
+    most n + 2 runs of consecutive integers: (t_j, a_j] in the numerator
+    or (a_j, t_j] in the denominator for each component, and the two
+    weight runs of m integers above n-1+|alpha| and n-1+|tau| in the
+    denominator.  Each run's square-free split comes from the cache of
+    ``run_square_free_split``, so a miss here folds n + 2 pairs, not the
+    2m + sum|a_j - t_j| integers of the runs.
+    """
+    num = []
+    den = []
+    for a, t in zip(alpha, tau):
+        if a > t:
+            num.append(run_square_free_split(t, a - t))
+        elif t > a:
+            den.append(run_square_free_split(a, t - a))
+    m = sp.m
+    if m:
+        den.append(run_square_free_split(sp.n - 1 + sum(alpha), m))
+        den.append(run_square_free_split(sp.n - 1 + sum(tau), m))
+    return sqrt_of_split_ratio(num, den)
+
+
+def _mono_rule(beta, gamma, alpha, base: int, m: int) -> "Optional[Tuple[MultiIndex, int]]":
+    """``(tau, rational)`` of z^beta conj(z)^gamma on e_alpha, or ``None``
+    when a component of tau = alpha + beta - gamma is negative.
+
+    The image is ``rational * _sqrt_transition(alpha, tau) * e_tau`` with
+    rational = prod_j (a_j+1)...(a_j+b_j) times (base+1)...(base+m), where
+    the caller passes base = n-1+|alpha|+|beta|.
+    """
+    tau_comps = []
+    for a, b, g in zip(alpha, beta, gamma):
+        t = a + b - g
+        if t < 0:
+            return None
+        tau_comps.append(t)
+    rational = 1
+    for a, b in zip(alpha, beta):
+        if b:
+            rational *= rising_product(a, b)
+    if m:
+        rational *= rising_product(base, m)
+    return MultiIndex._wrap(tuple(tau_comps)), rational
 
 
 def toeplitz_mono_apply(
@@ -142,19 +169,10 @@ def toeplitz_mono_apply(
     n = sp.n
     if not (len(beta) == len(gamma) == len(alpha) == n):
         check_same_dimension(n, len(beta), len(gamma), len(alpha))
-    tau_comps = []
-    for a, b, g in zip(alpha, beta, gamma):
-        t = a + b - g
-        if t < 0:
-            return None
-        tau_comps.append(t)
-    tau = MultiIndex._wrap(tuple(tau_comps))
-    rational = 1
-    for a, b in zip(alpha, beta):
-        if b:
-            rational *= rising_product(a, b)
-    if sp.m:
-        rational *= rising_product(n - 1 + sum(alpha) + sum(beta), sp.m)
+    hit = _mono_rule(beta, gamma, alpha, n - 1 + sum(alpha) + sum(beta), sp.m)
+    if hit is None:
+        return None
+    tau, rational = hit
     coeff = _sqrt_transition(alpha, tau, sp)
     if rational != 1:
         coeff = coeff.scale(rational)
@@ -230,23 +248,39 @@ def _merge_into(out: Dict[MultiIndex, RadicalCoefficient], key: MultiIndex, valu
 def toeplitz_apply(f: SymbolPolynomial, v: BasisExpansion) -> BasisExpansion:
     """Apply the multiplication-projection operator with symbol f termwise.
 
-    Contributions landing on one target from one source share their
-    radicand by construction; unlike radicands on a merge would mean the
-    input expansion mixed incompatible square classes and are rejected.
+    Each contribution c * a * rational * sqrt-transition (source
+    coefficient c, symbol coefficient a, the factors of ``_mono_rule`` and
+    ``_sqrt_transition``) is formed from their integer fields and
+    canonicalized once.  Contributions landing on one target from one
+    source share their radicand by construction; unlike radicands on a
+    merge would mean the input expansion mixed incompatible square
+    classes and are rejected.
     """
     sp = v.space
     check_same_dimension(sp.n, f.dimension)
+    m = sp.m
+    # symbol coefficients have radicand 1: a = (ar + ai*i)/ad
+    terms = [
+        (beta, gamma, sum(beta), a.re_num, a.im_num, a.den)
+        for (beta, gamma), a in f.terms.items()
+    ]
     out: Dict[MultiIndex, RadicalCoefficient] = {}
     for alpha, c in v.coeffs.items():
-        for (beta, gamma), a in f.terms.items():
-            hit = toeplitz_mono_apply(beta, gamma, alpha, sp)
+        base = sp.n - 1 + sum(alpha)
+        cr, ci, cd, cq = c.re_num, c.im_num, c.den, c.radicand
+        for beta, gamma, order_b, ar, ai, ad in terms:
+            hit = _mono_rule(beta, gamma, alpha, base + order_b, m)
             if hit is None:
                 continue
-            tau, k = hit
-            contrib = c * k
-            if a.im_num or a.re_num != a.den:  # a != 1 (symbol coefficients have radicand 1)
-                contrib = contrib * a
-            _merge_into(out, tau, contrib)
+            tau, rational = hit
+            k = _sqrt_transition(alpha, tau, sp)  # k.re_num/k.den * sqrt(k.radicand)
+            # sqrt(cq) sqrt(q) = g sqrt((cq/g) (q/g)) with coprime quotients
+            q = k.radicand
+            g = gcd(cq, q)
+            rational *= g * k.re_num
+            q = (cq // g) * (q // g)
+            re, im = (cr * ar - ci * ai) * rational, (cr * ai + ci * ar) * rational
+            _merge_into(out, tau, _radical(re, im, cd * ad * k.den, q))
     return BasisExpansion(sp, out)
 
 

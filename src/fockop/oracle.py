@@ -219,14 +219,24 @@ def _mc_sums(cases, n: int, seed_seq: "np.random.SeedSequence", count: int, chun
     return sums
 
 
+# Fewest Monte Carlo samples per case: the standard error of a mean needs
+# a sample variance.
+MIN_MC_SAMPLES = 2
+
+
+def check_mc_samples(samples: int) -> None:
+    """Raise ``InputError`` unless ``samples >= MIN_MC_SAMPLES``."""
+    if samples < MIN_MC_SAMPLES:
+        raise InputError(f"Monte Carlo needs at least {MIN_MC_SAMPLES} samples")
+
+
 def _mc_inner(
     cases: Sequence[Tuple[MultiIndex, MultiIndex, SpaceParams]], cfg: OracleConfig
 ) -> MonteCarloBatch:
     """Monte Carlo estimates of <z^a, z^b> in sp for every case ``(a, b, sp)``,
     all from one stream of draws seeded by ``cfg.seed``."""
     total = cfg.samples
-    if total < 2:
-        raise InputError("Monte Carlo needs at least 2 samples")
+    check_mc_samples(total)
     if not cases:
         return MonteCarloBatch(())
     n = cases[0][2].n

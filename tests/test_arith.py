@@ -11,6 +11,7 @@ from fockop.arith import (
     RADICAL_ZERO,
     RadicalCoefficient,
     rising_product,
+    run_square_free_split,
     square_free_split,
 )
 from fockop.errors import InputError, InternalInvariantError
@@ -45,10 +46,27 @@ def test_rising_product():
     assert rising_product(3, 0) == 1
     assert rising_product(3, 2) == 4 * 5
     assert rising_product(0, 4) == 24
+    assert rising_product(0, 0) == 1
+    assert rising_product(2, 1) == 3
+    assert rising_product(5, 3) == 6 * 7 * 8
+    assert rising_product(10, 12) == math.factorial(22) // math.factorial(10)
+    assert rising_product(100, 300) == math.factorial(400) // math.factorial(100)
+
+
+# every caller passes start >= 0 (n - 1 + an order, or a component) and
+# count >= 0 (m, or a component); count == 0 is the empty product
+@given(st.integers(0, 500), st.integers(0, 120))
+def test_rising_product_is_the_run_product(start, count):
+    assert rising_product(start, count) == math.prod(range(start + 1, start + count + 1))
 
 
 # ---------------------------------------------------------------------------
 # square-free splitting and radicals
+
+
+@given(st.integers(0, 40), st.integers(0, 5))
+def test_run_square_free_split_splits_the_rising_product(start, count):
+    assert run_square_free_split(start, count) == square_free_split(rising_product(start, count))
 
 
 @given(st.integers(1, 10**6))

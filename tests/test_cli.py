@@ -449,6 +449,27 @@ def test_bad_oracle_environment_exits_2(capsys, monkeypatch, name, value, messag
     assert message in captured.err
 
 
+@pytest.mark.parametrize("env, argv_tail, source", [
+    ({}, ("--samples", "1"), "--samples"),
+    ({}, ("--samples", "-5"), "--samples"),
+    ({"FOCKOP_SAMPLES": "0"}, (), "FOCKOP_SAMPLES"),
+])
+def test_too_few_samples_exit_2_before_the_quadrature_stage(capsys, monkeypatch, env, argv_tail, source):
+    from fockop import cli as cli_mod
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the n=1 stage ran before --samples was checked")
+
+    monkeypatch.setattr(cli_mod.verify_mod, "verify_oracle_deterministic", unreachable)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    code = main(["verify", "oracle", "-n", "1,2", "-m", "0,1,2,3", "--max-order", "80", *argv_tail])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"error: {source}: Monte Carlo needs at least 2 samples" in captured.err
+
+
 def test_fit_missing_file_exits_2(capsys, tmp_path):
     path = str(tmp_path / "missing.csv")
     code = main(["fit", path])

@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fockop.arith import (
@@ -19,6 +19,7 @@ from fockop.operators import (
     HankelProductOp,
     SpaceParams,
     ToeplitzOp,
+    _sqrt_transition,
     apply_operator,
     basis_coefficient,
     hankel_coeff_closed_form,
@@ -168,6 +169,40 @@ def test_mono_apply_ladder_identities():
             assert down[0] == mi(a - 1) and down[1].abs_sq() == a
 
 
+def _transition_factor_lists(alpha, tau, sp):
+    """The transition radicand as explicit integer factors:
+    alpha! (n-1+|alpha|)! (n-1+|tau|)! / (tau! (m+n-1+|alpha|)! (m+n-1+|tau|)!)."""
+    num, den = [], []
+    for a, t in zip(alpha, tau):
+        num.extend(range(t + 1, a + 1))  # empty unless a > t
+        den.extend(range(a + 1, t + 1))  # empty unless t > a
+    for order in (sum(alpha), sum(tau)):
+        base = sp.n - 1 + order
+        den.extend(range(base + 1, base + sp.m + 1))
+    return num, den
+
+
+@st.composite
+def _transitions(draw):
+    n = draw(st.integers(1, 3))
+    m = draw(st.sampled_from((0, 1, 7, 40)))
+    alpha = draw(st.lists(st.integers(0, 15), min_size=n, max_size=n))
+    # each target component is the source's, or any other
+    tau = [a if draw(st.booleans()) else draw(st.integers(0, 15)) for a in alpha]
+    return mi(*alpha), mi(*tau), SpaceParams(n, m)
+
+
+@given(_transitions())
+@example((mi(4, 4, 4), mi(4, 4, 4), SpaceParams(3, 40)))
+@example((mi(0), mi(0), SpaceParams(1, 0)))
+@example((mi(3, 9), mi(3, 2), SpaceParams(2, 7)))
+def test_run_cached_transition_matches_the_factor_lists(case):
+    alpha, tau, sp = case
+    expected = RadicalCoefficient.from_sqrt_ratio(*_transition_factor_lists(alpha, tau, sp))
+    assert _sqrt_transition.__wrapped__(alpha, tau, sp) == expected
+    assert _sqrt_transition(alpha, tau, sp) == expected
+
+
 def test_adjoint_symmetry_exact():
     # <T_{z^b conj(z)^g} e_a, e_h> == conj(<T_{z^g conj(z)^b} e_h, e_a>)
     for n, m in ((1, 0), (1, 2), (2, 1)):
@@ -232,6 +267,57 @@ def test_unlike_square_classes_are_rejected_on_merge():
     v = BasisExpansion(sp, {mi(0): RADICAL_ONE, mi(2): RADICAL_ONE})
     with pytest.raises(InternalInvariantError, match="unlike radicands"):
         toeplitz_apply(parse_symbol("z^2 + 1", 1), v)
+
+
+def _reference_toeplitz_apply(f, v):
+    """T_f v as the merged sum of (c * k) * a over the images
+    k e_tau = toeplitz_mono_apply(beta, gamma, alpha) of every pair of a
+    source term c e_alpha and a symbol term a z^beta conj(z)^gamma."""
+    out = {}
+    for alpha, c in v.coeffs.items():
+        for (beta, gamma), a in f.terms.items():
+            hit = toeplitz_mono_apply(beta, gamma, alpha, v.space)
+            if hit is not None:
+                tau, k = hit
+                out[tau] = out.get(tau, RADICAL_ZERO) + (c * k) * a
+    return BasisExpansion(v.space, {tau: c for tau, c in out.items() if not c.is_zero()})
+
+
+@pytest.mark.parametrize("n, m, first, second, source", [
+    # a first T gives coefficients with square roots; the second acts on them
+    (2, 1, "z1^2 + 3*z2*conj(z1)", "(1/2-3*i)*z1*conj(z2)", (2, 1)),
+    (2, 6, "z1*z2 - i*conj(z2)^2 + 2", "(1/2-3*i)*z1*conj(z2) + 7*z2 - (2/3)*i*conj(z1)^2", (3, 2)),
+    (3, 7, "z1 + z2*conj(z3) - z3^2", "(1/2-3*i)*z1*conj(z2) + z3*conj(z3) - 5/4", (1, 2, 3)),
+    (1, 12, "(1+i)*z + conj(z)^2 + z^3", "z^2*conj(z) - (3/7)*i*z + 1", (4,)),
+])
+def test_fused_apply_matches_the_monomial_reference(n, m, first, second, source):
+    sp = SpaceParams(n, m)
+    f, g = parse_symbol(first, n), parse_symbol(second, n)
+    v = toeplitz_apply(f, e(sp, *source))
+    assert v == _reference_toeplitz_apply(f, e(sp, *source))
+    assert any(c.radicand != 1 for c in v.coeffs.values())
+    assert any(a.im_num for a in g.terms.values())
+    assert toeplitz_apply(g, v) == _reference_toeplitz_apply(g, v)
+
+
+def test_fused_apply_drops_merges_that_cancel():
+    # n=1, m=0: T_{z conj(z)} e_a = (a+1) e_a, so z*conj(z) - 3 kills e_2,
+    # here sqrt(2) e_2 = T_z e_1, and keeps sqrt(3) e_3 = T_z e_2 (4 - 3 = 1)
+    sp = SpaceParams(1, 0)
+    v = toeplitz_apply(parse_symbol("z", 1), BasisExpansion(sp, {mi(1): RADICAL_ONE, mi(2): RADICAL_ONE}))
+    assert v.coefficient(mi(2)) == RadicalCoefficient(1, 2)
+    f = parse_symbol("z*conj(z) - 3", 1)
+    out = toeplitz_apply(f, v)
+    assert out == _reference_toeplitz_apply(f, v)
+    assert mi(2) not in out.coeffs
+    assert out == BasisExpansion(sp, {mi(3): RadicalCoefficient(1, 3)})
+    # two sources and two symbol terms cancel on e_2: z^2 sends e_0 to
+    # sqrt(2) e_2, and -1 sends sqrt(2) e_2 to -sqrt(2) e_2
+    w = BasisExpansion(sp, {mi(0): RADICAL_ONE, mi(2): RadicalCoefficient(1, 2)})
+    h = parse_symbol("z^2 - 1", 1)
+    out = toeplitz_apply(h, w)
+    assert out == _reference_toeplitz_apply(h, w)
+    assert out == BasisExpansion(sp, {mi(0): RadicalCoefficient(-1), mi(4): RadicalCoefficient(2, 6)})
 
 
 def test_apply_dimension_mismatch():

@@ -31,6 +31,7 @@ DELETED = [
     (symbols.SymbolPolynomial, "scaled"),
     (operators, "matrix_entry"),
     (operators, "hankel_product_target"),
+    (operators, "_sqrt_transition_factors"),
     (operators.BasisExpansion, "zero"),
     (analysis.RaySpec, "alphas"),
     (oracle.OracleConfig, "workers"),
