@@ -154,9 +154,10 @@ def square_free_split(k: int) -> "tuple[int, int]":
 
 
 # Distinct runs of consecutive integers ``run_square_free_split`` keeps.
-# One dense ``norms`` command meets a few thousand (the n + 2 runs of each
-# distinct transition, most shared with its neighbours); the bound keeps a
-# long-lived process from growing without limit.
+# Each coefficient the operator engine reads on the orthonormal basis
+# folds the n + 2 runs of its transition, most shared with its
+# neighbours'; the bound keeps a long-lived process from growing without
+# limit.
 RUN_SPLIT_CACHE_SIZE = 16384
 
 
@@ -274,8 +275,8 @@ class RadicalCoefficient:
         """Canonical ``sqrt(prod(num_factors)/prod(den_factors))``.
 
         The factor lists hold positive integers small enough to factor by
-        trial division.  Each factor is split on its own; the basis
-        actions, whose radicands are runs of consecutive integers, use
+        trial division.  Each factor is split on its own; the operator
+        engine, whose radicands are runs of consecutive integers, uses
         the run-cached ``run_square_free_split`` and ``sqrt_of_split_ratio``
         instead, and tests check the two paths agree.
         """

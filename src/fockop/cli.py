@@ -228,6 +228,7 @@ def _cmd_apply(args) -> int:
     alpha = _parse_alpha(args.alpha, args.n, "--alpha")
     image = apply_operator(expr, BasisExpansion.basis_vector(sp, alpha))
     items = image.sorted_items()
+    squared_norm = image.squared_norm()
     report = {
         "command": "apply",
         "space": {"n": sp.n, "m": sp.m},
@@ -236,11 +237,11 @@ def _cmd_apply(args) -> int:
             "expansion": [
                 {"alpha": _alpha_str(a), "coeff": _coeff_dict(c)} for a, c in items
             ],
-            "squared_norm": str(image.squared_norm()),
+            "squared_norm": str(squared_norm),
         },
     }
     lines = [f"e_{_alpha_str(a)}: {c}" for a, c in items] or ["0 (zero vector)"]
-    lines.append(f"squared norm: {image.squared_norm()}")
+    lines.append(f"squared norm: {squared_norm}")
     _emit(report, args.format, lines)
     return 0
 

@@ -1,12 +1,20 @@
 """Exact operator engine on the weighted entire-function Hilbert space.
 
-The monomials ``z^alpha`` normalize to an orthonormal basis ``e_alpha``;
-every operator here is represented by its exact action on finite linear
-combinations of the ``e_alpha``.  Multiplication-then-projection by a
-monomial symbol sends ``e_alpha`` to a single ``e_tau`` with a
-coefficient of the form integer * sqrt(rational), which stays inside
-the RadicalCoefficient closure, so compositions, Hankel-type products
-and norms all evaluate exactly.
+The monomials ``z^alpha`` are orthogonal, and ``e_alpha = z^alpha/||z^alpha||``
+is the orthonormal basis every result is reported in.  On monomials a
+Toeplitz operator is rational:
+
+    T_{z^beta conj(z)^gamma} z^alpha = (||z^(alpha+beta)||^2 / ||z^tau||^2) z^tau,
+    tau = alpha + beta - gamma
+
+(Zhu, *Analysis on Fock Spaces*, GTM 263, ch. 6); the square roots come
+only from normalizing.  So a ``BasisExpansion`` holds the coefficients
+``q_tau`` of unnormalized monomials over the norm of one anchor index,
+``v = sum q_tau z^tau / ||z^anchor||``.  ``toeplitz_apply``, compositions
+and Hankel products act on the ``q_tau`` in Gaussian rationals, and a
+squared norm is rational too.  A square root, the ratio
+``||z^tau||/||z^anchor||``, enters only when an orthonormal coefficient
+is read, and it keeps the result inside the RadicalCoefficient closure.
 
 Hankel products are never materialized through the projection
 complement; the product ``H*_f H_g`` is evaluated through the operator
@@ -19,7 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd, prod
+from math import factorial, gcd, perm, prod
+from operator import add, sub
 from typing import Dict, Optional, Tuple
 
 from .arith import (
@@ -33,15 +42,17 @@ from .arith import (
     run_square_free_split,
     sqrt_of_split_ratio,
 )
-from .errors import InputError, SymbolSyntaxError
+from .errors import InputError, InternalInvariantError, SymbolSyntaxError
 from .symbols import _T_END, _T_OPERATOR, SymbolPolynomial, _Parser, check_dimension
 
 
-# Largest weight order m.  Every basis action multiplies rising products of
-# m factors, and each new transition's square root needs the split of its
-# two weight runs of m integers (factored once per run, then cached), so the
-# cost grows with m: one three-sample ``norms`` of a small Hankel product
-# takes about 0.01 s at m = 1000 on a 2-core Xeon.
+# Largest weight order m.  A basis action's rational factors are runs of
+# |gamma| integers whatever m is, and a squared norm's are runs between
+# two indices; m enters the cost only where an orthonormal coefficient is
+# read, whose square root folds the splits of two weight runs of m
+# integers (factored once per run, then cached).  One three-sample
+# ``norms`` of a small Hankel product takes about 2.3 ms at m = 1000, as
+# at m = 100, on a 2-core Xeon; the engine's share is 0.12 ms.
 MAX_WEIGHT_ORDER = 1000
 
 
@@ -49,7 +60,7 @@ class SpaceParams:
     """Dimension 1 <= n <= MAX_DIMENSION and weight order 0 <= m <= MAX_WEIGHT_ORDER.
 
     Immutable; its hash is computed once, since it is part of the
-    ``_sqrt_transition`` cache key of every basis action.
+    ``_sqrt_transition`` cache key of every orthonormal coefficient read.
     """
 
     __slots__ = ("n", "m", "_hash")
@@ -109,11 +120,12 @@ def basis_coefficient(alpha: MultiIndex, sp: SpaceParams) -> RadicalCoefficient:
 
 @lru_cache(maxsize=200_000)
 def _sqrt_transition(alpha: MultiIndex, tau: MultiIndex, sp: SpaceParams) -> RadicalCoefficient:
-    """Canonical sqrt factor for the source->target transition (cached).
-
-    The radicand
+    """Canonical square root of the radicand
     alpha! (n-1+|alpha|)! (n-1+|tau|)! / (tau! (m+n-1+|alpha|)! (m+n-1+|tau|)!)
-    depends only on the source and target indices.  It is a product of at
+    (cached), the radical factor of ``||z^tau||/||z^alpha||`` (see
+    ``_times_norm_ratio``) and of ``toeplitz_mono_apply``.
+
+    The radicand depends only on the two indices.  It is a product of at
     most n + 2 runs of consecutive integers: (t_j, a_j] in the numerator
     or (a_j, t_j] in the denominator for each component, and the two
     weight runs of m integers above n-1+|alpha| and n-1+|tau| in the
@@ -135,27 +147,22 @@ def _sqrt_transition(alpha: MultiIndex, tau: MultiIndex, sp: SpaceParams) -> Rad
     return sqrt_of_split_ratio(num, den)
 
 
-def _mono_rule(beta, gamma, alpha, base: int, m: int) -> "Optional[Tuple[MultiIndex, int]]":
-    """``(tau, rational)`` of z^beta conj(z)^gamma on e_alpha, or ``None``
-    when a component of tau = alpha + beta - gamma is negative.
-
-    The image is ``rational * _sqrt_transition(alpha, tau) * e_tau`` with
-    rational = prod_j (a_j+1)...(a_j+b_j) times (base+1)...(base+m), where
-    the caller passes base = n-1+|alpha|+|beta|.
-    """
-    tau_comps = []
-    for a, b, g in zip(alpha, beta, gamma):
-        t = a + b - g
-        if t < 0:
-            return None
-        tau_comps.append(t)
-    rational = 1
-    for a, b in zip(alpha, beta):
-        if b:
-            rational *= rising_product(a, b)
-    if m:
-        rational *= rising_product(base, m)
-    return MultiIndex._wrap(tuple(tau_comps)), rational
+def _times_norm_ratio(q: RadicalCoefficient, a: MultiIndex, b: MultiIndex, sp: SpaceParams) -> RadicalCoefficient:
+    """``q * ||z^b|| / ||z^a||``: q times ``_sqrt_transition(a, b)`` times
+    ``(b!/a!) (n-1+|b|+1)...(n-1+|b|+m)``, canonicalized once."""
+    # rising_product(s, c) is perm(s + c, c), called inline here
+    num = perm(sp.n - 1 + sum(b) + sp.m, sp.m)
+    den = 1
+    for x, y in zip(a, b):
+        if y > x:
+            num *= perm(y, y - x)
+        elif x > y:
+            den *= perm(x, x - y)
+    k = _sqrt_transition(a, b, sp)
+    if q.radicand != 1:
+        return (q * k).scale_ratio(num, den)
+    num *= k.re_num
+    return _radical(q.re_num * num, q.im_num * num, q.den * k.den * den, k.radicand)
 
 
 def toeplitz_mono_apply(
@@ -164,19 +171,25 @@ def toeplitz_mono_apply(
     """Image of e_alpha under multiplication by z^beta conj(z)^gamma + projection.
 
     Returns ``(target, coefficient)``, or ``None`` when any component of
-    ``alpha + beta - gamma`` is negative (the image is the zero vector).
+    ``tau = alpha + beta - gamma`` is negative (the image is the zero
+    vector).  The coefficient ``||z^(alpha+beta)||^2 / (||z^alpha|| ||z^tau||)``
+    is formed on the orthonormal basis, as prod_j (a_j+1)...(a_j+b_j)
+    times (n-1+|alpha|+|beta|+1)...(n-1+|alpha|+|beta|+m) times
+    ``_sqrt_transition(alpha, tau)``: a per-term radical path that shares
+    no rational factor with ``toeplitz_apply``, which tests compare it
+    with.
     """
     n = sp.n
     if not (len(beta) == len(gamma) == len(alpha) == n):
         check_same_dimension(n, len(beta), len(gamma), len(alpha))
-    hit = _mono_rule(beta, gamma, alpha, n - 1 + sum(alpha) + sum(beta), sp.m)
-    if hit is None:
+    tau = tuple(a + b - g for a, b, g in zip(alpha, beta, gamma))
+    if min(tau) < 0:
         return None
-    tau, rational = hit
-    coeff = _sqrt_transition(alpha, tau, sp)
-    if rational != 1:
-        coeff = coeff.scale(rational)
-    return tau, coeff
+    rational = rising_product(n - 1 + sum(alpha) + sum(beta), sp.m)
+    for a, b in zip(alpha, beta):
+        rational *= rising_product(a, b)
+    tau = MultiIndex._wrap(tau)
+    return tau, _sqrt_transition(alpha, tau, sp).scale(rational)
 
 
 # ---------------------------------------------------------------------------
@@ -184,39 +197,95 @@ def toeplitz_mono_apply(
 
 
 class BasisExpansion:
-    """Finite vector sum(coeffs[alpha] * e_alpha); coefficients are nonzero."""
+    """Finite vector ``sum(coeffs[tau] * e_tau)``; coefficients are nonzero.
 
-    __slots__ = ("space", "coeffs")
+    ``BasisExpansion(space, coeffs)`` takes coefficients on the orthonormal
+    basis, and ``coeffs``, ``coefficient``, ``sorted_items``, ``==`` and
+    ``repr`` read them.  Underneath, the vector is held as
+    ``sum(monomials[tau] * z^tau) / ||z^anchor||`` for one anchor index:
+    the form the basis actions work in, with radicand 1 whenever the
+    vector was built from a basis vector.  ``coeffs`` is converted from it
+    on first read and kept; ``coefficient`` converts one entry, with one
+    square root.
+    """
+
+    __slots__ = ("space", "anchor", "monomials", "_coeffs")
 
     def __init__(self, space: SpaceParams, coeffs: Dict[MultiIndex, RadicalCoefficient]):
         self.space = space
-        self.coeffs = coeffs
+        self.anchor = next(iter(coeffs), None) or MultiIndex.zero(space.n)
+        # c_tau e_tau = c_tau ||z^anchor||/||z^tau|| * z^tau/||z^anchor||
+        self.monomials = {
+            tau: c if tau == self.anchor else _times_norm_ratio(c, tau, self.anchor, space)
+            for tau, c in coeffs.items()
+        }
+        self._coeffs = coeffs
 
     @staticmethod
     def basis_vector(space: SpaceParams, alpha: MultiIndex) -> "BasisExpansion":
         alpha = MultiIndex(alpha)
         check_same_dimension(space.n, alpha.dimension)
-        return BasisExpansion(space, {alpha: RADICAL_ONE})
+        return _expansion(space, alpha, {alpha: RADICAL_ONE})
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.monomials
+
+    @property
+    def coeffs(self) -> Dict[MultiIndex, RadicalCoefficient]:
+        """The coefficients on the orthonormal basis (converted once)."""
+        if self._coeffs is None:
+            anchor, sp = self.anchor, self.space
+            self._coeffs = {
+                tau: _times_norm_ratio(q, anchor, tau, sp) for tau, q in self.monomials.items()
+            }
+        return self._coeffs
 
     def coefficient(self, alpha: MultiIndex) -> RadicalCoefficient:
-        return self.coeffs.get(MultiIndex(alpha), RADICAL_ZERO)
+        """The coefficient of e_alpha."""
+        if alpha.__class__ is not MultiIndex:
+            alpha = MultiIndex(alpha)
+        if self._coeffs is not None:
+            return self._coeffs.get(alpha, RADICAL_ZERO)
+        q = self.monomials.get(alpha)
+        if q is None:
+            return RADICAL_ZERO
+        if alpha == self.anchor:  # a ratio of norms of 1: no square root
+            return q
+        return _times_norm_ratio(q, self.anchor, alpha, self.space)
 
     def squared_norm(self) -> Fraction:
-        """Exact Parseval sum of |coefficient|^2 over the orthonormal basis."""
+        """Exact Parseval sum: |q_tau|^2 ||z^tau||^2 / ||z^anchor||^2 over the
+        monomials, each ratio of norms a product of runs between the anchor
+        and tau; no square root is taken."""
+        sp = self.space
+        m = sp.m
+        anchor = self.anchor
+        base0 = sp.n - 1 + sum(anchor)
         num, den = 0, 1
-        for c in self.coeffs.values():
-            a, b, d = c.re_num, c.im_num, c.den
-            term = (a * a + b * b) * c.radicand
-            d *= d
-            if d == den:
-                num += term
+        for tau, q in self.monomials.items():
+            a, b, d = q.re_num, q.im_num, q.den
+            t_num = (a * a + b * b) * q.radicand
+            t_den = d * d
+            # tau! / anchor!
+            for t, s in zip(tau, anchor):
+                if t > s:
+                    t_num *= rising_product(s, t - s)
+                elif s > t:
+                    t_den *= rising_product(t, s - t)
+            # (base+1)...(base+m) / (base0+1)...(base0+m), as runs of |base - base0|
+            base = sp.n - 1 + sum(tau)
+            if m and base > base0:
+                t_num *= rising_product(base0 + m, base - base0)
+                t_den *= rising_product(base0, base - base0)
+            elif m and base < base0:
+                t_num *= rising_product(base, base0 - base)
+                t_den *= rising_product(base + m, base0 - base)
+            if t_den == den:
+                num += t_num
             else:
-                g = gcd(den, d)
-                num = num * (d // g) + term * (den // g)
-                den = den // g * d
+                g = gcd(den, t_den)
+                num = num * (t_den // g) + t_num * (den // g)
+                den = den // g * t_den
         return Fraction(num, den)
 
     def sorted_items(self):
@@ -236,60 +305,107 @@ class BasisExpansion:
         return f"BasisExpansion(n={self.space.n}, m={self.space.m}, {{{inner}}})"
 
 
-def _merge_into(out: Dict[MultiIndex, RadicalCoefficient], key: MultiIndex, value: RadicalCoefficient) -> None:
-    prev = out.get(key)
-    total = value if prev is None else prev + value
-    if total.is_zero():
-        out.pop(key, None)
-    else:
-        out[key] = total
+def _expansion(
+    space: SpaceParams, anchor: MultiIndex, monomials: Dict[MultiIndex, RadicalCoefficient]
+) -> BasisExpansion:
+    """The vector ``sum(monomials[tau] * z^tau) / ||z^anchor||`` (internal)."""
+    v = object.__new__(BasisExpansion)
+    v.space = space
+    v.anchor = anchor
+    v.monomials = monomials
+    v._coeffs = None
+    return v
+
+
+# A MultiIndex built without validation: ``_add_image`` checks a target's
+# components for negatives before using it (with gamma = 0 there are none).
+_new_index = tuple.__new__
 
 
 def toeplitz_apply(f: SymbolPolynomial, v: BasisExpansion) -> BasisExpansion:
-    """Apply the multiplication-projection operator with symbol f termwise.
+    """Apply the multiplication-projection operator with symbol f to v.
 
-    Each contribution c * a * rational * sqrt-transition (source
-    coefficient c, symbol coefficient a, the factors of ``_mono_rule`` and
-    ``_sqrt_transition``) is formed from their integer fields and
-    canonicalized once.  Contributions landing on one target from one
-    source share their radicand by construction; unlike radicands on a
-    merge would mean the input expansion mixed incompatible square
-    classes and are rejected.
+    It acts on v's monomials and keeps v's anchor: a symbol term
+    ``a z^beta conj(z)^gamma`` sends ``q z^alpha`` to ``q a r z^tau`` with
+    ``tau = alpha + beta - gamma`` (nothing when a component of tau is
+    negative) and the rational
+
+        r = ||z^(alpha+beta)||^2 / ||z^tau||^2
+          = prod_j (t_j+1)...(t_j+g_j) * (N+m+1)...(N+m+|gamma|) / ((N+1)...(N+|gamma|)),
+
+    N = n-1+|tau|: runs of |gamma| factors, whatever m is.  The
+    contributions to each target are summed as integer fields and
+    canonicalized once.  They share their radicand when v's monomial
+    coefficients do, as every vector built from a basis vector does
+    (radicand 1); unlike radicands on a merge would mean the input
+    expansion mixed incompatible square classes and are rejected.
     """
+    sums: Dict[MultiIndex, list] = {}
+    _add_image(sums, f, v, 1)
+    return _summed(v, sums)
+
+
+def _add_image(sums: Dict[MultiIndex, list], f: SymbolPolynomial, v: BasisExpansion, sign: int) -> None:
+    """Add ``sign * T_f v`` into ``sums``, which maps each target tau to the
+    fields ``[re, im, den, radicand]`` of ``(re + im*i)/den * sqrt(radicand)``
+    (see ``toeplitz_apply``)."""
     sp = v.space
-    check_same_dimension(sp.n, f.dimension)
-    m = sp.m
+    if sp.n != f.dimension:
+        check_same_dimension(sp.n, f.dimension)
+    n1, m = sp.n - 1, sp.m
     # symbol coefficients have radicand 1: a = (ar + ai*i)/ad
     terms = [
-        (beta, gamma, sum(beta), a.re_num, a.im_num, a.den)
+        (tuple(map(sub, beta, gamma)), gamma, sum(beta) - sum(gamma), sum(gamma),
+         sign * a.re_num, sign * a.im_num, a.den)
         for (beta, gamma), a in f.terms.items()
     ]
-    out: Dict[MultiIndex, RadicalCoefficient] = {}
-    for alpha, c in v.coeffs.items():
-        base = sp.n - 1 + sum(alpha)
-        cr, ci, cd, cq = c.re_num, c.im_num, c.den, c.radicand
-        for beta, gamma, order_b, ar, ai, ad in terms:
-            hit = _mono_rule(beta, gamma, alpha, base + order_b, m)
-            if hit is None:
-                continue
-            tau, rational = hit
-            k = _sqrt_transition(alpha, tau, sp)  # k.re_num/k.den * sqrt(k.radicand)
-            # sqrt(cq) sqrt(q) = g sqrt((cq/g) (q/g)) with coprime quotients
-            q = k.radicand
-            g = gcd(cq, q)
-            rational *= g * k.re_num
-            q = (cq // g) * (q // g)
-            re, im = (cr * ar - ci * ai) * rational, (cr * ai + ci * ar) * rational
-            _merge_into(out, tau, _radical(re, im, cd * ad * k.den, q))
-    return BasisExpansion(sp, out)
+    for alpha, q in v.monomials.items():
+        order = n1 + sum(alpha)
+        qr, qi, qd, radicand = q.re_num, q.im_num, q.den, q.radicand
+        for step, gamma, shift, order_g, ar, ai, ad in terms:
+            tau = _new_index(MultiIndex, map(add, alpha, step))
+            num = 1
+            den = qd * ad
+            if order_g:
+                if min(tau) < 0:
+                    continue
+                # rising_product(s, c) is perm(s + c, c), called inline here
+                for t, g in zip(tau, gamma):
+                    if g:
+                        num *= perm(t + g, g)
+                if m:
+                    base = order + shift
+                    num *= perm(base + m + order_g, order_g)
+                    den *= perm(base + order_g, order_g)
+            re = (qr * ar - qi * ai) * num
+            im = (qr * ai + qi * ar) * num
+            acc = sums.get(tau)
+            if acc is None or not (acc[0] or acc[1]):
+                sums[tau] = [re, im, den, radicand]
+            elif acc[3] != radicand:
+                raise InternalInvariantError(
+                    f"cannot add unlike radicands {acc[3]} and {radicand}"
+                )
+            elif acc[2] == den:
+                acc[0] += re
+                acc[1] += im
+            else:
+                g = gcd(acc[2], den)
+                x, y = den // g, acc[2] // g
+                acc[0] = acc[0] * x + re * y
+                acc[1] = acc[1] * x + im * y
+                acc[2] *= x
 
 
-def expansion_sub(u: BasisExpansion, v: BasisExpansion) -> BasisExpansion:
-    check_same_dimension(u.space, v.space)
-    out = dict(u.coeffs)
-    for key, c in v.coeffs.items():
-        _merge_into(out, key, -c)
-    return BasisExpansion(u.space, out)
+def _summed(v: BasisExpansion, sums: Dict[MultiIndex, list]) -> BasisExpansion:
+    """The vector of ``sums`` (see ``_add_image``) in v's space, anchored at
+    v's anchor: each nonzero sum canonicalized once."""
+    out = {
+        tau: _radical(re, im, den, radicand)
+        for tau, (re, im, den, radicand) in sums.items()
+        if re or im
+    }
+    return _expansion(v.space, v.anchor, out)
 
 
 def hankel_product_apply(
@@ -304,14 +420,17 @@ def hankel_product_apply(
 
     ``f_conj`` = conj(f) and ``f_conj_g`` = conj(f) * g are built here
     unless the caller built them already (``HankelProductOp`` does, once).
+    Both images keep v's anchor, so their contributions are summed into
+    one set of targets and each target is canonicalized once.
     """
     if f_conj is None:
         f_conj = f.conjugate()
     if f_conj_g is None:
         f_conj_g = f_conj * g
-    first = toeplitz_apply(f_conj_g, v)
-    second = toeplitz_apply(f_conj, toeplitz_apply(g, v))
-    return expansion_sub(first, second)
+    sums: Dict[MultiIndex, list] = {}
+    _add_image(sums, f_conj_g, v, 1)
+    _add_image(sums, f_conj, toeplitz_apply(g, v), -1)
+    return _summed(v, sums)
 
 
 def closed_form_min_alpha(beta, gamma, mu, nu) -> "list[int]":

@@ -11,11 +11,16 @@ Workers are forked, not spawned: a fork starts in milliseconds and
 inherits the imported package, where a spawned worker would import it
 again for every call.  fockop starts no threads of its own; a caller
 that runs threads of its own while it forks should pass ``jobs=1``.
+
+The first exception stops the fan-out.  Items not yet handed to a
+worker are cancelled, and items already queued to a worker, which the
+executor can no longer cancel, find the stop flag set and are skipped.
 """
 
 from __future__ import annotations
 
 import os
+from functools import partial
 from typing import Callable, Iterable, List, Optional, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -39,6 +44,17 @@ def worker_count(jobs: int, items: int) -> int:
     return max(1, min(jobs, items, usable_cpus()))
 
 
+# Stop flag of the running pool: forked workers inherit it (an Event cannot
+# be pickled into a task), and ``fan_out`` sets it on the first exception.
+_stop = None
+
+
+def _unless_stopped(fn: Callable[[T], R], item: T) -> Optional[R]:
+    if _stop.is_set():
+        return None  # the fan-out has failed; nobody reads this result
+    return fn(item)
+
+
 def fan_out(
     fn: Callable[[T], R],
     items: Sequence[T],
@@ -50,17 +66,26 @@ def fan_out(
     Runs in this process when ``worker_count(jobs, len(items))`` is 1.
     ``fn`` must be a module-level function and the items and results
     picklable.  ``on_result(result)`` runs here, in item order, as each
-    result becomes available.  An exception raised by ``fn`` is raised
-    here; items not yet handed to a worker are cancelled.
+    result becomes available.  The first exception, raised by ``fn`` or
+    by ``on_result``, is raised here; from then on no item starts, and
+    items already running finish before it is raised.
     """
+    global _stop
     workers = worker_count(jobs, len(items))
     if workers == 1:
         return _collect(map(fn, items), on_result)
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        return _collect(pool.map(fn, items), on_result)
+    context = multiprocessing.get_context("fork")
+    _stop = context.Event()
+    with ProcessPoolExecutor(workers, mp_context=context) as pool:
+        try:
+            return _collect(pool.map(partial(_unless_stopped, fn), items), on_result)
+        except BaseException:
+            _stop.set()
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 def _collect(results: Iterable[R], on_result: Optional[Callable[[R], None]]) -> List[R]:

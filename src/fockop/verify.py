@@ -191,7 +191,7 @@ def _sweep_block(task) -> ClosedFormSweep:
                     comp = image.coefficient(target)
                     if closed != comp:
                         out.mismatches.append(f"{label()}: closed {closed} vs composition {comp}")
-                    if len(image.coeffs) > (0 if comp.is_zero() else 1):
+                    if len(image.monomials) > (0 if comp.is_zero() else 1):
                         out.stray_support.append(label())
                     if expect_zero:
                         if not closed.is_zero():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import warnings
 
@@ -81,6 +82,34 @@ def test_apply_reports_expansion(capsys):
         {"alpha": "5", "coeff": {"rational": "1", "radicand": "1"}}
     ]
     assert outputs["squared_norm"] == "1"
+
+
+# ``apply --format json`` stdout as the per-contribution radical engine
+# printed it: (alpha, rational, radicand) per term, the squared norm and
+# the sha256 of the whole stdout.
+@pytest.mark.parametrize("n, m, op, alpha, expansion, squared_norm, digest", [
+    ("1", "1000", "T(z^3 + (1+i)*conj(z)) * T(z - 2)", "5",
+     [("4", "-2-2*i", "1005"), ("5", "1006+1006*i", "1"), ("8", "-24", "7091294"),
+      ("9", "12", "7155115646")],
+     "1034423270480", "f53ef96ae9ea4ff7c0bd6c5d2d0744dee7fd1af1ab9934211b394508d85ce73a"),
+    ("2", "6", "T((1/2-3*i)*z1*conj(z2)) * T(z1*z2 - i*conj(z2)^2 + 2)", "3|2",
+     [("4|1", "26/7-156/7*i", "2"), ("5|2", "5/2-15*i", "65")],
+     "3146221/196", "2032a97b7353d49e0e3a9b0e493ef9a4cb9e951868b3bae1056a64f5f26e2321"),
+    ("2", "3", "HP(conj(z1)*z2 + 1; conj(z2)^2 + z1)", "2|4",
+     [("3|1", "-3/28", "210")],
+     "135/56", "a47c1248b3ed3a8ba061d8ceaa21f596976c507f3e41baf4acbcf1ccffd5f49d"),
+    ("3", "40", "T(z1 + z2*conj(z3) - z3^2) * HP(conj(z1); z2*conj(z3))", "1|2|3",
+     [("2|3|4", "56/33", "1870"), ("2|4|1", "-560/9", "1"), ("3|3|2", "-28/9", "30")],
+     "8506400/891", "48dfecd5815cf0d5edbd88554ee9a5d78cd69c58da259fdbc57db874593248bb"),
+])
+def test_apply_json_stdout_is_pinned(capsys, n, m, op, alpha, expansion, squared_norm, digest):
+    code, out = run(capsys, "apply", "-n", n, "-m", m, "--op", op, "--alpha", alpha, "--format", "json")
+    assert code == 0
+    outputs = json.loads(out)["outputs"]
+    terms = [(t["alpha"], t["coeff"]["rational"], t["coeff"]["radicand"]) for t in outputs["expansion"]]
+    assert terms == expansion
+    assert outputs["squared_norm"] == squared_norm
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_norms_then_fit_round_trip(capsys, tmp_path):

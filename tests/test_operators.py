@@ -531,3 +531,94 @@ def test_parse_operator_corruption_fails_with_a_position(case, data):
     except SymbolSyntaxError as err:
         assert err.text == bad
         assert 0 <= err.pos <= len(bad)
+
+
+# ---------------------------------------------------------------------------
+# the monomial-basis engine against the per-term radical reference
+
+
+def _reference_apply(shape, f, g, v):
+    """The operator ``_SHAPES[shape](f, g)`` applied to v on the per-term
+    radical path of ``_reference_toeplitz_apply``.  For ``HP`` the
+    contributions of T_{conj(f) g} v and of -T_{conj(f)} (T_g v) are
+    merged in one sum, in that order, as the engine merges them."""
+    if shape == "T({f})":
+        return _reference_toeplitz_apply(f, v)
+    if shape == "T({f}) * T({g})":
+        return _reference_toeplitz_apply(f, _reference_toeplitz_apply(g, v))
+    f_conj = f.conjugate()
+    out = {}
+    for sign, h, u in ((1, f_conj * g, v), (-1, f_conj, _reference_toeplitz_apply(g, v))):
+        for alpha, c in u.coeffs.items():
+            for (beta, gamma), a in h.terms.items():
+                hit = toeplitz_mono_apply(beta, gamma, alpha, v.space)
+                if hit is not None:
+                    tau, k = hit
+                    out[tau] = out.get(tau, RADICAL_ZERO) + ((c * k) * a).scale(sign)
+    return BasisExpansion(v.space, {tau: c for tau, c in out.items() if not c.is_zero()})
+
+
+@st.composite
+def _engine_cases(draw):
+    n = draw(st.integers(1, 3))
+    sp = SpaceParams(n, draw(st.sampled_from((0, 1, 7, 40, 1000))))
+    f = parse_symbol(draw(symbol_texts(n)), n)
+    g = parse_symbol(draw(symbol_texts(n)), n)
+    index = st.lists(st.integers(0, 6), min_size=n, max_size=n).map(MultiIndex)
+    if draw(st.booleans()):
+        v = BasisExpansion.basis_vector(sp, draw(index))
+    else:  # hand-built, its coefficients of any square classes
+        value = st.builds(
+            RadicalCoefficient,
+            st.fractions(-3, 3, max_denominator=4),
+            st.sampled_from((1, 2, 3, 6, Fraction(1, 5))),
+            im=st.sampled_from((0, 1, Fraction(-2, 3))),
+        ).filter(lambda c: not c.is_zero())
+        v = BasisExpansion(sp, draw(st.dictionaries(index, value, min_size=1, max_size=3)))
+    return draw(st.sampled_from(sorted(_SHAPES))), f, g, v
+
+
+@given(_engine_cases())
+@example(("T({f})", parse_symbol("z^2 + 1", 1), parse_symbol("1", 1),
+          BasisExpansion(SpaceParams(1, 1000), {mi(0): RADICAL_ONE, mi(2): RADICAL_ONE})))
+@example(("HP({f}; {g})", parse_symbol("conj(z1)*z2 + z1", 2), parse_symbol("conj(z2)^2 + 1", 2),
+          BasisExpansion.basis_vector(SpaceParams(2, 1000), mi(3, 4))))
+@example(("T({f}) * T({g})", parse_symbol("z1 + z2*conj(z3) - z3^2", 3), parse_symbol("conj(z1)*z2 - 2", 3),
+          BasisExpansion(SpaceParams(3, 40), {mi(1, 2, 3): RADICAL_ONE, mi(2, 1, 3): RadicalCoefficient(1, 2)})))
+def test_engine_matches_the_per_term_radical_reference(case):
+    shape, f, g, v = case
+    try:
+        expected = _reference_apply(shape, f, g, v)
+    except InternalInvariantError:  # the input mixes square classes that meet
+        with pytest.raises(InternalInvariantError, match="unlike radicands"):
+            apply_operator(_SHAPES[shape](f, g), v)
+        return
+    image = apply_operator(_SHAPES[shape](f, g), v)
+    # one coefficient at a time first, then the whole expansion
+    for tau, c in expected.coeffs.items():
+        assert image.coefficient(tau) == c
+    assert len(image.monomials) == len(expected.coeffs)
+    assert image.squared_norm() == sum(c.abs_sq() for c in expected.coeffs.values())
+    assert image == expected
+
+
+def test_norm_samples_take_no_square_root():
+    from fockop.analysis import default_ray, norm_squared_samples
+    from fockop.arith import run_square_free_split
+
+    expr = parse_operator("HP(conj(z1)*z2 + z1; conj(z2)^2 + 1) * T(z1 - (1/2)*i*conj(z2))", 2)
+    sp = SpaceParams(2, 1000)
+    caches = (_sqrt_transition, run_square_free_split)
+
+    def lookups():
+        return [info.hits + info.misses for info in (c.cache_info() for c in caches)]
+
+    ray = default_ray(expr, (1, 2, 3))
+    before = lookups()
+    samples = norm_squared_samples(expr, ray, sp)
+    assert lookups() == before
+    # the values the radical path gives, one square root per coefficient
+    for t, value in samples:
+        image = apply_operator(expr, BasisExpansion.basis_vector(sp, ray.alpha_at(t)))
+        assert value == sum(c.abs_sq() for c in image.coeffs.values())
+    assert lookups() != before

@@ -1,5 +1,7 @@
 import concurrent.futures
 import pickle
+import time
+from pathlib import Path
 
 import pytest
 
@@ -60,6 +62,28 @@ def test_worker_count_is_capped_before_anything_forks(recorder, monkeypatch):
     fan_out(square, list(range(50)), 100_000)
     fan_out(square, [1, 2], 3)
     assert recorder == [4, 2]
+
+
+def record_then_sleep(task):
+    """Mark item k as started in ``directory``, sleep, and fail on item 1."""
+    directory, k = task
+    Path(directory, str(k)).touch()
+    time.sleep(0.2)
+    if k == 1:
+        raise ValueError("item 1 fails")
+    return k
+
+
+def test_fan_out_stops_after_the_first_error(tmp_path, monkeypatch):
+    # 2 workers run items 0 and 1; when 1 fails, at most the items already
+    # running may finish, and none of the 38 later items starts after that
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    tasks = [(str(tmp_path), k) for k in range(40)]
+    with pytest.raises(ValueError, match="item 1 fails"):
+        fan_out(record_then_sleep, tasks, 2)
+    started = sorted(int(path.name) for path in tmp_path.iterdir())
+    assert started[:2] == [0, 1]
+    assert len(started) <= 4, started
 
 
 def test_usable_cpus_is_positive():

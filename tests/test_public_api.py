@@ -32,6 +32,8 @@ DELETED = [
     (operators, "matrix_entry"),
     (operators, "hankel_product_target"),
     (operators, "_sqrt_transition_factors"),
+    (operators, "_mono_rule"),
+    (operators, "expansion_sub"),
     (operators.BasisExpansion, "zero"),
     (analysis.RaySpec, "alphas"),
     (oracle.OracleConfig, "workers"),
