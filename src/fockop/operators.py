@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd, perm, prod
+from math import factorial, gcd, prod
 from operator import add, sub
 from typing import Dict, Optional, Tuple
 
@@ -47,12 +47,12 @@ from .symbols import _T_END, _T_OPERATOR, SymbolPolynomial, _Parser, check_dimen
 
 
 # Largest weight order m.  A basis action's rational factors are runs of
-# |gamma| integers whatever m is, and a squared norm's are runs between
-# two indices; m enters the cost only where an orthonormal coefficient is
-# read, whose square root folds the splits of two weight runs of m
-# integers (factored once per run, then cached).  One three-sample
-# ``norms`` of a small Hankel product takes about 2.3 ms at m = 1000, as
-# at m = 100, on a 2-core Xeon; the engine's share is 0.12 ms.
+# |gamma| integers whatever m is, and a ratio of two monomial norms, which
+# a squared norm multiplies and an orthonormal coefficient read takes the
+# square root of, has weight runs of at most min(m, order difference)
+# integers (``_norm_ratio_runs``).  One three-sample ``norms`` of a small
+# Hankel product takes about 2.6 ms at m = 1000, as at m = 100, on a
+# 2-core Xeon.
 MAX_WEIGHT_ORDER = 1000
 
 
@@ -60,7 +60,7 @@ class SpaceParams:
     """Dimension 1 <= n <= MAX_DIMENSION and weight order 0 <= m <= MAX_WEIGHT_ORDER.
 
     Immutable; its hash is computed once, since it is part of the
-    ``_sqrt_transition`` cache key of every orthonormal coefficient read.
+    ``_sqrt_transition`` cache key of every per-term radical coefficient.
     """
 
     __slots__ = ("n", "m", "_hash")
@@ -122,8 +122,8 @@ def basis_coefficient(alpha: MultiIndex, sp: SpaceParams) -> RadicalCoefficient:
 def _sqrt_transition(alpha: MultiIndex, tau: MultiIndex, sp: SpaceParams) -> RadicalCoefficient:
     """Canonical square root of the radicand
     alpha! (n-1+|alpha|)! (n-1+|tau|)! / (tau! (m+n-1+|alpha|)! (m+n-1+|tau|)!)
-    (cached), the radical factor of ``||z^tau||/||z^alpha||`` (see
-    ``_times_norm_ratio``) and of ``toeplitz_mono_apply``.
+    (cached), the radical factor of ``toeplitz_mono_apply``, of
+    ``hankel_coeff_closed_form`` and of ``basis_coefficient``.
 
     The radicand depends only on the two indices.  It is a product of at
     most n + 2 runs of consecutive integers: (t_j, a_j] in the numerator
@@ -147,22 +147,44 @@ def _sqrt_transition(alpha: MultiIndex, tau: MultiIndex, sp: SpaceParams) -> Rad
     return sqrt_of_split_ratio(num, den)
 
 
-def _times_norm_ratio(q: RadicalCoefficient, a: MultiIndex, b: MultiIndex, sp: SpaceParams) -> RadicalCoefficient:
-    """``q * ||z^b|| / ||z^a||``: q times ``_sqrt_transition(a, b)`` times
-    ``(b!/a!) (n-1+|b|+1)...(n-1+|b|+m)``, canonicalized once."""
-    # rising_product(s, c) is perm(s + c, c), called inline here
-    num = perm(sp.n - 1 + sum(b) + sp.m, sp.m)
-    den = 1
+def _norm_ratio_runs(a: MultiIndex, b: MultiIndex, sp: SpaceParams):
+    """Runs ``(start, count)`` (see ``rising_product``) of the numerator and
+    the denominator of ``||z^b||^2 / ||z^a||^2``.
+
+    The ratio is ``(b!/a!) (B+1)...(B+m) / ((A+1)...(A+m))`` with
+    A = n-1+|a| and B = n-1+|b|.  Each component gives one run between
+    a_j and b_j; the weight factors, after cancelling, give two runs of
+    k = min(|B - A|, m) integers.
+    """
+    num = []
+    den = []
     for x, y in zip(a, b):
         if y > x:
-            num *= perm(y, y - x)
+            num.append((x, y - x))
         elif x > y:
-            den *= perm(x, x - y)
-    k = _sqrt_transition(a, b, sp)
-    if q.radicand != 1:
-        return (q * k).scale_ratio(num, den)
-    num *= k.re_num
-    return _radical(q.re_num * num, q.im_num * num, q.den * k.den * den, k.radicand)
+            den.append((y, x - y))
+    m = sp.m
+    if m:
+        base_a = sp.n - 1 + sum(a)
+        base_b = sp.n - 1 + sum(b)
+        k = min(abs(base_b - base_a), m)
+        if base_b > base_a:
+            num.append((base_b + m - k, k))
+            den.append((base_a, k))
+        elif base_a > base_b:
+            num.append((base_b, k))
+            den.append((base_a + m - k, k))
+    return num, den
+
+
+def _norm_ratio(a: MultiIndex, b: MultiIndex, sp: SpaceParams) -> RadicalCoefficient:
+    """Canonical ``||z^b|| / ||z^a||``: the square root of the runs of
+    ``_norm_ratio_runs``, folded from their cached square-free splits."""
+    num, den = _norm_ratio_runs(a, b, sp)
+    return sqrt_of_split_ratio(
+        [run_square_free_split(s, c) for s, c in num],
+        [run_square_free_split(s, c) for s, c in den],
+    )
 
 
 def toeplitz_mono_apply(
@@ -215,10 +237,7 @@ class BasisExpansion:
         self.space = space
         self.anchor = next(iter(coeffs), None) or MultiIndex.zero(space.n)
         # c_tau e_tau = c_tau ||z^anchor||/||z^tau|| * z^tau/||z^anchor||
-        self.monomials = {
-            tau: c if tau == self.anchor else _times_norm_ratio(c, tau, self.anchor, space)
-            for tau, c in coeffs.items()
-        }
+        self.monomials = {tau: c * _norm_ratio(tau, self.anchor, space) for tau, c in coeffs.items()}
         self._coeffs = coeffs
 
     @staticmethod
@@ -235,51 +254,35 @@ class BasisExpansion:
         """The coefficients on the orthonormal basis (converted once)."""
         if self._coeffs is None:
             anchor, sp = self.anchor, self.space
-            self._coeffs = {
-                tau: _times_norm_ratio(q, anchor, tau, sp) for tau, q in self.monomials.items()
-            }
+            self._coeffs = {tau: q * _norm_ratio(anchor, tau, sp) for tau, q in self.monomials.items()}
         return self._coeffs
 
     def coefficient(self, alpha: MultiIndex) -> RadicalCoefficient:
         """The coefficient of e_alpha."""
-        if alpha.__class__ is not MultiIndex:
-            alpha = MultiIndex(alpha)
+        alpha = MultiIndex(alpha)
         if self._coeffs is not None:
             return self._coeffs.get(alpha, RADICAL_ZERO)
         q = self.monomials.get(alpha)
         if q is None:
             return RADICAL_ZERO
-        if alpha == self.anchor:  # a ratio of norms of 1: no square root
-            return q
-        return _times_norm_ratio(q, self.anchor, alpha, self.space)
+        return q * _norm_ratio(self.anchor, alpha, self.space)
 
     def squared_norm(self) -> Fraction:
         """Exact Parseval sum: |q_tau|^2 ||z^tau||^2 / ||z^anchor||^2 over the
-        monomials, each ratio of norms a product of runs between the anchor
-        and tau; no square root is taken."""
+        monomials, each ratio of norms the product of the runs of
+        ``_norm_ratio_runs``; no square root is taken."""
         sp = self.space
-        m = sp.m
         anchor = self.anchor
-        base0 = sp.n - 1 + sum(anchor)
         num, den = 0, 1
         for tau, q in self.monomials.items():
             a, b, d = q.re_num, q.im_num, q.den
             t_num = (a * a + b * b) * q.radicand
             t_den = d * d
-            # tau! / anchor!
-            for t, s in zip(tau, anchor):
-                if t > s:
-                    t_num *= rising_product(s, t - s)
-                elif s > t:
-                    t_den *= rising_product(t, s - t)
-            # (base+1)...(base+m) / (base0+1)...(base0+m), as runs of |base - base0|
-            base = sp.n - 1 + sum(tau)
-            if m and base > base0:
-                t_num *= rising_product(base0 + m, base - base0)
-                t_den *= rising_product(base0, base - base0)
-            elif m and base < base0:
-                t_num *= rising_product(base, base0 - base)
-                t_den *= rising_product(base + m, base0 - base)
+            runs_num, runs_den = _norm_ratio_runs(anchor, tau, sp)
+            for s, c in runs_num:
+                t_num *= rising_product(s, c)
+            for s, c in runs_den:
+                t_den *= rising_product(s, c)
             if t_den == den:
                 num += t_num
             else:
@@ -369,14 +372,13 @@ def _add_image(sums: Dict[MultiIndex, list], f: SymbolPolynomial, v: BasisExpans
             if order_g:
                 if min(tau) < 0:
                     continue
-                # rising_product(s, c) is perm(s + c, c), called inline here
                 for t, g in zip(tau, gamma):
                     if g:
-                        num *= perm(t + g, g)
+                        num *= rising_product(t, g)
                 if m:
                     base = order + shift
-                    num *= perm(base + m + order_g, order_g)
-                    den *= perm(base + order_g, order_g)
+                    num *= rising_product(base + m, order_g)
+                    den *= rising_product(base, order_g)
             re = (qr * ar - qi * ai) * num
             im = (qr * ai + qi * ar) * num
             acc = sums.get(tau)

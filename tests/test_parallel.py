@@ -65,20 +65,24 @@ def test_worker_count_is_capped_before_anything_forks(recorder, monkeypatch):
 
 
 def record_then_sleep(task):
-    """Mark item k as started in ``directory``, sleep, and fail on item 1."""
+    """Mark item k as started in ``directory``; item 0 returns at once,
+    item 1 fails at once, and every later item sleeps 1 s."""
     directory, k = task
     Path(directory, str(k)).touch()
-    time.sleep(0.2)
     if k == 1:
         raise ValueError("item 1 fails")
+    if k > 1:
+        time.sleep(1.0)
     return k
 
 
 def test_fan_out_stops_after_the_first_error(tmp_path, monkeypatch):
-    # 2 workers run items 0 and 1; when 1 fails, at most the items already
-    # running may finish, and none of the 38 later items starts after that
+    # Items 0 and 1 end at once, so the failure reaches this process while
+    # each of the 2 workers sleeps in at most one later item; the stop
+    # flag has that whole second to be set before a worker fetches again.
+    # So at most 2 of the 10 later items start.
     monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
-    tasks = [(str(tmp_path), k) for k in range(40)]
+    tasks = [(str(tmp_path), k) for k in range(12)]
     with pytest.raises(ValueError, match="item 1 fails"):
         fan_out(record_then_sleep, tasks, 2)
     started = sorted(int(path.name) for path in tmp_path.iterdir())
