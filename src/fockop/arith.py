@@ -155,7 +155,7 @@ def square_free_split(k: int) -> "tuple[int, int]":
 
 # Distinct runs of consecutive integers ``run_square_free_split`` keeps.
 # Each coefficient the operator engine reads on the orthonormal basis
-# folds the n + 2 runs of its transition, most shared with its
+# folds at most n + 2 runs between two indices, most shared with its
 # neighbours'; the bound keeps a long-lived process from growing without
 # limit.
 RUN_SPLIT_CACHE_SIZE = 16384

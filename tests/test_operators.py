@@ -19,6 +19,7 @@ from fockop.operators import (
     HankelProductOp,
     SpaceParams,
     ToeplitzOp,
+    _norm_ratio,
     _sqrt_transition,
     apply_operator,
     basis_coefficient,
@@ -608,7 +609,7 @@ def test_norm_samples_take_no_square_root():
 
     expr = parse_operator("HP(conj(z1)*z2 + z1; conj(z2)^2 + 1) * T(z1 - (1/2)*i*conj(z2))", 2)
     sp = SpaceParams(2, 1000)
-    caches = (_sqrt_transition, run_square_free_split)
+    caches = (_sqrt_transition, _norm_ratio, run_square_free_split)
 
     def lookups():
         return [info.hits + info.misses for info in (c.cache_info() for c in caches)]
