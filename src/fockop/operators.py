@@ -183,8 +183,7 @@ def _norm_ratio(a: MultiIndex, b: MultiIndex, sp: SpaceParams) -> RadicalCoeffic
     of ``_norm_ratio_runs``, folded from their cached square-free splits.
 
     The closed-form sweep reads the same (alpha, target) pair for many
-    symbol pairs; without this cache it ran 9% slower than with the
-    per-term radicals it replaced.
+    symbol pairs; without the cache its work rate drops by 9%.
     """
     num, den = _norm_ratio_runs(a, b, sp)
     return sqrt_of_split_ratio(
