@@ -15,7 +15,6 @@ from .analysis import (
     default_ray,
     fit_exponent,
     geometric_ts,
-    hankel_vector_norm_sq,
     norm_squared_samples,
     predicted_exponent,
 )
@@ -46,7 +45,7 @@ __all__ = [
     "ExponentReport", "PredictedRate", "RateKind", "RaySpec", "SingleOperatorKind",
     "Verdict", "VerdictCase", "classify_hankel_product", "classify_single",
     "classify_toeplitz_product", "default_ray", "fit_exponent", "geometric_ts",
-    "hankel_vector_norm_sq", "norm_squared_samples", "predicted_exponent",
+    "norm_squared_samples", "predicted_exponent",
     "FockopError", "InputError", "InternalInvariantError", "SymbolSyntaxError",
     "BasisExpansion", "Composition", "HankelProductOp", "OperatorExpr",
     "SpaceParams", "ToeplitzOp", "apply_operator", "basis_coefficient",

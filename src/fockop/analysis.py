@@ -26,7 +26,6 @@ from .operators import (
     SpaceParams,
     apply_operator,
     closed_form_min_alpha,
-    hankel_product_apply,
 )
 from .parallel import fan_out
 from .symbols import SymbolPolynomial, _monomial_text
@@ -276,19 +275,6 @@ def _norm_squared_at(task) -> Tuple[int, Fraction]:
     return t, image.squared_norm()
 
 
-def hankel_vector_norm_sq(f: SymbolPolynomial, alpha: MultiIndex, sp: SpaceParams) -> Fraction:
-    """Exact ||H_f e_alpha||^2 = <H*_f H_f e_alpha, e_alpha>."""
-    image = hankel_product_apply(f, f, BasisExpansion.basis_vector(sp, alpha))
-    c = image.coefficient(alpha)
-    if c.is_zero():
-        return Fraction(0)
-    if c.radicand != 1 or c.im_num:
-        raise InternalInvariantError(
-            f"diagonal Hankel-product entry must be a real rational, got {c}"
-        )
-    return c.re
-
-
 # ---------------------------------------------------------------------------
 # Stirling-rate prediction and log-log fitting
 
@@ -385,24 +371,3 @@ def fit_exponent(
         abs(math.exp(y - (intercept + slope * x)) - 1.0) for x, y in zip(xs, ys)
     )
     return ExponentReport(predicted, slope, residual, samples)
-
-
-def ratio_stabilization(
-    samples: Sequence[Tuple[int, Fraction]], exponent: Fraction
-) -> List[Tuple[int, float]]:
-    """For every (t, 2t) pair present: ||.e_(2t)|| / (||.e_t|| * 2^exponent).
-
-    Constants cancel in the ratio, so stabilization near 1 checks the
-    exponent alone.
-    """
-    by_t = {t: v for t, v in samples}
-    out = []
-    for t, v in samples:
-        w = by_t.get(2 * t)
-        if w is None:
-            continue
-        if v == 0 or w == 0:
-            continue
-        log_ratio = 0.5 * (log_fraction(w) - log_fraction(v)) - float(exponent) * math.log(2.0)
-        out.append((t, math.exp(log_ratio)))
-    return out

@@ -106,6 +106,15 @@ def check_same_dimension(*dims) -> None:
         raise InputError(f"dimensions differ: {shown}")
 
 
+def check_index(n: int, index) -> None:
+    """Raise ``InputError`` unless ``index`` has ``n`` components, none negative:
+    the check of a key a public constructor takes as a multi-index."""
+    if len(index) != n:
+        check_same_dimension(n, len(index))
+    if min(index) < 0:
+        raise InputError(f"multi-index components must be >= 0, got {tuple(index)}")
+
+
 # ---------------------------------------------------------------------------
 # rising products
 

@@ -58,8 +58,8 @@ def _alpha_str(alpha: MultiIndex) -> str:
 
 
 # Largest order |alpha| = a1 + ... + an a basis index may reach.  A basis
-# action factors integers near |alpha| by trial division, at up to
-# sqrt(|alpha|) steps each.
+# action factors nothing; a coefficient read trial-divides the integers of
+# runs near |alpha|, at up to sqrt(|alpha|) steps each.
 MAX_ALPHA_ORDER = 10**9
 
 

@@ -37,6 +37,7 @@ from .arith import (
     RADICAL_ZERO,
     RadicalCoefficient,
     _radical,
+    check_index,
     check_same_dimension,
     rising_product,
     run_square_free_split,
@@ -60,7 +61,7 @@ class SpaceParams:
     """Dimension 1 <= n <= MAX_DIMENSION and weight order 0 <= m <= MAX_WEIGHT_ORDER.
 
     Immutable; its hash is computed once, since it is part of the
-    ``_sqrt_transition`` cache key of every per-term radical coefficient.
+    ``_norm_ratio`` cache key of every coefficient read.
     """
 
     __slots__ = ("n", "m", "_hash")
@@ -110,41 +111,9 @@ def monomial_inner(a: MultiIndex, b: MultiIndex, sp: SpaceParams) -> Fraction:
 
 
 def basis_coefficient(alpha: MultiIndex, sp: SpaceParams) -> RadicalCoefficient:
-    """Normalizing constant of e_alpha: 1/sqrt(<z^alpha, z^alpha>).
-
-    It is the transition factor from e_0 to e_alpha times (m+n-1)!/(n-1)!.
-    """
+    """Normalizing constant of e_alpha: 1/sqrt(<z^alpha, z^alpha>) = ||1|| / ||z^alpha||."""
     check_same_dimension(sp.n, alpha.dimension)
-    return _sqrt_transition(MultiIndex.zero(sp.n), alpha, sp).scale(rising_product(sp.n - 1, sp.m))
-
-
-@lru_cache(maxsize=200_000)
-def _sqrt_transition(alpha: MultiIndex, tau: MultiIndex, sp: SpaceParams) -> RadicalCoefficient:
-    """Canonical square root of the radicand
-    alpha! (n-1+|alpha|)! (n-1+|tau|)! / (tau! (m+n-1+|alpha|)! (m+n-1+|tau|)!)
-    (cached), the radical factor of ``toeplitz_mono_apply``, of
-    ``hankel_coeff_closed_form`` and of ``basis_coefficient``.
-
-    The radicand depends only on the two indices.  It is a product of at
-    most n + 2 runs of consecutive integers: (t_j, a_j] in the numerator
-    or (a_j, t_j] in the denominator for each component, and the two
-    weight runs of m integers above n-1+|alpha| and n-1+|tau| in the
-    denominator.  Each run's square-free split comes from the cache of
-    ``run_square_free_split``, so a miss here folds n + 2 pairs, not the
-    2m + sum|a_j - t_j| integers of the runs.
-    """
-    num = []
-    den = []
-    for a, t in zip(alpha, tau):
-        if a > t:
-            num.append(run_square_free_split(t, a - t))
-        elif t > a:
-            den.append(run_square_free_split(a, t - a))
-    m = sp.m
-    if m:
-        den.append(run_square_free_split(sp.n - 1 + sum(alpha), m))
-        den.append(run_square_free_split(sp.n - 1 + sum(tau), m))
-    return sqrt_of_split_ratio(num, den)
+    return _norm_ratio(alpha, MultiIndex.zero(sp.n), sp)
 
 
 def _norm_ratio_runs(a: MultiIndex, b: MultiIndex, sp: SpaceParams):
@@ -200,11 +169,12 @@ def toeplitz_mono_apply(
     Returns ``(target, coefficient)``, or ``None`` when any component of
     ``tau = alpha + beta - gamma`` is negative (the image is the zero
     vector).  The coefficient ``||z^(alpha+beta)||^2 / (||z^alpha|| ||z^tau||)``
-    is formed on the orthonormal basis, as prod_j (a_j+1)...(a_j+b_j)
-    times (n-1+|alpha|+|beta|+1)...(n-1+|alpha|+|beta|+m) times
-    ``_sqrt_transition(alpha, tau)``: a per-term radical path that shares
-    no rational factor with ``toeplitz_apply``, which tests compare it
-    with.
+    is formed on the orthonormal basis, as the rational
+    prod_j (a_j+1)...(a_j+b_j) * (A+|beta|+1)...(A+|beta|+m) / ((A+1)...(A+m)),
+    A = n-1+|alpha|, times ``_norm_ratio(tau, alpha)`` = ||z^alpha||/||z^tau||:
+    a per-term radical path whose rational shares no factor with
+    ``toeplitz_apply``, which tests compare it with.  It shares only
+    ``_norm_ratio`` with coefficient reads, with the indices swapped.
     """
     n = sp.n
     if not (len(beta) == len(gamma) == len(alpha) == n):
@@ -212,11 +182,12 @@ def toeplitz_mono_apply(
     tau = tuple(a + b - g for a, b, g in zip(alpha, beta, gamma))
     if min(tau) < 0:
         return None
-    rational = rising_product(n - 1 + sum(alpha) + sum(beta), sp.m)
+    order = n - 1 + sum(alpha)
+    rational = rising_product(order + sum(beta), sp.m)
     for a, b in zip(alpha, beta):
         rational *= rising_product(a, b)
     tau = MultiIndex._wrap(tau)
-    return tau, _sqrt_transition(alpha, tau, sp).scale(rational)
+    return tau, _norm_ratio(tau, alpha, sp).scale_ratio(rational, rising_product(order, sp.m))
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +198,9 @@ class BasisExpansion:
     """Finite vector ``sum(coeffs[tau] * e_tau)``; coefficients are nonzero.
 
     ``BasisExpansion(space, coeffs)`` takes coefficients on the orthonormal
-    basis, and ``coeffs``, ``coefficient``, ``sorted_items``, ``==`` and
-    ``repr`` read them.  Underneath, the vector is held as
+    basis, keyed by indices of n nonnegative components, and ``coeffs``,
+    ``coefficient``, ``sorted_items``, ``==`` and ``repr`` read them.
+    Underneath, the vector is held as
     ``sum(monomials[tau] * z^tau) / ||z^anchor||`` for one anchor index:
     the form the basis actions work in, with radicand 1 whenever the
     vector was built from a basis vector.  ``coeffs`` is converted from it
@@ -239,6 +211,8 @@ class BasisExpansion:
     __slots__ = ("space", "anchor", "monomials", "_coeffs")
 
     def __init__(self, space: SpaceParams, coeffs: Dict[MultiIndex, RadicalCoefficient]):
+        for tau in coeffs:
+            check_index(space.n, tau)
         self.space = space
         self.anchor = next(iter(coeffs), None) or MultiIndex.zero(space.n)
         # c_tau e_tau = c_tau ||z^anchor||/||z^tau|| * z^tau/||z^anchor||
@@ -487,7 +461,7 @@ def hankel_coeff_closed_form(
             second *= rising_product(a, u)
         if g_:
             second *= rising_product(a + u - w, g_)
-    denom = 1
+    denom = weight = 1
     if m:
         order_a = sum(alpha)
         order_gm = order_a + sum(gamma) + sum(mu)
@@ -498,7 +472,9 @@ def hankel_coeff_closed_form(
         second *= rising_product(n - 1 + order_am, m)
         second *= rising_product(n - 1 + order_agmn, m)
         denom = rising_product(n - 1 + order_amn, m)
-    return tau, _sqrt_transition(alpha, tau, sp).scale_ratio(term1 * denom - second, denom)
+        weight = rising_product(n - 1 + order_a, m)
+    # ||z^alpha||/||z^tau|| times this rational is the coefficient
+    return tau, _norm_ratio(tau, alpha, sp).scale_ratio(term1 * denom - second, denom * weight)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from itertools import chain
 from math import comb
 from typing import Dict, Iterable, Optional, Tuple
 
-from .arith import RADICAL_ONE, MultiIndex, RadicalCoefficient, check_same_dimension, format_gaussian
+from .arith import RADICAL_ONE, MultiIndex, RadicalCoefficient, check_index, check_same_dimension, format_gaussian
 from .errors import InputError, SymbolSyntaxError
 
 TermKey = Tuple[MultiIndex, MultiIndex]
@@ -39,14 +39,19 @@ class SymbolPolynomial:
     """Finite linear combination of monomials z^beta * conj(z)^gamma.
 
     Every coefficient is a nonzero Gaussian rational (radicand 1); the
-    text form has no square roots.
+    text form has no square roots.  ``SymbolPolynomial(n, terms)`` checks
+    that each key is a pair of indices of n nonnegative components and
+    each coefficient has radicand 1; the algebra, whose results keep both
+    properties, builds them with ``_symbol`` and skips the checks.
     """
 
     __slots__ = ("dimension", "terms")
 
     def __init__(self, dimension: int, terms: Dict[TermKey, RadicalCoefficient]):
         check_dimension(dimension)
-        for c in terms.values():
+        for (beta, gamma), c in terms.items():
+            check_index(dimension, beta)
+            check_index(dimension, gamma)
             if c.radicand != 1:
                 raise InputError(f"symbol coefficients must be nonzero Gaussian rationals, got {c}")
         self.dimension = dimension
@@ -77,15 +82,7 @@ class SymbolPolynomial:
 
     @staticmethod
     def from_terms(dimension: int, items: Iterable[Tuple[TermKey, RadicalCoefficient]]) -> "SymbolPolynomial":
-        acc: Dict[TermKey, RadicalCoefficient] = {}
-        for key, coeff in items:
-            prev = acc.get(key)
-            total = coeff if prev is None else prev + coeff
-            if total.is_zero():
-                acc.pop(key, None)
-            else:
-                acc[key] = total
-        return SymbolPolynomial(dimension, acc)
+        return SymbolPolynomial(dimension, _merged(items))
 
     # -- predicates --------------------------------------------------------
 
@@ -100,19 +97,17 @@ class SymbolPolynomial:
 
     def __add__(self, other: "SymbolPolynomial") -> "SymbolPolynomial":
         check_same_dimension(self.dimension, other.dimension)
-        return SymbolPolynomial.from_terms(
-            self.dimension, chain(self.terms.items(), other.terms.items())
-        )
+        return _symbol(self.dimension, _merged(chain(self.terms.items(), other.terms.items())))
 
     def __neg__(self) -> "SymbolPolynomial":
-        return SymbolPolynomial(self.dimension, {k: -c for k, c in self.terms.items()})
+        return _symbol(self.dimension, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other: "SymbolPolynomial") -> "SymbolPolynomial":
         return self + (-other)
 
     def __mul__(self, other: "SymbolPolynomial") -> "SymbolPolynomial":
         check_same_dimension(self.dimension, other.dimension)
-        # from_terms' loop, inlined: feeding it a generator costs about 1 us more
+        # _merged's loop, inlined: feeding it a generator costs about 1 us more
         # per single-term product, a few percent of the closed-form sweep.
         acc: Dict[TermKey, RadicalCoefficient] = {}
         for (b1, g1), c1 in self.terms.items():
@@ -125,7 +120,7 @@ class SymbolPolynomial:
                     acc.pop(key, None)
                 else:
                     acc[key] = total
-        return SymbolPolynomial(self.dimension, acc)
+        return _symbol(self.dimension, acc)
 
     def __pow__(self, exponent: int) -> "SymbolPolynomial":
         if exponent < 0:
@@ -142,10 +137,7 @@ class SymbolPolynomial:
 
     def conjugate(self) -> "SymbolPolynomial":
         """Complex conjugation: (beta, gamma) -> (gamma, beta), coefficient conjugated."""
-        return SymbolPolynomial(
-            self.dimension,
-            {(g, b): c.conjugate() for (b, g), c in self.terms.items()},
-        )
+        return _symbol(self.dimension, {(g, b): c.conjugate() for (b, g), c in self.terms.items()})
 
     def holomorphic_split(self) -> "tuple[SymbolPolynomial, SymbolPolynomial]":
         """(pure holomorphic part, remainder); the parts sum to self."""
@@ -153,10 +145,7 @@ class SymbolPolynomial:
         rest: Dict[TermKey, RadicalCoefficient] = {}
         for key, coeff in self.terms.items():
             (holo if key[1].order == 0 else rest)[key] = coeff
-        return (
-            SymbolPolynomial(self.dimension, holo),
-            SymbolPolynomial(self.dimension, rest),
-        )
+        return _symbol(self.dimension, holo), _symbol(self.dimension, rest)
 
     # -- inspection ---------------------------------------------------------
 
@@ -189,6 +178,28 @@ class SymbolPolynomial:
         for sign, body in pieces[1:]:
             out += f" {sign} {body}"
         return out
+
+
+def _symbol(dimension: int, terms: Dict[TermKey, RadicalCoefficient]) -> SymbolPolynomial:
+    """The symbol with ``terms``, built from valid symbols' terms (internal):
+    the checks of ``SymbolPolynomial(dimension, terms)`` are skipped."""
+    s = object.__new__(SymbolPolynomial)
+    s.dimension = dimension
+    s.terms = terms
+    return s
+
+
+def _merged(items: Iterable[Tuple[TermKey, RadicalCoefficient]]) -> Dict[TermKey, RadicalCoefficient]:
+    """The terms ``items`` sum to: like terms merged, zero sums dropped."""
+    acc: Dict[TermKey, RadicalCoefficient] = {}
+    for key, coeff in items:
+        prev = acc.get(key)
+        total = coeff if prev is None else prev + coeff
+        if total.is_zero():
+            acc.pop(key, None)
+        else:
+            acc[key] = total
+    return acc
 
 
 def _monomial_text(beta: MultiIndex, gamma: MultiIndex, dimension: int) -> str:

@@ -26,10 +26,8 @@ from fockop.analysis import (
     fit_exponent,
     geometric_ts,
     hankel_validity_base,
-    hankel_vector_norm_sq,
     norm_squared_samples,
     predicted_exponent,
-    ratio_stabilization,
     RateKind,
 )
 from fockop.arith import MultiIndex, RADICAL_ONE
@@ -49,6 +47,7 @@ from fockop.verify import (
     verify_oracle_monte_carlo,
     verify_orthonormality,
 )
+from reference import hankel_vector_norm_sq, ratio_stabilization
 
 
 def mi(*comps):

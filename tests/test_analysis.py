@@ -17,15 +17,14 @@ from fockop.analysis import (
     fit_exponent,
     geometric_ts,
     hankel_validity_base,
-    hankel_vector_norm_sq,
     norm_squared_samples,
     predicted_exponent,
-    ratio_stabilization,
 )
 from fockop.arith import MultiIndex
 from fockop.errors import InputError
 from fockop.operators import SpaceParams, parse_operator
 from fockop.symbols import parse_symbol
+from reference import hankel_vector_norm_sq, ratio_stabilization
 
 
 def mi(*comps):

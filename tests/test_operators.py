@@ -11,6 +11,7 @@ from fockop.arith import (
     RADICAL_ONE,
     RADICAL_ZERO,
     RadicalCoefficient,
+    rising_product,
 )
 from fockop.errors import InputError, InternalInvariantError, SymbolSyntaxError
 from fockop.operators import (
@@ -20,7 +21,6 @@ from fockop.operators import (
     SpaceParams,
     ToeplitzOp,
     _norm_ratio,
-    _sqrt_transition,
     apply_operator,
     basis_coefficient,
     hankel_coeff_closed_form,
@@ -171,7 +171,8 @@ def test_mono_apply_ladder_identities():
 
 
 def _transition_factor_lists(alpha, tau, sp):
-    """The transition radicand as explicit integer factors:
+    """The radicand of ||z^alpha|| / (||z^tau|| (A+1)...(A+m)), A = n-1+|alpha|,
+    as explicit integer factors:
     alpha! (n-1+|alpha|)! (n-1+|tau|)! / (tau! (m+n-1+|alpha|)! (m+n-1+|tau|)!)."""
     num, den = [], []
     for a, t in zip(alpha, tau):
@@ -200,8 +201,9 @@ def _transitions(draw):
 def test_run_cached_transition_matches_the_factor_lists(case):
     alpha, tau, sp = case
     expected = RadicalCoefficient.from_sqrt_ratio(*_transition_factor_lists(alpha, tau, sp))
-    assert _sqrt_transition.__wrapped__(alpha, tau, sp) == expected
-    assert _sqrt_transition(alpha, tau, sp) == expected
+    weight = rising_product(sp.n - 1 + alpha.order, sp.m)
+    assert _norm_ratio.__wrapped__(tau, alpha, sp).scale_ratio(1, weight) == expected
+    assert _norm_ratio(tau, alpha, sp).scale_ratio(1, weight) == expected
 
 
 def test_adjoint_symmetry_exact():
@@ -321,6 +323,21 @@ def test_fused_apply_drops_merges_that_cancel():
     assert out == BasisExpansion(sp, {mi(0): RadicalCoefficient(-1), mi(4): RadicalCoefficient(2, 6)})
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: BasisExpansion(SpaceParams(2, 0), {mi(1): RADICAL_ONE}),
+        lambda: BasisExpansion(SpaceParams(2, 0), {(1, -1): RADICAL_ONE}),
+        lambda: SymbolPolynomial(2, {((1, 0), (0, -1)): RADICAL_ONE}),
+        lambda: SymbolPolynomial(2, {(mi(1, 0), mi(0, 0, 1)): RADICAL_ONE}),
+    ],
+    ids=["short-index", "negative-index", "negative-exponent", "long-exponent"],
+)
+def test_public_constructors_reject_malformed_keys(build):
+    with pytest.raises(InputError):
+        build()
+
+
 def test_apply_dimension_mismatch():
     with pytest.raises(InputError, match="dimensions differ: 1 vs 2"):
         toeplitz_apply(parse_symbol("z1", 2), e(SpaceParams(1, 0), 0))
@@ -384,7 +401,8 @@ def test_hankel_product_weighted_identity_case():
 
 
 def test_closed_form_matches_composition_on_validity_range():
-    for n, m in ((1, 0), (1, 2), (2, 1)):
+    # above m = 2 the weight runs of a norm ratio are shorter than m
+    for n, m in ((1, 0), (1, 2), (2, 1), (1, 1000), (2, 40)):
         sp = SpaceParams(n, m)
         pool = [MultiIndex(c) for c in product(range(2), repeat=n)]
         for beta, gamma, mu, nu in product(pool, repeat=4):
@@ -609,7 +627,7 @@ def test_norm_samples_take_no_square_root():
 
     expr = parse_operator("HP(conj(z1)*z2 + z1; conj(z2)^2 + 1) * T(z1 - (1/2)*i*conj(z2))", 2)
     sp = SpaceParams(2, 1000)
-    caches = (_sqrt_transition, _norm_ratio, run_square_free_split)
+    caches = (_norm_ratio, run_square_free_split)
 
     def lookups():
         return [info.hits + info.misses for info in (c.cache_info() for c in caches)]

@@ -34,8 +34,11 @@ DELETED = [
     (operators, "_sqrt_transition_factors"),
     (operators, "_mono_rule"),
     (operators, "expansion_sub"),
+    (operators, "_sqrt_transition"),
     (operators.BasisExpansion, "zero"),
     (analysis.RaySpec, "alphas"),
+    (analysis, "hankel_vector_norm_sq"),
+    (analysis, "ratio_stabilization"),
     (oracle.OracleConfig, "workers"),
     (errors, "MultiIndexError"),
     (errors, "DimensionMismatchError"),
