@@ -10,7 +10,10 @@ the point; sharing code with it would verify nothing.
 Monte Carlo cases of one dimension share their draws (common random
 numbers): each chunk of samples is drawn once and every case is
 evaluated on it, so a case's estimate is the same whether it is asked
-for alone or with others.  Quadratures are memoized per (k, tolerance).
+for alone or with others.  A case's integrand is a real modulus times a
+complex phase; a diagonal case <z^a, z^a> has no phase, runs in real
+float64 arithmetic and reports an imaginary part of exactly 0.
+Quadratures are memoized per (k, tolerance).
 """
 
 from __future__ import annotations
@@ -175,46 +178,71 @@ def _mc_sums(cases, n: int, seed_seq: "np.random.SeedSequence", count: int, chun
     generator seeded by ``seed_seq``.
 
     Each chunk of at most ``chunk`` draws is made once and every case
-    ``(a, b, m, weight)`` is evaluated on it.  Cases with the same (a, b)
-    share the product z^a conj(z)^b, which m and the weight only scale;
-    each case still takes the same float operations in the same order,
-    whichever cases share its chunk.
+    ``(a, b, m, weight)`` is evaluated on it as a real modulus times a
+    complex phase:
+
+        z^a conj(z)^b = prod_j r_j^min(a_j, b_j) * prod_j u_j^|a_j - b_j|
+
+    with r_j = |z_j|^2, and u_j = z_j where a_j > b_j, conj(z_j) otherwise.
+    The modulus, R^m (R = |z|^2) and the weight are multiplied in real
+    float64.  Only a case with a phase (a != b) forms a complex array; a
+    diagonal case sums in real arrays and its imaginary sums are exactly 0.
+    Cases with the same (a, b) share the modulus and the phase; each case
+    still takes the same float operations in the same order, whichever
+    cases share its chunk.  Sums are numpy's pairwise ``np.sum``, which,
+    unlike a BLAS dot, does not depend on the thread count.
     """
     rng = np.random.Generator(np.random.PCG64(seed_seq))
-    orders = sorted({m for _, _, m, _ in cases if m})
     groups = {}  # (a, b) -> [(case row, m, weight)]
     for row, (a, b, m, weight) in enumerate(cases):
         groups.setdefault((a, b), []).append((row, m, weight))
+    scales = {(m, weight) for _, _, m, weight in cases if m}
+    phased = any(a != b for a, b in groups)
     sums = np.zeros((len(cases), 4))
     done = 0
-    # at large m (300 at n = 3) r2**m overflows and the weight underflows to 0;
+    # at large m (300 at n = 3) R**m overflows and the weight underflows to 0;
     # the estimate turns inf or nan and its check fails, so numpy's warnings
     # would only repeat that on stderr
     with np.errstate(over="ignore", invalid="ignore"):
         while done < count:
             size = min(chunk, count - done)
-            xy = rng.standard_normal((size, 2 * n)) * math.sqrt(0.5)
-            z = xy[:, :n] + 1j * xy[:, n:]
-            if orders:
-                r2 = np.sum(xy * xy, axis=1)
-                radial = {m: r2**m for m in orders}
-                del r2
+            xy = rng.standard_normal((size, 2 * n))
+            xy *= math.sqrt(0.5)
+            z = xy[:, :n] + 1j * xy[:, n:] if phased else None
+            np.square(xy, out=xy)
+            r = np.empty((n, size))  # r[j] = |z_j|^2, one contiguous row per j
+            np.add(xy[:, :n].T, xy[:, n:].T, out=r)
             del xy
+            radial = {}  # (m, weight) -> R**m * weight
+            if scales:
+                big_r = r.sum(axis=0)
+                for m, weight in scales:
+                    radial[m, weight] = big_r**m
+                    radial[m, weight] *= weight
+                del big_r
+            buf = np.empty(size)
             for (a, b), members in groups.items():
-                angular = np.ones(size, dtype=np.complex128)
+                modulus = phase = None
                 for j in range(n):
-                    if a[j]:
-                        angular *= z[:, j] ** a[j]
-                    if b[j]:
-                        angular *= np.conj(z[:, j]) ** b[j]
+                    low, gap = min(a[j], b[j]), abs(a[j] - b[j])
+                    if low:
+                        f = r[j] ** low
+                        modulus = f if modulus is None else np.multiply(modulus, f, out=modulus)
+                    if gap:
+                        f = (z[:, j] if a[j] > b[j] else np.conj(z[:, j])) ** gap
+                        phase = f if phase is None else np.multiply(phase, f, out=phase)
                 for row, m, weight in members:
-                    w = angular * radial[m] if m else angular.copy()
-                    w *= weight
+                    w = np.multiply(1.0 if modulus is None else modulus, radial.get((m, weight), weight), out=buf)
                     out = sums[row]
-                    out[0] += float(np.sum(w.real))
-                    out[1] += float(np.sum(w.real**2))
-                    out[2] += float(np.sum(w.imag))
-                    out[3] += float(np.sum(w.imag**2))
+                    if phase is None:
+                        out[0] += float(np.sum(w))
+                        out[1] += float(np.sum(np.square(w, out=w)))
+                    else:
+                        w = phase * w
+                        out[0] += float(np.sum(w.real))
+                        out[1] += float(np.sum(w.real**2))
+                        out[2] += float(np.sum(w.imag))
+                        out[3] += float(np.sum(w.imag**2))
             done += size
     return sums
 
@@ -237,6 +265,8 @@ def _mc_inner(
     all from one stream of draws seeded by ``cfg.seed``."""
     total = cfg.samples
     check_mc_samples(total)
+    if cfg.chunk < 1:
+        raise InputError(f"Monte Carlo chunk must be >= 1 sample, got {cfg.chunk}")
     if not cases:
         return MonteCarloBatch(())
     n = cases[0][2].n

@@ -22,8 +22,9 @@ from .errors import InputError, SymbolSyntaxError
 TermKey = Tuple[MultiIndex, MultiIndex]
 
 # Largest dimension n.  Every multi-index holds n ints, and the Monte Carlo
-# oracle draws each chunk of up to 2^18 samples as 2n floats per sample, about
-# 8 MB per unit of n with its complex view.
+# oracle draws each chunk of up to 2^18 samples as 2n floats per sample and
+# folds them into n moduli |z_j|^2, about 6 MB per unit of n; only an
+# off-diagonal case adds a complex view, 4 MB more per unit of n.
 MAX_DIMENSION = 32
 
 
@@ -40,22 +41,26 @@ class SymbolPolynomial:
 
     Every coefficient is a nonzero Gaussian rational (radicand 1); the
     text form has no square roots.  ``SymbolPolynomial(n, terms)`` checks
-    that each key is a pair of indices of n nonnegative components and
-    each coefficient has radicand 1; the algebra, whose results keep both
-    properties, builds them with ``_symbol`` and skips the checks.
+    that each key is a pair of indices of n nonnegative components, stores
+    it as a pair of ``MultiIndex``, and checks that each coefficient has
+    radicand 1; the algebra, whose results keep these properties, builds
+    them with ``_symbol`` and skips the checks.
     """
 
     __slots__ = ("dimension", "terms")
 
     def __init__(self, dimension: int, terms: Dict[TermKey, RadicalCoefficient]):
         check_dimension(dimension)
+        checked: Dict[TermKey, RadicalCoefficient] = {}
         for (beta, gamma), c in terms.items():
             check_index(dimension, beta)
             check_index(dimension, gamma)
             if c.radicand != 1:
                 raise InputError(f"symbol coefficients must be nonzero Gaussian rationals, got {c}")
+            # a plain tuple key would concatenate under + where MultiIndex adds
+            checked[_as_index(beta), _as_index(gamma)] = c
         self.dimension = dimension
-        self.terms = terms
+        self.terms = checked
 
     # -- construction -----------------------------------------------------
 
@@ -178,6 +183,11 @@ class SymbolPolynomial:
         for sign, body in pieces[1:]:
             out += f" {sign} {body}"
         return out
+
+
+def _as_index(index) -> MultiIndex:
+    """``index`` as a ``MultiIndex``; a checked key that is one already is kept."""
+    return index if type(index) is MultiIndex else MultiIndex(index)
 
 
 def _symbol(dimension: int, terms: Dict[TermKey, RadicalCoefficient]) -> SymbolPolynomial:

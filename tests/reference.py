@@ -1,9 +1,12 @@
 """Test-side references: exact quantities the tests check the program
-against, computed from the package's public operators."""
+against, computed from the package's public operators, and the earlier
+float arithmetic of the Monte Carlo oracle."""
 
 import math
 from fractions import Fraction
 from typing import List, Sequence, Tuple
+
+import numpy as np
 
 from fockop.analysis import log_fraction
 from fockop.arith import MultiIndex
@@ -40,3 +43,37 @@ def ratio_stabilization(
         log_ratio = 0.5 * (log_fraction(w) - log_fraction(v)) - float(exponent) * math.log(2.0)
         out.append((t, math.exp(log_ratio)))
     return out
+
+
+def complex_product_mc_sums(a, b, m, weight, n, seed_seq, count, chunk):
+    """Monte Carlo sums of one case ``(a, b, m, weight)`` in complex arithmetic.
+
+    Each chunk of draws is made from a fresh generator seeded by
+    ``seed_seq``; w = z^a conj(z)^b R^m * weight is formed as a complex
+    product of complex powers (R = |z|^2), as the oracle did before it
+    split w into a real modulus and a complex phase.  Returns
+    ``(re, re^2, im, im^2)`` sums and ``(|w|, |w|^2)`` sums, which scale
+    a rounding bound against the oracle's sums.
+    """
+    rng = np.random.Generator(np.random.PCG64(seed_seq))
+    sums = np.zeros(4)
+    abs_sums = np.zeros(2)
+    done = 0
+    while done < count:
+        size = min(chunk, count - done)
+        xy = rng.standard_normal((size, 2 * n)) * math.sqrt(0.5)
+        z = xy[:, :n] + 1j * xy[:, n:]
+        w = np.ones(size, dtype=np.complex128)
+        for j in range(n):
+            if a[j]:
+                w *= z[:, j] ** a[j]
+            if b[j]:
+                w *= np.conj(z[:, j]) ** b[j]
+        if m:
+            w *= np.sum(xy * xy, axis=1) ** m
+        w *= weight
+        sums += [np.sum(w.real), np.sum(w.real**2), np.sum(w.imag), np.sum(w.imag**2)]
+        abs_w = np.abs(w)
+        abs_sums += [np.sum(abs_w), np.sum(abs_w**2)]
+        done += size
+    return sums, abs_sums

@@ -338,6 +338,14 @@ def test_public_constructors_reject_malformed_keys(build):
         build()
 
 
+def test_symbol_constructor_stores_plain_tuple_keys_as_multi_indices():
+    s = SymbolPolynomial(1, {((1,), (0,)): RADICAL_ONE})
+    assert all(type(index) is MultiIndex for key in s.terms for index in key)
+    assert not s.is_constant()
+    assert s * s == parse_symbol("z^2", 1)
+    assert (s * s).pretty() == "z^2"
+
+
 def test_apply_dimension_mismatch():
     with pytest.raises(InputError, match="dimensions differ: 1 vs 2"):
         toeplitz_apply(parse_symbol("z1", 2), e(SpaceParams(1, 0), 0))

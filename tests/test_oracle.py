@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from reference import complex_product_mc_sums
 
 from fockop.arith import MultiIndex
 from fockop.errors import InputError
@@ -12,6 +14,7 @@ from fockop.oracle import (
     OracleEstimate,
     OracleMethod,
     _mc_inner,
+    _mc_sums,
     gamma_integral_quadrature,
     gamma_recurrence,
     oracle_inner,
@@ -123,8 +126,10 @@ def test_oracle_toeplitz_coeff_matches_engine():
 
 
 def _per_case_worker(a, b, sp, weight, seed_seq, count, chunk):
-    """The per-case Monte Carlo loop the batched worker replaced: each case
-    draws its own chunks from a fresh generator."""
+    """The batched kernel's arithmetic for one case: each case draws its own
+    chunks from a fresh generator and takes w = z^a conj(z)^b R^m * weight
+    as the real modulus prod_j r_j^min(a_j, b_j) times (R^m * weight),
+    times the phase prod_j u_j^|a_j - b_j| when a != b."""
     rng = np.random.Generator(np.random.PCG64(seed_seq))
     n = sp.n
     sums = np.zeros(4)
@@ -132,30 +137,37 @@ def _per_case_worker(a, b, sp, weight, seed_seq, count, chunk):
     while done < count:
         size = min(chunk, count - done)
         xy = rng.standard_normal((size, 2 * n)) * math.sqrt(0.5)
-        z = xy[:, :n] + 1j * xy[:, n:]
-        w = np.ones(size, dtype=np.complex128)
+        x, y = xy[:, :n], xy[:, n:]
+        r = x * x + y * y  # column j is |z_j|^2
+        modulus = np.ones(size)
+        phase = None
         for j in range(n):
-            if a[j]:
-                w *= z[:, j] ** a[j]
-            if b[j]:
-                w *= np.conj(z[:, j]) ** b[j]
-        if sp.m:
-            r2 = np.sum(xy * xy, axis=1)
-            w *= r2**sp.m
-        w *= weight
-        sums[0] += float(np.sum(w.real))
-        sums[1] += float(np.sum(w.real**2))
-        sums[2] += float(np.sum(w.imag))
-        sums[3] += float(np.sum(w.imag**2))
+            low, gap = min(a[j], b[j]), abs(a[j] - b[j])
+            if low:
+                modulus = modulus * r[:, j] ** low
+            if gap:
+                u = x[:, j] + 1j * y[:, j]
+                f = (u if a[j] > b[j] else np.conj(u)) ** gap
+                phase = f if phase is None else phase * f
+        w = modulus * (np.sum(r, axis=1) ** sp.m * weight if sp.m else weight)
+        if phase is None:
+            sums[:2] += [np.sum(w), np.sum(w * w)]
+        else:
+            w = phase * w
+            sums += [np.sum(w.real), np.sum(w.real**2), np.sum(w.imag), np.sum(w.imag**2)]
         done += size
     return sums
+
+
+def _stream(cfg):
+    """The oracle's stream for ``cfg``: the seed's first child."""
+    return np.random.SeedSequence(cfg.seed).spawn(1)[0]
 
 
 def _per_case_estimate(a, b, sp, cfg):
     total = cfg.samples
     weight = gamma_recurrence(sp.n) / gamma_recurrence(sp.m + sp.n)
-    stream = np.random.SeedSequence(cfg.seed).spawn(1)[0]
-    sums = _per_case_worker(a, b, sp, weight, stream, total, cfg.chunk)
+    sums = _per_case_worker(a, b, sp, weight, _stream(cfg), total, cfg.chunk)
     mean_re = sums[0] / total
     mean_im = sums[2] / total
     return OracleEstimate(
@@ -176,7 +188,7 @@ def _mc_cases(n):
     return cases
 
 
-@pytest.mark.parametrize(
+MC_BATCHES = pytest.mark.parametrize(
     "n, cfg",
     [
         (2, OracleConfig(seed=5, samples=3_000)),
@@ -185,6 +197,9 @@ def _mc_cases(n):
     ],
     ids=["n2-one-chunk", "n2-partial-chunk", "n3-chunks"],
 )
+
+
+@MC_BATCHES
 def test_batched_monte_carlo_is_bit_identical_to_per_case(n, cfg):
     cases = _mc_cases(n)
     batch = _mc_inner(cases, cfg)
@@ -229,6 +244,86 @@ def test_monte_carlo_agreement_matches_per_case_loop(cfg):
     assert out.cases == cases
     assert out.max_sigmas == max_sigmas
     assert out.failures == failures
+
+
+# float64 unit roundoff
+UNIT_ROUNDOFF = 2.0**-53
+
+
+@MC_BATCHES
+def test_modulus_phase_sums_match_the_complex_product_within_rounding(n, cfg):
+    """The kernel's sums against the complex-product loop it replaced.
+
+    Both routes compute the same w per sample from the same draws, each to
+    a relative error of at most k unit roundoffs u (first order):
+
+    * complex product: at most |a| + |b| complex multiplications, each
+      within sqrt(5) u (Brent, Percival and Zimmermann, 2007); R, a sum of
+      2n squares, within 2n u, so (2n m + 1) u for R^m; 2 u for the two
+      real scalings;
+    * modulus and phase: r_j = x_j^2 + y_j^2 within 2 u, so
+      (2 min(a_j, b_j) + 1) u per modulus power and n - 1 products; at
+      most |a_j - b_j| complex multiplications per phase factor, each
+      within sqrt(5) u; R, the sum of the r_j, within (n + 1) u, so
+      (m (n + 1) + 1) u for R^m; 3 u for the three products.
+
+    Both fit k = 3 (|a| + |b|) + 2n (m + 1) + 4, since 2 min(a_j, b_j) +
+    sqrt(5) |a_j - b_j| <= 3 (a_j + b_j).  np.sum adds a chunk of s terms
+    at a depth of at most ceil(log2 s) + 25 (numpy's pairwise blocks of
+    128 with 8 accumulators, and a sequential tail), plus one per buffer of
+    8192 and one per chunk accumulated.  Each route's sum of w is then
+    within (k + depth) u sum|w| of the exact sum, so the two differ by
+    at most 2 (k + depth) u sum|w|; a square adds one rounding and doubles
+    the relative error, so the sums of squares differ by at most
+    4 (k + depth + 1) u sum|w|^2.  A factor 1.005 covers the second-order
+    terms, as (k + depth) u < 1e-13.
+    """
+    cases = _mc_cases(n)
+    work = [(a, b, sp.m, gamma_recurrence(n) / gamma_recurrence(sp.m + n)) for a, b, sp in cases]
+    sums = _mc_sums(work, n, _stream(cfg), cfg.samples, cfg.chunk)
+    size = min(cfg.chunk, cfg.samples)
+    chunks = math.ceil(cfg.samples / cfg.chunk)
+    depth = math.ceil(math.log2(size)) + 25 + math.ceil(size / 8192) + chunks
+    for (a, b, m, weight), new in zip(work, sums):
+        old, (abs_sum, abs_sq_sum) = complex_product_mc_sums(a, b, m, weight, n, _stream(cfg), cfg.samples, cfg.chunk)
+        k = 3 * (a.order + b.order) + 2 * n * (m + 1) + 4
+        bound = 1.005 * 2 * (k + depth) * UNIT_ROUNDOFF * abs_sum
+        sq_bound = 1.005 * 4 * (k + depth + 1) * UNIT_ROUNDOFF * abs_sq_sum
+        label = (tuple(a), tuple(b), m)
+        assert abs(new[0] - old[0]) <= bound, label
+        assert abs(new[2] - old[2]) <= bound, label
+        assert abs(new[1] - old[1]) <= sq_bound, label
+        assert abs(new[3] - old[3]) <= sq_bound, label
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_monte_carlo_diagonal_cases_are_exactly_real(n):
+    cases = [(a, b, sp) for a, b, sp in _mc_cases(n) if a == b]
+    for est in _mc_inner(cases, OracleConfig(seed=9, samples=2_000, chunk=900)).estimates:
+        assert est.imag_value == 0.0
+        assert est.imag_standard_error == 0.0
+
+
+def test_monte_carlo_working_memory_is_bounded():
+    # the 45 default n=2 cases of `verify oracle` in one chunk of 200 000
+    # samples: at most 112 bytes per sample, what the complex-product kernel took
+    cases = [(a, a, SpaceParams(2, m)) for m in (0, 1, 2) for a in indices_up_to_order(2, 4)]
+    cfg = OracleConfig(samples=200_000)
+    _mc_inner(cases[:1], OracleConfig(samples=2))  # numpy's first-call allocations
+    tracemalloc.start()
+    try:
+        _mc_inner(cases, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 112 * cfg.samples, peak
+
+
+@pytest.mark.parametrize("chunk", [0, -3])
+def test_monte_carlo_rejects_a_chunk_below_one(chunk):
+    cfg = OracleConfig(samples=10, chunk=chunk)
+    with pytest.raises(InputError, match="chunk must be >= 1"):
+        oracle_inner(mi(1, 0), mi(1, 0), SpaceParams(2, 0), OracleMethod.MONTE_CARLO, cfg)
 
 
 def test_monte_carlo_needs_one_dimension_per_batch():
