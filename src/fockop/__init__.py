@@ -35,7 +35,7 @@ from .operators import (
     toeplitz_apply,
     toeplitz_mono_apply,
 )
-from .oracle import OracleConfig, OracleEstimate, OracleMethod, oracle_inner, oracle_toeplitz_coeff
+from .oracle import OracleConfig, OracleEstimate
 from .symbols import SymbolPolynomial, parse_symbol
 
 __version__ = "0.1.0"
@@ -51,7 +51,6 @@ __all__ = [
     "SpaceParams", "ToeplitzOp", "apply_operator", "basis_coefficient",
     "hankel_coeff_closed_form", "hankel_product_apply",
     "monomial_inner", "parse_operator", "toeplitz_apply", "toeplitz_mono_apply",
-    "OracleConfig", "OracleEstimate", "OracleMethod", "oracle_inner",
-    "oracle_toeplitz_coeff",
+    "OracleConfig", "OracleEstimate",
     "SymbolPolynomial", "parse_symbol",
 ]

@@ -292,14 +292,17 @@ def _cmd_fit(args) -> int:
         predicted = None if args.predicted is None else Fraction(args.predicted)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"--predicted must be a rational like '3/2', got {args.predicted!r}") from exc
-    if args.path == "-":
-        text = sys.stdin.read()
-    else:
-        try:
+    source = "stdin" if args.path == "-" else args.path
+    try:
+        if args.path == "-":
+            text = sys.stdin.read()
+        else:
             with open(args.path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
-            raise InputError(f"cannot read {args.path!r}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot read {source!r}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+    except OSError as exc:
+        raise InputError(f"cannot read {source!r}: {exc.strerror}") from exc
     samples = []
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
@@ -312,7 +315,7 @@ def _cmd_fit(args) -> int:
             samples.append((int(parts[0]), Fraction(parts[2])))
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"line {lineno}: bad sample {line!r}") from exc
-    report_obj = _with_source("stdin" if args.path == "-" else args.path, fit_exponent, samples, predicted)
+    report_obj = _with_source(source, fit_exponent, samples, predicted)
     outputs = {
         "degenerate": report_obj.degenerate,
         "fitted_exponent": report_obj.fitted_exponent,
@@ -568,8 +571,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-component", type=int, default=2)
     p.add_argument("--max-alpha", type=int, default=12)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--samples", type=int, default=200_000)
-    p.add_argument("--tol", type=float, default=1e-13)
+    p.add_argument("--samples", type=int, default=OracleConfig.samples)
+    p.add_argument("--tol", type=float, default=OracleConfig.quad_tol)
     p.add_argument("--jobs", type=int, default=1, help="worker processes (>= 1); output does not depend on it")
     p.add_argument("--format", choices=("json", "table"), default="table")
     p.set_defaults(handler=_cmd_verify)

@@ -1,41 +1,35 @@
 """Independent floating-point verification of the exact engine.
 
-Nothing here touches the exact big-integer/rational code paths: inner
-products come from adaptive quadrature of the radial integral (n = 1),
-from float Gamma-function recurrences grown out of Gamma(1) = 1, or
-from seeded importance-sampled Monte Carlo against the standard complex
+Nothing here touches the exact big-integer/rational code paths.  Each
+route is its own function: ``quadrature_norm_sq`` integrates the radial
+integral adaptively (n = 1), ``gamma_norm_sq`` multiplies float
+Gamma-function recurrences grown out of Gamma(1) = 1, and ``_mc_inner``
+takes seeded importance-sampled Monte Carlo against the standard complex
 Gaussian (n >= 2).  Agreement of these routes with the exact engine is
 the point; sharing code with it would verify nothing.
 
 Monte Carlo cases of one dimension share their draws (common random
-numbers): each chunk of samples is drawn once and every case is
-evaluated on it, so a case's estimate is the same whether it is asked
-for alone or with others.  A case's integrand is a real modulus times a
-complex phase; a diagonal case <z^a, z^a> has no phase, runs in real
-float64 arithmetic and reports an imaginary part of exactly 0.
+numbers): each chunk of ``MC_CHUNK`` samples is drawn once and every
+case is evaluated on it, so a case's estimate is the same whether it is
+asked for alone or with others.  A case's integrand is a real modulus
+times a complex phase; a diagonal case <z^a, z^a> has no phase, runs in
+real float64 arithmetic and reports an imaginary part of exactly 0.
 Quadratures are memoized per (k, tolerance).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from enum import Enum
+import operator
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from .arith import MultiIndex, check_same_dimension
-from .errors import InputError, InternalInvariantError
+from .errors import InputError
 from .operators import SpaceParams
-
-
-class OracleMethod(Enum):
-    RADIAL_QUADRATURE = "radial-quadrature"
-    GAMMA_IDENTITY = "gamma-identity"
-    MONTE_CARLO = "monte-carlo"
-
 
 DEFAULT_SEED = 20417
 
@@ -45,18 +39,18 @@ class OracleConfig:
     seed: int = DEFAULT_SEED
     samples: int = 200_000
     quad_tol: float = 1e-13
-    chunk: int = 1 << 18
 
 
 @dataclass(frozen=True)
 class OracleEstimate:
+    """A Monte Carlo estimate of <z^a, z^b>: real and imaginary means with
+    their standard errors."""
+
     value: float
-    method: OracleMethod
-    error_bound: Optional[float] = None
-    standard_error: Optional[float] = None
-    samples: Optional[int] = None
-    imag_value: Optional[float] = None
-    imag_standard_error: Optional[float] = None
+    standard_error: float
+    samples: int
+    imag_value: float
+    imag_standard_error: float
 
 
 # ---------------------------------------------------------------------------
@@ -73,14 +67,14 @@ def gamma_recurrence(k: int) -> float:
     return out
 
 
-def _basis_constant_sq(alpha: MultiIndex, sp: SpaceParams) -> float:
-    """Squared normalizing constant of e_alpha, via the float Gamma path."""
-    n, m = sp.n, sp.m
-    num = gamma_recurrence(m + n) * gamma_recurrence(n + alpha.order)
-    den = gamma_recurrence(n)
-    for a in alpha:
-        den *= gamma_recurrence(a + 1)
-    den *= gamma_recurrence(m + n + alpha.order)
+def gamma_norm_sq(a: MultiIndex, sp: SpaceParams) -> float:
+    """<z^a, z^a> in sp from float Gamma recurrences:
+    Gamma(n) Gamma(m + n + |a|) prod_j a_j! / (Gamma(m + n) Gamma(n + |a|))."""
+    check_same_dimension(sp.n, a.dimension)
+    num = gamma_recurrence(sp.n) * gamma_recurrence(sp.m + sp.n + a.order)
+    den = gamma_recurrence(sp.m + sp.n) * gamma_recurrence(sp.n + a.order)
+    for comp in a:
+        num *= gamma_recurrence(comp + 1)
     return num / den
 
 
@@ -132,7 +126,7 @@ MAX_QUAD_ORDER = 98
 
 
 @lru_cache(maxsize=QUADRATURE_CACHE_SIZE)
-def gamma_integral_quadrature(k: int, rel_tol: float = 1e-13) -> Tuple[float, float]:
+def gamma_integral_quadrature(k: int, rel_tol: float = OracleConfig.quad_tol) -> Tuple[float, float]:
     """(value, absolute error bound) for int_0^inf u^k e^-u du."""
     if not 0 <= k <= MAX_QUAD_ORDER:
         raise InputError(f"quadrature order k must be in 0..{MAX_QUAD_ORDER}, got {k}")
@@ -154,6 +148,17 @@ def gamma_integral_quadrature(k: int, rel_tol: float = 1e-13) -> Tuple[float, fl
     whole = _simpson(a, fa, b, fb, fm)
     value, err = _adaptive_simpson(f, a, fa, b, fb, fm, whole, rel_tol * scale, 48)
     return value, err + _gamma_tail_bound(k, upper)
+
+
+def quadrature_norm_sq(a: MultiIndex, sp: SpaceParams, tol: float = OracleConfig.quad_tol) -> float:
+    """<z^a, z^a> in sp (n = 1 only) as the quotient of two adaptive
+    quadratures of int_0^inf u^k e^-u du, each to relative tolerance ``tol``."""
+    check_same_dimension(sp.n, a.dimension)
+    if sp.n != 1:
+        raise InputError("radial quadrature is a one-dimensional method")
+    val_num, _ = gamma_integral_quadrature(a[0] + sp.m, tol)
+    val_den, _ = gamma_integral_quadrature(sp.m, tol)
+    return val_num / val_den
 
 
 # ---------------------------------------------------------------------------
@@ -247,13 +252,21 @@ def _mc_sums(cases, n: int, seed_seq: "np.random.SeedSequence", count: int, chun
     return sums
 
 
+# Most Monte Carlo samples drawn at once; each chunk holds 2n float64
+# draws per sample.
+MC_CHUNK = 1 << 18
+
 # Fewest Monte Carlo samples per case: the standard error of a mean needs
 # a sample variance.
 MIN_MC_SAMPLES = 2
 
 
 def check_mc_samples(samples: int) -> None:
-    """Raise ``InputError`` unless ``samples >= MIN_MC_SAMPLES``."""
+    """Raise ``InputError`` unless ``samples`` is an integer >= ``MIN_MC_SAMPLES``."""
+    try:
+        operator.index(samples)
+    except TypeError as exc:
+        raise InputError(f"Monte Carlo samples must be an integer, got {samples!r}") from exc
     if samples < MIN_MC_SAMPLES:
         raise InputError(f"Monte Carlo needs at least {MIN_MC_SAMPLES} samples")
 
@@ -265,8 +278,6 @@ def _mc_inner(
     all from one stream of draws seeded by ``cfg.seed``."""
     total = cfg.samples
     check_mc_samples(total)
-    if cfg.chunk < 1:
-        raise InputError(f"Monte Carlo chunk must be >= 1 sample, got {cfg.chunk}")
     if not cases:
         return MonteCarloBatch(())
     n = cases[0][2].n
@@ -277,7 +288,7 @@ def _mc_inner(
     # the seed's first child stream; the pinned oracle estimates depend on it
     stream = np.random.SeedSequence(cfg.seed).spawn(1)[0]
     estimates = []
-    for sums in _mc_sums(work, n, stream, total, cfg.chunk):
+    for sums in _mc_sums(work, n, stream, total, MC_CHUNK):
         mean_re = sums[0] / total
         var_re = max(sums[1] / total - mean_re**2, 0.0)
         mean_im = sums[2] / total
@@ -285,7 +296,6 @@ def _mc_inner(
         estimates.append(
             OracleEstimate(
                 value=mean_re,
-                method=OracleMethod.MONTE_CARLO,
                 standard_error=math.sqrt(var_re / total),
                 samples=total,
                 imag_value=mean_im,
@@ -293,73 +303,3 @@ def _mc_inner(
             )
         )
     return MonteCarloBatch(tuple(estimates))
-
-
-# ---------------------------------------------------------------------------
-# public operations
-
-
-def oracle_inner(
-    a: MultiIndex,
-    b: MultiIndex,
-    sp: SpaceParams,
-    method: OracleMethod,
-    cfg: OracleConfig = OracleConfig(),
-) -> OracleEstimate:
-    """Numerical estimate of <z^a, z^b> in the weighted space."""
-    check_same_dimension(sp.n, a.dimension, b.dimension)
-    if method is OracleMethod.RADIAL_QUADRATURE:
-        if sp.n != 1:
-            raise InputError("radial quadrature is a one-dimensional method")
-        if a != b:
-            # distinct monomials: the angular integral vanishes identically
-            return OracleEstimate(0.0, method, error_bound=0.0)
-        k = a[0] + sp.m
-        val_num, err_num = gamma_integral_quadrature(k, cfg.quad_tol)
-        val_den, err_den = gamma_integral_quadrature(sp.m, cfg.quad_tol)
-        value = val_num / val_den
-        bound = value * (err_num / val_num + err_den / val_den)
-        return OracleEstimate(value, method, error_bound=bound)
-    if method is OracleMethod.GAMMA_IDENTITY:
-        if a != b:
-            return OracleEstimate(0.0, method, error_bound=0.0)
-        num = gamma_recurrence(sp.n) * gamma_recurrence(sp.m + sp.n + a.order)
-        den = gamma_recurrence(sp.m + sp.n) * gamma_recurrence(sp.n + a.order)
-        for comp in a:
-            num *= gamma_recurrence(comp + 1)
-        value = num / den
-        # float recurrences: ~1 ulp per multiplication
-        ops = 2 * (sp.m + sp.n + a.order) + 8
-        return OracleEstimate(value, method, error_bound=abs(value) * ops * 2.3e-16)
-    if method is OracleMethod.MONTE_CARLO:
-        return _mc_inner([(a, b, sp)], cfg).estimates[0]
-    raise InternalInvariantError(f"unknown oracle method {method}")
-
-
-def oracle_toeplitz_coeff(
-    beta: MultiIndex,
-    gamma: MultiIndex,
-    alpha: MultiIndex,
-    sp: SpaceParams,
-    method: OracleMethod = OracleMethod.RADIAL_QUADRATURE,
-    cfg: OracleConfig = OracleConfig(),
-) -> OracleEstimate:
-    """Numerical <T_{z^beta conj(z)^gamma} e_alpha, e_target> via the oracle path."""
-    comps = []
-    for x, b_, g_ in zip(alpha, beta, gamma):
-        t = x + b_ - g_
-        if t < 0:
-            return OracleEstimate(0.0, method, error_bound=0.0)
-        comps.append(t)
-    tau = MultiIndex(comps)
-    power = alpha + beta
-    inner = oracle_inner(power, power, sp, method, cfg)
-    c_alpha = math.sqrt(_basis_constant_sq(alpha, sp))
-    c_tau = math.sqrt(_basis_constant_sq(tau, sp))
-    scale = c_alpha * c_tau
-    out = replace(inner, value=inner.value * scale)
-    if inner.error_bound is not None:
-        out = replace(out, error_bound=inner.error_bound * scale + abs(out.value) * 1e-14)
-    if inner.standard_error is not None:
-        out = replace(out, standard_error=inner.standard_error * scale)
-    return out

@@ -16,7 +16,7 @@ from itertools import product
 from typing import Callable, List, Optional, Sequence
 
 from .arith import MultiIndex, RADICAL_ONE
-from .oracle import OracleConfig, OracleMethod, _mc_inner, oracle_inner
+from .oracle import OracleConfig, _mc_inner, gamma_norm_sq, quadrature_norm_sq
 from .operators import (
     BasisExpansion,
     HankelProductOp,
@@ -307,17 +307,17 @@ def verify_oracle_deterministic(
         for order in range(max_order + 1):
             a = MultiIndex((order,))
             exact = float(monomial_inner(a, a, sp))
-            quad = oracle_inner(a, a, sp, OracleMethod.RADIAL_QUADRATURE, cfg)
-            gamma = oracle_inner(a, a, sp, OracleMethod.GAMMA_IDENTITY, cfg)
+            quad = quadrature_norm_sq(a, sp, cfg.quad_tol)
+            gamma = gamma_norm_sq(a, sp)
             out.cases += 1
-            for name, est in (("quadrature", quad), ("gamma", gamma)):
-                rel = abs(est.value - exact) / exact
+            for name, value in (("quadrature", quad), ("gamma", gamma)):
+                rel = abs(value - exact) / exact
                 out.max_relative_error = max(out.max_relative_error, rel)
                 if not rel <= DETERMINISTIC_REL_TOL:  # a NaN error fails too
                     out.failures.append(
                         f"m={m} a={order} {name}: rel error {rel:.3e} > {DETERMINISTIC_REL_TOL:.1e}"
                     )
-            cross = abs(quad.value - gamma.value) / exact
+            cross = abs(quad - gamma) / exact
             out.max_relative_error = max(out.max_relative_error, cross)
             if not cross <= DETERMINISTIC_REL_TOL:
                 out.failures.append(

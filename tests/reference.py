@@ -1,6 +1,7 @@
 """Test-side references: exact quantities the tests check the program
-against, computed from the package's public operators, and the earlier
-float arithmetic of the Monte Carlo oracle."""
+against, computed from the package's public operators, a float Toeplitz
+coefficient from the oracle's quadrature, and the earlier float
+arithmetic of the Monte Carlo oracle."""
 
 import math
 from fractions import Fraction
@@ -11,6 +12,7 @@ import numpy as np
 from fockop.analysis import log_fraction
 from fockop.arith import MultiIndex
 from fockop.operators import BasisExpansion, SpaceParams, hankel_product_apply
+from fockop.oracle import gamma_recurrence, quadrature_norm_sq
 from fockop.symbols import SymbolPolynomial
 
 
@@ -43,6 +45,33 @@ def ratio_stabilization(
         log_ratio = 0.5 * (log_fraction(w) - log_fraction(v)) - float(exponent) * math.log(2.0)
         out.append((t, math.exp(log_ratio)))
     return out
+
+
+def _basis_constant_sq(alpha: MultiIndex, sp: SpaceParams) -> float:
+    """Squared normalizing constant of e_alpha, via the float Gamma path."""
+    n, m = sp.n, sp.m
+    num = gamma_recurrence(m + n) * gamma_recurrence(n + alpha.order)
+    den = gamma_recurrence(n)
+    for a in alpha:
+        den *= gamma_recurrence(a + 1)
+    den *= gamma_recurrence(m + n + alpha.order)
+    return num / den
+
+
+def oracle_toeplitz_coeff(beta: MultiIndex, gamma: MultiIndex, alpha: MultiIndex, sp: SpaceParams) -> float:
+    """Float <T_{z^beta conj(z)^gamma} e_alpha, e_tau> with tau = alpha + beta - gamma
+    (n = 1): the quadrature of ||z^(alpha + beta)||^2 times the normalizing
+    constants of e_alpha and e_tau; 0.0 when a component of tau is negative."""
+    comps = []
+    for x, b_, g_ in zip(alpha, beta, gamma):
+        t = x + b_ - g_
+        if t < 0:
+            return 0.0
+        comps.append(t)
+    tau = MultiIndex(comps)
+    inner = quadrature_norm_sq(alpha + beta, sp)
+    scale = math.sqrt(_basis_constant_sq(alpha, sp)) * math.sqrt(_basis_constant_sq(tau, sp))
+    return inner * scale
 
 
 def complex_product_mc_sums(a, b, m, weight, n, seed_seq, count, chunk):

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import warnings
 
@@ -278,8 +279,6 @@ def test_verify_env_samples_override(capsys, monkeypatch):
 
 
 def test_fit_reads_stdin(capsys, monkeypatch):
-    import io
-
     csv = "t,alpha,squared_norm\n" + "".join(
         f"{t},{t},{(t + 1) ** 2}\n" for t in (64, 128, 256, 512)
     )
@@ -506,6 +505,31 @@ def test_fit_missing_file_exits_2(capsys, tmp_path):
     assert code == 2
     assert captured.out == ""
     assert path in captured.err
+
+
+# the first bytes of an ELF executable: 0xd0 at byte 24 starts no UTF-8 sequence
+NOT_UTF8 = b"\x7fELF\x02\x01\x01\x00" + bytes(16) + b"\xd0\x67\x00\x00"
+
+
+def test_fit_non_utf8_file_exits_2(capsys, tmp_path):
+    path = tmp_path / "binary.csv"
+    path.write_bytes(NOT_UTF8)
+    code = main(["fit", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert str(path) in captured.err and "not UTF-8 text" in captured.err
+
+
+def test_fit_non_utf8_stdin_exits_2(capsys, monkeypatch):
+    # a process's own stdin may decode with surrogateescape, which never
+    # fails, so a strict UTF-8 stream stands in for it
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(NOT_UTF8), encoding="utf-8"))
+    code = main(["fit", "-"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "cannot read 'stdin': not UTF-8 text" in captured.err
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
+import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from reference import complex_product_mc_sums
+from reference import complex_product_mc_sums, oracle_toeplitz_coeff
 
+from fockop import oracle
 from fockop.arith import MultiIndex
 from fockop.errors import InputError
 from fockop.operators import SpaceParams, monomial_inner, toeplitz_mono_apply
@@ -12,19 +14,27 @@ from fockop.oracle import (
     QUADRATURE_CACHE_SIZE,
     OracleConfig,
     OracleEstimate,
-    OracleMethod,
     _mc_inner,
     _mc_sums,
     gamma_integral_quadrature,
+    gamma_norm_sq,
     gamma_recurrence,
-    oracle_inner,
-    oracle_toeplitz_coeff,
+    quadrature_norm_sq,
 )
 from fockop.verify import indices_up_to_order, verify_oracle_deterministic, verify_oracle_monte_carlo
 
 
 def mi(*comps):
     return MultiIndex(comps)
+
+
+def mc_estimate(a, b, sp, cfg):
+    """The Monte Carlo estimate of <z^a, z^b> in sp, asked for alone."""
+    return _mc_inner([(a, b, sp)], cfg).estimates[0]
+
+
+def test_oracle_config_holds_the_cli_settings_only():
+    assert [f.name for f in dataclasses.fields(OracleConfig)] == ["seed", "samples", "quad_tol"]
 
 
 def test_gamma_recurrence_small_values():
@@ -45,45 +55,42 @@ def test_quadrature_matches_factorials():
 
 
 def test_oracle_inner_norm_of_constant():
-    est = oracle_inner(mi(0), mi(0), SpaceParams(1, 0), OracleMethod.RADIAL_QUADRATURE)
-    assert abs(est.value - 1.0) <= 1e-12
+    assert abs(quadrature_norm_sq(mi(0), SpaceParams(1, 0)) - 1.0) <= 1e-12
 
 
 def test_oracle_inner_gaussian_moment():
-    est = oracle_inner(mi(2), mi(2), SpaceParams(1, 0), OracleMethod.RADIAL_QUADRATURE)
-    assert abs(est.value - 2.0) <= 1e-12
+    assert abs(quadrature_norm_sq(mi(2), SpaceParams(1, 0)) - 2.0) <= 1e-12
 
 
 def test_oracle_two_deterministic_routes_agree():
     for m in range(4):
         sp = SpaceParams(1, m)
         for a in range(11):
-            quad = oracle_inner(mi(a), mi(a), sp, OracleMethod.RADIAL_QUADRATURE)
-            gamma = oracle_inner(mi(a), mi(a), sp, OracleMethod.GAMMA_IDENTITY)
+            quad = quadrature_norm_sq(mi(a), sp)
+            gamma = gamma_norm_sq(mi(a), sp)
             exact = float(monomial_inner(mi(a), mi(a), sp))
-            assert abs(quad.value - exact) / exact < 1e-10
-            assert abs(gamma.value - exact) / exact < 1e-10
-            assert abs(quad.value - gamma.value) / exact < 1e-10
+            assert abs(quad - exact) / exact < 1e-10
+            assert abs(gamma - exact) / exact < 1e-10
+            assert abs(quad - gamma) / exact < 1e-10
 
 
 def test_gamma_identity_multidimensional():
     sp = SpaceParams(3, 2)
     a = mi(2, 0, 1)
-    est = oracle_inner(a, a, sp, OracleMethod.GAMMA_IDENTITY)
     exact = float(monomial_inner(a, a, sp))
-    assert abs(est.value - exact) / exact < 1e-12
+    assert abs(gamma_norm_sq(a, sp) - exact) / exact < 1e-12
 
 
 def test_quadrature_rejected_for_higher_dimensions():
     with pytest.raises(InputError):
-        oracle_inner(mi(1, 0), mi(1, 0), SpaceParams(2, 0), OracleMethod.RADIAL_QUADRATURE)
+        quadrature_norm_sq(mi(1, 0), SpaceParams(2, 0))
 
 
 def test_monte_carlo_brackets_exact_value():
     sp = SpaceParams(2, 1)
     a = mi(1, 0)
     cfg = OracleConfig(seed=11, samples=200_000)
-    est = oracle_inner(a, a, sp, OracleMethod.MONTE_CARLO, cfg)
+    est = mc_estimate(a, a, sp, cfg)
     exact = float(monomial_inner(a, a, sp))  # 3/2
     assert est.standard_error is not None and est.standard_error > 0
     assert abs(est.value - exact) <= 3 * est.standard_error
@@ -93,7 +100,7 @@ def test_monte_carlo_brackets_exact_value():
 def test_monte_carlo_off_diagonal_is_noise_around_zero():
     sp = SpaceParams(2, 1)
     cfg = OracleConfig(seed=7, samples=100_000)
-    est = oracle_inner(mi(1, 0), mi(0, 1), sp, OracleMethod.MONTE_CARLO, cfg)
+    est = mc_estimate(mi(1, 0), mi(0, 1), sp, cfg)
     assert abs(est.value) <= 3 * est.standard_error
     assert abs(est.imag_value) <= 3 * est.imag_standard_error
 
@@ -102,23 +109,21 @@ def test_monte_carlo_is_deterministic_given_seed():
     sp = SpaceParams(2, 0)
     a = mi(2, 1)
     cfg = OracleConfig(seed=123, samples=50_000)
-    est1 = oracle_inner(a, a, sp, OracleMethod.MONTE_CARLO, cfg)
-    est2 = oracle_inner(a, a, sp, OracleMethod.MONTE_CARLO, cfg)
+    est1 = mc_estimate(a, a, sp, cfg)
+    est2 = mc_estimate(a, a, sp, cfg)
     assert est1 == est2
 
 
 def test_oracle_toeplitz_coeff_matches_engine():
     sp = SpaceParams(1, 0)
-    est = oracle_toeplitz_coeff(mi(1), mi(0), mi(3), sp, OracleMethod.RADIAL_QUADRATURE)
-    assert abs(est.value - 2.0) <= 1e-10
+    assert abs(oracle_toeplitz_coeff(mi(1), mi(0), mi(3), sp) - 2.0) <= 1e-10
 
     sp1 = SpaceParams(1, 1)
-    est = oracle_toeplitz_coeff(mi(1), mi(1), mi(2), sp1, OracleMethod.RADIAL_QUADRATURE)
+    value = oracle_toeplitz_coeff(mi(1), mi(1), mi(2), sp1)
     _, coeff = toeplitz_mono_apply(mi(1), mi(1), mi(2), sp1)
-    assert abs(est.value - coeff.to_complex().real) <= 1e-10
+    assert abs(value - coeff.to_complex().real) <= 1e-10
 
-    est = oracle_toeplitz_coeff(mi(0), mi(1), mi(0), sp, OracleMethod.RADIAL_QUADRATURE)
-    assert est.value == 0.0 and est.error_bound == 0.0
+    assert oracle_toeplitz_coeff(mi(0), mi(1), mi(0), sp) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -164,15 +169,14 @@ def _stream(cfg):
     return np.random.SeedSequence(cfg.seed).spawn(1)[0]
 
 
-def _per_case_estimate(a, b, sp, cfg):
+def _per_case_estimate(a, b, sp, cfg, chunk):
     total = cfg.samples
     weight = gamma_recurrence(sp.n) / gamma_recurrence(sp.m + sp.n)
-    sums = _per_case_worker(a, b, sp, weight, _stream(cfg), total, cfg.chunk)
+    sums = _per_case_worker(a, b, sp, weight, _stream(cfg), total, chunk)
     mean_re = sums[0] / total
     mean_im = sums[2] / total
     return OracleEstimate(
         value=mean_re,
-        method=OracleMethod.MONTE_CARLO,
         standard_error=math.sqrt(max(sums[1] / total - mean_re**2, 0.0) / total),
         samples=total,
         imag_value=mean_im,
@@ -189,36 +193,36 @@ def _mc_cases(n):
 
 
 MC_BATCHES = pytest.mark.parametrize(
-    "n, cfg",
+    "n, cfg, chunk",
     [
-        (2, OracleConfig(seed=5, samples=3_000)),
-        (2, OracleConfig(seed=6, samples=2_500, chunk=1_000)),  # three chunks, the last one short
-        (3, OracleConfig(seed=8, samples=2_000, chunk=700)),
+        (2, OracleConfig(seed=5, samples=3_000), oracle.MC_CHUNK),
+        (2, OracleConfig(seed=6, samples=2_500), 1_000),  # three chunks, the last one short
+        (3, OracleConfig(seed=8, samples=2_000), 700),
     ],
     ids=["n2-one-chunk", "n2-partial-chunk", "n3-chunks"],
 )
 
 
 @MC_BATCHES
-def test_batched_monte_carlo_is_bit_identical_to_per_case(n, cfg):
+def test_batched_monte_carlo_is_bit_identical_to_per_case(n, cfg, chunk, monkeypatch):
+    monkeypatch.setattr(oracle, "MC_CHUNK", chunk)
     cases = _mc_cases(n)
     batch = _mc_inner(cases, cfg)
     assert len(batch.estimates) == len(cases)
     assert batch.samples == len(cases) * cfg.samples
     for (a, b, sp), est in zip(cases, batch.estimates):
-        ref = _per_case_estimate(a, b, sp, cfg)
+        ref = _per_case_estimate(a, b, sp, cfg, chunk)
         assert est.value == ref.value
         assert est.standard_error == ref.standard_error
         assert est.imag_value == ref.imag_value
         assert est.imag_standard_error == ref.imag_standard_error
         assert est == ref
-        assert oracle_inner(a, b, sp, OracleMethod.MONTE_CARLO, cfg) == ref
+        assert mc_estimate(a, b, sp, cfg) == ref
 
 
-@pytest.mark.parametrize(
-    "cfg", [OracleConfig(seed=3, samples=4_000, chunk=1_500)], ids=["chunks"]
-)
-def test_monte_carlo_agreement_matches_per_case_loop(cfg):
+@pytest.mark.parametrize("cfg, chunk", [(OracleConfig(seed=3, samples=4_000), 1_500)], ids=["chunks"])
+def test_monte_carlo_agreement_matches_per_case_loop(cfg, chunk, monkeypatch):
+    monkeypatch.setattr(oracle, "MC_CHUNK", chunk)
     n, m_values, max_order, sigmas = 2, (0, 1, 2), 3, 1.0  # low enough that some cases fail
     cases = 0
     failures = []
@@ -227,7 +231,7 @@ def test_monte_carlo_agreement_matches_per_case_loop(cfg):
         sp = SpaceParams(n, m)
         for a in indices_up_to_order(n, max_order):
             exact = float(monomial_inner(a, a, sp))
-            est = _per_case_estimate(a, a, sp, cfg)
+            est = _per_case_estimate(a, a, sp, cfg, chunk)
             cases += 1
             if est.standard_error == 0:
                 if est.value != exact:
@@ -251,7 +255,7 @@ UNIT_ROUNDOFF = 2.0**-53
 
 
 @MC_BATCHES
-def test_modulus_phase_sums_match_the_complex_product_within_rounding(n, cfg):
+def test_modulus_phase_sums_match_the_complex_product_within_rounding(n, cfg, chunk):
     """The kernel's sums against the complex-product loop it replaced.
 
     Both routes compute the same w per sample from the same draws, each to
@@ -280,12 +284,12 @@ def test_modulus_phase_sums_match_the_complex_product_within_rounding(n, cfg):
     """
     cases = _mc_cases(n)
     work = [(a, b, sp.m, gamma_recurrence(n) / gamma_recurrence(sp.m + n)) for a, b, sp in cases]
-    sums = _mc_sums(work, n, _stream(cfg), cfg.samples, cfg.chunk)
-    size = min(cfg.chunk, cfg.samples)
-    chunks = math.ceil(cfg.samples / cfg.chunk)
+    sums = _mc_sums(work, n, _stream(cfg), cfg.samples, chunk)
+    size = min(chunk, cfg.samples)
+    chunks = math.ceil(cfg.samples / chunk)
     depth = math.ceil(math.log2(size)) + 25 + math.ceil(size / 8192) + chunks
     for (a, b, m, weight), new in zip(work, sums):
-        old, (abs_sum, abs_sq_sum) = complex_product_mc_sums(a, b, m, weight, n, _stream(cfg), cfg.samples, cfg.chunk)
+        old, (abs_sum, abs_sq_sum) = complex_product_mc_sums(a, b, m, weight, n, _stream(cfg), cfg.samples, chunk)
         k = 3 * (a.order + b.order) + 2 * n * (m + 1) + 4
         bound = 1.005 * 2 * (k + depth) * UNIT_ROUNDOFF * abs_sum
         sq_bound = 1.005 * 4 * (k + depth + 1) * UNIT_ROUNDOFF * abs_sq_sum
@@ -297,9 +301,10 @@ def test_modulus_phase_sums_match_the_complex_product_within_rounding(n, cfg):
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_monte_carlo_diagonal_cases_are_exactly_real(n):
+def test_monte_carlo_diagonal_cases_are_exactly_real(n, monkeypatch):
+    monkeypatch.setattr(oracle, "MC_CHUNK", 900)
     cases = [(a, b, sp) for a, b, sp in _mc_cases(n) if a == b]
-    for est in _mc_inner(cases, OracleConfig(seed=9, samples=2_000, chunk=900)).estimates:
+    for est in _mc_inner(cases, OracleConfig(seed=9, samples=2_000)).estimates:
         assert est.imag_value == 0.0
         assert est.imag_standard_error == 0.0
 
@@ -319,11 +324,17 @@ def test_monte_carlo_working_memory_is_bounded():
     assert peak <= 112 * cfg.samples, peak
 
 
-@pytest.mark.parametrize("chunk", [0, -3])
-def test_monte_carlo_rejects_a_chunk_below_one(chunk):
-    cfg = OracleConfig(samples=10, chunk=chunk)
-    with pytest.raises(InputError, match="chunk must be >= 1"):
-        oracle_inner(mi(1, 0), mi(1, 0), SpaceParams(2, 0), OracleMethod.MONTE_CARLO, cfg)
+@pytest.mark.parametrize("samples", [2.5, 10.0, "10", None])
+def test_monte_carlo_rejects_non_integer_samples(samples):
+    with pytest.raises(InputError, match="samples must be an integer"):
+        mc_estimate(mi(1, 0), mi(1, 0), SpaceParams(2, 0), OracleConfig(samples=samples))
+
+
+def test_monte_carlo_accepts_numpy_integer_samples():
+    cfg = OracleConfig(seed=4, samples=np.int64(1_000))
+    assert mc_estimate(mi(1, 0), mi(1, 0), SpaceParams(2, 0), cfg) == mc_estimate(
+        mi(1, 0), mi(1, 0), SpaceParams(2, 0), OracleConfig(seed=4, samples=1_000)
+    )
 
 
 def test_monte_carlo_needs_one_dimension_per_batch():

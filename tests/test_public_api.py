@@ -40,11 +40,24 @@ DELETED = [
     (analysis, "hankel_vector_norm_sq"),
     (analysis, "ratio_stabilization"),
     (oracle.OracleConfig, "workers"),
+    (oracle.OracleConfig, "chunk"),
+    (oracle.OracleEstimate, "method"),
+    (oracle.OracleEstimate, "error_bound"),
+    (oracle, "OracleMethod"),
+    (oracle, "oracle_inner"),
+    (oracle, "oracle_toeplitz_coeff"),
+    (oracle, "_basis_constant_sq"),
     (errors, "MultiIndexError"),
     (errors, "DimensionMismatchError"),
     (errors, "ValidityRangeError"),
     (errors, "RadicandMismatchError"),
 ]
+
+# What ``oracle`` may import from the package: the multi-index and space
+# types, the dimension check and any error.  Anything of the exact engine
+# (``monomial_inner``, ``_norm_ratio``, ``RadicalCoefficient``) would make
+# the oracle check the engine against itself.
+ORACLE_IMPORTS = {"arith.MultiIndex", "arith.check_same_dimension", "operators.SpaceParams"}
 
 # Builtin exceptions the package may raise: ``AttributeError`` is how an
 # immutable ``SpaceParams`` refuses assignment, and ``NotImplementedError``
@@ -59,8 +72,33 @@ def test_every_exported_name_resolves_once():
 
 
 def test_deleted_names_stay_deleted():
-    left = [name for owner, name in DELETED if name in vars(owner) or name in fockop.__all__]
+    left = [
+        name for owner, name in DELETED
+        if name in vars(owner) or name in getattr(owner, "__dataclass_fields__", {}) or name in fockop.__all__
+    ]
     assert not left
+
+
+def package_imports(path):
+    """``module.name`` for every name the file imports from fockop."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names if alias.name.split(".")[0] == "fockop"]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                package, _, module = module.partition(".")
+                if package != "fockop":
+                    continue
+            found += [f"{module}.{alias.name}" for alias in node.names]
+    return found
+
+
+def test_oracle_shares_no_code_with_the_exact_engine():
+    imports = package_imports(SOURCE / "oracle.py")
+    assert imports
+    assert [name for name in imports if name not in ORACLE_IMPORTS and not name.startswith("errors.")] == []
 
 
 def test_package_raises_only_its_own_errors():
