@@ -129,8 +129,11 @@ def rising_product(start: int, count: int) -> int:
 # square-free bookkeeping
 
 
-# One engine call sees few distinct arguments (tens); the bound only keeps
-# a long-lived process from growing without limit.
+# One command splits few distinct integers: at most 58 in a benchmark
+# `dense-ray-norms` command, 12 in a closed-form sweep command.  The run
+# integers of one image's targets overlap, and near |alpha| = 10^9 one
+# split trial-divides up to about 31,623 steps.  The bound only keeps a
+# long-lived process from growing without limit.
 SQUARE_FREE_CACHE_SIZE = 4096
 
 
@@ -162,43 +165,17 @@ def square_free_split(k: int) -> "tuple[int, int]":
     return root, sf
 
 
-# Distinct runs of consecutive integers ``run_square_free_split`` keeps.
-# Each coefficient the operator engine reads on the orthonormal basis
-# folds at most n + 2 runs between two indices, most shared with its
-# neighbours'; the bound keeps a long-lived process from growing without
-# limit.
-RUN_SPLIT_CACHE_SIZE = 16384
-
-
-@lru_cache(maxsize=RUN_SPLIT_CACHE_SIZE)
-def run_square_free_split(start: int, count: int) -> "tuple[int, int]":
-    """(root, squarefree) split of the run (start+1) * ... * (start+count),
-    i.e. of ``rising_product(start, count)``, for ``start, count >= 0``."""
-    return _fold_square_free(map(square_free_split, range(start + 1, start + count + 1)))
-
-
-def _fold_square_free(splits: Iterable["tuple[int, int]"]) -> "tuple[int, int]":
-    """Accumulate (root, squarefree) over the product of split factors."""
+def _fold_square_free(factors: Iterable[int]) -> "tuple[int, int]":
+    """(root, squarefree) split of the product of integers >= 1, folded
+    from each factor's ``square_free_split``."""
     root = 1
     sf = 1
-    for r, s in splits:
+    for k in factors:
+        r, s = square_free_split(k)
         g = gcd(sf, s)
         root *= r * g
         sf = (sf // g) * (s // g)
     return root, sf
-
-
-def sqrt_of_split_ratio(num_splits, den_splits) -> "RadicalCoefficient":
-    """Canonical ``sqrt(N/D)`` for N and D given as (root, squarefree) splits
-    of their factors, such as those of ``run_square_free_split``."""
-    root_n, sf_n = _fold_square_free(num_splits)
-    root_d, sf_d = _fold_square_free(den_splits)
-    g = gcd(sf_n, sf_d)
-    if g != 1:
-        sf_n //= g
-        sf_d //= g
-    # sqrt(rn^2 sn / (rd^2 sd)) = rn / (rd sd) * sqrt(sn sd), sn and sd coprime
-    return _radical(root_n, 0, root_d * sf_d, sf_n * sf_d)
 
 
 # ---------------------------------------------------------------------------
@@ -281,15 +258,23 @@ class RadicalCoefficient:
 
     @staticmethod
     def from_sqrt_ratio(num_factors, den_factors) -> "RadicalCoefficient":
-        """Canonical ``sqrt(prod(num_factors)/prod(den_factors))``.
+        """Canonical ``sqrt(prod(num_factors)/prod(den_factors))``, the
+        package's one square root of a ratio.
 
-        The factor lists hold positive integers small enough to factor by
-        trial division.  Each factor is split on its own; the operator
-        engine, whose radicands are runs of consecutive integers, uses
-        the run-cached ``run_square_free_split`` and ``sqrt_of_split_ratio``
-        instead, and tests check the two paths agree.
+        The factors are positive integers small enough to factor by trial
+        division; each is split by the cached ``square_free_split`` and
+        the splits are folded.  Every orthonormal coefficient the operator
+        engine reads comes here through ``operators._norm_ratio``, with
+        runs of consecutive integers as the factors.
         """
-        return sqrt_of_split_ratio(map(square_free_split, num_factors), map(square_free_split, den_factors))
+        root_n, sf_n = _fold_square_free(num_factors)
+        root_d, sf_d = _fold_square_free(den_factors)
+        g = gcd(sf_n, sf_d)
+        if g != 1:
+            sf_n //= g
+            sf_d //= g
+        # sqrt(rn^2 sn / (rd^2 sd)) = rn / (rd sd) * sqrt(sn sd), sn and sd coprime
+        return _radical(root_n, 0, root_d * sf_d, sf_n * sf_d)
 
     @property
     def re(self) -> Fraction:

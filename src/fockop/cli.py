@@ -199,12 +199,7 @@ def _cmd_classify(args) -> int:
             verdict = classify_hankel_product(f, g)
         inputs = {"f": f.pretty(), "g": g.pretty()}
     else:
-        kind = {
-            "toeplitz": SingleOperatorKind.TOEPLITZ,
-            "hankel": SingleOperatorKind.HANKEL,
-            "hankel-compact": SingleOperatorKind.HANKEL_COMPACT,
-        }[args.kind]
-        verdict = classify_single(kind, f)
+        verdict = classify_single(SingleOperatorKind(args.kind), f)
         inputs = {"f": f.pretty()}
     report = {
         "command": f"classify {args.kind}",
@@ -295,7 +290,10 @@ def _cmd_fit(args) -> int:
     source = "stdin" if args.path == "-" else args.path
     try:
         if args.path == "-":
-            text = sys.stdin.read()
+            # decode the bytes strictly, as a file is: the text layer of a
+            # real stdin may escape undecodable bytes instead of raising
+            buffer = getattr(sys.stdin, "buffer", None)
+            text = sys.stdin.read() if buffer is None else buffer.read().decode("utf-8")
         else:
             with open(args.path, "r", encoding="utf-8") as fh:
                 text = fh.read()

@@ -11,7 +11,6 @@ from fockop.arith import (
     RADICAL_ZERO,
     RadicalCoefficient,
     rising_product,
-    run_square_free_split,
     square_free_split,
 )
 from fockop.errors import InputError, InternalInvariantError
@@ -65,8 +64,9 @@ def test_rising_product_is_the_run_product(start, count):
 
 
 @given(st.integers(0, 40), st.integers(0, 5))
-def test_run_square_free_split_splits_the_rising_product(start, count):
-    assert run_square_free_split(start, count) == square_free_split(rising_product(start, count))
+def test_from_sqrt_ratio_of_a_run_is_the_root_of_the_rising_product(start, count):
+    run = range(start + 1, start + count + 1)
+    assert RadicalCoefficient.from_sqrt_ratio(run, ()) == RadicalCoefficient(1, rising_product(start, count))
 
 
 @given(st.integers(1, 10**6))

@@ -522,14 +522,31 @@ def test_fit_non_utf8_file_exits_2(capsys, tmp_path):
 
 
 def test_fit_non_utf8_stdin_exits_2(capsys, monkeypatch):
-    # a process's own stdin may decode with surrogateescape, which never
-    # fails, so a strict UTF-8 stream stands in for it
     monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(NOT_UTF8), encoding="utf-8"))
     code = main(["fit", "-"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert "cannot read 'stdin': not UTF-8 text" in captured.err
+
+
+def test_fit_non_utf8_stdin_of_a_process_exits_2():
+    # the text layer of a process's stdin may escape undecodable bytes
+    # (as under a C locale) and never raise; fit must still name the encoding
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONIOENCODING": "utf-8:surrogateescape"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "fockop.cli", "fit", "-"],
+        input=NOT_UTF8, capture_output=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert b"cannot read 'stdin': not UTF-8 text" in proc.stderr
 
 
 # ---------------------------------------------------------------------------

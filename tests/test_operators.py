@@ -204,6 +204,50 @@ def test_run_cached_transition_matches_the_factor_lists(case):
     assert _norm_ratio(tau, alpha, sp).scale_ratio(1, weight) == expected
 
 
+@st.composite
+def _norm_ratio_cases(draw):
+    n = draw(st.integers(1, 3))
+    m = draw(st.sampled_from((0, 1, 7, 40, 1000)))
+    index = st.lists(st.integers(0, 30), min_size=n, max_size=n).map(MultiIndex)
+    return draw(index), draw(index), SpaceParams(n, m)
+
+
+@given(_norm_ratio_cases())
+@example((mi(30, 0, 30), mi(0, 30, 0), SpaceParams(3, 1000)))
+@example((mi(4, 9), mi(4, 9), SpaceParams(2, 7)))
+def test_norm_ratio_is_the_square_free_root_of_the_monomial_norms(case):
+    a, b, sp = case
+    c = _norm_ratio(a, b, sp)
+    # factorials and whole rising products, no runs and no square-free splits
+    assert c.abs_sq() == monomial_inner(b, b, sp) / monomial_inner(a, a, sp)
+    assert c.im_num == 0 and c.re_num > 0
+    # every prime of the radicand divides a factor of the ratio, none above
+    # the largest component or the largest weight factor n-1+order+m
+    largest = max(*a, *b, sp.n - 1 + max(a.order, b.order) + sp.m)
+    assert all(c.radicand % (d * d) for d in range(2, largest + 1))
+
+
+def test_coefficient_reads_take_the_class_square_root(monkeypatch):
+    # a wrapper bound on the class, as a tracer binds one, sees the square root
+    calls = []
+    original = RadicalCoefficient.from_sqrt_ratio
+
+    def counted(num, den):
+        calls.append(1)
+        return original(num, den)
+
+    sp = SpaceParams(2, 3)
+    image = toeplitz_apply(parse_symbol("z1", 2), e(sp, 2, 1))
+    expected = image.coefficient(mi(3, 1))
+    assert expected.radicand != 1
+    with monkeypatch.context() as patch:
+        patch.setattr(RadicalCoefficient, "from_sqrt_ratio", staticmethod(counted))
+        _norm_ratio.cache_clear()
+        assert image.coefficient(mi(3, 1)) == expected
+    assert calls
+    assert isinstance(RadicalCoefficient.__dict__["from_sqrt_ratio"], staticmethod)
+
+
 def test_adjoint_symmetry_exact():
     # <T_{z^b conj(z)^g} e_a, e_h> == conj(<T_{z^g conj(z)^b} e_h, e_a>)
     for n, m in ((1, 0), (1, 2), (2, 1)):
@@ -629,11 +673,11 @@ def test_engine_matches_the_per_term_radical_reference(case):
 
 def test_norm_samples_take_no_square_root():
     from fockop.analysis import default_ray, norm_squared_samples
-    from fockop.arith import run_square_free_split
+    from fockop.arith import square_free_split
 
     expr = parse_operator("HP(conj(z1)*z2 + z1; conj(z2)^2 + 1) * T(z1 - (1/2)*i*conj(z2))", 2)
     sp = SpaceParams(2, 1000)
-    caches = (_norm_ratio, run_square_free_split)
+    caches = (_norm_ratio, square_free_split)
 
     def lookups():
         return [info.hits + info.misses for info in (c.cache_info() for c in caches)]
