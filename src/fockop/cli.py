@@ -4,7 +4,8 @@ norm sweeps, exponent fits, and verification runs.
 Reports are deterministic: machine output (``--format json`` or csv) is
 byte-identical across runs with the same inputs and seed; wall-clock
 timing goes to stderr only.  Exit codes: 0 success, 1 internal
-invariant violation or failed verification, 2 invalid input.
+invariant violation or failed verification, 2 invalid input, 141
+(``EXIT_CLOSED_STDOUT``) stdout closed before the output was written.
 """
 
 from __future__ import annotations
@@ -578,6 +579,12 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# Exit code when the reader closes stdout before the output is written
+# (``fockop norms ... | head -1``): 128 + SIGPIPE, what a shell reports for
+# a program that a broken pipe ends.
+EXIT_CLOSED_STDOUT = 141
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one command; returns its exit code.  Only ``--help`` raises
     (``SystemExit(0)``, after printing the help)."""
@@ -586,6 +593,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = ap.parse_args(argv)
         code = args.handler(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at interpreter exit
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit; send what is left to
+        # devnull (the Python docs' "Note on SIGPIPE")
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_STDOUT
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

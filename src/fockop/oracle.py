@@ -14,7 +14,15 @@ case is evaluated on it, so a case's estimate is the same whether it is
 asked for alone or with others.  A case's integrand is a real modulus
 times a complex phase; a diagonal case <z^a, z^a> has no phase, runs in
 real float64 arithmetic and reports an imaginary part of exactly 0.
-Quadratures are memoized per (k, tolerance).
+
+The n = 1 quadrature is adaptive Simpson (Lyness, J. ACM 16, 1969),
+walked breadth-first: each level of the subdivision tree is a set of
+numpy arrays, and one call of the integrand covers the level.  It
+returns the (value, bound) pair of the one-call-per-panel recursion bit
+for bit, because numpy's elementwise float64 arithmetic rounds as Python
+floats do and the integrand still calls libm's ``pow`` and ``exp`` one
+point at a time (numpy's vectorized ``np.power`` and ``np.exp`` round
+some points differently).  Quadratures are memoized per (k, tolerance).
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -89,30 +98,72 @@ def _gamma_tail_bound(k: int, upper: float) -> float:
     return upper**k * math.exp(-upper) / (1.0 - k / upper)
 
 
-def _simpson(a: float, fa: float, b: float, fb: float, fm: float) -> float:
-    return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+def _quadrature_span(k: int) -> Tuple[float, float]:
+    """(scale, upper) for int_0^inf u^k e^-u du: a crude scale for absolute
+    tolerances (Stirling; only used for scaling) and the upper limit of
+    integration, past which the tail is below 1e-16 * scale."""
+    scale = math.sqrt(2.0 * math.pi * k) * (k / math.e) ** k if k > 0 else 1.0
+    upper = float(max(4 * k + 40, 60))
+    while _gamma_tail_bound(k, upper) > 1e-16 * scale:
+        upper *= 2.0
+    return scale, upper
 
 
-def _adaptive_simpson(f, a, fa, b, fb, fm, whole, tol, depth):
-    m = 0.5 * (a + b)
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm = f(lm)
-    frm = f(rm)
-    left = _simpson(a, fa, m, fm, flm)
-    right = _simpson(m, fm, b, fb, frm)
-    delta = left + right - whole
-    if depth <= 0 or abs(delta) <= 15.0 * tol:
-        return left + right + delta / 15.0, abs(delta) / 15.0
-    lv, le = _adaptive_simpson(f, a, fa, m, fm, flm, left, tol / 2.0, depth - 1)
-    rv, re = _adaptive_simpson(f, m, fm, b, fb, frm, right, tol / 2.0, depth - 1)
-    return lv + rv, le + re
+def _simpson_levels(f, a: float, b: float, tol: float, depth: int) -> Tuple[float, float]:
+    """(value, error estimate) of adaptive Simpson on [a, b], walked one
+    level of the subdivision tree at a time.
+
+    Each level holds its open panels as arrays, left to right; one call of
+    ``f`` covers all of the level's quarter points.  A panel is accepted
+    when ``abs(delta) <= 15 * tol`` or ``depth <= 0``, and keeps
+    ``left + right + delta / 15`` and ``abs(delta) / 15``; otherwise its two
+    halves go to the next level, left before right, with ``tol / 2``.  The
+    tree is then summed bottom-up, each split panel the sum of its left and
+    right child, for the value and for the error.  Elementwise float64
+    ``+ - * /`` rounds as Python floats do, so this returns what the
+    recursive routine (one call per panel) returns, bit for bit.
+    """
+    a, b = np.array([a]), np.array([b])
+    fa, fm, fb = np.split(f(np.concatenate((a, 0.5 * (a + b), b))), 3)
+    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    levels = []  # per level: (split mask, value and error of every panel as a leaf)
+    while True:
+        m = 0.5 * (a + b)
+        lm = 0.5 * (a + m)
+        rm = 0.5 * (m + b)
+        quarter = f(np.concatenate((lm, rm)))
+        flm, frm = quarter[: len(lm)], quarter[len(lm) :]
+        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+        delta = left + right - whole
+        split = ~(np.abs(delta) <= 15.0 * tol) if depth > 0 else np.zeros(len(a), bool)
+        levels.append((split, left + right + delta / 15.0, np.abs(delta) / 15.0))
+        if not split.any():
+            break
+        # each split panel's left child, then its right child
+        kids = np.array(((a, m), (m, b), (fa, fm), (flm, frm), (fm, fb), (left, right)))
+        a, b, fa, fm, fb, whole = kids[:, :, split].transpose(0, 2, 1).reshape(6, -1)
+        tol /= 2.0
+        depth -= 1
+    value = error = None
+    for split, leaf_value, leaf_error in reversed(levels):
+        if value is not None:
+            leaf_value[split] = value[0::2] + value[1::2]
+            leaf_error[split] = error[0::2] + error[1::2]
+        value, error = leaf_value, leaf_error
+    return float(value[0]), float(error[0])
 
 
 # Smallest relative tolerance ``gamma_integral_quadrature`` accepts.  Below
-# float64 resolution adaptive Simpson never meets it and subdivides to its
-# depth limit, 2^48 panels.
+# float64 resolution adaptive Simpson never meets it and subdivides toward
+# its depth limit, 2^MAX_QUAD_DEPTH panels; the level walk holds a whole
+# level at once, so the cost is memory as well as time.  At 1e-15 the
+# widest level holds about 12k points.
 MIN_QUAD_TOL = 1e-15
+
+# Halvings of [0, upper] below which a Simpson panel is accepted whatever
+# its error estimate.
+MAX_QUAD_DEPTH = 48
 
 # Integrals kept by ``gamma_integral_quadrature``; one n=1 check needs
 # max_order + max(m) + 1 of them (14 for the default orders 0..10, m 0..3).
@@ -127,26 +178,30 @@ MAX_QUAD_ORDER = 98
 
 @lru_cache(maxsize=QUADRATURE_CACHE_SIZE)
 def gamma_integral_quadrature(k: int, rel_tol: float = OracleConfig.quad_tol) -> Tuple[float, float]:
-    """(value, absolute error bound) for int_0^inf u^k e^-u du."""
+    """(value, absolute error bound) for int_0^inf u^k e^-u du.
+
+    Adaptive Simpson on [0, upper] to absolute tolerance ``rel_tol`` times a
+    Stirling scale, walked one tree level at a time (``_simpson_levels``);
+    the bound adds ``_gamma_tail_bound`` for the cut-off tail.  The
+    integrand u**k * exp(-u) goes through libm one point at a time, as
+    Python's float ``**`` and ``math.exp`` compute it, so the pair equals
+    that of the recursive routine to the last bit.
+    """
     if not 0 <= k <= MAX_QUAD_ORDER:
         raise InputError(f"quadrature order k must be in 0..{MAX_QUAD_ORDER}, got {k}")
     if not MIN_QUAD_TOL <= rel_tol < math.inf:
         raise InputError(f"quadrature tolerance must be finite and >= {MIN_QUAD_TOL}, got {rel_tol}")
 
-    def f(u: float) -> float:
-        return u**k * math.exp(-u)
+    power = float(k)
 
-    # crude scale for absolute tolerances (Stirling; only used for scaling)
-    scale = math.sqrt(2.0 * math.pi * k) * (k / math.e) ** k if k > 0 else 1.0
-    upper = float(max(4 * k + 40, 60))
-    while _gamma_tail_bound(k, upper) > 1e-16 * scale:
-        upper *= 2.0
-    a, b = 0.0, upper
-    fa, fb = f(a), f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    whole = _simpson(a, fa, b, fb, fm)
-    value, err = _adaptive_simpson(f, a, fa, b, fb, fm, whole, rel_tol * scale, 48)
+    def f(u: np.ndarray) -> np.ndarray:
+        # libm pow and exp one point at a time: numpy's np.power and np.exp
+        # round some points differently
+        powers = np.fromiter(map(pow, u.tolist(), repeat(power)), float, len(u))
+        return powers * np.fromiter(map(math.exp, (-u).tolist()), float, len(u))
+
+    scale, upper = _quadrature_span(k)
+    value, err = _simpson_levels(f, 0.0, upper, rel_tol * scale, MAX_QUAD_DEPTH)
     return value, err + _gamma_tail_bound(k, upper)
 
 

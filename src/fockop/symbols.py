@@ -322,6 +322,11 @@ def _read_int(text: str, i: int, j: int) -> int:
         raise SymbolSyntaxError("number too long", text, i) from None
 
 
+def _is_digit(ch: str) -> bool:
+    """ASCII 0-9 only: ``str.isdigit`` also accepts '²' and other scripts' digits."""
+    return "0" <= ch <= "9"
+
+
 def _tokenize(text: str) -> "list[_Token]":
     tokens = []
     i = 0
@@ -331,9 +336,9 @@ def _tokenize(text: str) -> "list[_Token]":
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if _is_digit(ch):
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and _is_digit(text[j]):
                 j += 1
             tokens.append(_Token(_T_INT, _read_int(text, i, j), i))
             i = j
@@ -345,7 +350,7 @@ def _tokenize(text: str) -> "list[_Token]":
             word = text[i:j]
             if word == "z":
                 k = j
-                while k < n and text[k].isdigit():
+                while k < n and _is_digit(text[k]):
                     k += 1
                 index = _read_int(text, j, k) if k > j else None
                 tokens.append(_Token(_T_VAR, index, i))

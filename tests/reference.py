@@ -1,7 +1,8 @@
 """Test-side references: exact quantities the tests check the program
 against, computed from the package's public operators, a float Toeplitz
-coefficient from the oracle's quadrature, and the earlier float
-arithmetic of the Monte Carlo oracle."""
+coefficient from the oracle's quadrature, the recursive adaptive Simpson
+routine the oracle's level walk must match bit for bit, and the earlier
+float arithmetic of the Monte Carlo oracle."""
 
 import math
 from fractions import Fraction
@@ -12,7 +13,13 @@ import numpy as np
 from fockop.analysis import log_fraction
 from fockop.arith import MultiIndex
 from fockop.operators import BasisExpansion, SpaceParams, hankel_product_apply
-from fockop.oracle import gamma_recurrence, quadrature_norm_sq
+from fockop.oracle import (
+    MAX_QUAD_DEPTH,
+    _gamma_tail_bound,
+    _quadrature_span,
+    gamma_recurrence,
+    quadrature_norm_sq,
+)
 from fockop.symbols import SymbolPolynomial
 
 
@@ -72,6 +79,44 @@ def oracle_toeplitz_coeff(beta: MultiIndex, gamma: MultiIndex, alpha: MultiIndex
     inner = quadrature_norm_sq(alpha + beta, sp)
     scale = math.sqrt(_basis_constant_sq(alpha, sp)) * math.sqrt(_basis_constant_sq(tau, sp))
     return inner * scale
+
+
+def _simpson(a: float, fa: float, b: float, fb: float, fm: float) -> float:
+    return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+
+
+def _adaptive_simpson(f, a, fa, b, fb, fm, whole, tol, depth):
+    m = 0.5 * (a + b)
+    lm = 0.5 * (a + m)
+    rm = 0.5 * (m + b)
+    flm = f(lm)
+    frm = f(rm)
+    left = _simpson(a, fa, m, fm, flm)
+    right = _simpson(m, fm, b, fb, frm)
+    delta = left + right - whole
+    if depth <= 0 or abs(delta) <= 15.0 * tol:
+        return left + right + delta / 15.0, abs(delta) / 15.0
+    lv, le = _adaptive_simpson(f, a, fa, m, fm, flm, left, tol / 2.0, depth - 1)
+    rv, re = _adaptive_simpson(f, m, fm, b, fb, frm, right, tol / 2.0, depth - 1)
+    return lv + rv, le + re
+
+
+def recursive_gamma_integral_quadrature(k: int, rel_tol: float) -> Tuple[float, float]:
+    """(value, absolute error bound) for int_0^inf u^k e^-u du by recursive
+    adaptive Simpson, one Python call per panel: the pair that
+    ``oracle.gamma_integral_quadrature``'s level walk must return bit for bit."""
+
+    def f(u: float) -> float:
+        return u**k * math.exp(-u)
+
+    scale, upper = _quadrature_span(k)
+    a, b = 0.0, upper
+    fa, fb = f(a), f(b)
+    m = 0.5 * (a + b)
+    fm = f(m)
+    whole = _simpson(a, fa, b, fb, fm)
+    value, err = _adaptive_simpson(f, a, fa, b, fb, fm, whole, rel_tol * scale, MAX_QUAD_DEPTH)
+    return value, err + _gamma_tail_bound(k, upper)
 
 
 def complex_product_mc_sums(a, b, m, weight, n, seed_seq, count, chunk):

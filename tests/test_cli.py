@@ -358,6 +358,8 @@ def test_failed_verification_exits_1(capsys, monkeypatch):
         (("norms", "-n", "1", "--op", "T(z)", "--base", "999999999", "--t", "1:2:linear"), "--t reaches"),
         (("norms", "-n", "2", "--op", "T(z1)", "--t", "1:1000000000:geometric"), "--t reaches"),
         (("parse", "-n", "3", "-f", "(z1+z2+z3+conj(z1)+conj(z2)+conj(z3)+1)^40"), "MAX_SYMBOL_TERMS"),
+        (("parse", "-n", "1", "-f", "\u0661*z"), "-f: unexpected character '\u0661' (at position 0"),
+        (("parse", "-n", "1", "-f", "z^\u00b2"), "-f: unexpected character '\u00b2' (at position 2"),
         (("verify", "hankel-closed-form", "--jobs", "0"), "--jobs must be >= 1, got 0"),
         (("verify", "orthonormality", "--jobs", "-2"), "--jobs must be >= 1, got -2"),
         (("norms", "-n", "1", "--op", "T(z)", "--t", "1:2:linear", "--jobs", "0"), "--jobs must be >= 1"),
@@ -417,6 +419,8 @@ def test_failed_verification_exits_1(capsys, monkeypatch):
         "t-range-order-bound",
         "geometric-t-range-order-bound",
         "symbol-term-bound",
+        "symbol-non-ascii-digit",
+        "symbol-superscript-exponent",
         "verify-jobs-0",
         "verify-jobs-negative",
         "norms-jobs-0",
@@ -549,6 +553,31 @@ def test_fit_non_utf8_stdin_of_a_process_exits_2():
     assert b"cannot read 'stdin': not UTF-8 text" in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ("norms", "-n", "1", "-m", "0", "--op", "T(z)", "--t", "1:5000:linear"),  # closed while printing
+    ("parse", "-n", "1", "-f", "z"),  # closed before the final flush
+])
+def test_closed_stdout_exits_141_without_a_traceback(argv):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    from fockop.cli import EXIT_CLOSED_STDOUT
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fockop.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()  # the reader goes away before the first write
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EXIT_CLOSED_STDOUT == 141
+    assert err == b""
+
+
 # ---------------------------------------------------------------------------
 # process fan-out: output independent of --jobs, no process left behind
 
@@ -669,6 +698,19 @@ def test_oracle_non_finite_estimate_fails(capsys):
     assert captured.out.startswith("FAIL  n=3 Monte Carlo bracket: 10 cases, max inf sigmas")
     assert "RuntimeWarning" not in captured.err
     assert [str(w.message) for w in caught] == []
+
+
+# ``verify oracle -n 1 --format json`` stdout: the n=1 quadrature/Gamma
+# agreement and its printed relative error, pinned by the sha256 of the
+# whole stdout.
+@pytest.mark.parametrize("argv, digest", [
+    ((), "b08936fdd566bcabf472b8eab58487bcdf2f92d622482016f6d3334a63e5fa3d"),
+    (("-m", "0,8", "--max-order", "90"), "6e8b9c8f715d38d9a6678345328a6a0cf3d82797d66bf358733acaab0479ea9e"),
+])
+def test_n1_oracle_json_stdout_is_pinned(capsys, argv, digest):
+    code, out = run(capsys, "verify", "oracle", "-n", "1", *argv, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_oracle_largest_quadrature_order_passes(capsys):

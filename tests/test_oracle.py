@@ -4,13 +4,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from reference import complex_product_mc_sums, oracle_toeplitz_coeff
+from reference import complex_product_mc_sums, oracle_toeplitz_coeff, recursive_gamma_integral_quadrature
 
 from fockop import oracle
 from fockop.arith import MultiIndex
 from fockop.errors import InputError
 from fockop.operators import SpaceParams, monomial_inner, toeplitz_mono_apply
 from fockop.oracle import (
+    MAX_QUAD_ORDER,
     QUADRATURE_CACHE_SIZE,
     OracleConfig,
     OracleEstimate,
@@ -52,6 +53,13 @@ def test_quadrature_matches_factorials():
         assert abs(value - exact) / exact < 1e-12
         assert bound >= 0
         assert abs(value - exact) <= max(bound, 1e-12 * exact)
+
+
+@pytest.mark.parametrize("rel_tol", [1e-15, 1e-13, 1e-10, 1e-6])
+def test_quadrature_level_walk_matches_the_recursion_bit_for_bit(rel_tol):
+    # tuple ==: the same value and the same error bound, to the last bit
+    for k in range(MAX_QUAD_ORDER + 1):
+        assert gamma_integral_quadrature(k, rel_tol) == recursive_gamma_integral_quadrature(k, rel_tol), k
 
 
 def test_oracle_inner_norm_of_constant():
