@@ -70,7 +70,7 @@ class MultiIndex(tuple):
     def __add__(self, other) -> "MultiIndex":  # type: ignore[override]
         if len(self) != len(other):
             check_same_dimension(len(self), len(other))
-        return tuple.__new__(MultiIndex, tuple(map(add, self, other)))
+        return tuple.__new__(MultiIndex, map(add, self, other))
 
     def scaled_add(self, t: int, direction: "MultiIndex") -> "MultiIndex":
         """Return ``self + t * direction``."""
@@ -82,11 +82,6 @@ class MultiIndex(tuple):
     @staticmethod
     def zero(dimension: int) -> "MultiIndex":
         return MultiIndex((0,) * dimension)
-
-    @staticmethod
-    def unit(dimension: int, j: int) -> "MultiIndex":
-        """Standard basis index e_j (0-based j)."""
-        return MultiIndex(1 if k == j else 0 for k in range(dimension))
 
     @staticmethod
     def ones(dimension: int) -> "MultiIndex":

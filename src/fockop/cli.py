@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import time
 from fractions import Fraction
@@ -69,10 +70,26 @@ def _check_alpha_order(order: int, flag: str) -> None:
         raise InputError(f"{flag} reaches |alpha| = {order}; at most MAX_ALPHA_ORDER = {MAX_ALPHA_ORDER} is allowed")
 
 
+# An integer on the command line: an optional '-' and ASCII digits, the
+# digits of the symbol grammar.  ``int()`` also takes surrounding spaces, '_'
+# separators and other scripts' digits: '1_0', ' 1 ' and Arabic-Indic digits.
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def _parse_int(text: str) -> int:
+    """``text`` as an int; ``InputError`` unless it is one ``_INTEGER``."""
+    if _INTEGER.fullmatch(text) is not None:
+        try:
+            return int(text)
+        except ValueError:  # more digits than the interpreter converts from text
+            pass
+    raise InputError(f"not an integer: {text!r}")
+
+
 def _parse_alpha(text: str, n: int, flag: str) -> MultiIndex:
     try:
-        comps = [int(p) for p in text.split("|")]
-    except ValueError as exc:
+        comps = [_parse_int(p) for p in text.split("|")]
+    except InputError as exc:
         raise InputError(f"{flag}: bad multi-index {text!r}; use 'a1|a2|...'") from exc
     if len(comps) != n:
         raise InputError(f"{flag}: multi-index {text!r} has {len(comps)} components, expected {n}")
@@ -117,15 +134,15 @@ def _parse_t_range(text: str) -> Tuple[int, ...]:
     if len(parts) not in (3, 4):
         raise InputError("--t takes lo:hi:geometric|linear[:step]")
     try:
-        lo, hi = int(parts[0]), int(parts[1])
-    except ValueError as exc:
+        lo, hi = _parse_int(parts[0]), _parse_int(parts[1])
+    except InputError as exc:
         raise InputError("--t bounds must be integers") from exc
     mode = parts[2]
     step = None
     if len(parts) == 4:
         try:
-            step = int(parts[3])
-        except ValueError as exc:
+            step = _parse_int(parts[3])
+        except InputError as exc:
             raise InputError(f"--t step must be an integer, got {parts[3]!r}") from exc
     if mode == "geometric":
         ts = _with_source("--t", geometric_ts, lo, hi, 2 if step is None else step)
@@ -311,8 +328,8 @@ def _cmd_fit(args) -> int:
         if len(parts) != 3:
             raise InputError(f"line {lineno}: expected 't,alpha,squared_norm'")
         try:
-            samples.append((int(parts[0]), Fraction(parts[2])))
-        except (ValueError, ZeroDivisionError) as exc:
+            samples.append((_parse_int(parts[0]), Fraction(parts[2])))
+        except (InputError, ValueError, ZeroDivisionError) as exc:
             raise InputError(f"line {lineno}: bad sample {line!r}") from exc
     report_obj = _with_source(source, fit_exponent, samples, predicted)
     outputs = {
@@ -494,8 +511,8 @@ def _add_space_args(p, need_m=True):
 
 def _int_list(text: str) -> Tuple[int, ...]:
     try:
-        return tuple(int(p) for p in text.split(","))
-    except ValueError as exc:
+        return tuple(_parse_int(p) for p in text.split(","))
+    except InputError as exc:
         raise argparse.ArgumentTypeError("expected a comma-separated integer list") from exc
 
 

@@ -6,17 +6,29 @@ Gaussian-rational coefficients, ``RadicalCoefficient``s with radicand 1.
 Products in the input grammar are expanded at parse time; like terms are
 always merged and zero terms dropped, so equal symbols have equal term
 maps.
+
+The parser builds these canonical values directly, with no validating
+constructor: each parse makes ``z_j`` and ``conj(z_j)`` once and shares
+them between the factors that name them, makes constants from the
+integers of the text, and sums an expression's terms into one new dict.
+No value the parser returns shares its term map with another.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain
 from math import comb
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, NamedTuple, Optional, Tuple
 
-from .arith import RADICAL_ONE, MultiIndex, RadicalCoefficient, check_index, check_same_dimension, format_gaussian
+from .arith import (
+    RADICAL_ONE,
+    MultiIndex,
+    RadicalCoefficient,
+    _radical,
+    check_index,
+    check_same_dimension,
+    format_gaussian,
+)
 from .errors import InputError, SymbolSyntaxError
 
 TermKey = Tuple[MultiIndex, MultiIndex]
@@ -131,14 +143,21 @@ class SymbolPolynomial:
     def __pow__(self, exponent: int) -> "SymbolPolynomial":
         if exponent < 0:
             raise InputError("negative exponents are not representable")
-        out = SymbolPolynomial.constant(self.dimension, 1)
+        if not exponent:
+            return SymbolPolynomial.constant(self.dimension, RADICAL_ONE)
+        # repeated squaring from base^(2^k), k the exponent's lowest set bit:
+        # no product is by the constant 1
         base = self
-        e = exponent
-        while e:
-            if e & 1:
+        while not exponent & 1:
+            base = base * base
+            exponent >>= 1
+        out = base
+        exponent >>= 1
+        while exponent:
+            base = base * base
+            if exponent & 1:
                 out = out * base
-            base = base * base if e > 1 else base
-            e >>= 1
+            exponent >>= 1
         return out
 
     def conjugate(self) -> "SymbolPolynomial":
@@ -203,6 +222,13 @@ def _symbol(dimension: int, terms: Dict[TermKey, RadicalCoefficient]) -> SymbolP
 def _merged(items: Iterable[Tuple[TermKey, RadicalCoefficient]]) -> Dict[TermKey, RadicalCoefficient]:
     """The terms ``items`` sum to: like terms merged, zero sums dropped."""
     acc: Dict[TermKey, RadicalCoefficient] = {}
+    _merge_into(acc, items)
+    return acc
+
+
+def _merge_into(acc: Dict[TermKey, RadicalCoefficient], items: Iterable[Tuple[TermKey, RadicalCoefficient]]) -> None:
+    """Add ``items`` to the terms ``acc`` in place: like terms merged, zero
+    sums dropped, a new key inserted last."""
     for key, coeff in items:
         prev = acc.get(key)
         total = coeff if prev is None else prev + coeff
@@ -210,7 +236,6 @@ def _merged(items: Iterable[Tuple[TermKey, RadicalCoefficient]]) -> Dict[TermKey
             acc.pop(key, None)
         else:
             acc[key] = total
-    return acc
 
 
 def _monomial_text(beta: MultiIndex, gamma: MultiIndex, dimension: int) -> str:
@@ -271,17 +296,23 @@ MAX_SYMBOL_DEGREE = 256
 
 # Bound on the term pairs, len(a) * len(b), of one symbol product the parser
 # asks for, checked before multiplying; it bounds the product's terms too.
-# A power is expanded by repeated squaring (``SymbolPolynomial.__pow__``) and
-# every product of that expansion is checked, with base^j counted at its most
-# possible terms: C(k+j-1, j) for a k-term base, the monomials of degree j in
-# k unknowns.  At 20_000 every power of a two-term base that MAX_SYMBOL_DEGREE
-# allows still parses (at most 129^2 = 16641 pairs).
+# A power is expanded by repeated squaring from the base
+# (``SymbolPolynomial.__pow__``); ``_power_pairs`` bounds every product of
+# that expansion before it starts, with base^j counted at its most possible
+# terms: C(k+j-1, j) for a k-term base, the monomials of degree j in k
+# unknowns.  It counts one product more, 1 * base^j, as if the expansion
+# started from the constant 1.  That product is never larger than the
+# squaring before it, except for base^1, so a base of more terms than the
+# bound is rejected under every exponent >= 1.  At 20_000 every power of a
+# two-term base that MAX_SYMBOL_DEGREE allows still parses (at most
+# 129^2 = 16641 pairs).
 MAX_SYMBOL_TERMS = 20_000
 
 
 def _power_pairs(k: int, e: int) -> int:
-    """Most term pairs of one product in ``SymbolPolynomial.__pow__`` for a
-    base of k >= 1 terms to the power e."""
+    """An upper bound on the term pairs of one product in
+    ``SymbolPolynomial.__pow__`` for a base of k >= 1 terms to the power e:
+    the most of one product of the expansion from the constant 1."""
 
     def most_terms(j: int) -> int:
         return comb(k + j - 1, j)
@@ -306,10 +337,10 @@ _T_OPERATOR = "operator"
 _T_OP = "op"
 _T_END = "end"
 _NAMES = {"conj": _T_CONJ, "i": _T_IMAG, "T": _T_OPERATOR, "HP": _T_OPERATOR}
+_IMAGINARY_UNIT = _radical(0, 1, 1, 1)
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     value: object
     pos: int
@@ -378,6 +409,8 @@ class _Parser:
         self.dimension = dimension
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.zero = MultiIndex._wrap((0,) * dimension)
+        self.variables: Dict[Tuple[int, bool], SymbolPolynomial] = {}
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -405,18 +438,18 @@ class _Parser:
         return poly
 
     def parse_expr(self) -> SymbolPolynomial:
-        negate = False
-        if self.at_op("-"):
-            self.next()
-            negate = True
-        poly = self.parse_term()
+        """The sum of the terms, added one by one into one new dict (the
+        terms it returns are never those of a shared variable)."""
+        negate = self.at_op("-")
         if negate:
-            poly = -poly
-        while self.at_op("+", "-"):
-            op = self.next().value
-            rhs = self.parse_term()
-            poly = poly + (-rhs if op == "-" else rhs)
-        return poly
+            self.next()
+        acc: Dict[TermKey, RadicalCoefficient] = {}
+        while True:
+            terms = self.parse_term().terms.items()
+            _merge_into(acc, ((key, -c) for key, c in terms) if negate else terms)
+            if not self.at_op("+", "-"):
+                return _symbol(self.dimension, acc)
+            negate = self.next().value == "-"
 
     def check_product(self, a: SymbolPolynomial, b: SymbolPolynomial, tok: _Token) -> None:
         """Reject a product of more than MAX_SYMBOL_TERMS term pairs at ``tok``."""
@@ -461,7 +494,7 @@ class _Parser:
     def parse_base(self) -> SymbolPolynomial:
         tok = self.next()
         if tok.kind == _T_INT:
-            value = Fraction(tok.value)
+            value = _radical(tok.value, 0, 1, 1)
             if self.at_op("/"):
                 self.next()
                 den = self.next()
@@ -469,15 +502,12 @@ class _Parser:
                     raise SymbolSyntaxError("expected denominator digits", self.text, den.pos)
                 if den.value == 0:
                     raise SymbolSyntaxError("zero denominator", self.text, den.pos)
-                value = Fraction(tok.value, den.value)
-            return SymbolPolynomial.constant(self.dimension, value)
+                value = _radical(tok.value, 0, den.value, 1)
+            return self.constant(value)
         if tok.kind == _T_IMAG:
-            return SymbolPolynomial.constant(self.dimension, RadicalCoefficient(0, im=1))
+            return self.constant(_IMAGINARY_UNIT)
         if tok.kind == _T_VAR:
-            j = self._variable_index(tok)
-            return SymbolPolynomial.monomial(
-                self.dimension, MultiIndex.unit(self.dimension, j), MultiIndex.zero(self.dimension)
-            )
+            return self.variable(self._variable_index(tok), False)
         if tok.kind == _T_CONJ:
             self.expect_op("(")
             var = self.next()
@@ -485,14 +515,30 @@ class _Parser:
                 raise SymbolSyntaxError("conj(...) takes a variable", self.text, var.pos)
             j = self._variable_index(var)
             self.expect_op(")")
-            return SymbolPolynomial.monomial(
-                self.dimension, MultiIndex.zero(self.dimension), MultiIndex.unit(self.dimension, j)
-            )
+            return self.variable(j, True)
         if tok.kind == _T_OP and tok.value == "(":
             poly = self.parse_expr()
             self.expect_op(")")
             return poly
         raise SymbolSyntaxError("expected a variable, number, 'i' or '('", self.text, tok.pos)
+
+    def constant(self, value: RadicalCoefficient) -> SymbolPolynomial:
+        """The constant symbol ``value`` (radicand 1)."""
+        if value.is_zero():
+            return _symbol(self.dimension, {})
+        return _symbol(self.dimension, {(self.zero, self.zero): value})
+
+    def variable(self, j: int, conj: bool) -> SymbolPolynomial:
+        """z_j, or conj(z_j) if ``conj``, for a 0-based j: made once per
+        parse and shared by every factor that names it, which the algebra
+        may do because it never changes an operand."""
+        sym = self.variables.get((j, conj))
+        if sym is None:
+            zero = self.zero
+            unit = MultiIndex._wrap(zero[:j] + (1,) + zero[j + 1 :])
+            sym = _symbol(self.dimension, {(zero, unit) if conj else (unit, zero): RADICAL_ONE})
+            self.variables[j, conj] = sym
+        return sym
 
     def _variable_index(self, tok: _Token) -> int:
         index: Optional[int] = tok.value  # type: ignore[assignment]

@@ -460,6 +460,62 @@ def test_bad_input_exits_2(capsys, argv, message):
     assert message in captured.err
 
 
+# Integers on the command line are an optional '-' and ASCII digits only,
+# although Python's int() reads '1_0' as 10, strips spaces and reads other
+# scripts' digits ('٣' is an Arabic-Indic three).
+STRICT_INT_CASES = [
+    (("apply", "-n", "1", "--op", "T(z)", "--alpha", "1_0"), "--alpha"),
+    (("apply", "-n", "1", "--op", "T(z)", "--alpha", " 1 "), "--alpha"),
+    (("apply", "-n", "1", "--op", "T(z)", "--alpha", "٣"), "--alpha"),
+    (("apply", "-n", "2", "--op", "T(z1)", "--alpha", "1|+2"), "--alpha"),
+    (("norms", "-n", "1", "--op", "T(z)", "--ray", "١", "--t", "1:2:linear"), "--ray"),
+    (("norms", "-n", "1", "--op", "T(z)", "--base", "1_0", "--t", "1:2:linear"), "--base"),
+    (("norms", "-n", "1", "--op", "T(z)", "--t", "1_0:20:linear"), "--t"),
+    (("norms", "-n", "1", "--op", "T(z)", "--t", "1: 2:linear"), "--t"),
+    (("norms", "-n", "1", "--op", "T(z)", "--t", "1:20:linear:٢"), "--t"),
+    (("verify", "oracle", "-n", " 1", "-m", "0", "--max-order", "1"), "-n"),
+    (("verify", "oracle", "-n", "1", "-m", "0,1_0", "--max-order", "1"), "-m"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    STRICT_INT_CASES,
+    ids=[
+        "alpha-underscore",
+        "alpha-spaces",
+        "alpha-arabic-indic-digit",
+        "alpha-plus-sign",
+        "ray-arabic-indic-digit",
+        "base-underscore",
+        "t-bound-underscore",
+        "t-bound-space",
+        "t-step-arabic-indic-digit",
+        "verify-n-space",
+        "verify-m-underscore",
+    ],
+)
+def test_integers_are_ascii_digits_only(capsys, argv, flag):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert flag in lines[0]
+
+
+@pytest.mark.parametrize("t_text", ["1_6", " 16 ", "١٦"])
+def test_fit_reads_ascii_t_values_only(capsys, monkeypatch, t_text):
+    rows = [f"{t_text},16,5"] + [f"{t},{t},{t}" for t in (32, 64, 128)]
+    monkeypatch.setattr("sys.stdin", io.StringIO("t,alpha,squared_norm\n" + "\n".join(rows) + "\n"))
+    code = main(["fit", "-"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: line 2: bad sample {rows[0].strip()!r}"]
+
+
 @pytest.mark.parametrize(
     "name, value, message",
     [

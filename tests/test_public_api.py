@@ -20,6 +20,7 @@ DELETED = [
     (arith, "radical_normalize"),
     (arith, "GAUSSIAN_ONE"),
     (arith.MultiIndex, "__radd__"),
+    (arith.MultiIndex, "unit"),
     (arith, "FactorialRatio"),
     (arith, "GaussianRational"),
     (arith.RadicalCoefficient, "normalize"),
@@ -32,6 +33,8 @@ DELETED = [
     (symbols, "graded_decompose"),
     (symbols.SymbolPolynomial, "is_holomorphic"),
     (symbols.SymbolPolynomial, "scaled"),
+    (symbols, "Fraction"),
+    (symbols, "dataclass"),
     (operators, "matrix_entry"),
     (operators, "hankel_product_target"),
     (operators, "_sqrt_transition_factors"),

@@ -89,6 +89,30 @@ def test_parse_errors_carry_positions():
         parse_symbol("w", 1)
 
 
+# Messages and positions of the tokenizer's errors on text outside ASCII:
+# only ASCII digits are digits, a letter of any script extends a name.
+@pytest.mark.parametrize(
+    "text, n, message, pos",
+    [
+        ("z^\u00b2", 1, "unexpected character '\u00b2'", 2),
+        ("\u0661*z", 1, "unexpected character '\u0661'", 0),
+        ("z\u00e9", 1, "unknown name 'z\u00e9'", 0),
+        ("\uff5a1", 2, "unknown name '\uff5a'", 0),
+        ("z1 + \u00e9", 2, "unknown name '\u00e9'", 5),
+        ("z\u00bd", 1, "unexpected character '\u00bd'", 1),
+    ],
+    ids=["superscript-two", "arabic-indic-one", "latin-e-acute", "fullwidth-z", "later-token", "vulgar-half"],
+)
+def test_tokenizer_errors_outside_ascii(text, n, message, pos):
+    with pytest.raises(SymbolSyntaxError) as err:
+        parse_symbol(text, n)
+    assert (err.value.message, err.value.pos) == (message, pos)
+
+
+def test_ascii_sum_parses():
+    assert parse_symbol("z1 + z2", 2).terms == {(mi(1, 0), mi(0, 0)): g(1), (mi(0, 1), mi(0, 0)): g(1)}
+
+
 def test_power_degree_bound_is_checked_before_expanding():
     assert parse_symbol(f"z^{MAX_SYMBOL_DEGREE}", 1) == SymbolPolynomial.monomial(
         1, (MAX_SYMBOL_DEGREE,), (0,)
@@ -169,6 +193,61 @@ def test_dense_symbols_stay_within_the_term_bound(data):
     )
     for sym in symbols:
         assert all(c.radicand == 1 for c in sym.terms.values())
+
+
+@given(st.data())
+def test_parsed_symbols_are_canonical_and_not_aliased(data):
+    n = data.draw(st.integers(1, 3))
+    text = data.draw(dense_symbol_texts(n))
+    if n == 1:
+        text = text.replace("z1", "z")
+    p = parse_symbol(text, n)
+    # the validating constructor leaves the parser's terms as they are
+    assert SymbolPolynomial(n, dict(p.terms)) == p
+    for key, c in p.terms.items():
+        assert type(key) is tuple and len(key) == 2
+        assert all(type(index) is MultiIndex and len(index) == n for index in key)
+        assert c.radicand == 1 and c == RadicalCoefficient(c.re, im=c.im)
+    # the variables a parse shares between its factors never leak into a result
+    q = parse_symbol(text, n)
+    assert q.terms is not p.terms
+    key = (MultiIndex([7] * n), MultiIndex([0] * n))
+    q.terms[key] = g(1)
+    for k in list(q.terms)[:-1]:
+        del q.terms[k]
+    assert p == parse_symbol(text, n)
+    assert parse_symbol(text, n).terms.keys() == p.terms.keys()
+    # a sum that began in a shared variable's terms would change its later uses
+    v = "z" if n == 1 else "z1"
+    assert parse_symbol(f"{v} + ({text})*{v} - {v}", n) == p * parse_symbol(v, n)
+
+
+# Twenty terms of the benchmark's dense symbols: every kind of coefficient
+# (integer, fraction, i, Gaussian), powers, conjugates and a constant term.
+DENSE_TWENTY = (
+    "3*z1^2*conj(z2) + 1/2*z1*z2 - 5/3*conj(z1)^2 + i*z2^3 - (1-2*i)*z1*conj(z1)"
+    " + 2*conj(z2)^2*z1 - 3/4*z2 + z1^4 - i*conj(z1)*conj(z2) + 7"
+    " + 2*z2^2*conj(z2)^2 - 1/2*conj(z1) + (3+i)*z1^3*z2 - z2*conj(z2)"
+    " + 5/3*z1*z2*conj(z1)*conj(z2) + 3*conj(z2)^4 - 2*i*z1^2 + 1/3*z2^2*conj(z1)"
+    " + (1-2*i)*conj(z2) + 4*z1*conj(z2)^3"
+)
+
+
+def test_parsing_builds_no_coefficient_through_the_constructor(monkeypatch):
+    calls = []
+    new = RadicalCoefficient.__new__
+
+    def counted(cls, *args, **kwargs):
+        calls.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(RadicalCoefficient, "__new__", counted)
+    p = parse_symbol(DENSE_TWENTY, 2)
+    op = parse_operator(f"HP({DENSE_TWENTY}; {DENSE_TWENTY}) * T({DENSE_TWENTY})", 2)
+    assert calls == []
+    monkeypatch.undo()
+    assert len(p.terms) == 20
+    assert op.inner.symbol == p
 
 
 def test_symbol_rejects_a_coefficient_with_a_square_root():
