@@ -363,22 +363,22 @@ def _cmd_fit(args) -> int:
 def _env_override(name: str, flag: str, fallback, convert):
     """(value, source): the environment variable ``name`` if set, else the
     flag's value; ``source`` names where the value came from.  ``convert``
-    is ``int`` or ``float``."""
+    is ``_parse_int`` or ``float``."""
     raw = os.environ.get(name)
     if raw is None:
         return fallback, flag
     try:
         return convert(raw), name
-    except ValueError as exc:
-        kind = "an integer" if convert is int else "a number"
+    except (ValueError, InputError) as exc:
+        kind = "a number" if convert is float else "an integer"
         raise InputError(f"{name} must be {kind}, got {raw!r}") from exc
 
 
 def _cmd_verify(args) -> int:
-    seed, seed_source = _env_override("FOCKOP_SEED", "--seed", args.seed, int)
+    seed, seed_source = _env_override("FOCKOP_SEED", "--seed", args.seed, _parse_int)
     if seed < 0:
         raise InputError(f"{seed_source} must be >= 0, got {seed}")
-    samples, samples_source = _env_override("FOCKOP_SAMPLES", "--samples", args.samples, int)
+    samples, samples_source = _env_override("FOCKOP_SAMPLES", "--samples", args.samples, _parse_int)
     tol, tol_source = _env_override("FOCKOP_TOL", "--tol", args.tol, float)
     if not MIN_QUAD_TOL <= tol < math.inf:
         raise InputError(f"{tol_source} must be finite and >= {MIN_QUAD_TOL}, got {tol}")

@@ -133,7 +133,7 @@ def _norm_ratio(a: MultiIndex, b: MultiIndex, sp: SpaceParams) -> RadicalCoeffic
     ``from_sqrt_ratio`` is looked up on the class at each call, so a
     wrapper bound there sees every square root the engine takes.  The
     closed-form sweep reads the same (alpha, target) pair for many symbol
-    pairs; without this cache its work rate drops by 9%.
+    pairs; without this cache its work rate drops by 20%.
     """
     num, den = _norm_ratio_runs(a, b, sp)
     return RadicalCoefficient.from_sqrt_ratio(

@@ -1,18 +1,28 @@
 """Test-side references: exact quantities the tests check the program
-against, computed from the package's public operators, a float Toeplitz
+against, computed from the package's public operators, the closed-form
+sweep's per-case loop (one engine apply per alpha), a float Toeplitz
 coefficient from the oracle's quadrature, the recursive adaptive Simpson
 routine the oracle's level walk must match bit for bit, and the earlier
 float arithmetic of the Monte Carlo oracle."""
 
 import math
 from fractions import Fraction
+from itertools import product
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from fockop import verify
 from fockop.analysis import log_fraction
 from fockop.arith import MultiIndex
-from fockop.operators import BasisExpansion, SpaceParams, hankel_product_apply
+from fockop.operators import (
+    BasisExpansion,
+    HankelProductOp,
+    SpaceParams,
+    apply_operator,
+    closed_form_min_alpha,
+    hankel_product_apply,
+)
 from fockop.oracle import (
     MAX_QUAD_DEPTH,
     _gamma_tail_bound,
@@ -31,6 +41,59 @@ def hankel_vector_norm_sq(f: SymbolPolynomial, alpha: MultiIndex, sp: SpaceParam
         return Fraction(0)
     assert c.radicand == 1 and not c.im_num, f"diagonal Hankel-product entry must be a real rational, got {c}"
     return c.re
+
+
+def closed_form_sweep_block(task) -> verify.ClosedFormSweep:
+    """``verify._sweep_block`` one case at a time: the engine applies each
+    tuple's operator to each e_alpha alone and reads the target's
+    coefficient with ``coefficient``; a case whose image holds any other
+    monomial is stray support.  The closed form is looked up on ``verify``
+    at each call, so a test that replaces it there replaces it here too."""
+    n, m, beta, max_component, max_alpha = task
+    sp = SpaceParams(n, m)
+    beta = MultiIndex(beta)
+    exps = verify.indices_by_component(n, max_component)
+    out = verify.ClosedFormSweep()
+
+    def label() -> str:
+        return (
+            f"n={n} m={m} beta={tuple(beta)} gamma={tuple(gamma)} "
+            f"mu={tuple(mu)} nu={tuple(nu)} alpha={tuple(alpha)}"
+        )
+
+    for gamma in exps:
+        gamma_zero = gamma.order == 0
+        f = SymbolPolynomial.monomial(n, beta, gamma)
+        for mu in exps:
+            for nu in exps:
+                out.tuples += 1
+                need = closed_form_min_alpha(beta, gamma, mu, nu)
+                if max(need) > max_alpha:
+                    continue
+                expect_zero = gamma_zero or nu.order == 0
+                degenerate = m == 0 and sum(x * y for x, y in zip(gamma, nu)) == 0
+                op = HankelProductOp(f, SymbolPolynomial.monomial(n, mu, nu))
+                for comps in product(*(range(k, max_alpha + 1) for k in need)):
+                    alpha = MultiIndex(comps)
+                    out.cases += 1
+                    target, closed = verify.hankel_coeff_closed_form(beta, gamma, mu, nu, alpha, sp)
+                    image = apply_operator(op, BasisExpansion.basis_vector(sp, alpha))
+                    comp = image.coefficient(target)
+                    if closed != comp:
+                        out.mismatches.append(f"{label()}: closed {closed} vs composition {comp}")
+                    if len(image.monomials) > (0 if comp.is_zero() else 1):
+                        out.stray_support.append(label())
+                    if expect_zero:
+                        if not closed.is_zero():
+                            out.vanish_false_nonzero.append(label())
+                    elif closed.is_zero():
+                        if degenerate:
+                            out.degenerate_zero_cases += 1
+                        else:
+                            out.vanish_false_zero_strict.append(label())
+                    elif degenerate:
+                        out.degenerate_nonzero.append(label())
+    return out
 
 
 def ratio_stabilization(

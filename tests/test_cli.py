@@ -524,6 +524,14 @@ def test_fit_reads_ascii_t_values_only(capsys, monkeypatch, t_text):
         ("FOCKOP_SEED", "-1", "FOCKOP_SEED must be >= 0"),
         ("FOCKOP_SEED", "x", "FOCKOP_SEED must be an integer, got 'x'"),
         ("FOCKOP_SAMPLES", "abc", "FOCKOP_SAMPLES must be an integer, got 'abc'"),
+        ("FOCKOP_SEED", " 5", "FOCKOP_SEED must be an integer, got ' 5'"),
+        ("FOCKOP_SEED", "1_0", "FOCKOP_SEED must be an integer, got '1_0'"),
+        ("FOCKOP_SEED", "٣", "FOCKOP_SEED must be an integer, got '٣'"),
+        ("FOCKOP_SEED", "+7", "FOCKOP_SEED must be an integer, got '+7'"),
+        ("FOCKOP_SAMPLES", "1000 ", "FOCKOP_SAMPLES must be an integer, got '1000 '"),
+        ("FOCKOP_SAMPLES", "1_000", "FOCKOP_SAMPLES must be an integer, got '1_000'"),
+        ("FOCKOP_SAMPLES", "١٠٠٠", "FOCKOP_SAMPLES must be an integer, got '١٠٠٠'"),
+        ("FOCKOP_SAMPLES", "+1000", "FOCKOP_SAMPLES must be an integer, got '+1000'"),
         ("FOCKOP_TOL", "small", "FOCKOP_TOL must be a number, got 'small'"),
         ("FOCKOP_SAMPLES", "1", "FOCKOP_SAMPLES: Monte Carlo needs at least 2 samples"),
     ],
@@ -706,6 +714,58 @@ def test_failing_sweep_lists_are_identical_for_every_jobs(capsys, two_cpus, brok
     code2, out2 = run(capsys, *argv, "--jobs", "2")
     assert code1 == code2 == 1
     assert out1 == out2
+
+
+# Blocks of the sweep that both routes run: every beta at n=1
+# (--max-component 2) and n=2 (--max-component 1), one beta at n=3.
+REFERENCE_BLOCKS = (
+    [(1, (b,), 2) for b in range(3)]
+    + [(2, (b1, b2), 1) for b1 in range(2) for b2 in range(2)]
+    + [(3, (1, 0, 1), 1)]
+)
+
+
+@pytest.mark.parametrize("broken", [False, True], ids=["plain", "broken"])
+@pytest.mark.parametrize("m", [0, 1, 7])
+def test_sweep_block_matches_the_per_case_reference(request, m, broken):
+    from reference import closed_form_sweep_block
+
+    from fockop.verify import _sweep_block
+
+    if broken:
+        request.getfixturevalue("broken_closed_form")
+    mismatches = 0
+    for n, beta, max_component in REFERENCE_BLOCKS:
+        task = (n, m, beta, max_component, 3)
+        batched = _sweep_block(task)
+        assert vars(batched) == vars(closed_form_sweep_block(task)), task
+        mismatches += len(batched.mismatches)
+    assert bool(mismatches) == broken
+
+
+def test_stray_support_is_flagged_per_tuple(capsys, monkeypatch):
+    from fockop import verify
+    from fockop.arith import RADICAL_ONE, MultiIndex
+
+    real = verify.apply_operator
+
+    def leaky(op, v):
+        image = real(op, v)
+        image.monomials[MultiIndex((99,) * v.space.n)] = RADICAL_ONE
+        return image
+
+    monkeypatch.setattr(verify, "apply_operator", leaky)
+    sweep = verify.sweep_hankel_closed_form((1,), (0,), 1, 2)
+    assert not sweep.mismatches
+    assert len(sweep.stray_support) == sweep.tuples == 16  # every tuple has an alpha <= 2
+    assert sweep.stray_support[0] == "n=1 m=0 beta=(0,) gamma=(0,) mu=(0,) nu=(0,): stray targets [(99,)]"
+    code = main(["verify", "hankel-closed-form", "-n", "1", "-m", "0",
+                 "--max-component", "1", "--max-alpha", "2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out.startswith(
+        "FAIL  closed-form vs composition: n=1 m=0 beta=(0,) gamma=(0,) mu=(0,) nu=(0,): stray targets [(99,)]"
+    )
 
 
 def test_sweep_progress_reaches_the_total(two_cpus):

@@ -67,6 +67,11 @@ DELETED = [
 # the oracle check the engine against itself.
 ORACLE_IMPORTS = {"arith.MultiIndex", "arith.check_same_dimension", "operators.SpaceParams"}
 
+# What ``verify`` may not import from the engine: its composition route is
+# ``apply_operator``, the route every operator the CLI applies takes, not a
+# basis action called directly.
+VERIFY_FORBIDDEN_IMPORTS = {"operators.toeplitz_apply", "operators.hankel_product_apply", "operators._add_image"}
+
 # Builtin exceptions the package may raise: ``NotImplementedError`` marks
 # the abstract ``OperatorExpr.dimension``.
 ALLOWED_BUILTIN_RAISES = {"NotImplementedError"}
@@ -106,6 +111,12 @@ def test_oracle_shares_no_code_with_the_exact_engine():
     imports = package_imports(SOURCE / "oracle.py")
     assert imports
     assert [name for name in imports if name not in ORACLE_IMPORTS and not name.startswith("errors.")] == []
+
+
+def test_verify_composes_through_apply_operator():
+    imports = package_imports(SOURCE / "verify.py")
+    assert "operators.apply_operator" in imports
+    assert VERIFY_FORBIDDEN_IMPORTS.isdisjoint(imports)
 
 
 def test_package_raises_only_its_own_errors():
