@@ -12,7 +12,6 @@ from .analysis import (
     classify_hankel_product,
     classify_single,
     classify_toeplitz_product,
-    default_ray,
     fit_exponent,
     geometric_ts,
     norm_squared_samples,
@@ -44,7 +43,7 @@ __all__ = [
     "MultiIndex", "RadicalCoefficient",
     "ExponentReport", "PredictedRate", "RateKind", "RaySpec", "SingleOperatorKind",
     "Verdict", "VerdictCase", "classify_hankel_product", "classify_single",
-    "classify_toeplitz_product", "default_ray", "fit_exponent", "geometric_ts",
+    "classify_toeplitz_product", "fit_exponent", "geometric_ts",
     "norm_squared_samples", "predicted_exponent",
     "FockopError", "InputError", "InternalInvariantError", "SymbolSyntaxError",
     "BasisExpansion", "Composition", "HankelProductOp", "OperatorExpr",

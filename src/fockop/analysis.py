@@ -251,11 +251,6 @@ def default_base(expr: OperatorExpr) -> MultiIndex:
     return MultiIndex(comps)
 
 
-def default_ray(expr: OperatorExpr, t_values: Optional[Sequence[int]] = None) -> RaySpec:
-    ts = tuple(t_values) if t_values is not None else geometric_ts()
-    return RaySpec(default_base(expr), MultiIndex.ones(expr.dimension), ts)
-
-
 def norm_squared_samples(
     expr: OperatorExpr, ray: RaySpec, sp: SpaceParams, jobs: int = 1
 ) -> List[Tuple[int, Fraction]]:

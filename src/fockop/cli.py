@@ -40,7 +40,7 @@ from .operators import (
     apply_operator,
     parse_operator,
 )
-from .oracle import DEFAULT_SEED, MAX_QUAD_ORDER, MIN_QUAD_TOL, OracleConfig, check_mc_samples
+from .oracle import DEFAULT_SEED, MAX_QUAD_ORDER, OracleConfig, check_mc_samples
 from .symbols import check_dimension, parse_symbol
 from . import verify as verify_mod
 
@@ -70,20 +70,31 @@ def _check_alpha_order(order: int, flag: str) -> None:
         raise InputError(f"{flag} reaches |alpha| = {order}; at most MAX_ALPHA_ORDER = {MAX_ALPHA_ORDER} is allowed")
 
 
-# An integer on the command line: an optional '-' and ASCII digits, the
-# digits of the symbol grammar.  ``int()`` also takes surrounding spaces, '_'
-# separators and other scripts' digits: '1_0', ' 1 ' and Arabic-Indic digits.
+# Numbers on the command line, in ASCII digits, the digits of the symbol
+# grammar: an integer is an optional '-' and digits, a rational what
+# ``str(Fraction)`` writes ('-3', '3/2') or a plain decimal ('2.5').
+# ``int()`` and ``Fraction()`` also take surrounding spaces, '_' separators,
+# '+', exponents and other scripts' digits: '1_0', ' 1 ' and '٣'.
 _INTEGER = re.compile(r"-?[0-9]+")
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+|\.[0-9]+)?")
+
+
+def _parse_number(text: str, pattern: re.Pattern, convert, kind: str):
+    """``convert(text)``; ``InputError`` unless ``text`` is one ``pattern``."""
+    if pattern.fullmatch(text) is not None:
+        try:
+            return convert(text)
+        except (ValueError, ZeroDivisionError):  # too many digits, or a zero denominator
+            pass
+    raise InputError(f"not {kind}: {text!r}")
 
 
 def _parse_int(text: str) -> int:
-    """``text`` as an int; ``InputError`` unless it is one ``_INTEGER``."""
-    if _INTEGER.fullmatch(text) is not None:
-        try:
-            return int(text)
-        except ValueError:  # more digits than the interpreter converts from text
-            pass
-    raise InputError(f"not an integer: {text!r}")
+    return _parse_number(text, _INTEGER, int, "an integer")
+
+
+def _parse_rational(text: str) -> Fraction:
+    return _parse_number(text, _RATIONAL, Fraction, "a rational")
 
 
 def _parse_alpha(text: str, n: int, flag: str) -> MultiIndex:
@@ -302,8 +313,8 @@ def _cmd_norms(args) -> int:
 
 def _cmd_fit(args) -> int:
     try:
-        predicted = None if args.predicted is None else Fraction(args.predicted)
-    except (ValueError, ZeroDivisionError) as exc:
+        predicted = None if args.predicted is None else _parse_rational(args.predicted)
+    except InputError as exc:
         raise InputError(f"--predicted must be a rational like '3/2', got {args.predicted!r}") from exc
     source = "stdin" if args.path == "-" else args.path
     try:
@@ -328,8 +339,8 @@ def _cmd_fit(args) -> int:
         if len(parts) != 3:
             raise InputError(f"line {lineno}: expected 't,alpha,squared_norm'")
         try:
-            samples.append((_parse_int(parts[0]), Fraction(parts[2])))
-        except (InputError, ValueError, ZeroDivisionError) as exc:
+            samples.append((_parse_int(parts[0]), _parse_rational(parts[2])))
+        except InputError as exc:
             raise InputError(f"line {lineno}: bad sample {line!r}") from exc
     report_obj = _with_source(source, fit_exponent, samples, predicted)
     outputs = {
@@ -360,29 +371,25 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _env_override(name: str, flag: str, fallback, convert):
-    """(value, source): the environment variable ``name`` if set, else the
-    flag's value; ``source`` names where the value came from.  ``convert``
-    is ``_parse_int`` or ``float``."""
+def _env_override(name: str, flag: str, fallback):
+    """(value, source): the integer in the environment variable ``name`` if
+    set, read by ``_parse_int``, else the flag's value; ``source`` names
+    where the value came from."""
     raw = os.environ.get(name)
     if raw is None:
         return fallback, flag
     try:
-        return convert(raw), name
-    except (ValueError, InputError) as exc:
-        kind = "a number" if convert is float else "an integer"
-        raise InputError(f"{name} must be {kind}, got {raw!r}") from exc
+        return _parse_int(raw), name
+    except InputError as exc:
+        raise InputError(f"{name} must be an integer, got {raw!r}") from exc
 
 
 def _cmd_verify(args) -> int:
-    seed, seed_source = _env_override("FOCKOP_SEED", "--seed", args.seed, _parse_int)
+    seed, seed_source = _env_override("FOCKOP_SEED", "--seed", args.seed)
     if seed < 0:
         raise InputError(f"{seed_source} must be >= 0, got {seed}")
-    samples, samples_source = _env_override("FOCKOP_SAMPLES", "--samples", args.samples, _parse_int)
-    tol, tol_source = _env_override("FOCKOP_TOL", "--tol", args.tol, float)
-    if not MIN_QUAD_TOL <= tol < math.inf:
-        raise InputError(f"{tol_source} must be finite and >= {MIN_QUAD_TOL}, got {tol}")
-    cfg = OracleConfig(seed=seed, samples=samples, quad_tol=tol)
+    samples, samples_source = _env_override("FOCKOP_SAMPLES", "--samples", args.samples)
+    cfg = OracleConfig(seed=seed, samples=samples)
     jobs = _check_jobs(args.jobs)
     for n in args.n or (1,):  # every (n, m) grid point must be a valid space
         for m in args.m or (0,):
@@ -460,7 +467,7 @@ def _cmd_verify(args) -> int:
                     f"--max-order {args.max_order} with m up to {max(det_m)} reaches quadrature "
                     f"order {order}; at most MAX_QUAD_ORDER = {MAX_QUAD_ORDER} is allowed"
                 )
-            det = verify_mod.verify_oracle_deterministic(det_m, args.max_order, cfg=cfg)
+            det = verify_mod.verify_oracle_deterministic(det_m, args.max_order)
             checks.append(
                 (
                     "n=1 quadrature/gamma agreement",
@@ -504,9 +511,16 @@ def _cmd_verify(args) -> int:
 
 
 def _add_space_args(p, need_m=True):
-    p.add_argument("-n", type=int, required=True, help="ambient dimension (>= 1)")
+    p.add_argument("-n", type=_int_arg, required=True, help="ambient dimension (>= 1)")
     if need_m:
-        p.add_argument("-m", type=int, default=0, help="weight order (>= 0)")
+        p.add_argument("-m", type=_int_arg, default=0, help="weight order (>= 0)")
+
+
+def _int_arg(text: str) -> int:
+    try:
+        return _parse_int(text)
+    except InputError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _int_list(text: str) -> Tuple[int, ...]:
@@ -569,7 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ray", default="ones", help="'ones' or custom direction 'd1|d2|...'")
     p.add_argument("--base", help="ray base 'b1|b2|...' (default: validity base)")
     p.add_argument("--t", default="64:4096:geometric", help="lo:hi:geometric|linear[:step]")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes (>= 1); output does not depend on it")
+    p.add_argument("--jobs", type=_int_arg, default=1, help="worker processes (>= 1); output does not depend on it")
     p.add_argument("--format", choices=("csv", "json", "table"), default="csv")
     p.set_defaults(handler=_cmd_norms)
 
@@ -583,13 +597,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("what", choices=("orthonormality", "hankel-closed-form", "oracle"))
     p.add_argument("-n", type=_int_list, help="dimensions, e.g. '1,2'")
     p.add_argument("-m", type=_int_list, help="weight orders, e.g. '0,1,2'")
-    p.add_argument("--max-order", type=int, default=8)
-    p.add_argument("--max-component", type=int, default=2)
-    p.add_argument("--max-alpha", type=int, default=12)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--samples", type=int, default=OracleConfig.samples)
-    p.add_argument("--tol", type=float, default=OracleConfig.quad_tol)
-    p.add_argument("--jobs", type=int, default=1, help="worker processes (>= 1); output does not depend on it")
+    p.add_argument("--max-order", type=_int_arg, default=8)
+    p.add_argument("--max-component", type=_int_arg, default=2)
+    p.add_argument("--max-alpha", type=_int_arg, default=12)
+    p.add_argument("--seed", type=_int_arg, default=DEFAULT_SEED)
+    p.add_argument("--samples", type=_int_arg, default=OracleConfig.samples)
+    p.add_argument("--jobs", type=_int_arg, default=1, help="worker processes (>= 1); output does not depend on it")
     p.add_argument("--format", choices=("json", "table"), default="table")
     p.set_defaults(handler=_cmd_verify)
 

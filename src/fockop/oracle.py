@@ -22,7 +22,8 @@ returns the (value, bound) pair of the one-call-per-panel recursion bit
 for bit, because numpy's elementwise float64 arithmetic rounds as Python
 floats do and the integrand still calls libm's ``pow`` and ``exp`` one
 point at a time (numpy's vectorized ``np.power`` and ``np.exp`` round
-some points differently).  Quadratures are memoized per (k, tolerance).
+some points differently).  Its relative tolerance is fixed at
+``QUAD_REL_TOL``, and quadratures are memoized per k.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ DEFAULT_SEED = 20417
 class OracleConfig:
     seed: int = DEFAULT_SEED
     samples: int = 200_000
-    quad_tol: float = 1e-13
 
 
 @dataclass(frozen=True)
@@ -154,20 +154,15 @@ def _simpson_levels(f, a: float, b: float, tol: float, depth: int) -> Tuple[floa
     return float(value[0]), float(error[0])
 
 
-# Smallest relative tolerance ``gamma_integral_quadrature`` accepts.  Below
-# float64 resolution adaptive Simpson never meets it and subdivides toward
-# its depth limit, 2^MAX_QUAD_DEPTH panels; the level walk holds a whole
-# level at once, so the cost is memory as well as time.  At 1e-15 the
-# widest level holds about 12k points.
-MIN_QUAD_TOL = 1e-15
+# Relative tolerance of ``gamma_integral_quadrature``.  Its worst relative
+# error over k = 0..MAX_QUAD_ORDER is 6.1e-13, well inside the n=1 check's
+# pass bound ``verify.DETERMINISTIC_REL_TOL`` = 1e-10; a tolerance near that
+# bound (1e-9) fails a correct engine, and a smaller one only costs time.
+QUAD_REL_TOL = 1e-13
 
 # Halvings of [0, upper] below which a Simpson panel is accepted whatever
 # its error estimate.
 MAX_QUAD_DEPTH = 48
-
-# Integrals kept by ``gamma_integral_quadrature``; one n=1 check needs
-# max_order + max(m) + 1 of them (14 for the default orders 0..10, m 0..3).
-QUADRATURE_CACHE_SIZE = 256
 
 
 # Largest k = |a| + m of an n = 1 oracle check.  Beyond it float64
@@ -176,11 +171,11 @@ QUADRATURE_CACHE_SIZE = 256
 MAX_QUAD_ORDER = 98
 
 
-@lru_cache(maxsize=QUADRATURE_CACHE_SIZE)
-def gamma_integral_quadrature(k: int, rel_tol: float = OracleConfig.quad_tol) -> Tuple[float, float]:
+@lru_cache(maxsize=MAX_QUAD_ORDER + 1)
+def gamma_integral_quadrature(k: int) -> Tuple[float, float]:
     """(value, absolute error bound) for int_0^inf u^k e^-u du.
 
-    Adaptive Simpson on [0, upper] to absolute tolerance ``rel_tol`` times a
+    Adaptive Simpson on [0, upper] to absolute tolerance ``QUAD_REL_TOL`` times a
     Stirling scale, walked one tree level at a time (``_simpson_levels``);
     the bound adds ``_gamma_tail_bound`` for the cut-off tail.  The
     integrand u**k * exp(-u) goes through libm one point at a time, as
@@ -189,8 +184,6 @@ def gamma_integral_quadrature(k: int, rel_tol: float = OracleConfig.quad_tol) ->
     """
     if not 0 <= k <= MAX_QUAD_ORDER:
         raise InputError(f"quadrature order k must be in 0..{MAX_QUAD_ORDER}, got {k}")
-    if not MIN_QUAD_TOL <= rel_tol < math.inf:
-        raise InputError(f"quadrature tolerance must be finite and >= {MIN_QUAD_TOL}, got {rel_tol}")
 
     power = float(k)
 
@@ -201,18 +194,18 @@ def gamma_integral_quadrature(k: int, rel_tol: float = OracleConfig.quad_tol) ->
         return powers * np.fromiter(map(math.exp, (-u).tolist()), float, len(u))
 
     scale, upper = _quadrature_span(k)
-    value, err = _simpson_levels(f, 0.0, upper, rel_tol * scale, MAX_QUAD_DEPTH)
+    value, err = _simpson_levels(f, 0.0, upper, QUAD_REL_TOL * scale, MAX_QUAD_DEPTH)
     return value, err + _gamma_tail_bound(k, upper)
 
 
-def quadrature_norm_sq(a: MultiIndex, sp: SpaceParams, tol: float = OracleConfig.quad_tol) -> float:
+def quadrature_norm_sq(a: MultiIndex, sp: SpaceParams) -> float:
     """<z^a, z^a> in sp (n = 1 only) as the quotient of two adaptive
-    quadratures of int_0^inf u^k e^-u du, each to relative tolerance ``tol``."""
+    quadratures of int_0^inf u^k e^-u du."""
     check_same_dimension(sp.n, a.dimension)
     if sp.n != 1:
         raise InputError("radial quadrature is a one-dimensional method")
-    val_num, _ = gamma_integral_quadrature(a[0] + sp.m, tol)
-    val_den, _ = gamma_integral_quadrature(sp.m, tol)
+    val_num, _ = gamma_integral_quadrature(a[0] + sp.m)
+    val_den, _ = gamma_integral_quadrature(sp.m)
     return val_num / val_den
 
 

@@ -325,7 +325,6 @@ DETERMINISTIC_REL_TOL = 1e-10
 def verify_oracle_deterministic(
     m_values: Sequence[int] = (0, 1, 2, 3),
     max_order: int = 10,
-    cfg: OracleConfig = OracleConfig(),
 ) -> OracleAgreementResult:
     """n=1: exact inner products vs quadrature and Gamma-recurrence routes,
     within ``DETERMINISTIC_REL_TOL``."""
@@ -335,7 +334,7 @@ def verify_oracle_deterministic(
         for order in range(max_order + 1):
             a = MultiIndex((order,))
             exact = float(monomial_inner(a, a, sp))
-            quad = quadrature_norm_sq(a, sp, cfg.quad_tol)
+            quad = quadrature_norm_sq(a, sp)
             gamma = gamma_norm_sq(a, sp)
             out.cases += 1
             for name, value in (("quadrature", quad), ("gamma", gamma)):

@@ -1,23 +1,25 @@
 """Test-side references: exact quantities the tests check the program
 against, computed from the package's public operators, the closed-form
-sweep's per-case loop (one engine apply per alpha), a float Toeplitz
-coefficient from the oracle's quadrature, the recursive adaptive Simpson
-routine the oracle's level walk must match bit for bit, and the earlier
-float arithmetic of the Monte Carlo oracle."""
+sweep's per-case loop (one engine apply per alpha), the default ray of
+an operator, a float Toeplitz coefficient from the oracle's quadrature,
+the recursive adaptive Simpson routine the oracle's level walk must
+match bit for bit, and the earlier float arithmetic of the Monte Carlo
+oracle."""
 
 import math
 from fractions import Fraction
 from itertools import product
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from fockop import verify
-from fockop.analysis import log_fraction
+from fockop.analysis import RaySpec, default_base, geometric_ts, log_fraction
 from fockop.arith import MultiIndex
 from fockop.operators import (
     BasisExpansion,
     HankelProductOp,
+    OperatorExpr,
     SpaceParams,
     apply_operator,
     closed_form_min_alpha,
@@ -31,6 +33,13 @@ from fockop.oracle import (
     quadrature_norm_sq,
 )
 from fockop.symbols import SymbolPolynomial
+
+
+def default_ray(expr: OperatorExpr, t_values: Optional[Sequence[int]] = None) -> RaySpec:
+    """The ray from the operator's validity base along (1, ..., 1), at
+    ``t_values`` (``analysis.geometric_ts()`` by default)."""
+    ts = tuple(t_values) if t_values is not None else geometric_ts()
+    return RaySpec(default_base(expr), MultiIndex.ones(expr.dimension), ts)
 
 
 def hankel_vector_norm_sq(f: SymbolPolynomial, alpha: MultiIndex, sp: SpaceParams) -> Fraction:
@@ -164,21 +173,32 @@ def _adaptive_simpson(f, a, fa, b, fb, fm, whole, tol, depth):
     return lv + rv, le + re
 
 
-def recursive_gamma_integral_quadrature(k: int, rel_tol: float) -> Tuple[float, float]:
-    """(value, absolute error bound) for int_0^inf u^k e^-u du by recursive
-    adaptive Simpson, one Python call per panel: the pair that
-    ``oracle.gamma_integral_quadrature``'s level walk must return bit for bit."""
-
-    def f(u: float) -> float:
-        return u**k * math.exp(-u)
-
-    scale, upper = _quadrature_span(k)
-    a, b = 0.0, upper
+def recursive_simpson(f, a: float, b: float, tol: float, depth: int) -> Tuple[float, float]:
+    """(value, error estimate) of adaptive Simpson on [a, b], one Python call
+    of ``f`` per point: what ``oracle._simpson_levels`` must return bit for bit."""
     fa, fb = f(a), f(b)
     m = 0.5 * (a + b)
     fm = f(m)
     whole = _simpson(a, fa, b, fb, fm)
-    value, err = _adaptive_simpson(f, a, fa, b, fb, fm, whole, rel_tol * scale, MAX_QUAD_DEPTH)
+    return _adaptive_simpson(f, a, fa, b, fb, fm, whole, tol, depth)
+
+
+def gamma_integrand(k: int):
+    """u -> u**k * exp(-u) on one Python float."""
+
+    def f(u: float) -> float:
+        return u**k * math.exp(-u)
+
+    return f
+
+
+def recursive_gamma_integral_quadrature(k: int, rel_tol: float) -> Tuple[float, float]:
+    """(value, absolute error bound) for int_0^inf u^k e^-u du by recursive
+    adaptive Simpson to relative tolerance ``rel_tol``: at
+    ``oracle.QUAD_REL_TOL``, the pair ``oracle.gamma_integral_quadrature``
+    must return bit for bit."""
+    scale, upper = _quadrature_span(k)
+    value, err = recursive_simpson(gamma_integrand(k), 0.0, upper, rel_tol * scale, MAX_QUAD_DEPTH)
     return value, err + _gamma_tail_bound(k, upper)
 
 

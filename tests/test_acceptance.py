@@ -22,7 +22,6 @@ from fockop.analysis import (
     classify_hankel_product,
     classify_single,
     classify_toeplitz_product,
-    default_ray,
     fit_exponent,
     geometric_ts,
     hankel_validity_base,
@@ -47,7 +46,7 @@ from fockop.verify import (
     verify_oracle_monte_carlo,
     verify_orthonormality,
 )
-from reference import hankel_vector_norm_sq, ratio_stabilization
+from reference import default_ray, hankel_vector_norm_sq, ratio_stabilization
 
 
 def mi(*comps):

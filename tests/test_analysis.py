@@ -13,7 +13,6 @@ from fockop.analysis import (
     classify_single,
     classify_toeplitz_product,
     default_base,
-    default_ray,
     fit_exponent,
     geometric_ts,
     hankel_validity_base,
@@ -24,7 +23,7 @@ from fockop.arith import MultiIndex
 from fockop.errors import InputError
 from fockop.operators import SpaceParams, parse_operator
 from fockop.symbols import parse_symbol
-from reference import hankel_vector_norm_sq, ratio_stabilization
+from reference import default_ray, hankel_vector_norm_sq, ratio_stabilization
 
 
 def mi(*comps):

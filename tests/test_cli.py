@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import warnings
+from fractions import Fraction
 
 import pytest
 
@@ -345,11 +346,7 @@ def test_failed_verification_exits_1(capsys, monkeypatch):
         (("apply", "-n", "1", "--op", "T(z^100000000)", "--alpha", "0"), "at position 4"),
         (("norms", "-n", "1", "--op", "T(z)", "--t", "1:100000000:linear"), "at most 10000"),
         (("apply", "-n", "1", "--op", "HP(z;zz)", "--alpha", "1"), "at position 5"),
-        (("verify", "oracle", "-n", "1", "--max-order", "1", "--tol", "0"), "--tol must be finite"),
-        (("verify", "oracle", "-n", "1", "--max-order", "1", "--tol", "-1"), "--tol must be finite"),
-        (("verify", "oracle", "-n", "1", "--max-order", "1", "--tol", "nan"), "--tol must be finite"),
-        (("verify", "oracle", "-n", "1", "--max-order", "1", "--tol", "inf"), "--tol must be finite"),
-        (("verify", "oracle", "-n", "1", "--max-order", "1", "--tol", "1e-17"), "--tol must be finite"),
+        (("verify", "oracle", "-n", "1", "--max-order", "1", "--tol", "1e-9"), "error: unrecognized arguments: --tol"),
         (("verify", "oracle", "-n", "2", "--seed", "-1"), "--seed must be >= 0"),
         (("apply", "-n", "1", "--op", "T(z)", "--alpha", "1000000001"), "--alpha reaches |alpha| = 1000000001"),
         (("apply", "-n", "2", "--op", "T(z1)", "--alpha", "999999999|2"), "--alpha reaches"),
@@ -385,7 +382,7 @@ def test_failed_verification_exits_1(capsys, monkeypatch):
         (("apply", "-n", "1", "--op", "T(z)", "--alpha", "x"), "--alpha: bad multi-index"),
         (("verify", "oracle", "-n", "2", "--samples", "1"), "--samples: Monte Carlo needs at least 2 samples"),
         (("parse", "-n", "1", "-f", "z", "--format", "yaml"), "argument --format: invalid choice: 'yaml'"),
-        (("parse", "-n", "one", "-f", "z"), "argument -n: invalid int value: 'one'"),
+        (("parse", "-n", "one", "-f", "z"), "argument -n: not an integer: 'one'"),
         (("verify", "oracle", "-n", "1,x"), "argument -n: expected a comma-separated integer list"),
         (("norms", "-n", "1"), "the following arguments are required: --op"),
         (("bogus",), "argument command: invalid choice"),
@@ -406,11 +403,7 @@ def test_failed_verification_exits_1(capsys, monkeypatch):
         "symbol-degree-bound",
         "t-count-bound",
         "op-error-absolute-position",
-        "oracle-tol-zero",
-        "oracle-tol-negative",
-        "oracle-tol-nan",
-        "oracle-tol-inf",
-        "oracle-tol-below-float-resolution",
+        "oracle-tol-is-no-flag",
         "oracle-seed-negative",
         "alpha-order-bound",
         "alpha-order-bound-sums-components",
@@ -475,6 +468,18 @@ STRICT_INT_CASES = [
     (("norms", "-n", "1", "--op", "T(z)", "--t", "1:20:linear:٢"), "--t"),
     (("verify", "oracle", "-n", " 1", "-m", "0", "--max-order", "1"), "-n"),
     (("verify", "oracle", "-n", "1", "-m", "0,1_0", "--max-order", "1"), "-m"),
+    (("parse", "-n", " 1", "-f", "z"), "-n"),
+    (("parse", "-n", "+1", "-f", "z"), "-n"),
+    (("classify", "toeplitz", "-n", "1", "-m", "1_0", "-f", "z"), "-m"),
+    (("apply", "-n", "١", "--op", "T(z)", "--alpha", "1"), "-n"),
+    (("apply", "-n", "1", "-m", "0 ", "--op", "T(z)", "--alpha", "1"), "-m"),
+    (("norms", "-n", "1", "--op", "T(z)", "--t", "1:2:linear", "--jobs", " 1"), "--jobs"),
+    (("verify", "orthonormality", "-n", "1", "--jobs", "+1"), "--jobs"),
+    (("verify", "orthonormality", "-n", "1", "--max-order", "1_0"), "--max-order"),
+    (("verify", "hankel-closed-form", "-n", "1", "--max-component", " 2"), "--max-component"),
+    (("verify", "hankel-closed-form", "-n", "1", "--max-alpha", "٣"), "--max-alpha"),
+    (("verify", "oracle", "-n", "2", "--seed", "+5"), "--seed"),
+    (("verify", "oracle", "-n", "2", "--samples", "1_000"), "--samples"),
 ]
 
 
@@ -493,6 +498,18 @@ STRICT_INT_CASES = [
         "t-step-arabic-indic-digit",
         "verify-n-space",
         "verify-m-underscore",
+        "parse-n-space",
+        "parse-n-plus-sign",
+        "classify-m-underscore",
+        "apply-n-arabic-indic-digit",
+        "apply-m-trailing-space",
+        "norms-jobs-space",
+        "verify-jobs-plus-sign",
+        "verify-max-order-underscore",
+        "verify-max-component-space",
+        "verify-max-alpha-arabic-indic-digit",
+        "verify-seed-plus-sign",
+        "verify-samples-underscore",
     ],
 )
 def test_integers_are_ascii_digits_only(capsys, argv, flag):
@@ -516,11 +533,53 @@ def test_fit_reads_ascii_t_values_only(capsys, monkeypatch, t_text):
     assert captured.err.splitlines() == [f"error: line 2: bad sample {rows[0].strip()!r}"]
 
 
+# The norms CSV below, with the squared norm of its first row replaced.
+FIT_ROWS = ["16,16,{}", "32,32,32", "64,64,64", "128,128,128"]
+
+
+def fit_csv(first_norm):
+    return "t,alpha,squared_norm\n" + "\n".join(FIT_ROWS).format(first_norm) + "\n"
+
+
+# Rationals are what ``norms`` writes ('-3', '3/2') or a plain decimal
+# ('2.5'), in ASCII; Python's Fraction() also reads spaces, '_', '+',
+# exponents and other scripts' digits.
+NOT_RATIONAL = ["٣", " 3", "3 ", "1_0", "+3", "1e3", ".5", "3.", "3/ 2", "-٣/2"]
+
+
+@pytest.mark.parametrize("text", NOT_RATIONAL)
+def test_predicted_is_an_ascii_rational(capsys, monkeypatch, text):
+    monkeypatch.setattr("sys.stdin", io.StringIO(fit_csv(16)))
+    code = main(["fit", "-", f"--predicted={text}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: --predicted must be a rational like '3/2', got {text!r}"]
+
+
+@pytest.mark.parametrize("text", [t for t in NOT_RATIONAL if not t.endswith(" ")] + ["5/0"])
+def test_fit_reads_ascii_squared_norms_only(capsys, monkeypatch, text):
+    monkeypatch.setattr("sys.stdin", io.StringIO(fit_csv(text)))
+    code = main(["fit", "-"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: line 2: bad sample {FIT_ROWS[0].format(text)!r}"]
+
+
+@pytest.mark.parametrize("predicted, norm", [("2", "16"), ("3/2", "32/2"), ("-1/2", "16.0"), ("0.5", "16.000")])
+def test_fit_reads_fractions_and_decimals(capsys, monkeypatch, predicted, norm):
+    monkeypatch.setattr("sys.stdin", io.StringIO(fit_csv(norm)))
+    code, out = run(capsys, "fit", "-", f"--predicted={predicted}", "--format", "json")
+    assert code == 0
+    outputs = json.loads(out)["outputs"]
+    assert outputs["predicted_exponent"] == str(Fraction(predicted))
+    assert outputs["fitted_exponent"] == pytest.approx(0.5)
+
+
 @pytest.mark.parametrize(
     "name, value, message",
     [
-        ("FOCKOP_TOL", "0", "FOCKOP_TOL must be finite"),
-        ("FOCKOP_TOL", "nan", "FOCKOP_TOL must be finite"),
         ("FOCKOP_SEED", "-1", "FOCKOP_SEED must be >= 0"),
         ("FOCKOP_SEED", "x", "FOCKOP_SEED must be an integer, got 'x'"),
         ("FOCKOP_SAMPLES", "abc", "FOCKOP_SAMPLES must be an integer, got 'abc'"),
@@ -532,7 +591,6 @@ def test_fit_reads_ascii_t_values_only(capsys, monkeypatch, t_text):
         ("FOCKOP_SAMPLES", "1_000", "FOCKOP_SAMPLES must be an integer, got '1_000'"),
         ("FOCKOP_SAMPLES", "١٠٠٠", "FOCKOP_SAMPLES must be an integer, got '١٠٠٠'"),
         ("FOCKOP_SAMPLES", "+1000", "FOCKOP_SAMPLES must be an integer, got '+1000'"),
-        ("FOCKOP_TOL", "small", "FOCKOP_TOL must be a number, got 'small'"),
         ("FOCKOP_SAMPLES", "1", "FOCKOP_SAMPLES: Monte Carlo needs at least 2 samples"),
     ],
 )
@@ -543,6 +601,17 @@ def test_bad_oracle_environment_exits_2(capsys, monkeypatch, name, value, messag
     assert code == 2
     assert captured.out == ""
     assert message in captured.err
+
+
+def test_quadrature_tolerance_is_not_read_from_the_environment(capsys, monkeypatch):
+    argv = ["verify", "oracle", "-n", "1", "--max-order", "1"]
+    code, unset = run(capsys, *argv)
+    assert code == 0
+    # a tolerance this loose would fail the check's 1e-10 bound
+    monkeypatch.setenv("FOCKOP_TOL", "1e-9")
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert out == unset
 
 
 @pytest.mark.parametrize("env, argv_tail, source", [

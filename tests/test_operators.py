@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
-from reference import oracle_toeplitz_coeff
+from reference import default_ray, oracle_toeplitz_coeff
 
 from fockop.arith import (
     MultiIndex,
@@ -672,7 +672,7 @@ def test_engine_matches_the_per_term_radical_reference(case):
 
 
 def test_norm_samples_take_no_square_root():
-    from fockop.analysis import default_ray, norm_squared_samples
+    from fockop.analysis import norm_squared_samples
     from fockop.arith import square_free_split
 
     expr = parse_operator("HP(conj(z1)*z2 + z1; conj(z2)^2 + 1) * T(z1 - (1/2)*i*conj(z2))", 2)

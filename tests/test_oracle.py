@@ -4,19 +4,28 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from reference import complex_product_mc_sums, oracle_toeplitz_coeff, recursive_gamma_integral_quadrature
+from reference import (
+    complex_product_mc_sums,
+    gamma_integrand,
+    oracle_toeplitz_coeff,
+    recursive_gamma_integral_quadrature,
+    recursive_simpson,
+)
 
 from fockop import oracle
 from fockop.arith import MultiIndex
 from fockop.errors import InputError
 from fockop.operators import SpaceParams, monomial_inner, toeplitz_mono_apply
 from fockop.oracle import (
+    MAX_QUAD_DEPTH,
     MAX_QUAD_ORDER,
-    QUADRATURE_CACHE_SIZE,
+    QUAD_REL_TOL,
     OracleConfig,
     OracleEstimate,
     _mc_inner,
     _mc_sums,
+    _quadrature_span,
+    _simpson_levels,
     gamma_integral_quadrature,
     gamma_norm_sq,
     gamma_recurrence,
@@ -35,7 +44,7 @@ def mc_estimate(a, b, sp, cfg):
 
 
 def test_oracle_config_holds_the_cli_settings_only():
-    assert [f.name for f in dataclasses.fields(OracleConfig)] == ["seed", "samples", "quad_tol"]
+    assert [f.name for f in dataclasses.fields(OracleConfig)] == ["seed", "samples"]
 
 
 def test_gamma_recurrence_small_values():
@@ -57,9 +66,22 @@ def test_quadrature_matches_factorials():
 
 @pytest.mark.parametrize("rel_tol", [1e-15, 1e-13, 1e-10, 1e-6])
 def test_quadrature_level_walk_matches_the_recursion_bit_for_bit(rel_tol):
-    # tuple ==: the same value and the same error bound, to the last bit
+    # tuple ==: the same value and the same error estimate, to the last bit
     for k in range(MAX_QUAD_ORDER + 1):
-        assert gamma_integral_quadrature(k, rel_tol) == recursive_gamma_integral_quadrature(k, rel_tol), k
+        point = gamma_integrand(k)
+
+        def level(u):
+            return np.fromiter(map(point, u.tolist()), float, len(u))
+
+        scale, upper = _quadrature_span(k)
+        tol = rel_tol * scale
+        walked = _simpson_levels(level, 0.0, upper, tol, MAX_QUAD_DEPTH)
+        assert walked == recursive_simpson(point, 0.0, upper, tol, MAX_QUAD_DEPTH), k
+
+
+def test_quadrature_is_the_recursion_at_the_fixed_tolerance():
+    for k in range(MAX_QUAD_ORDER + 1):
+        assert gamma_integral_quadrature(k) == recursive_gamma_integral_quadrature(k, QUAD_REL_TOL), k
 
 
 def test_oracle_inner_norm_of_constant():
@@ -356,4 +378,4 @@ def test_quadrature_is_memoized_per_distinct_k():
     info = gamma_integral_quadrature.cache_info()
     assert info.misses == 14  # k = order + m in 0..13, the k = m denominators among them
     assert info.hits == 2 * 44 - 14
-    assert info.maxsize == QUADRATURE_CACHE_SIZE
+    assert info.maxsize == MAX_QUAD_ORDER + 1  # one entry per k

@@ -1,13 +1,15 @@
 """The package's public surface: ``__all__``, the errors it raises and the
 README's library example."""
 
+import argparse
 import ast
 import builtins
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import fockop
-from fockop import analysis, arith, errors, operators, oracle, symbols
+from fockop import analysis, arith, cli, errors, operators, oracle, symbols
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 SOURCE = Path(fockop.__file__).resolve().parent
@@ -47,8 +49,12 @@ DELETED = [
     (analysis.RaySpec, "alphas"),
     (analysis, "hankel_vector_norm_sq"),
     (analysis, "ratio_stabilization"),
+    (analysis, "default_ray"),
     (oracle.OracleConfig, "workers"),
     (oracle.OracleConfig, "chunk"),
+    (oracle.OracleConfig, "quad_tol"),
+    (oracle, "MIN_QUAD_TOL"),
+    (oracle, "QUADRATURE_CACHE_SIZE"),
     (oracle.OracleEstimate, "method"),
     (oracle.OracleEstimate, "error_bound"),
     (oracle, "OracleMethod"),
@@ -117,6 +123,29 @@ def test_verify_composes_through_apply_operator():
     imports = package_imports(SOURCE / "verify.py")
     assert "operators.apply_operator" in imports
     assert VERIFY_FORBIDDEN_IMPORTS.isdisjoint(imports)
+
+
+def parser_actions(parser, prog):
+    """(command, action) for every action of ``parser`` and its subparsers."""
+    for action in parser._actions:
+        yield prog, action
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from parser_actions(sub, f"{prog} {name}")
+
+
+def test_command_line_numbers_have_one_reader():
+    # int(), float() and Fraction() read spaces, '_' and other scripts'
+    # digits; every integer flag goes through cli._int_arg, and so through
+    # cli._parse_int
+    actions = list(parser_actions(cli.build_parser(), "fockop"))
+    loose = [
+        f"{prog} {'/'.join(action.option_strings) or action.dest}: {action.type.__name__}"
+        for prog, action in actions
+        if action.type in (int, float, Fraction)
+    ]
+    assert loose == []
+    assert sum(action.type is cli._int_arg for _, action in actions) >= 10
 
 
 def test_package_raises_only_its_own_errors():
