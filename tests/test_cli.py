@@ -346,6 +346,11 @@ def test_failed_verification_exits_1(capsys, monkeypatch):
         (("apply", "-n", "1", "--op", "T(z^100000000)", "--alpha", "0"), "at position 4"),
         (("norms", "-n", "1", "--op", "T(z)", "--t", "1:100000000:linear"), "at most 10000"),
         (("apply", "-n", "1", "--op", "HP(z;zz)", "--alpha", "1"), "at position 5"),
+        (("verify", "oracle", "-n", "1", "--max-order", "1", "--tol", "0"), "error: unrecognized arguments: --tol"),
+        (("verify", "oracle", "-n", "1", "--max-order", "1", "--tol", "-1"), "error: unrecognized arguments: --tol"),
+        (("verify", "oracle", "-n", "1", "--max-order", "1", "--tol", "nan"), "error: unrecognized arguments: --tol"),
+        (("verify", "oracle", "-n", "1", "--max-order", "1", "--tol", "inf"), "error: unrecognized arguments: --tol"),
+        (("verify", "oracle", "-n", "1", "--max-order", "1", "--tol", "1e-17"), "error: unrecognized arguments: --tol"),
         (("verify", "oracle", "-n", "1", "--max-order", "1", "--tol", "1e-9"), "error: unrecognized arguments: --tol"),
         (("verify", "oracle", "-n", "2", "--seed", "-1"), "--seed must be >= 0"),
         (("apply", "-n", "1", "--op", "T(z)", "--alpha", "1000000001"), "--alpha reaches |alpha| = 1000000001"),
@@ -403,6 +408,11 @@ def test_failed_verification_exits_1(capsys, monkeypatch):
         "symbol-degree-bound",
         "t-count-bound",
         "op-error-absolute-position",
+        "oracle-tol-zero",
+        "oracle-tol-negative",
+        "oracle-tol-nan",
+        "oracle-tol-inf",
+        "oracle-tol-below-float-resolution",
         "oracle-tol-is-no-flag",
         "oracle-seed-negative",
         "alpha-order-bound",
