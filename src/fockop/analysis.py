@@ -105,15 +105,8 @@ def _first_bad_remainder_term(p: SymbolPolynomial) -> str:
 
 
 def _is_conjugate_linear(p: SymbolPolynomial) -> bool:
-    """True iff p is a*conj(z) in dimension 1 (a may be zero: empty symbol)."""
-    if p.dimension != 1:
-        return False
-    if p.is_zero():
-        return True
-    if len(p.terms) != 1:
-        return False
-    (beta, gamma), _ = next(iter(p.terms.items()))
-    return beta == MultiIndex((0,)) and gamma == MultiIndex((1,))
+    """True iff the nonzero n=1 symbol p is a*conj(z)."""
+    return list(p.terms) == [(MultiIndex((0,)), MultiIndex((1,)))]
 
 
 def classify_toeplitz_product(f: SymbolPolynomial, g: SymbolPolynomial) -> Verdict:
@@ -281,13 +274,14 @@ class RateKind(Enum):
 
 @dataclass(frozen=True)
 class PredictedRate:
-    """Amplitude exponent along a componentwise-increasing ray.
-
-    ``exponent`` is None exactly when ``degenerate`` is set (the leading
-    asymptotic coefficient vanishes identically)."""
+    """Amplitude exponent along a componentwise-increasing ray; None when
+    the leading asymptotic coefficient vanishes identically."""
 
     exponent: Optional[Fraction]
-    degenerate: bool
+
+    @property
+    def degenerate(self) -> bool:
+        return self.exponent is None
 
 
 def predicted_exponent(
@@ -307,22 +301,27 @@ def predicted_exponent(
     check_same_dimension(a.dimension, b.dimension, c.dimension, d.dimension)
     total = a.order + b.order + c.order + d.order
     if kind is RateKind.TOEPLITZ_MONO_PRODUCT:
-        return PredictedRate(Fraction(total, 2), False)
+        return PredictedRate(Fraction(total, 2))
     if kind is RateKind.HANKEL_MONO_PRODUCT:
         coupling = sum(x * y for x, y in zip(b, d))
         if coupling == 0:
-            return PredictedRate(None, True)
-        return PredictedRate(Fraction(total, 2) - 1, False)
+            return PredictedRate(None)
+        return PredictedRate(Fraction(total, 2) - 1)
     raise InternalInvariantError(f"unknown rate kind {kind}")
 
 
 @dataclass(frozen=True)
 class ExponentReport:
+    """A fit; ``fitted_exponent`` and ``residual`` are None for a degenerate
+    ray, one with a zero norm."""
+
     predicted_exponent: Optional[Fraction]
     fitted_exponent: Optional[float]
     residual: Optional[float]
-    samples: Tuple[Tuple[int, Fraction], ...]
-    degenerate: bool = False
+
+    @property
+    def degenerate(self) -> bool:
+        return self.fitted_exponent is None
 
 
 def log_fraction(x: Fraction) -> float:
@@ -352,7 +351,7 @@ def fit_exponent(
     if any(v < 0 for _, v in samples):
         raise InputError("squared norms cannot be negative")
     if any(v == 0 for _, v in samples):
-        return ExponentReport(predicted, None, None, samples, degenerate=True)
+        return ExponentReport(predicted, None, None)
     xs = [math.log(t) for t, _ in samples]
     ys = [0.5 * log_fraction(v) for _, v in samples]
     n = len(xs)
@@ -365,4 +364,4 @@ def fit_exponent(
     residual = max(
         abs(math.exp(y - (intercept + slope * x)) - 1.0) for x, y in zip(xs, ys)
     )
-    return ExponentReport(predicted, slope, residual, samples)
+    return ExponentReport(predicted, slope, residual)

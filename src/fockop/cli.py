@@ -125,10 +125,10 @@ def _check_work(count: int, cap: int, name: str, what: str, flags: str) -> None:
         raise InputError(f"{flags} ask for more than {name} = {cap} {what}")
 
 
-def _check_jobs(jobs: int) -> int:
-    if jobs < 1:
-        raise InputError(f"--jobs must be >= 1, got {jobs}")
-    return jobs
+def _at_least(value: int, low: int, source: str) -> int:
+    if value < low:
+        raise InputError(f"{source} must be >= {low}, got {value}")
+    return value
 
 
 def _coeff_dict(c: RadicalCoefficient) -> dict:
@@ -271,7 +271,7 @@ def _cmd_apply(args) -> int:
 
 
 def _cmd_norms(args) -> int:
-    jobs = _check_jobs(args.jobs)
+    jobs = _at_least(args.jobs, 1, "--jobs")
     sp = SpaceParams(args.n, args.m)
     expr = _with_source("--op", parse_operator, args.op, args.n)
     ts = _parse_t_range(args.t)
@@ -384,110 +384,95 @@ def _env_override(name: str, flag: str, fallback):
         raise InputError(f"{name} must be an integer, got {raw!r}") from exc
 
 
-def _cmd_verify(args) -> int:
-    seed, seed_source = _env_override("FOCKOP_SEED", "--seed", args.seed)
-    if seed < 0:
-        raise InputError(f"{seed_source} must be >= 0, got {seed}")
-    samples, samples_source = _env_override("FOCKOP_SAMPLES", "--samples", args.samples)
-    cfg = OracleConfig(seed=seed, samples=samples)
-    jobs = _check_jobs(args.jobs)
-    for n in args.n or (1,):  # every (n, m) grid point must be a valid space
-        for m in args.m or (0,):
+def _verify_grid(args, n_default: Tuple[int, ...], m_default: Tuple[int, ...]):
+    """(n values, m values): ``-n`` and ``-m``, else the check's defaults;
+    every (n, m) must be a valid space."""
+    n_values, m_values = args.n or n_default, args.m or m_default
+    for n in n_values:
+        for m in m_values:
             SpaceParams(n, m)
-    for dest in ("max_order", "max_component", "max_alpha"):
-        if getattr(args, dest) < 0:
-            raise InputError(f"--{dest.replace('_', '-')} must be >= 0, got {getattr(args, dest)}")
-    checks: List[Tuple[str, bool, str]] = []
+    return n_values, m_values
 
-    if args.what == "orthonormality":
-        n_values, m_values = args.n or (1, 2, 3), args.m or (0, 1, 2, 3)
-        pairs = len(m_values) * sum(math.comb(n + args.max_order, n) ** 2 for n in n_values)
-        _check_work(pairs, MAX_VERIFY_PAIRS, "MAX_VERIFY_PAIRS", "basis pairs", "-n, -m and --max-order")
-        ortho = verify_mod.verify_orthonormality(n_values, m_values, args.max_order, jobs=jobs)
-        checks.append(
-            (
-                "orthonormality",
-                ortho.passed,
-                f"{ortho.pairs_checked} pairs exact" if ortho.passed else ortho.failures[0],
-            )
-        )
-    elif args.what == "hankel-closed-form":
-        n_values, m_values = args.n or (1, 2), args.m or (0, 1, 2)
-        c, a = args.max_component, args.max_alpha
-        # the tuples with both distances 0 alone give (c+1)^2 (a+1) cases per
-        # component; below the bound c and a are small enough to count exactly
-        cases = len(m_values) * sum(((c + 1) ** 2 * (a + 1)) ** n for n in n_values)
-        if cases <= MAX_VERIFY_CASES:
-            cases = verify_mod.closed_form_case_count(n_values, m_values, c, a)
-        flags = "-n, -m, --max-component and --max-alpha"
-        _check_work(cases, MAX_VERIFY_CASES, "MAX_VERIFY_CASES", "closed-form cases", flags)
-        sweep = verify_mod.sweep_hankel_closed_form(
-            n_values, m_values, args.max_component, args.max_alpha, jobs=jobs
-        )
-        match_ok = sweep.closed_form_matches
-        vanish_ok = sweep.vanishing_with_degenerate_family
-        degenerate = sweep.degenerate_zero_cases
-        mismatches = sweep.mismatches + sweep.stray_support
-        vanish_bad = sweep.vanish_false_nonzero + sweep.vanish_false_zero_strict + sweep.degenerate_nonzero
-        checks.append(
-            (
-                "closed-form vs composition",
-                match_ok,
-                f"{sweep.cases} cases exact" if match_ok else mismatches[0],
-            )
-        )
-        checks.append(
-            (
-                "vanishing criterion",
-                vanish_ok,
-                (
-                    f"{degenerate} m=0 disjoint-support zero cases (documented family)"
-                    if degenerate
-                    else "holds as stated"
-                )
-                if vanish_ok
-                else vanish_bad[0],
-            )
-        )
-    elif args.what == "oracle":
-        n_values = args.n or (1, 2)
-        mc_ns = [n for n in n_values if n >= 2]
-        mc_m, mc_order = args.m or (0, 1, 2), min(args.max_order, 4)
-        if mc_ns:  # before the n=1 stage runs
-            _with_source(samples_source, check_mc_samples, samples)
-        evaluations = len(mc_m) * sum(math.comb(n + mc_order, n) for n in mc_ns) * samples
-        flags = f"{samples_source} with -n, -m and --max-order"
-        what = "Monte Carlo case evaluations"
-        _check_work(evaluations, MAX_VERIFY_EVALUATIONS, "MAX_VERIFY_EVALUATIONS", what, flags)
-        if 1 in n_values:
-            det_m = args.m or (0, 1, 2, 3)
-            order = args.max_order + max(det_m)
-            if order > MAX_QUAD_ORDER:
-                raise InputError(
-                    f"--max-order {args.max_order} with m up to {max(det_m)} reaches quadrature "
-                    f"order {order}; at most MAX_QUAD_ORDER = {MAX_QUAD_ORDER} is allowed"
-                )
-            det = verify_mod.verify_oracle_deterministic(det_m, args.max_order)
-            checks.append(
-                (
-                    "n=1 quadrature/gamma agreement",
-                    det.passed,
-                    f"{det.cases} cases, max rel err {det.max_relative_error:.2e}",
-                )
-            )
-        for n in mc_ns:
-            mc = _with_source(samples_source, verify_mod.verify_oracle_monte_carlo, n, mc_m, mc_order, cfg=cfg)
-            checks.append(
-                (
-                    f"n={n} Monte Carlo bracket",
-                    mc.passed,
-                    f"{mc.cases} cases, max {mc.max_sigmas:.2f} sigmas "
-                    f"({cfg.samples} samples, seed {cfg.seed})",
-                )
-            )
-    else:  # pragma: no cover - argparse restricts choices
-        raise InternalInvariantError(f"unknown verification {args.what}")
 
+def _verify_orthonormality(args) -> List[Tuple[str, bool, str]]:
+    n_values, m_values = _verify_grid(args, (1, 2, 3), (0, 1, 2, 3))
+    jobs = _at_least(args.jobs, 1, "--jobs")
+    max_order = _at_least(args.max_order, 0, "--max-order")
+    pairs = len(m_values) * sum(math.comb(n + max_order, n) ** 2 for n in n_values)
+    _check_work(pairs, MAX_VERIFY_PAIRS, "MAX_VERIFY_PAIRS", "basis pairs", "-n, -m and --max-order")
+    ortho = verify_mod.verify_orthonormality(n_values, m_values, max_order, jobs=jobs)
+    detail = f"{ortho.pairs_checked} pairs exact" if ortho.passed else ortho.failures[0]
+    return [("orthonormality", ortho.passed, detail)]
+
+
+def _verify_closed_form(args) -> List[Tuple[str, bool, str]]:
+    n_values, m_values = _verify_grid(args, (1, 2), (0, 1, 2))
+    jobs = _at_least(args.jobs, 1, "--jobs")
+    c = _at_least(args.max_component, 0, "--max-component")
+    a = _at_least(args.max_alpha, 0, "--max-alpha")
+    # the tuples with both distances 0 alone give (c+1)^2 (a+1) cases per
+    # component; below the bound c and a are small enough to count exactly
+    cases = len(m_values) * sum(((c + 1) ** 2 * (a + 1)) ** n for n in n_values)
+    if cases <= MAX_VERIFY_CASES:
+        cases = verify_mod.closed_form_case_count(n_values, m_values, c, a)
+    flags = "-n, -m, --max-component and --max-alpha"
+    _check_work(cases, MAX_VERIFY_CASES, "MAX_VERIFY_CASES", "closed-form cases", flags)
+    sweep = verify_mod.sweep_hankel_closed_form(n_values, m_values, c, a, jobs=jobs)
+    # each check's detail is its first failure, else its summary
+    match = (sweep.mismatches or sweep.stray_support or [f"{sweep.cases} cases exact"])[0]
+    degenerate = sweep.degenerate_zero_cases
+    holds = f"{degenerate} m=0 disjoint-support zero cases (documented family)" if degenerate else "holds as stated"
+    vanish = (sweep.vanish_false_nonzero or sweep.vanish_false_zero_strict or sweep.degenerate_nonzero or [holds])[0]
+    return [
+        ("closed-form vs composition", sweep.closed_form_matches, match),
+        ("vanishing criterion", sweep.vanishing_with_degenerate_family, vanish),
+    ]
+
+
+def _verify_oracle(args) -> List[Tuple[str, bool, str]]:
+    # the n=1 routes default to m 0..3, Monte Carlo to m 0..2 and order <= 4
+    n_values, mc_m = _verify_grid(args, (1, 2), (0, 1, 2))
+    seed, seed_source = _env_override("FOCKOP_SEED", "--seed", args.seed)
+    _at_least(seed, 0, seed_source)
+    samples, samples_source = _env_override("FOCKOP_SAMPLES", "--samples", args.samples)
+    max_order = _at_least(args.max_order, 0, "--max-order")
+    mc_ns, mc_order = [n for n in n_values if n >= 2], min(max_order, 4)
+    if mc_ns:  # before the n=1 stage runs
+        _with_source(samples_source, check_mc_samples, samples)
+    evaluations = len(mc_m) * sum(math.comb(n + mc_order, n) for n in mc_ns) * samples
+    flags = f"{samples_source} with -n, -m and --max-order"
+    what = "Monte Carlo case evaluations"
+    _check_work(evaluations, MAX_VERIFY_EVALUATIONS, "MAX_VERIFY_EVALUATIONS", what, flags)
+    checks = []
+    if 1 in n_values:
+        det_m = args.m or (0, 1, 2, 3)
+        order = max_order + max(det_m)
+        if order > MAX_QUAD_ORDER:
+            raise InputError(
+                f"--max-order {max_order} with m up to {max(det_m)} reaches quadrature "
+                f"order {order}; at most MAX_QUAD_ORDER = {MAX_QUAD_ORDER} is allowed"
+            )
+        det = verify_mod.verify_oracle_deterministic(det_m, max_order)
+        detail = f"{det.cases} cases, max rel err {det.max_relative_error:.2e}"
+        checks.append(("n=1 quadrature/gamma agreement", det.passed, detail))
+    cfg = OracleConfig(seed=seed, samples=samples)
+    for n in mc_ns:
+        mc = _with_source(samples_source, verify_mod.verify_oracle_monte_carlo, n, mc_m, mc_order, cfg=cfg)
+        detail = f"{mc.cases} cases, max {mc.max_sigmas:.2f} sigmas ({samples} samples, seed {seed})"
+        checks.append((f"n={n} Monte Carlo bracket", mc.passed, detail))
+    return checks
+
+
+# Each check reads, and validates, only the settings it uses.
+_VERIFY_CHECKS = {
+    "orthonormality": _verify_orthonormality,
+    "hankel-closed-form": _verify_closed_form,
+    "oracle": _verify_oracle,
+}
+
+
+def _cmd_verify(args) -> int:
+    checks = _VERIFY_CHECKS[args.what](args)
     passed = all(ok for _, ok, _ in checks)
     report = {
         "command": f"verify {args.what}",
@@ -530,10 +515,20 @@ def _int_list(text: str) -> Tuple[int, ...]:
         raise argparse.ArgumentTypeError("expected a comma-separated integer list") from exc
 
 
+# What an argument that starts with '-' must look like to be read as a
+# value, not an option: argparse's integers and decimals, and fractions,
+# so that ``--predicted -1/2`` works.
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
+
+
 class _Parser(argparse.ArgumentParser):
     """Raises ``InputError`` on bad arguments instead of exiting, so that
     ``main`` reports every rejected input the same way.  Subparsers are
     made of the same class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER  # argparse sets it per instance
 
     def error(self, message: str):
         raise InputError(message)
@@ -594,7 +589,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_fit)
 
     p = sub.add_parser("verify", help="run a verification sweep")
-    p.add_argument("what", choices=("orthonormality", "hankel-closed-form", "oracle"))
+    p.add_argument("what", choices=tuple(_VERIFY_CHECKS))
     p.add_argument("-n", type=_int_list, help="dimensions, e.g. '1,2'")
     p.add_argument("-m", type=_int_list, help="weight orders, e.g. '0,1,2'")
     p.add_argument("--max-order", type=_int_arg, default=8)

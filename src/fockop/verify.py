@@ -11,7 +11,7 @@ floating-point oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import product
 from typing import Callable, List, Optional, Sequence
 
@@ -43,6 +43,17 @@ def indices_up_to_order(dimension: int, max_order: int) -> List[MultiIndex]:
 
 def indices_by_component(dimension: int, max_component: int) -> List[MultiIndex]:
     return [MultiIndex(c) for c in product(range(max_component + 1), repeat=dimension)]
+
+
+def _merge(out, part) -> None:
+    """Add each int field of ``part`` to ``out``'s and extend each list field
+    in place (a failing sweep's lists may be long)."""
+    for f in fields(out):
+        mine, theirs = getattr(out, f.name), getattr(part, f.name)
+        if isinstance(mine, list):
+            mine.extend(theirs)
+        else:
+            setattr(out, f.name, mine + theirs)
 
 
 # ---------------------------------------------------------------------------
@@ -85,10 +96,7 @@ def _orthonormality_block(task) -> OrthonormalityResult:
 
 
 def verify_orthonormality(
-    n_values: Sequence[int] = (1, 2, 3),
-    m_values: Sequence[int] = (0, 1, 2, 3),
-    max_order: int = 8,
-    jobs: int = 1,
+    n_values: Sequence[int], m_values: Sequence[int], max_order: int, jobs: int = 1
 ) -> OrthonormalityResult:
     """Exact check of <e_alpha, e_eta> = delta over all pairs up to max order.
 
@@ -97,9 +105,7 @@ def verify_orthonormality(
     """
     tasks = [(n, m, max_order) for n in n_values for m in m_values]
     result = OrthonormalityResult(0)
-    for part in fan_out(_orthonormality_block, tasks, jobs):
-        result.pairs_checked += part.pairs_checked
-        result.failures.extend(part.failures)
+    fan_out(_orthonormality_block, tasks, jobs, on_result=lambda part: _merge(result, part))
     return result
 
 
@@ -254,10 +260,10 @@ def closed_form_case_count(
 
 
 def sweep_hankel_closed_form(
-    n_values: Sequence[int] = (1, 2),
-    m_values: Sequence[int] = (0, 1, 2),
-    max_component: int = 2,
-    max_alpha: int = 12,
+    n_values: Sequence[int],
+    m_values: Sequence[int],
+    max_component: int,
+    max_alpha: int,
     progress: Optional[Callable[[int, int], None]] = None,
     jobs: int = 1,
 ) -> ClosedFormSweep:
@@ -284,17 +290,7 @@ def sweep_hankel_closed_form(
     out = ClosedFormSweep()
 
     def merge(part: ClosedFormSweep) -> None:
-        out.cases += part.cases
-        out.tuples += part.tuples
-        out.degenerate_zero_cases += part.degenerate_zero_cases
-        for name in (
-            "mismatches",
-            "stray_support",
-            "vanish_false_nonzero",
-            "vanish_false_zero_strict",
-            "degenerate_nonzero",
-        ):
-            getattr(out, name).extend(getattr(part, name))
+        _merge(out, part)
         if progress:
             progress(out.tuples, total)
 
@@ -322,10 +318,7 @@ class OracleAgreementResult:
 DETERMINISTIC_REL_TOL = 1e-10
 
 
-def verify_oracle_deterministic(
-    m_values: Sequence[int] = (0, 1, 2, 3),
-    max_order: int = 10,
-) -> OracleAgreementResult:
+def verify_oracle_deterministic(m_values: Sequence[int], max_order: int) -> OracleAgreementResult:
     """n=1: exact inner products vs quadrature and Gamma-recurrence routes,
     within ``DETERMINISTIC_REL_TOL``."""
     out = OracleAgreementResult()
@@ -365,9 +358,9 @@ class MonteCarloAgreementResult:
 
 
 def verify_oracle_monte_carlo(
-    n: int = 2,
-    m_values: Sequence[int] = (0, 1, 2),
-    max_order: int = 4,
+    n: int,
+    m_values: Sequence[int],
+    max_order: int,
     sigmas: float = 3.0,
     cfg: OracleConfig = OracleConfig(),
 ) -> MonteCarloAgreementResult:

@@ -915,3 +915,53 @@ def test_oracle_largest_quadrature_order_passes(capsys):
                     "--max-order", str(MAX_QUAD_ORDER))
     assert code == 0
     assert out.startswith(f"PASS  n=1 quadrature/gamma agreement: {MAX_QUAD_ORDER + 1} cases")
+
+
+# Settings that a verify check does not read: each is added to a command
+# that passes, and must change neither its exit code nor its stdout.
+IGNORED_SETTINGS = [
+    (("verify", "orthonormality", "-n", "1", "-m", "0", "--max-order", "1"), ("--seed", "-1"), {}),
+    (("verify", "orthonormality", "-n", "1", "-m", "0", "--max-order", "1"), (), {"FOCKOP_SEED": "x"}),
+    (("verify", "oracle", "-n", "1", "-m", "0", "--max-order", "1"), ("--jobs", "0"), {}),
+    (("verify", "oracle", "-n", "1", "-m", "0", "--max-order", "1"), ("--max-alpha", "-3"), {}),
+    (("verify", "hankel-closed-form", "-n", "1", "-m", "0", "--max-component", "1", "--max-alpha", "2"),
+     ("--max-order", "-1"), {}),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, ignored, env",
+    IGNORED_SETTINGS,
+    ids=[
+        "orthonormality-seed",
+        "orthonormality-env-seed",
+        "oracle-jobs",
+        "oracle-max-alpha",
+        "closed-form-max-order",
+    ],
+)
+def test_verify_checks_ignore_settings_they_do_not_read(capsys, monkeypatch, argv, ignored, env):
+    code, plain = run(capsys, *argv)
+    assert code == 0
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    code, out = run(capsys, *argv, *ignored)
+    assert code == 0
+    assert out == plain
+
+
+def test_verify_oracle_default_grid(capsys):
+    # n=1: m 0..3 times orders 0..8; Monte Carlo at n=2: m 0..2 times the
+    # C(2 + 4, 2) indices of order <= 4
+    code, out = run(capsys, "verify", "oracle", "-n", "1,2", "--samples", "2000", "--format", "json")
+    assert code == 0
+    details = [check["detail"] for check in json.loads(out)["outputs"]["checks"]]
+    assert [detail.split(" cases")[0] for detail in details] == ["36", "45"]
+
+
+@pytest.mark.parametrize("predicted", ["-1/2", "-0.5", "-1", "1/2"])
+def test_fit_reads_a_negative_predicted_exponent_as_its_own_argument(capsys, monkeypatch, predicted):
+    monkeypatch.setattr("sys.stdin", io.StringIO(fit_csv(16)))
+    code, out = run(capsys, "fit", "-", "--predicted", predicted, "--format", "json")
+    assert code == 0
+    assert f'"predicted_exponent": "{Fraction(predicted)}"' in out

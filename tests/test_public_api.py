@@ -4,12 +4,13 @@ README's library example."""
 import argparse
 import ast
 import builtins
+import inspect
 import re
 from fractions import Fraction
 from pathlib import Path
 
 import fockop
-from fockop import analysis, arith, cli, errors, operators, oracle, symbols
+from fockop import analysis, arith, cli, errors, operators, oracle, symbols, verify
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 SOURCE = Path(fockop.__file__).resolve().parent
@@ -50,6 +51,7 @@ DELETED = [
     (analysis, "hankel_vector_norm_sq"),
     (analysis, "ratio_stabilization"),
     (analysis, "default_ray"),
+    (analysis.ExponentReport, "samples"),
     (oracle.OracleConfig, "workers"),
     (oracle.OracleConfig, "chunk"),
     (oracle.OracleConfig, "quad_tol"),
@@ -78,6 +80,15 @@ ORACLE_IMPORTS = {"arith.MultiIndex", "arith.check_same_dimension", "operators.S
 # basis action called directly.
 VERIFY_FORBIDDEN_IMPORTS = {"operators.toeplitz_apply", "operators.hankel_product_apply", "operators._add_image"}
 
+# The grid parameters of the verify sweeps.  The CLI states each grid
+# default once; a default here would be a second copy.
+VERIFY_GRIDS = [
+    (verify.verify_orthonormality, ("n_values", "m_values", "max_order")),
+    (verify.sweep_hankel_closed_form, ("n_values", "m_values", "max_component", "max_alpha")),
+    (verify.verify_oracle_deterministic, ("m_values", "max_order")),
+    (verify.verify_oracle_monte_carlo, ("n", "m_values", "max_order")),
+]
+
 # Builtin exceptions the package may raise: ``NotImplementedError`` marks
 # the abstract ``OperatorExpr.dimension``.
 ALLOWED_BUILTIN_RAISES = {"NotImplementedError"}
@@ -95,6 +106,16 @@ def test_deleted_names_stay_deleted():
         if name in vars(owner) or name in getattr(owner, "__dataclass_fields__", {}) or name in fockop.__all__
     ]
     assert not left
+
+
+def test_verify_sweeps_have_no_default_grid():
+    defaulted = [
+        f"{fn.__name__}({name})"
+        for fn, names in VERIFY_GRIDS
+        for name in names
+        if inspect.signature(fn).parameters[name].default is not inspect.Parameter.empty
+    ]
+    assert defaulted == []
 
 
 def package_imports(path):
