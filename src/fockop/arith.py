@@ -125,7 +125,7 @@ def rising_product(start: int, count: int) -> int:
 
 
 # One command splits few distinct integers: at most 58 in a benchmark
-# `dense-ray-norms` command, 12 in a closed-form sweep command.  The run
+# `dense-ray-norms` command, none in a passing closed-form sweep.  The run
 # integers of one image's targets overlap, and near |alpha| = 10^9 one
 # split trial-divides up to about 31,623 steps.  The bound only keeps a
 # long-lived process from growing without limit.

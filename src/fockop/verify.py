@@ -18,14 +18,13 @@ from typing import Callable, List, Optional, Sequence
 from .arith import MultiIndex, RADICAL_ONE, RADICAL_ZERO
 from .oracle import OracleConfig, _mc_inner, gamma_norm_sq, quadrature_norm_sq
 from .operators import (
-    HankelProductOp,
     SpaceParams,
+    _closed_form_monomial_coeffs,
     _expansion,
     _norm_ratio,
-    apply_operator,
     basis_coefficient,
     closed_form_min_alpha,
-    hankel_coeff_closed_form,
+    hankel_product_apply,
     monomial_inner,
 )
 from .parallel import fan_out
@@ -161,9 +160,9 @@ def _sweep_block(task) -> ClosedFormSweep:
     """The sweep over every (gamma, mu, nu) for one ``(n, m, beta)``.
 
     ``task`` is ``(n, m, beta, max_component, max_alpha)``.  Each symbol
-    z^mu conj(z)^nu is built once per block.  The Hankel product operator
-    of an exponent tuple is built, and applied once, only when the tuple
-    has at least one alpha in the validity range.
+    z^mu conj(z)^nu is built once per block, and conj(z^beta conj(z)^gamma)
+    once per gamma.  The Hankel product of an exponent tuple is applied
+    once, only when the tuple has at least one alpha in the validity range.
 
     That one apply serves all of the tuple's alphas at once: it acts on
     ``sum z^alpha / ||z^anchor||`` over them.  It is exact per alpha.  Both
@@ -171,10 +170,14 @@ def _sweep_block(task) -> ClosedFormSweep:
     alpha + gamma + mu - beta - nu, and distinct alphas never share a
     target.  Each target's monomial coefficient q is therefore summed from
     the same integers, in the same order, as an apply to z^alpha alone
-    would sum it; the anchor enters only when a coefficient is read, and
-    ``q * _norm_ratio(alpha, target)`` is the coefficient of e_target in
-    the image of e_alpha.  A monomial of the image that is no alpha's
-    target is stray support of the tuple.
+    would sum it: ``H*_f H_g z^alpha = q z^target``.  A monomial of the
+    image that is no alpha's target is stray support of the tuple.
+
+    Each case compares q with the closed form in the same basis,
+    ``num/den`` from ``_closed_form_monomial_coeffs``, by cross-multiplying
+    integers.  The orthonormal coefficients, both ``q`` and ``num/den``
+    times ``_norm_ratio(alpha, target)``, are formed only for a mismatch's
+    text; they are equal exactly when ``q == num/den``.
     """
     n, m, beta, max_component, max_alpha = task
     sp = SpaceParams(n, m)
@@ -195,6 +198,7 @@ def _sweep_block(task) -> ClosedFormSweep:
     for gamma in exps:
         gamma_zero = gamma.order == 0
         f = SymbolPolynomial.monomial(n, beta, gamma)
+        f_conj = f.conjugate()
         for mu in exps:
             for nu in exps:
                 out.tuples += 1
@@ -209,23 +213,31 @@ def _sweep_block(task) -> ClosedFormSweep:
                     MultiIndex._wrap(comps)
                     for comps in product(*(range(k, max_alpha + 1) for k in need))
                 ]
-                image = apply_operator(
-                    HankelProductOp(f, right[mu, nu]),
-                    _expansion(sp, alphas[0], dict.fromkeys(alphas, RADICAL_ONE)),
+                g = right[mu, nu]
+                image = hankel_product_apply(
+                    f, g, _expansion(sp, alphas[0], dict.fromkeys(alphas, RADICAL_ONE)),
+                    f_conj=f_conj, f_conj_g=f_conj * g,
                 ).monomials
+                closed_forms = _closed_form_monomial_coeffs(beta, gamma, mu, nu, alphas, sp)
                 targets = set()
-                for alpha in alphas:
+                for alpha, (target, num, den) in zip(alphas, closed_forms):
                     out.cases += 1
-                    target, closed = hankel_coeff_closed_form(beta, gamma, mu, nu, alpha, sp)
                     targets.add(target)
                     q = image.get(target)
-                    comp = RADICAL_ZERO if q is None else q * _norm_ratio(alpha, target, sp)
-                    if closed != comp:
-                        out.mismatches.append(f"{label()}: closed {closed} vs composition {comp}")
+                    if q is None:
+                        agree = not num
+                    else:  # q == num/den, q canonical with den > 0
+                        agree = q.re_num * den == num * q.den and not q.im_num and q.radicand == 1
+                    if not agree:
+                        ratio = _norm_ratio(alpha, target, sp)
+                        comp = RADICAL_ZERO if q is None else q * ratio
+                        out.mismatches.append(
+                            f"{label()}: closed {ratio.scale_ratio(num, den)} vs composition {comp}"
+                        )
                     if expect_zero:
-                        if not closed.is_zero():
+                        if num:
                             out.vanish_false_nonzero.append(label())
-                    elif closed.is_zero():
+                    elif not num:
                         if degenerate:
                             out.degenerate_zero_cases += 1
                         else:

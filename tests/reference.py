@@ -13,7 +13,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from fockop import verify
+from fockop import operators, verify
 from fockop.analysis import RaySpec, default_base, geometric_ts, log_fraction
 from fockop.arith import MultiIndex
 from fockop.operators import (
@@ -56,8 +56,9 @@ def closed_form_sweep_block(task) -> verify.ClosedFormSweep:
     """``verify._sweep_block`` one case at a time: the engine applies each
     tuple's operator to each e_alpha alone and reads the target's
     coefficient with ``coefficient``; a case whose image holds any other
-    monomial is stray support.  The closed form is looked up on ``verify``
-    at each call, so a test that replaces it there replaces it here too."""
+    monomial is stray support.  The closed form is the public per-case
+    ``hankel_coeff_closed_form``, looked up on ``operators`` at each call,
+    so a test can replace it there."""
     n, m, beta, max_component, max_alpha = task
     sp = SpaceParams(n, m)
     beta = MultiIndex(beta)
@@ -85,7 +86,7 @@ def closed_form_sweep_block(task) -> verify.ClosedFormSweep:
                 for comps in product(*(range(k, max_alpha + 1) for k in need)):
                     alpha = MultiIndex(comps)
                     out.cases += 1
-                    target, closed = verify.hankel_coeff_closed_form(beta, gamma, mu, nu, alpha, sp)
+                    target, closed = operators.hankel_coeff_closed_form(beta, gamma, mu, nu, alpha, sp)
                     image = apply_operator(op, BasisExpansion.basis_vector(sp, alpha))
                     comp = image.coefficient(target)
                     if closed != comp:

@@ -765,16 +765,27 @@ def test_verify_json_is_identical_for_every_jobs(capsys, two_cpus, argv):
 
 @pytest.fixture
 def broken_closed_form(monkeypatch):
-    """A closed form that is off by a factor 2 at alpha_1 = 2."""
-    from fockop import verify
+    """A closed form that is off by a factor 2 at alpha_1 = 2: the sweep's
+    monomial-basis walk, and the per-case ``hankel_coeff_closed_form`` that
+    ``reference.closed_form_sweep_block`` reads."""
+    from fockop import operators, verify
 
-    real = verify.hankel_coeff_closed_form
+    real_walk = verify._closed_form_monomial_coeffs
+    real_case = operators.hankel_coeff_closed_form
 
-    def off(beta, gamma, mu, nu, alpha, sp):
-        target, value = real(beta, gamma, mu, nu, alpha, sp)
+    def walk_off(beta, gamma, mu, nu, alphas, sp):
+        coeffs = real_walk(beta, gamma, mu, nu, alphas, sp)
+        return [
+            (target, 2 * num if alpha[0] == 2 else num, den)
+            for alpha, (target, num, den) in zip(alphas, coeffs)
+        ]
+
+    def case_off(beta, gamma, mu, nu, alpha, sp):
+        target, value = real_case(beta, gamma, mu, nu, alpha, sp)
         return target, value.scale(2) if alpha[0] == 2 else value
 
-    monkeypatch.setattr(verify, "hankel_coeff_closed_form", off)
+    monkeypatch.setattr(verify, "_closed_form_monomial_coeffs", walk_off)
+    monkeypatch.setattr(operators, "hankel_coeff_closed_form", case_off)
 
 
 def test_failing_sweep_lists_are_identical_for_every_jobs(capsys, two_cpus, broken_closed_form):
@@ -826,14 +837,14 @@ def test_stray_support_is_flagged_per_tuple(capsys, monkeypatch):
     from fockop import verify
     from fockop.arith import RADICAL_ONE, MultiIndex
 
-    real = verify.apply_operator
+    real = verify.hankel_product_apply
 
-    def leaky(op, v):
-        image = real(op, v)
+    def leaky(f, g, v, **built):
+        image = real(f, g, v, **built)
         image.monomials[MultiIndex((99,) * v.space.n)] = RADICAL_ONE
         return image
 
-    monkeypatch.setattr(verify, "apply_operator", leaky)
+    monkeypatch.setattr(verify, "hankel_product_apply", leaky)
     sweep = verify.sweep_hankel_closed_form((1,), (0,), 1, 2)
     assert not sweep.mismatches
     assert len(sweep.stray_support) == sweep.tuples == 16  # every tuple has an alpha <= 2
@@ -863,7 +874,7 @@ def test_worker_invariant_violation_exits_1_without_traceback(capsys, monkeypatc
     def broken(*args):
         raise InternalInvariantError("closed form reached an impossible state")
 
-    monkeypatch.setattr(verify, "hankel_coeff_closed_form", broken)
+    monkeypatch.setattr(verify, "_closed_form_monomial_coeffs", broken)
     code = main(["verify", "hankel-closed-form", "-n", "1,2", "-m", "0",
                  "--max-component", "1", "--max-alpha", "2", "--jobs", "2"])
     captured = capsys.readouterr()

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -16,14 +17,17 @@ from fockop.arith import (
 )
 from fockop.errors import InputError, InternalInvariantError, SymbolSyntaxError
 from fockop.operators import (
+    MAX_WEIGHT_ORDER,
     BasisExpansion,
     Composition,
     HankelProductOp,
     SpaceParams,
     ToeplitzOp,
+    _closed_form_monomial_coeffs,
     _norm_ratio,
     apply_operator,
     basis_coefficient,
+    closed_form_min_alpha,
     hankel_coeff_closed_form,
     hankel_product_apply,
     monomial_inner,
@@ -33,7 +37,7 @@ from fockop.operators import (
 )
 from fockop.oracle import quadrature_norm_sq
 from fockop.symbols import SymbolPolynomial, parse_symbol
-from fockop.verify import indices_up_to_order
+from fockop.verify import closed_form_case_count, indices_up_to_order, sweep_hankel_closed_form
 
 
 def mi(*comps):
@@ -422,6 +426,8 @@ def test_hankel_closed_form_validity_range_enforced():
     sp = SpaceParams(1, 0)
     with pytest.raises(InputError, match="outside the closed form's validity range"):
         hankel_coeff_closed_form(mi(0), mi(1), mi(0), mi(1), mi(1), sp)
+    with pytest.raises(InputError, match="outside the closed form's validity range"):
+        _closed_form_monomial_coeffs(mi(0), mi(1), mi(0), mi(1), [mi(2), mi(1)], sp)
 
 
 def test_hankel_product_vanishes_for_holomorphic_left_symbol():
@@ -467,6 +473,57 @@ def test_closed_form_matches_composition_on_validity_range():
                 image = hankel_product_apply(f, g, BasisExpansion.basis_vector(sp, alpha))
                 assert target == MultiIndex(a + x + u - y - w for a, y, x, u, w in zip(alpha, beta, gamma, mu, nu))
                 assert image.coefficient(target) == closed
+
+
+def _closed_form_cases(seed: int, count: int):
+    """Random monomial tuples off the sweep's grid, each with a 2-wide box
+    of alphas (components in the hundreds) and m up to MAX_WEIGHT_ORDER."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(count):
+        n = rng.randint(1, 3)
+        m = rng.choice((0, 1, rng.randint(2, MAX_WEIGHT_ORDER), MAX_WEIGHT_ORDER))
+        beta, gamma, mu, nu = (MultiIndex(rng.randint(0, 6) for _ in range(n)) for _ in range(4))
+        base = [k + rng.randint(100, 400) for k in closed_form_min_alpha(beta, gamma, mu, nu)]
+        alphas = [MultiIndex(c) for c in product(*(range(b, b + 2) for b in base))]
+        cases.append((beta, gamma, mu, nu, alphas, SpaceParams(n, m)))
+    return cases
+
+
+def test_closed_form_monomial_coeffs_cancel_to_the_per_case_coefficient():
+    # q = num/den in the monomial basis, times ||z^tau||/||z^alpha||, is the
+    # per-case orthonormal coefficient: weight cancels against the norms
+    cases = _closed_form_cases(20211, 40)
+
+    def mismatched(walk):
+        out = []
+        for beta, gamma, mu, nu, alphas, sp in cases:
+            for alpha, (tau, num, den) in zip(alphas, walk(beta, gamma, mu, nu, alphas, sp)):
+                target, closed = hankel_coeff_closed_form(beta, gamma, mu, nu, alpha, sp)
+                assert tau == target
+                q = RadicalCoefficient(Fraction(num, den))
+                if q * _norm_ratio(alpha, tau, sp) != closed:
+                    out.append((alpha, sp))
+        return out
+
+    def without_factorial_ratio(beta, gamma, mu, nu, alphas, sp):
+        coeffs = _closed_form_monomial_coeffs(beta, gamma, mu, nu, alphas, sp)
+        return [
+            (tau, num * math.prod(map(math.factorial, tau)), den * math.prod(map(math.factorial, alpha)))
+            for alpha, (tau, num, den) in zip(alphas, coeffs)
+        ]
+
+    assert mismatched(_closed_form_monomial_coeffs) == []
+    # the wrong variant fails every case where alpha!/tau! matters
+    sensitive = [
+        (alpha, sp)
+        for beta, gamma, mu, nu, alphas, sp in cases
+        for alpha in alphas
+        if not hankel_coeff_closed_form(beta, gamma, mu, nu, alpha, sp)[1].is_zero()
+        and sorted(alpha) != sorted(a + g + u - b - w for a, b, g, u, w in zip(alpha, beta, gamma, mu, nu))
+    ]
+    assert len(sensitive) > 100
+    assert mismatched(without_factorial_ratio) == sensitive
 
 
 # ---------------------------------------------------------------------------
@@ -691,3 +748,19 @@ def test_norm_samples_take_no_square_root():
         image = apply_operator(expr, BasisExpansion.basis_vector(sp, ray.alpha_at(t)))
         assert value == sum(c.abs_sq() for c in image.coeffs.values())
     assert lookups() != before
+
+
+def test_passing_closed_form_sweep_takes_no_square_root():
+    from fockop.arith import square_free_split
+
+    caches = (_norm_ratio, square_free_split)
+
+    def lookups():
+        return [info.hits + info.misses for info in (c.cache_info() for c in caches)]
+
+    grid = ((1, 2), (0, 1, 7), 2, 4)
+    before = lookups()
+    sweep = sweep_hankel_closed_form(*grid, jobs=1)
+    assert lookups() == before
+    assert sweep.closed_form_matches
+    assert sweep.cases == closed_form_case_count(*grid)

@@ -76,9 +76,9 @@ DELETED = [
 ORACLE_IMPORTS = {"arith.MultiIndex", "arith.check_same_dimension", "operators.SpaceParams"}
 
 # What ``verify`` may not import from the engine: its composition route is
-# ``apply_operator``, the route every operator the CLI applies takes, not a
-# basis action called directly.
-VERIFY_FORBIDDEN_IMPORTS = {"operators.toeplitz_apply", "operators.hankel_product_apply", "operators._add_image"}
+# ``hankel_product_apply``, the function ``apply_operator`` runs for every
+# ``HP(...; ...)`` the CLI applies, not a basis action called directly.
+VERIFY_FORBIDDEN_IMPORTS = {"operators.toeplitz_apply", "operators._add_image"}
 
 # The grid parameters of the verify sweeps.  The CLI states each grid
 # default once; a default here would be a second copy.
@@ -140,10 +140,25 @@ def test_oracle_shares_no_code_with_the_exact_engine():
     assert [name for name in imports if name not in ORACLE_IMPORTS and not name.startswith("errors.")] == []
 
 
-def test_verify_composes_through_apply_operator():
+def test_verify_composes_through_the_cli_hankel_product_route(monkeypatch):
     imports = package_imports(SOURCE / "verify.py")
-    assert "operators.apply_operator" in imports
+    assert "operators.hankel_product_apply" in imports
     assert VERIFY_FORBIDDEN_IMPORTS.isdisjoint(imports)
+    # apply_operator runs that same function, on the conj(f) and conj(f)*g
+    # the operator built once
+    calls = []
+    real = operators.hankel_product_apply
+
+    def spy(f, g, v, **built):
+        calls.append((f, g, built))
+        return real(f, g, v, **built)
+
+    monkeypatch.setattr(operators, "hankel_product_apply", spy)
+    f, g = symbols.parse_symbol("z1*conj(z2)", 2), symbols.parse_symbol("conj(z1)^2", 2)
+    op = operators.HankelProductOp(f, g)
+    operators.apply_operator(op, operators.BasisExpansion.basis_vector(operators.SpaceParams(2, 1), (2, 3)))
+    assert calls == [(f, g, {"f_conj": op.left_conj, "f_conj_g": op.left_conj_right})]
+    assert op.left_conj == f.conjugate() and op.left_conj_right == f.conjugate() * g
 
 
 def parser_actions(parser, prog):
