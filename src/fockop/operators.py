@@ -19,7 +19,8 @@ is read, and it keeps the result inside the RadicalCoefficient closure.
 Hankel products are never materialized through the projection
 complement; the product ``H*_f H_g`` is evaluated through the operator
 identity ``T_{conj(f) g} - T_{conj(f)} T_g``, which holds with no
-restriction on the input vector.
+restriction on the input vector.  ``H_h = 0`` for a holomorphic h, so
+``HankelProductOp`` applies it to the symbols' non-holomorphic parts.
 """
 
 from __future__ import annotations
@@ -50,8 +51,9 @@ from .symbols import _T_END, _T_OPERATOR, SymbolPolynomial, _Parser, check_dimen
 # a squared norm multiplies and an orthonormal coefficient read takes the
 # square root of, has weight runs of at most min(m, order difference)
 # integers (``_norm_ratio_runs``).  One three-sample ``norms`` of a small
-# Hankel product takes about 2.6 ms at m = 1000, as at m = 100, on a
-# 2-core Xeon.
+# Hankel product (``HP(conj(z1)*z2 + z1; conj(z2)^2 + 1)``, n = 2), the
+# command with its argument parsing, takes about 1.3 ms at m = 1000, as
+# at m = 100 (median of 400 in one process, on a 2-core Xeon).
 MAX_WEIGHT_ORDER = 1000
 
 
@@ -230,20 +232,47 @@ class BasisExpansion:
 
     def squared_norm(self) -> Fraction:
         """Exact Parseval sum: |q_tau|^2 ||z^tau||^2 / ||z^anchor||^2 over the
-        monomials, each ratio of norms the product of the runs of
-        ``_norm_ratio_runs``; no square root is taken."""
+        monomials; no square root is taken.
+
+        Each ratio of norms is the product of the runs of
+        ``_norm_ratio_runs(anchor, tau)``.  A component's run depends on
+        tau_j alone and the weight runs on |tau| alone, so each is computed
+        once per call, for the first monomial that has it.
+        """
         sp = self.space
         anchor = self.anchor
+        m = sp.m
+        base_a = sp.n - 1 + sum(anchor)
+        # per component: (anchor_j, {tau_j: run}), the run between anchor_j
+        # and tau_j that the numerator (tau_j > anchor_j) or the denominator
+        # takes; perm(s + c, c) is rising_product(s, c)
+        columns = [(x, {}) for x in anchor]
+        weights: Dict[int, Tuple[int, int]] = {}
         num, den = 0, 1
         for tau, q in self.monomials.items():
             a, b, d = q.re_num, q.im_num, q.den
             t_num = (a * a + b * b) * q.radicand
             t_den = d * d
-            runs_num, runs_den = _norm_ratio_runs(anchor, tau, sp)
-            for s, c in runs_num:
-                t_num *= rising_product(s, c)
-            for s, c in runs_den:
-                t_den *= rising_product(s, c)
+            for y, (x, runs) in zip(tau, columns):
+                if y != x:
+                    r = runs.get(y)
+                    if r is None:
+                        r = runs[y] = perm(max(x, y), abs(y - x))
+                    if y > x:
+                        t_num *= r
+                    else:
+                        t_den *= r
+            if m:
+                base_b = sp.n - 1 + sum(tau)
+                w = weights.get(base_b)
+                if w is None:
+                    k = min(abs(base_b - base_a), m)
+                    if base_b >= base_a:
+                        w = weights[base_b] = (perm(base_b + m, k), perm(base_a + k, k))
+                    else:
+                        w = weights[base_b] = (perm(base_b + k, k), perm(base_a + m, k))
+                t_num *= w[0]
+                t_den *= w[1]
             if t_den == den:
                 num += t_num
             else:
@@ -322,6 +351,7 @@ def _add_image(sums: Dict[MultiIndex, list], f: SymbolPolynomial, v: BasisExpans
          sign * a.re_num, sign * a.im_num, a.den)
         for (beta, gamma), a in f.terms.items()
     ]
+    # perm(s + c, c) is rising_product(s, c), called directly in this loop
     for alpha, q in v.monomials.items():
         order = n1 + sum(alpha)
         qr, qi, qd, radicand = q.re_num, q.im_num, q.den, q.radicand
@@ -334,11 +364,11 @@ def _add_image(sums: Dict[MultiIndex, list], f: SymbolPolynomial, v: BasisExpans
                     continue
                 for t, g in zip(tau, gamma):
                     if g:
-                        num *= rising_product(t, g)
+                        num *= perm(t + g, g)
                 if m:
-                    base = order + shift
-                    num *= rising_product(base + m, order_g)
-                    den *= rising_product(base, order_g)
+                    base = order + shift + order_g
+                    num *= perm(base + m, order_g)
+                    den *= perm(base, order_g)
             re = (qr * ar - qi * ai) * num
             im = (qr * ai + qi * ar) * num
             acc = sums.get(tau)
@@ -381,8 +411,9 @@ def hankel_product_apply(
     """Exact H*_f H_g via T_{conj(f) g} - T_{conj(f)} T_g; valid for every v.
 
     ``f_conj`` = conj(f) and ``f_conj_g`` = conj(f) * g are built here
-    unless the caller built them already (``HankelProductOp`` does, once;
-    the closed-form sweep builds conj(f) once per gamma).
+    unless the caller built them already (``HankelProductOp`` does, once,
+    from the non-holomorphic parts of f and g, which give the same
+    product; the closed-form sweep builds conj(f) once per gamma).
     Both images keep v's anchor, so their contributions are summed into
     one set of targets and each target is canonicalized once.
     """
@@ -568,20 +599,30 @@ class ToeplitzOp(OperatorExpr):
 class HankelProductOp(OperatorExpr):
     """H*_left H_right for two polynomial symbols.
 
-    ``left_conj`` = conj(left) and ``left_conj_right`` = conj(left) * right
-    are built once, here, for every vector the operator is applied to.
+    ``H_h = 0`` for a holomorphic h, so the product depends only on the
+    symbols' non-holomorphic parts, the terms with a ``conj`` (see
+    ``SymbolPolynomial.holomorphic_split``): with f and g those parts of
+    ``left`` and ``right``, ``H*_left H_right = T_{conj(f) g} - T_{conj(f)} T_g``.
+    ``left_conj`` = conj(f), ``left_conj_right`` = conj(f) * g and
+    ``right_nh`` = g are built once, here, for every vector
+    ``apply_operator`` applies the operator to.  ``left`` and ``right``
+    stay whole: the validity base reads them, and the closed-form sweep
+    runs ``hankel_product_apply`` on whole symbols.
     """
 
     left: SymbolPolynomial
     right: SymbolPolynomial
     left_conj: SymbolPolynomial = field(init=False, repr=False, compare=False)
     left_conj_right: SymbolPolynomial = field(init=False, repr=False, compare=False)
+    right_nh: SymbolPolynomial = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_same_dimension(self.left.dimension, self.right.dimension)
-        fbar = self.left.conjugate()
+        fbar = self.left.holomorphic_split()[1].conjugate()
+        g = self.right.holomorphic_split()[1]
         object.__setattr__(self, "left_conj", fbar)
-        object.__setattr__(self, "left_conj_right", fbar * self.right)
+        object.__setattr__(self, "left_conj_right", fbar * g)
+        object.__setattr__(self, "right_nh", g)
 
     @property
     def dimension(self) -> int:
@@ -608,7 +649,7 @@ def apply_operator(expr: OperatorExpr, v: BasisExpansion) -> BasisExpansion:
         return toeplitz_apply(expr.symbol, v)
     if isinstance(expr, HankelProductOp):
         return hankel_product_apply(
-            expr.left, expr.right, v, f_conj=expr.left_conj, f_conj_g=expr.left_conj_right
+            expr.left, expr.right_nh, v, f_conj=expr.left_conj, f_conj_g=expr.left_conj_right
         )
     if isinstance(expr, Composition):
         return apply_operator(expr.outer, apply_operator(expr.inner, v))

@@ -18,10 +18,8 @@ from fockop.analysis import RaySpec, default_base, geometric_ts, log_fraction
 from fockop.arith import MultiIndex
 from fockop.operators import (
     BasisExpansion,
-    HankelProductOp,
     OperatorExpr,
     SpaceParams,
-    apply_operator,
     closed_form_min_alpha,
     hankel_product_apply,
 )
@@ -53,10 +51,12 @@ def hankel_vector_norm_sq(f: SymbolPolynomial, alpha: MultiIndex, sp: SpaceParam
 
 
 def closed_form_sweep_block(task) -> verify.ClosedFormSweep:
-    """``verify._sweep_block`` one case at a time: the engine applies each
-    tuple's operator to each e_alpha alone and reads the target's
-    coefficient with ``coefficient``; a case whose image holds any other
-    monomial is stray support.  The closed form is the public per-case
+    """``verify._sweep_block`` one case at a time: the engine's composition
+    route ``hankel_product_apply`` runs on each tuple's whole symbols and
+    each e_alpha alone, so a vanishing case (gamma = 0 or nu = 0) still
+    runs the composition, and the target's coefficient is read with
+    ``coefficient``; a case whose image holds any other monomial is stray
+    support.  The closed form is the public per-case
     ``hankel_coeff_closed_form``, looked up on ``operators`` at each call,
     so a test can replace it there."""
     n, m, beta, max_component, max_alpha = task
@@ -82,12 +82,12 @@ def closed_form_sweep_block(task) -> verify.ClosedFormSweep:
                     continue
                 expect_zero = gamma_zero or nu.order == 0
                 degenerate = m == 0 and sum(x * y for x, y in zip(gamma, nu)) == 0
-                op = HankelProductOp(f, SymbolPolynomial.monomial(n, mu, nu))
+                g = SymbolPolynomial.monomial(n, mu, nu)
                 for comps in product(*(range(k, max_alpha + 1) for k in need)):
                     alpha = MultiIndex(comps)
                     out.cases += 1
                     target, closed = operators.hankel_coeff_closed_form(beta, gamma, mu, nu, alpha, sp)
-                    image = apply_operator(op, BasisExpansion.basis_vector(sp, alpha))
+                    image = hankel_product_apply(f, g, BasisExpansion.basis_vector(sp, alpha))
                     comp = image.coefficient(target)
                     if closed != comp:
                         out.mismatches.append(f"{label()}: closed {closed} vs composition {comp}")

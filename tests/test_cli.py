@@ -114,6 +114,35 @@ def test_apply_json_stdout_is_pinned(capsys, n, m, op, alpha, expansion, squared
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# ``norms`` CSV stdout of dense operators, pinned by its sha256 as the
+# engine printed it when ``HP`` still acted on the whole symbols: both
+# Hankel products' symbols have holomorphic and constant terms, which
+# ``HankelProductOp`` now drops before it applies the product.
+@pytest.mark.parametrize("n, m, op, t, digest", [
+    ("2", "6",
+     "HP(3/4*z1*conj(z1)^2 - 3 + i + 2*conj(z1)*conj(z2) - i*z1 + 2*z2*conj(z1)*conj(z2) + (1-2*i)*z2; "
+     "3*conj(z2) - 3 - 3/4*z2*conj(z1) - i*z1*conj(z2) - 1/2*z2*conj(z2)^2 - i*z2)",
+     "40:44:linear:2", "3da264405541803ffeda7aba7f679a50bc0f23f67897f8d6fa790cef449c58e8"),
+    ("3", "12",
+     "HP(3*conj(z1) - (1-2*i)*z3 + 1/2*z1*conj(z1) - (1-2*i)*z2*z3*conj(z3) + 1 + 1/2*z3*conj(z2)*conj(z3); "
+     "3/4 - (1-2*i)*z3*conj(z3) - 3*z3*conj(z3)^2 + 2*conj(z2)^2 - 1 - 1/2*z1*z2 - conj(z3))",
+     "50:52:linear:1", "d24b23bc367948c4c4b90ca6a4a7419226150bd0e023d44f0d03fde4f4338c8c"),
+    ("3", "9",
+     "T(i + (1-2*i) + 3 + 3/4*conj(z1)*conj(z3) - 3/4*z1*z2^2 - 1/2*z3) * "
+     "T(3/4*z1*z2*z3 - (1-2*i)*conj(z2)^2*conj(z3) + 2 - 5/3*z3^2*conj(z3) - 1/2 + 3/4*conj(z2)*conj(z3)^2)",
+     "64:70:linear:3", "6c854d20506c3225be76a16c2e79dab80b5ad99659a0d93a82b06f6009770709"),
+    ("2", "11",
+     "HP(5/3*conj(z1) - 2*z1*conj(z1) + 5/3*conj(z1) + (1-2*i)*z1^2 - i*z1*z2*conj(z2) + 2; "
+     "2*z1 - i*z1*z2*conj(z1) - 3/4 - 3*conj(z1)*conj(z2) - 3) * "
+     "T(2*z2*conj(z1)^2 - 2*z1*conj(z1)*conj(z2) + (1-2*i) - 3 - i*z1^2*z2)",
+     "30:34:linear:2", "4e543519636e4834ff1ea2056ec313dfa1ce54b45a1d627ee7306abf2c22b50f"),
+])
+def test_dense_norms_csv_stdout_is_pinned(capsys, n, m, op, t, digest):
+    code, out = run(capsys, "norms", "-n", n, "-m", m, "--op", op, "--t", t)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_norms_then_fit_round_trip(capsys, tmp_path):
     code, out = run(
         capsys,

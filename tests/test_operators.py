@@ -24,6 +24,7 @@ from fockop.operators import (
     SpaceParams,
     ToeplitzOp,
     _closed_form_monomial_coeffs,
+    _expansion,
     _norm_ratio,
     apply_operator,
     basis_coefficient,
@@ -713,19 +714,95 @@ def _engine_cases(draw):
           BasisExpansion(SpaceParams(3, 40), {mi(1, 2, 3): RADICAL_ONE, mi(2, 1, 3): RadicalCoefficient(1, 2)})))
 def test_engine_matches_the_per_term_radical_reference(case):
     shape, f, g, v = case
+    op = _SHAPES[shape](f, g)
+    whole = (f, g)
+    if shape == "HP({f}; {g})":
+        # HP applies the product to the symbols' non-holomorphic parts, so a
+        # mixed-radicand input that the whole symbols' reference rejects can
+        # have an exact image: the reference runs on the same parts
+        f, g = f.holomorphic_split()[1], g.holomorphic_split()[1]
     try:
         expected = _reference_apply(shape, f, g, v)
     except InternalInvariantError:  # the input mixes square classes that meet
         with pytest.raises(InternalInvariantError, match="unlike radicands"):
-            apply_operator(_SHAPES[shape](f, g), v)
+            apply_operator(op, v)
         return
-    image = apply_operator(_SHAPES[shape](f, g), v)
+    image = apply_operator(op, v)
     # one coefficient at a time first, then the whole expansion
     for tau, c in expected.coeffs.items():
         assert image.coefficient(tau) == c
     assert len(image.monomials) == len(expected.coeffs)
     assert image.squared_norm() == sum(c.abs_sq() for c in expected.coeffs.values())
     assert image == expected
+    if (f, g) != whole:
+        # wherever the whole symbols' reference gives an image, it is the same
+        try:
+            assert _reference_apply(shape, *whole, v) == expected
+        except InternalInvariantError:
+            pass
+
+
+# HP(f; g) depends only on the symbols' non-holomorphic parts: the operator
+# drops the rest, and the composition on the whole symbols must agree.
+_GAUSSIAN = st.builds(
+    lambda re, im: RadicalCoefficient(re, im=im),
+    st.fractions(-3, 3, max_denominator=4),
+    st.sampled_from((0, 1, Fraction(-2, 3))),
+).filter(lambda c: not c.is_zero())
+
+
+@st.composite
+def _mixed_symbols(draw, n):
+    """Symbols of one to five terms, each holomorphic, constant, conjugate
+    holomorphic or mixed, with components up to 3."""
+    exps = st.lists(st.integers(0, 3), min_size=n, max_size=n).map(MultiIndex)
+    nonzero = exps.filter(lambda e: e.order)
+    zero = MultiIndex.zero(n)
+    terms = []
+    kinds = st.sampled_from(("holomorphic", "constant", "conjugate", "mixed"))
+    for kind in draw(st.lists(kinds, min_size=1, max_size=5)):
+        beta = draw(nonzero) if kind in ("holomorphic", "mixed") else zero
+        gamma = draw(nonzero) if kind in ("conjugate", "mixed") else zero
+        terms.append(((beta, gamma), draw(_GAUSSIAN)))
+    return SymbolPolynomial.from_terms(n, terms)
+
+
+@st.composite
+def _hankel_trim_cases(draw):
+    n = draw(st.integers(1, 3))
+    m = st.one_of(st.sampled_from((0, 1, MAX_WEIGHT_ORDER)), st.integers(0, MAX_WEIGHT_ORDER))
+    sp = SpaceParams(n, draw(m))
+    f, g = draw(_mixed_symbols(n)), draw(_mixed_symbols(n))
+    index = st.lists(st.integers(0, 6), min_size=n, max_size=n).map(MultiIndex)
+    kind = draw(st.sampled_from(("basis", "monomials", "composition")))
+    v = BasisExpansion.basis_vector(sp, draw(index))
+    h = None
+    if kind == "monomials":  # radicand 1 on every monomial, as a basis vector's images have
+        v = _expansion(sp, draw(index), draw(st.dictionaries(index, _GAUSSIAN, min_size=1, max_size=4)))
+    elif kind == "composition":  # HP(f; g) * T(h)
+        h = draw(_mixed_symbols(n))
+    return f, g, h, v
+
+
+@given(_hankel_trim_cases())
+@example((parse_symbol("z1*conj(z2) + 3*z2^2 - 1/2", 2), parse_symbol("conj(z1)^2 + (1-2*i)*z1 + i", 2), None,
+          BasisExpansion.basis_vector(SpaceParams(2, MAX_WEIGHT_ORDER), mi(3, 4))))
+@example((parse_symbol("z2 + 2 - z1*conj(z3)^2", 3), parse_symbol("conj(z1)*z2 - z3^3 + 5", 3),
+          parse_symbol("z1*conj(z2) + 1", 3), BasisExpansion.basis_vector(SpaceParams(3, 7), mi(2, 0, 5))))
+def test_hankel_product_op_equals_the_untrimmed_composition(case):
+    f, g, h, v = case
+    if h is None:
+        image = apply_operator(HankelProductOp(f, g), v)
+    else:
+        image = apply_operator(Composition(HankelProductOp(f, g), ToeplitzOp(h)), v)
+        v = toeplitz_apply(h, v)
+    expected = hankel_product_apply(f, g, v)
+    assert image.anchor == expected.anchor
+    assert image.monomials == expected.monomials
+    # H_u = 0 for the holomorphic part u of either symbol, on either side
+    for holomorphic, other in ((f.holomorphic_split()[0], g), (g.holomorphic_split()[0], f)):
+        assert hankel_product_apply(holomorphic, other, v).is_zero()
+        assert hankel_product_apply(other, holomorphic, v).is_zero()
 
 
 def test_norm_samples_take_no_square_root():

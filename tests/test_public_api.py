@@ -144,8 +144,8 @@ def test_verify_composes_through_the_cli_hankel_product_route(monkeypatch):
     imports = package_imports(SOURCE / "verify.py")
     assert "operators.hankel_product_apply" in imports
     assert VERIFY_FORBIDDEN_IMPORTS.isdisjoint(imports)
-    # apply_operator runs that same function, on the conj(f) and conj(f)*g
-    # the operator built once
+    # apply_operator runs that same function, on the symbols' non-holomorphic
+    # parts: g's, and the conj(f) and conj(f)*g the operator built once
     calls = []
     real = operators.hankel_product_apply
 
@@ -154,11 +154,15 @@ def test_verify_composes_through_the_cli_hankel_product_route(monkeypatch):
         return real(f, g, v, **built)
 
     monkeypatch.setattr(operators, "hankel_product_apply", spy)
-    f, g = symbols.parse_symbol("z1*conj(z2)", 2), symbols.parse_symbol("conj(z1)^2", 2)
+    f = symbols.parse_symbol("z1*conj(z2) + z2^2 - 3", 2)
+    g = symbols.parse_symbol("conj(z1)^2 + 2*z1*z2 + i", 2)
+    f_nh, g_nh = symbols.parse_symbol("z1*conj(z2)", 2), symbols.parse_symbol("conj(z1)^2", 2)
+    assert (f.holomorphic_split()[1], g.holomorphic_split()[1]) == (f_nh, g_nh)
     op = operators.HankelProductOp(f, g)
     operators.apply_operator(op, operators.BasisExpansion.basis_vector(operators.SpaceParams(2, 1), (2, 3)))
-    assert calls == [(f, g, {"f_conj": op.left_conj, "f_conj_g": op.left_conj_right})]
-    assert op.left_conj == f.conjugate() and op.left_conj_right == f.conjugate() * g
+    assert calls == [(f, g_nh, {"f_conj": op.left_conj, "f_conj_g": op.left_conj_right})]
+    assert op.left_conj == f_nh.conjugate() and op.left_conj_right == f_nh.conjugate() * g_nh
+    assert (op.left, op.right) == (f, g)
 
 
 def parser_actions(parser, prog):

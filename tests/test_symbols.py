@@ -190,6 +190,7 @@ def test_dense_symbols_stay_within_the_term_bound(data):
         toeplitz.inner.symbol,
         hankel.left_conj,
         hankel.left_conj_right,
+        hankel.right_nh,
     )
     for sym in symbols:
         assert all(c.radicand == 1 for c in sym.terms.values())
