@@ -124,9 +124,10 @@ def rising_product(start: int, count: int) -> int:
 # square-free bookkeeping
 
 
-# One command splits few distinct integers: at most 58 in a benchmark
-# `dense-ray-norms` command, none in a passing closed-form sweep.  The run
-# integers of one image's targets overlap, and near |alpha| = 10^9 one
+# One command splits few distinct integers: at most 13 in a benchmark
+# `cli-queries` operation, and a `dense-ray-norms` command or a passing
+# closed-form sweep looks up none (seed 1, 600, 60 and 2 operations).  The
+# run integers of one image's targets overlap, and near |alpha| = 10^9 one
 # split trial-divides up to about 31,623 steps.  The bound only keeps a
 # long-lived process from growing without limit.
 SQUARE_FREE_CACHE_SIZE = 4096

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial, gcd, perm, prod
 from operator import add, sub
 from typing import Dict, Optional, Tuple
@@ -50,7 +49,7 @@ from .symbols import _T_END, _T_OPERATOR, SymbolPolynomial, _Parser, check_dimen
 # |gamma| integers whatever m is, and a ratio of two monomial norms, which
 # a squared norm multiplies and an orthonormal coefficient read takes the
 # square root of, has weight runs of at most min(m, order difference)
-# integers (``_norm_ratio_runs``).  One three-sample ``norms`` of a small
+# integers (``_weight_runs``).  One three-sample ``norms`` of a small
 # Hankel product (``HP(conj(z1)*z2 + z1; conj(z2)^2 + 1)``, n = 2), the
 # command with its argument parsing, takes about 1.3 ms at m = 1000, as
 # at m = 100 (median of 400 in one process, on a 2-core Xeon).
@@ -61,9 +60,7 @@ MAX_WEIGHT_ORDER = 1000
 class SpaceParams:
     """Dimension 1 <= n <= MAX_DIMENSION and weight order 0 <= m <= MAX_WEIGHT_ORDER.
 
-    Immutable, and a value: equal (n, m) compare and hash equal, as the
-    ``_norm_ratio`` cache key of every coefficient read needs; the hash
-    is computed on each call.
+    Immutable, and a value: equal (n, m) compare and hash equal.
     """
 
     n: int
@@ -97,14 +94,24 @@ def basis_coefficient(alpha: MultiIndex, sp: SpaceParams) -> RadicalCoefficient:
     return _norm_ratio(alpha, MultiIndex.zero(sp.n), sp)
 
 
-def _norm_ratio_runs(a: MultiIndex, b: MultiIndex, sp: SpaceParams):
+def _weight_runs(base_a: int, base_b: int, m: int):
     """Runs ``(start, count)`` (see ``rising_product``) of the numerator and
-    the denominator of ``||z^b||^2 / ||z^a||^2``.
+    the denominator of ``(B+1)...(B+m) / ((A+1)...(A+m))`` after cancelling,
+    for A = ``base_a`` and B = ``base_b``: k = min(|B - A|, m) integers each.
+    """
+    k = min(abs(base_b - base_a), m)
+    if base_b >= base_a:
+        return (base_b + m - k, k), (base_a, k)
+    return (base_b, k), (base_a + m - k, k)
+
+
+def _norm_ratio_runs(a: MultiIndex, b: MultiIndex, sp: SpaceParams):
+    """Runs ``(start, count)`` of the numerator and the denominator of
+    ``||z^b||^2 / ||z^a||^2``.
 
     The ratio is ``(b!/a!) (B+1)...(B+m) / ((A+1)...(A+m))`` with
     A = n-1+|a| and B = n-1+|b|.  Each component gives one run between
-    a_j and b_j; the weight factors, after cancelling, give two runs of
-    k = min(|B - A|, m) integers.
+    a_j and b_j, and ``_weight_runs`` the weight factors' two.
     """
     num = []
     den = []
@@ -113,35 +120,21 @@ def _norm_ratio_runs(a: MultiIndex, b: MultiIndex, sp: SpaceParams):
             num.append((x, y - x))
         elif x > y:
             den.append((y, x - y))
-    m = sp.m
-    if m:
-        base_a = sp.n - 1 + sum(a)
-        base_b = sp.n - 1 + sum(b)
-        k = min(abs(base_b - base_a), m)
-        if base_b > base_a:
-            num.append((base_b + m - k, k))
-            den.append((base_a, k))
-        elif base_a > base_b:
-            num.append((base_b, k))
-            den.append((base_a + m - k, k))
+    w_num, w_den = _weight_runs(sp.n - 1 + sum(a), sp.n - 1 + sum(b), sp.m)
+    num.append(w_num)
+    den.append(w_den)
     return num, den
 
 
-@lru_cache(maxsize=200_000)
 def _norm_ratio(a: MultiIndex, b: MultiIndex, sp: SpaceParams) -> RadicalCoefficient:
-    """Canonical ``||z^b|| / ||z^a||`` (cached): ``from_sqrt_ratio`` of the
-    integers of the runs of ``_norm_ratio_runs``.
+    """Canonical ``||z^b|| / ||z^a||``: ``from_sqrt_ratio`` of the integers
+    of the runs of ``_norm_ratio_runs``.
 
     ``from_sqrt_ratio`` is looked up on the class at each call, so a
-    wrapper bound there sees every square root the engine takes.  The
-    lookups are orthonormal coefficient reads: ``coeffs``,
-    ``coefficient``, ``BasisExpansion(...)``, ``basis_coefficient``, the
-    reference ``hankel_coeff_closed_form`` and a closed-form sweep
-    mismatch's text.  A passing sweep makes none, and one
-    ``verify orthonormality`` command reads each pair once (876 misses, no
-    hit, at ``-n 1,2,3 -m 0,1,2,3 --max-order 8``); the cache pays in a
-    process that reads the same coefficients again, such as repeated
-    ``apply`` queries.
+    wrapper bound there sees every square root the engine takes: the
+    orthonormal coefficient reads ``coeffs``, ``coefficient``,
+    ``BasisExpansion(...)``, ``basis_coefficient``, the reference
+    ``hankel_coeff_closed_form`` and a closed-form sweep mismatch's text.
     """
     num, den = _norm_ratio_runs(a, b, sp)
     return RadicalCoefficient.from_sqrt_ratio(
@@ -187,9 +180,9 @@ class BasisExpansion:
     """Finite vector ``sum(coeffs[tau] * e_tau)``; coefficients are nonzero.
 
     ``BasisExpansion(space, coeffs)`` takes coefficients on the orthonormal
-    basis, keyed by indices of n nonnegative components, and ``coeffs``,
-    ``coefficient``, ``sorted_items``, ``==`` and ``repr`` read them.
-    Underneath, the vector is held as
+    basis, keyed by indices of n nonnegative components, and drops the zero
+    ones; ``coeffs``, ``coefficient``, ``sorted_items``, ``==`` and ``repr``
+    read them.  Underneath, the vector is held as
     ``sum(monomials[tau] * z^tau) / ||z^anchor||`` for one anchor index:
     the form the basis actions work in, with radicand 1 whenever the
     vector was built from a basis vector.  Each read converts from it:
@@ -202,6 +195,7 @@ class BasisExpansion:
     def __init__(self, space: SpaceParams, coeffs: Dict[MultiIndex, RadicalCoefficient]):
         for tau in coeffs:
             check_index(space.n, tau)
+        coeffs = {tau: c for tau, c in coeffs.items() if not c.is_zero()}
         self.space = space
         self.anchor = next(iter(coeffs), None) or MultiIndex.zero(space.n)
         # c_tau e_tau = c_tau ||z^anchor||/||z^tau|| * z^tau/||z^anchor||
@@ -236,8 +230,8 @@ class BasisExpansion:
 
         Each ratio of norms is the product of the runs of
         ``_norm_ratio_runs(anchor, tau)``.  A component's run depends on
-        tau_j alone and the weight runs on |tau| alone, so each is computed
-        once per call, for the first monomial that has it.
+        tau_j alone and the weight runs (``_weight_runs``) on |tau| alone,
+        so each is computed once per call, for the first monomial that has it.
         """
         sp = self.space
         anchor = self.anchor
@@ -266,11 +260,8 @@ class BasisExpansion:
                 base_b = sp.n - 1 + sum(tau)
                 w = weights.get(base_b)
                 if w is None:
-                    k = min(abs(base_b - base_a), m)
-                    if base_b >= base_a:
-                        w = weights[base_b] = (perm(base_b + m, k), perm(base_a + k, k))
-                    else:
-                        w = weights[base_b] = (perm(base_b + k, k), perm(base_a + m, k))
+                    (ns, nc), (ds, dc) = _weight_runs(base_a, base_b, m)
+                    w = weights[base_b] = (perm(ns + nc, nc), perm(ds + dc, dc))
                 t_num *= w[0]
                 t_den *= w[1]
             if t_den == den:

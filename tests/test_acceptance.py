@@ -1,17 +1,20 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
-report.  Two narrow claims from the source material are provably false
+report.  Three narrow claims from the source material are provably false
 and are pinned here as strict xfails with the exact counterexample
 values asserted alongside (see notes in the repository docs):
 
-* the coefficient-vanishing converse fails for m = 0 in dimension >= 2
-  when the two conjugate exponents have disjoint supports (the product
+* ``test_criterion_2_vanishing_criterion_as_stated``: the
+  coefficient-vanishing converse fails for m = 0 in dimension >= 2 when
+  the two conjugate exponents have disjoint supports (the product
   operator is then identically zero on the validity range);
-* the conjugate-linear pair identity H*H e_alpha = e_alpha fails at
-  alpha = 0 for m >= 1 (the exact value is (m+1) e_0), and the
-  conjugate-pair product in dimension >= 2 has exactly bounded basis
-  norms, so no growth exponent >= 0.4 exists for that truth-table row.
+* ``test_criterion_3_alpha_zero_literal``: the conjugate-linear pair
+  identity H*H e_alpha = e_alpha fails at alpha = 0 for m >= 1 (the
+  exact value is (m+1) e_0);
+* ``test_criterion_7_conjugate_pair_growth_literal``: the conjugate-pair
+  product in dimension >= 2 has exactly bounded basis norms, so no
+  growth exponent >= 0.4 exists for that truth-table row.
 """
 
 import pytest

@@ -13,7 +13,9 @@ from fockop.arith import (
     RADICAL_ONE,
     RADICAL_ZERO,
     RadicalCoefficient,
+    _radical,
     rising_product,
+    square_free_split,
 )
 from fockop.errors import InputError, InternalInvariantError, SymbolSyntaxError
 from fockop.operators import (
@@ -201,11 +203,10 @@ def _transitions(draw):
 @example((mi(4, 4, 4), mi(4, 4, 4), SpaceParams(3, 40)))
 @example((mi(0), mi(0), SpaceParams(1, 0)))
 @example((mi(3, 9), mi(3, 2), SpaceParams(2, 7)))
-def test_run_cached_transition_matches_the_factor_lists(case):
+def test_norm_ratio_transition_matches_the_factor_lists(case):
     alpha, tau, sp = case
     expected = RadicalCoefficient.from_sqrt_ratio(*_transition_factor_lists(alpha, tau, sp))
     weight = rising_product(sp.n - 1 + alpha.order, sp.m)
-    assert _norm_ratio.__wrapped__(tau, alpha, sp).scale_ratio(1, weight) == expected
     assert _norm_ratio(tau, alpha, sp).scale_ratio(1, weight) == expected
 
 
@@ -232,8 +233,9 @@ def test_norm_ratio_is_the_square_free_root_of_the_monomial_norms(case):
     assert all(c.radicand % (d * d) for d in range(2, largest + 1))
 
 
-def test_coefficient_reads_take_the_class_square_root(monkeypatch):
-    # a wrapper bound on the class, as a tracer binds one, sees the square root
+def count_square_roots(patch) -> list:
+    """Bind a counting ``from_sqrt_ratio`` on the class, which every square
+    root the engine takes goes through; returns the list it appends to."""
     calls = []
     original = RadicalCoefficient.from_sqrt_ratio
 
@@ -241,13 +243,23 @@ def test_coefficient_reads_take_the_class_square_root(monkeypatch):
         calls.append(1)
         return original(num, den)
 
+    patch.setattr(RadicalCoefficient, "from_sqrt_ratio", staticmethod(counted))
+    return calls
+
+
+def split_lookups() -> int:
+    info = square_free_split.cache_info()
+    return info.hits + info.misses
+
+
+def test_coefficient_reads_take_the_class_square_root(monkeypatch):
+    # a wrapper bound on the class, as a tracer binds one, sees the square root
     sp = SpaceParams(2, 3)
     image = toeplitz_apply(parse_symbol("z1", 2), e(sp, 2, 1))
     expected = image.coefficient(mi(3, 1))
     assert expected.radicand != 1
     with monkeypatch.context() as patch:
-        patch.setattr(RadicalCoefficient, "from_sqrt_ratio", staticmethod(counted))
-        _norm_ratio.cache_clear()
+        calls = count_square_roots(patch)
         assert image.coefficient(mi(3, 1)) == expected
     assert calls
     assert isinstance(RadicalCoefficient.__dict__["from_sqrt_ratio"], staticmethod)
@@ -552,6 +564,51 @@ def test_squared_norm_parseval():
     assert image.squared_norm() == 256
 
 
+@st.composite
+def _anchored_vectors(draw):
+    """Vectors ``sum q_tau z^tau / ||z^anchor||`` whose anchor lies below,
+    above or level with each monomial, component by component."""
+    n = draw(st.integers(1, 3))
+    sp = SpaceParams(n, draw(st.sampled_from((0, 1, 7, 40, 1000))))
+    index = st.lists(st.integers(0, 30), min_size=n, max_size=n).map(MultiIndex)
+    taus = draw(st.lists(index, min_size=1, max_size=6, unique=True))
+    anchor = MultiIndex(
+        draw(st.sampled_from([tau[j] for tau in taus])) if draw(st.booleans()) else draw(st.integers(0, 30))
+        for j in range(n)
+    )
+    small = st.integers(-9, 9)
+    monomials = {}
+    for tau in taus:
+        re, im = draw(small), draw(small)
+        if re or im:
+            monomials[tau] = _radical(re, im, draw(st.integers(1, 9)), draw(st.sampled_from((1, 2, 6))))
+    return _expansion(sp, anchor, monomials)
+
+
+@given(_anchored_vectors())
+@example(_expansion(SpaceParams(1, 1), mi(30), {mi(0): RADICAL_ONE, mi(30): RADICAL_ONE}))
+@example(_expansion(SpaceParams(3, 7), mi(0, 30, 4), {mi(30, 0, 4): RADICAL_ONE, mi(2, 2, 2): RADICAL_ONE}))
+def test_squared_norm_is_the_factorial_parseval_sum(v):
+    # factorials and whole rising products, none of squared_norm's runs
+    sp = v.space
+    expected = sum(
+        q.abs_sq() * monomial_inner(tau, tau, sp) / monomial_inner(v.anchor, v.anchor, sp)
+        for tau, q in v.monomials.items()
+    )
+    assert v.squared_norm() == expected
+
+
+def test_expansion_drops_zero_coefficients():
+    sp = SpaceParams(1, 0)
+    f = parse_symbol("z + conj(z)", 1)
+    expected = toeplitz_apply(f, e(sp, 2))
+    for coeffs in ({mi(2): RADICAL_ONE, mi(0): RADICAL_ZERO}, {mi(0): RADICAL_ZERO, mi(2): RADICAL_ONE}):
+        assert toeplitz_apply(f, BasisExpansion(sp, coeffs)) == expected
+    zero = BasisExpansion(sp, {mi(0): RADICAL_ZERO})
+    assert zero.is_zero()
+    assert zero == BasisExpansion(sp, {})
+
+
 def test_matrix_entries():
     sp = SpaceParams(1, 0)
     t_z = ToeplitzOp(parse_symbol("z", 1))
@@ -805,39 +862,28 @@ def test_hankel_product_op_equals_the_untrimmed_composition(case):
         assert hankel_product_apply(other, holomorphic, v).is_zero()
 
 
-def test_norm_samples_take_no_square_root():
+def test_norm_samples_take_no_square_root(monkeypatch):
     from fockop.analysis import norm_squared_samples
-    from fockop.arith import square_free_split
 
     expr = parse_operator("HP(conj(z1)*z2 + z1; conj(z2)^2 + 1) * T(z1 - (1/2)*i*conj(z2))", 2)
     sp = SpaceParams(2, 1000)
-    caches = (_norm_ratio, square_free_split)
-
-    def lookups():
-        return [info.hits + info.misses for info in (c.cache_info() for c in caches)]
-
     ray = default_ray(expr, (1, 2, 3))
-    before = lookups()
+    calls = count_square_roots(monkeypatch)
+    splits = split_lookups()
     samples = norm_squared_samples(expr, ray, sp)
-    assert lookups() == before
+    assert calls == [] and split_lookups() == splits
     # the values the radical path gives, one square root per coefficient
     for t, value in samples:
         image = apply_operator(expr, BasisExpansion.basis_vector(sp, ray.alpha_at(t)))
         assert value == sum(c.abs_sq() for c in image.coeffs.values())
-    assert lookups() != before
+    assert calls
 
 
-def test_passing_closed_form_sweep_takes_no_square_root():
-    from fockop.arith import square_free_split
-
-    caches = (_norm_ratio, square_free_split)
-
-    def lookups():
-        return [info.hits + info.misses for info in (c.cache_info() for c in caches)]
-
+def test_passing_closed_form_sweep_takes_no_square_root(monkeypatch):
     grid = ((1, 2), (0, 1, 7), 2, 4)
-    before = lookups()
+    calls = count_square_roots(monkeypatch)
+    splits = split_lookups()
     sweep = sweep_hankel_closed_form(*grid, jobs=1)
-    assert lookups() == before
+    assert calls == [] and split_lookups() == splits
     assert sweep.closed_form_matches
     assert sweep.cases == closed_form_case_count(*grid)
