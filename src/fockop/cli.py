@@ -534,21 +534,14 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = _Parser(
-        prog="fockop",
-        description="Exact Toeplitz/Hankel operator calculator and classifier "
-        "on weighted entire-function spaces.",
-    )
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("parse", help="parse a symbol and print its canonical form")
+def _add_parse_args(p):
     _add_space_args(p, need_m=False)
     p.add_argument("-f", required=True, help="symbol text, e.g. 'z1*conj(z2)+3'")
     p.add_argument("--format", choices=("json", "table"), default="table")
     p.set_defaults(handler=_cmd_parse)
 
-    p = sub.add_parser("classify", help="boundedness/compactness verdicts")
+
+def _add_classify_args(p):
     p.add_argument(
         "kind",
         choices=(
@@ -565,14 +558,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "table"), default="table")
     p.set_defaults(handler=_cmd_classify)
 
-    p = sub.add_parser("apply", help="apply an operator expression to e_alpha")
+
+def _add_apply_args(p):
     _add_space_args(p)
     p.add_argument("--op", required=True, help="e.g. 'T(z*conj(z)) * T(z)' or 'HP(conj(z); conj(z))'")
     p.add_argument("--alpha", required=True, help="basis index 'a1|a2|...'")
     p.add_argument("--format", choices=("json", "table"), default="table")
     p.set_defaults(handler=_cmd_apply)
 
-    p = sub.add_parser("norms", help="exact squared norms along a ray")
+
+def _add_norms_args(p):
     _add_space_args(p)
     p.add_argument("--op", required=True)
     p.add_argument("--ray", default="ones", help="'ones' or custom direction 'd1|d2|...'")
@@ -582,13 +577,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json", "table"), default="csv")
     p.set_defaults(handler=_cmd_norms)
 
-    p = sub.add_parser("fit", help="fit an amplitude exponent to a norms CSV")
+
+def _add_fit_args(p):
     p.add_argument("path", nargs="?", default="-", help="CSV path or '-' for stdin")
     p.add_argument("--predicted", help="predicted exponent as a rational, e.g. '2' or '3/2'")
     p.add_argument("--format", choices=("json", "table"), default="table")
     p.set_defaults(handler=_cmd_fit)
 
-    p = sub.add_parser("verify", help="run a verification sweep")
+
+def _add_verify_args(p):
     p.add_argument("what", choices=tuple(_VERIFY_CHECKS))
     p.add_argument("-n", type=_int_list, help="dimensions, e.g. '1,2'")
     p.add_argument("-m", type=_int_list, help="weight orders, e.g. '0,1,2'")
@@ -601,6 +598,38 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "table"), default="table")
     p.set_defaults(handler=_cmd_verify)
 
+
+# The subcommands, in the order ``--help`` lists them: name, help text, and
+# the function that adds the subcommand's arguments and handler.
+_COMMANDS = {
+    "parse": ("parse a symbol and print its canonical form", _add_parse_args),
+    "classify": ("boundedness/compactness verdicts", _add_classify_args),
+    "apply": ("apply an operator expression to e_alpha", _add_apply_args),
+    "norms": ("exact squared norms along a ray", _add_norms_args),
+    "fit": ("fit an amplitude exponent to a norms CSV", _add_fit_args),
+    "verify": ("run a verification sweep", _add_verify_args),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The fockop parser, built for the command being run.
+
+    With ``command`` a subcommand name, only that subcommand is registered:
+    argparse hands an argv whose first token names a subcommand to that
+    subparser alone, so the others would change nothing and cost most of
+    a quick command.  Otherwise (``--help``, an unknown command, an empty
+    command line) every subcommand is registered, for the full usage, help
+    and error text.
+    """
+    ap = _Parser(
+        prog="fockop",
+        description="Exact Toeplitz/Hankel operator calculator and classifier "
+        "on weighted entire-function spaces.",
+    )
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name in (command,) if command in _COMMANDS else _COMMANDS:
+        help_text, add_arguments = _COMMANDS[name]
+        add_arguments(sub.add_parser(name, help=help_text))
     return ap
 
 
@@ -612,8 +641,10 @@ EXIT_CLOSED_STDOUT = 141
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one command; returns its exit code.  Only ``--help`` raises
-    (``SystemExit(0)``, after printing the help)."""
-    ap = build_parser()
+    (``SystemExit(0)``, after printing the help).  The parser is built for
+    the command being run, the first token of ``argv``."""
+    argv = sys.argv[1:] if argv is None else argv
+    ap = build_parser(argv[0] if argv else None)
     start = time.monotonic()
     try:
         args = ap.parse_args(argv)

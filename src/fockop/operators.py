@@ -50,9 +50,9 @@ from .symbols import _T_END, _T_OPERATOR, SymbolPolynomial, _Parser, check_dimen
 # a squared norm multiplies and an orthonormal coefficient read takes the
 # square root of, has weight runs of at most min(m, order difference)
 # integers (``_weight_runs``).  One three-sample ``norms`` of a small
-# Hankel product (``HP(conj(z1)*z2 + z1; conj(z2)^2 + 1)``, n = 2), the
-# command with its argument parsing, takes about 1.3 ms at m = 1000, as
-# at m = 100 (median of 400 in one process, on a 2-core Xeon).
+# Hankel product (``HP(conj(z1)*z2 + z1; conj(z2)^2 + 1)``, n = 2, t = 1..3),
+# the command with its argument parsing, takes about 1.1 ms at m = 1000,
+# as at m = 100 (median of 400 in one process, on a 2-core Xeon).
 MAX_WEIGHT_ORDER = 1000
 
 
@@ -652,12 +652,26 @@ def apply_operator(expr: OperatorExpr, v: BasisExpansion) -> BasisExpansion:
 # HP(<symbol>; <symbol>), '*' composition
 
 
+# Bound on the factors of one '*' composition, checked at the '*' that would
+# add one more.  The composition nests one ``Composition`` per factor:
+# ``Composition.dimension``, ``apply_operator`` and ``analysis.default_base``
+# recurse one frame per level, and pickling it for a ``--jobs`` fan-out
+# about three.  The longest composition allowed runs, fan-out included,
+# under half of Python's default limit of 1000 frames inside a test runner.
+MAX_OPERATOR_FACTORS = 100
+
+
 class _OperatorParser(_Parser):
     def parse(self) -> OperatorExpr:
         expr = self.parse_atom()
+        factors = 1
         while self.peek().kind != _T_END:
-            self.expect_op("*")
+            star = self.expect_op("*")
+            if factors == MAX_OPERATOR_FACTORS:
+                message = f"more than MAX_OPERATOR_FACTORS = {MAX_OPERATOR_FACTORS} composed factors"
+                raise SymbolSyntaxError(message, self.text, star.pos)
             expr = Composition(expr, self.parse_atom())
+            factors += 1
         return expr
 
     def parse_atom(self) -> OperatorExpr:

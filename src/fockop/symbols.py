@@ -308,6 +308,12 @@ MAX_SYMBOL_DEGREE = 256
 # 129^2 = 16641 pairs).
 MAX_SYMBOL_TERMS = 20_000
 
+# Bound on the parentheses open at once in ``base``, checked where a "(" opens.
+# Each level is four frames of the recursive descent (expr, term, factor,
+# base): the deepest text allowed takes about 400 of Python's default limit
+# of 1000 frames.
+MAX_SYMBOL_NESTING = 100
+
 
 def _power_pairs(k: int, e: int) -> int:
     """An upper bound on the term pairs of one product in
@@ -409,6 +415,7 @@ class _Parser:
         self.dimension = dimension
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0  # parentheses open in ``parse_base``
         self.zero = MultiIndex._wrap((0,) * dimension)
         self.variables: Dict[Tuple[int, bool], SymbolPolynomial] = {}
 
@@ -517,8 +524,13 @@ class _Parser:
             self.expect_op(")")
             return self.variable(j, True)
         if tok.kind == _T_OP and tok.value == "(":
+            if self.depth == MAX_SYMBOL_NESTING:
+                message = f"more than MAX_SYMBOL_NESTING = {MAX_SYMBOL_NESTING} nested parentheses"
+                raise SymbolSyntaxError(message, self.text, tok.pos)
+            self.depth += 1
             poly = self.parse_expr()
             self.expect_op(")")
+            self.depth -= 1
             return poly
         raise SymbolSyntaxError("expected a variable, number, 'i' or '('", self.text, tok.pos)
 

@@ -1,12 +1,15 @@
 import hashlib
 import io
 import json
+import sys
 import warnings
 from fractions import Fraction
 
 import pytest
 
 from fockop.cli import main
+from fockop.operators import MAX_OPERATOR_FACTORS
+from fockop.symbols import MAX_SYMBOL_NESTING
 
 
 def run(capsys, *argv):
@@ -357,133 +360,147 @@ def test_failed_verification_exits_1(capsys, monkeypatch):
     assert "FAIL" in out
 
 
-@pytest.mark.parametrize(
-    "argv, message",
-    [
-        (("apply", "-n", "1", "--op", "T(z)", "--alpha", "-1"), "must be >= 0"),
-        (("verify", "hankel-closed-form", "-n", "0"), "dimension n must be >= 1"),
-        (("norms", "-n", "1", "--op", "T(z)", "--t", "1:5:linear:x"), "step must be an integer"),
-        (("norms", "-n", "1", "--op", "T(z)", "--t", "1:5:linear:0"), "step >= 1"),
-        (("norms", "-n", "1", "--op", "T(z)", "--t", "64:4096:geometric:0"), "factor >= 2"),
-        (("fit", "-", "--predicted", "x"), "--predicted"),
-        (("fit", "-", "--predicted", "1/0"), "--predicted"),
-        (("classify", "toeplitz", "-n", "1", "-m", "-3", "-f", "z"), "weight order m must be >= 0"),
-        (("verify", "orthonormality", "-n", "1,2", "-m", "0,-1"), "weight order m must be >= 0"),
-        (("verify", "hankel-closed-form", "--max-alpha", "-1"), "--max-alpha must be >= 0"),
-        (("verify", "hankel-closed-form", "--max-component", "-1"), "--max-component must be >= 0"),
-        (("verify", "orthonormality", "--max-order", "-1"), "--max-order must be >= 0"),
-        (("apply", "-n", "1", "--op", "T(z^100000000)", "--alpha", "0"), "at position 4"),
-        (("norms", "-n", "1", "--op", "T(z)", "--t", "1:100000000:linear"), "at most 10000"),
-        (("apply", "-n", "1", "--op", "HP(z;zz)", "--alpha", "1"), "at position 5"),
-        (("verify", "oracle", "-n", "1", "--max-order", "1", "--tol", "0"), "error: unrecognized arguments: --tol"),
-        (("verify", "oracle", "-n", "1", "--max-order", "1", "--tol", "-1"), "error: unrecognized arguments: --tol"),
-        (("verify", "oracle", "-n", "1", "--max-order", "1", "--tol", "nan"), "error: unrecognized arguments: --tol"),
-        (("verify", "oracle", "-n", "1", "--max-order", "1", "--tol", "inf"), "error: unrecognized arguments: --tol"),
-        (("verify", "oracle", "-n", "1", "--max-order", "1", "--tol", "1e-17"), "error: unrecognized arguments: --tol"),
-        (("verify", "oracle", "-n", "1", "--max-order", "1", "--tol", "1e-9"), "error: unrecognized arguments: --tol"),
-        (("verify", "oracle", "-n", "2", "--seed", "-1"), "--seed must be >= 0"),
-        (("apply", "-n", "1", "--op", "T(z)", "--alpha", "1000000001"), "--alpha reaches |alpha| = 1000000001"),
-        (("apply", "-n", "2", "--op", "T(z1)", "--alpha", "999999999|2"), "--alpha reaches"),
-        (("norms", "-n", "1", "--op", "T(z)", "--base", "1000000001", "--t", "1:2:linear"), "--base reaches"),
-        (("norms", "-n", "1", "--op", "T(z)", "--ray", "1000000001", "--t", "1:2:linear"), "--ray reaches"),
-        (("norms", "-n", "1", "--op", "T(z)", "--base", "999999999", "--t", "1:2:linear"), "--t reaches"),
-        (("norms", "-n", "2", "--op", "T(z1)", "--t", "1:1000000000:geometric"), "--t reaches"),
-        (("parse", "-n", "3", "-f", "(z1+z2+z3+conj(z1)+conj(z2)+conj(z3)+1)^40"), "MAX_SYMBOL_TERMS"),
-        (("parse", "-n", "1", "-f", "\u0661*z"), "-f: unexpected character '\u0661' (at position 0"),
-        (("parse", "-n", "1", "-f", "z^\u00b2"), "-f: unexpected character '\u00b2' (at position 2"),
-        (("verify", "hankel-closed-form", "--jobs", "0"), "--jobs must be >= 1, got 0"),
-        (("verify", "orthonormality", "--jobs", "-2"), "--jobs must be >= 1, got -2"),
-        (("norms", "-n", "1", "--op", "T(z)", "--t", "1:2:linear", "--jobs", "0"), "--jobs must be >= 1"),
-        (("verify", "oracle", "-n", "1", "-m", "0", "--max-order", "200"), "--max-order 200"),
-        (("verify", "oracle", "-n", "1", "-m", "0", "--max-order", "99"), "MAX_QUAD_ORDER = 98"),
-        (("verify", "oracle", "-n", "1,2", "-m", "300", "--max-order", "0"), "--max-order 0 with m up to 300"),
-        (("apply", "-n", "1", "-m", "100000", "--op", "T(z)", "--alpha", "1"), "MAX_WEIGHT_ORDER = 1000"),
-        (("norms", "-n", "1", "-m", "1001", "--op", "T(z)", "--t", "1:4:linear"), "m = 1001 exceeds MAX_WEIGHT_ORDER"),
-        (("verify", "oracle", "-n", "2", "-m", "0,1000000000"), "MAX_WEIGHT_ORDER = 1000"),
-        (("parse", "-n", "33", "-f", "z1"), "dimension n = 33 exceeds MAX_DIMENSION = 32"),
-        (("verify", "orthonormality", "-n", "40", "--max-order", "2"), "MAX_DIMENSION = 32"),
-        (("verify", "orthonormality", "-n", "1", "--max-order", "100000000"), "--max-order ask for more than MAX_VERIFY_PAIRS"),
-        (("verify", "orthonormality", "-n", "32", "--max-order", "4"), "MAX_VERIFY_PAIRS = 100000000 basis pairs"),
-        (("verify", "hankel-closed-form", "-n", "9", "--max-alpha", "0"), "--max-alpha ask for more than MAX_VERIFY_CASES"),
-        (("verify", "hankel-closed-form", "-n", "1", "--max-component", "10" * 1000), "MAX_VERIFY_CASES = 100000000"),
-        (("verify", "oracle", "-n", "2", "--samples", "1000000000000"), "--samples with -n, -m and --max-order ask"),
-        (("verify", "oracle", "-n", "1,32", "--max-order", "4"), "MAX_VERIFY_EVALUATIONS = 10000000000"),
-        (("classify", "hankel-product", "-n", "1", "-f", "z", "-g", "z2"), "-g: variable index 2 out of 1..1"),
-        (("classify", "hankel-product", "-n", "1", "-f", "z3", "-g", "z"), "-f: variable index 3"),
-        (("norms", "-n", "1", "--op", "T(z)", "--t", "5:3:geometric"), "--t: need 0 < lo <= hi"),
-        (("norms", "-n", "1", "--op", "T(z", "--t", "1:2:linear"), "--op: expected ')'"),
-        (("norms", "-n", "1", "--op", "T(z)", "--ray", "0", "--t", "1:2:linear"), "--ray: ray direction"),
-        (("apply", "-n", "1", "--op", "T(z)", "--alpha", "x"), "--alpha: bad multi-index"),
-        (("verify", "oracle", "-n", "2", "--samples", "1"), "--samples: Monte Carlo needs at least 2 samples"),
-        (("parse", "-n", "1", "-f", "z", "--format", "yaml"), "argument --format: invalid choice: 'yaml'"),
-        (("parse", "-n", "one", "-f", "z"), "argument -n: not an integer: 'one'"),
-        (("verify", "oracle", "-n", "1,x"), "argument -n: expected a comma-separated integer list"),
-        (("norms", "-n", "1"), "the following arguments are required: --op"),
-        (("bogus",), "argument command: invalid choice"),
-    ],
-    ids=[
-        "negative-alpha",
-        "verify-n0",
-        "t-step-not-int",
-        "t-linear-step-0",
-        "t-geometric-step-0",
-        "fit-predicted-not-rational",
-        "fit-predicted-zero-denominator",
-        "classify-negative-m",
-        "verify-negative-m",
-        "verify-negative-max-alpha",
-        "verify-negative-max-component",
-        "verify-negative-max-order",
-        "symbol-degree-bound",
-        "t-count-bound",
-        "op-error-absolute-position",
-        "oracle-tol-zero",
-        "oracle-tol-negative",
-        "oracle-tol-nan",
-        "oracle-tol-inf",
-        "oracle-tol-below-float-resolution",
-        "oracle-tol-is-no-flag",
-        "oracle-seed-negative",
-        "alpha-order-bound",
-        "alpha-order-bound-sums-components",
-        "base-order-bound",
-        "ray-order-bound",
-        "t-range-order-bound",
-        "geometric-t-range-order-bound",
-        "symbol-term-bound",
-        "symbol-non-ascii-digit",
-        "symbol-superscript-exponent",
-        "verify-jobs-0",
-        "verify-jobs-negative",
-        "norms-jobs-0",
-        "oracle-quadrature-order-bound",
-        "oracle-quadrature-order-just-past-bound",
-        "oracle-quadrature-order-bound-counts-m",
-        "weight-order-bound",
-        "weight-order-bound-norms",
-        "weight-order-bound-verify-grid",
-        "dimension-bound",
-        "dimension-bound-verify",
-        "orthonormality-pairs-bound",
-        "orthonormality-pairs-bound-not-enumerated",
-        "closed-form-cases-bound",
-        "closed-form-cases-bound-huge-flag",
-        "oracle-evaluations-bound",
-        "oracle-evaluations-bound-dimension",
-        "g-names-flag",
-        "f-names-flag",
-        "t-geometric-empty-names-flag",
-        "op-names-flag",
-        "ray-names-flag",
-        "alpha-names-flag",
-        "samples-names-flag",
-        "argparse-invalid-choice",
-        "argparse-invalid-int",
-        "argparse-invalid-type",
-        "argparse-missing-required",
-        "argparse-unknown-command",
-    ],
-)
+# Inputs that must exit 2, each with text its one error line contains.
+BAD_INPUT_CASES = [
+    (("apply", "-n", "1", "--op", "T(z)", "--alpha", "-1"), "must be >= 0"),
+    (("verify", "hankel-closed-form", "-n", "0"), "dimension n must be >= 1"),
+    (("norms", "-n", "1", "--op", "T(z)", "--t", "1:5:linear:x"), "step must be an integer"),
+    (("norms", "-n", "1", "--op", "T(z)", "--t", "1:5:linear:0"), "step >= 1"),
+    (("norms", "-n", "1", "--op", "T(z)", "--t", "64:4096:geometric:0"), "factor >= 2"),
+    (("fit", "-", "--predicted", "x"), "--predicted"),
+    (("fit", "-", "--predicted", "1/0"), "--predicted"),
+    (("classify", "toeplitz", "-n", "1", "-m", "-3", "-f", "z"), "weight order m must be >= 0"),
+    (("verify", "orthonormality", "-n", "1,2", "-m", "0,-1"), "weight order m must be >= 0"),
+    (("verify", "hankel-closed-form", "--max-alpha", "-1"), "--max-alpha must be >= 0"),
+    (("verify", "hankel-closed-form", "--max-component", "-1"), "--max-component must be >= 0"),
+    (("verify", "orthonormality", "--max-order", "-1"), "--max-order must be >= 0"),
+    (("apply", "-n", "1", "--op", "T(z^100000000)", "--alpha", "0"), "at position 4"),
+    (("norms", "-n", "1", "--op", "T(z)", "--t", "1:100000000:linear"), "at most 10000"),
+    (("apply", "-n", "1", "--op", "HP(z;zz)", "--alpha", "1"), "at position 5"),
+    (("verify", "oracle", "-n", "1", "--max-order", "1", "--tol", "0"), "error: unrecognized arguments: --tol"),
+    (("verify", "oracle", "-n", "1", "--max-order", "1", "--tol", "-1"), "error: unrecognized arguments: --tol"),
+    (("verify", "oracle", "-n", "1", "--max-order", "1", "--tol", "nan"), "error: unrecognized arguments: --tol"),
+    (("verify", "oracle", "-n", "1", "--max-order", "1", "--tol", "inf"), "error: unrecognized arguments: --tol"),
+    (("verify", "oracle", "-n", "1", "--max-order", "1", "--tol", "1e-17"), "error: unrecognized arguments: --tol"),
+    (("verify", "oracle", "-n", "1", "--max-order", "1", "--tol", "1e-9"), "error: unrecognized arguments: --tol"),
+    (("verify", "oracle", "-n", "2", "--seed", "-1"), "--seed must be >= 0"),
+    (("apply", "-n", "1", "--op", "T(z)", "--alpha", "1000000001"), "--alpha reaches |alpha| = 1000000001"),
+    (("apply", "-n", "2", "--op", "T(z1)", "--alpha", "999999999|2"), "--alpha reaches"),
+    (("norms", "-n", "1", "--op", "T(z)", "--base", "1000000001", "--t", "1:2:linear"), "--base reaches"),
+    (("norms", "-n", "1", "--op", "T(z)", "--ray", "1000000001", "--t", "1:2:linear"), "--ray reaches"),
+    (("norms", "-n", "1", "--op", "T(z)", "--base", "999999999", "--t", "1:2:linear"), "--t reaches"),
+    (("norms", "-n", "2", "--op", "T(z1)", "--t", "1:1000000000:geometric"), "--t reaches"),
+    (("parse", "-n", "3", "-f", "(z1+z2+z3+conj(z1)+conj(z2)+conj(z3)+1)^40"), "MAX_SYMBOL_TERMS"),
+    (("parse", "-n", "1", "-f", "\u0661*z"), "-f: unexpected character '\u0661' (at position 0"),
+    (("parse", "-n", "1", "-f", "z^\u00b2"), "-f: unexpected character '\u00b2' (at position 2"),
+    (("verify", "hankel-closed-form", "--jobs", "0"), "--jobs must be >= 1, got 0"),
+    (("verify", "orthonormality", "--jobs", "-2"), "--jobs must be >= 1, got -2"),
+    (("norms", "-n", "1", "--op", "T(z)", "--t", "1:2:linear", "--jobs", "0"), "--jobs must be >= 1"),
+    (("verify", "oracle", "-n", "1", "-m", "0", "--max-order", "200"), "--max-order 200"),
+    (("verify", "oracle", "-n", "1", "-m", "0", "--max-order", "99"), "MAX_QUAD_ORDER = 98"),
+    (("verify", "oracle", "-n", "1,2", "-m", "300", "--max-order", "0"), "--max-order 0 with m up to 300"),
+    (("apply", "-n", "1", "-m", "100000", "--op", "T(z)", "--alpha", "1"), "MAX_WEIGHT_ORDER = 1000"),
+    (("norms", "-n", "1", "-m", "1001", "--op", "T(z)", "--t", "1:4:linear"), "m = 1001 exceeds MAX_WEIGHT_ORDER"),
+    (("verify", "oracle", "-n", "2", "-m", "0,1000000000"), "MAX_WEIGHT_ORDER = 1000"),
+    (("parse", "-n", "33", "-f", "z1"), "dimension n = 33 exceeds MAX_DIMENSION = 32"),
+    (("verify", "orthonormality", "-n", "40", "--max-order", "2"), "MAX_DIMENSION = 32"),
+    (("verify", "orthonormality", "-n", "1", "--max-order", "100000000"), "--max-order ask for more than MAX_VERIFY_PAIRS"),
+    (("verify", "orthonormality", "-n", "32", "--max-order", "4"), "MAX_VERIFY_PAIRS = 100000000 basis pairs"),
+    (("verify", "hankel-closed-form", "-n", "9", "--max-alpha", "0"), "--max-alpha ask for more than MAX_VERIFY_CASES"),
+    (("verify", "hankel-closed-form", "-n", "1", "--max-component", "10" * 1000), "MAX_VERIFY_CASES = 100000000"),
+    (("verify", "oracle", "-n", "2", "--samples", "1000000000000"), "--samples with -n, -m and --max-order ask"),
+    (("verify", "oracle", "-n", "1,32", "--max-order", "4"), "MAX_VERIFY_EVALUATIONS = 10000000000"),
+    (("classify", "hankel-product", "-n", "1", "-f", "z", "-g", "z2"), "-g: variable index 2 out of 1..1"),
+    (("classify", "hankel-product", "-n", "1", "-f", "z3", "-g", "z"), "-f: variable index 3"),
+    (("norms", "-n", "1", "--op", "T(z)", "--t", "5:3:geometric"), "--t: need 0 < lo <= hi"),
+    (("norms", "-n", "1", "--op", "T(z", "--t", "1:2:linear"), "--op: expected ')'"),
+    (("norms", "-n", "1", "--op", "T(z)", "--ray", "0", "--t", "1:2:linear"), "--ray: ray direction"),
+    (("apply", "-n", "1", "--op", "T(z)", "--alpha", "x"), "--alpha: bad multi-index"),
+    (("verify", "oracle", "-n", "2", "--samples", "1"), "--samples: Monte Carlo needs at least 2 samples"),
+    (("parse", "-n", "1", "-f", "z", "--format", "yaml"), "argument --format: invalid choice: 'yaml'"),
+    (("parse", "-n", "one", "-f", "z"), "argument -n: not an integer: 'one'"),
+    (("verify", "oracle", "-n", "1,x"), "argument -n: expected a comma-separated integer list"),
+    (("norms", "-n", "1"), "the following arguments are required: --op"),
+    (("bogus",), "argument command: invalid choice"),
+    (("parse", "-n", "1", "-f", "(" * 101 + "z" + ")" * 101), "-f: more than MAX_SYMBOL_NESTING = 100 nested parentheses (at position 100:"),
+    (("classify", "hankel-product", "-n", "1", "-f", "z", "-g", "(" * 101 + "z" + ")" * 101), "-g: more than MAX_SYMBOL_NESTING = 100"),
+    (("apply", "-n", "1", "--op", "T(" + "(" * 101 + "z" + ")" * 101 + ")", "--alpha", "1"), "--op: more than MAX_SYMBOL_NESTING = 100 nested parentheses (at position 102:"),
+    (("norms", "-n", "1", "--op", "HP(z; " + "(" * 101 + "z" + ")" * 101 + ")", "--t", "1:2:linear"), "--op: more than MAX_SYMBOL_NESTING = 100 nested parentheses (at position 106:"),
+    (("apply", "-n", "1", "--op", " * ".join(["T(z)"] * 101), "--alpha", "1"), "--op: more than MAX_OPERATOR_FACTORS = 100 composed factors (at position 698:"),
+    (("norms", "-n", "1", "--op", " * ".join(["T(z)"] * 1000), "--t", "1:2:linear"), "--op: more than MAX_OPERATOR_FACTORS = 100 composed factors (at position 698:"),
+]
+
+BAD_INPUT_IDS = [
+    "negative-alpha",
+    "verify-n0",
+    "t-step-not-int",
+    "t-linear-step-0",
+    "t-geometric-step-0",
+    "fit-predicted-not-rational",
+    "fit-predicted-zero-denominator",
+    "classify-negative-m",
+    "verify-negative-m",
+    "verify-negative-max-alpha",
+    "verify-negative-max-component",
+    "verify-negative-max-order",
+    "symbol-degree-bound",
+    "t-count-bound",
+    "op-error-absolute-position",
+    "oracle-tol-zero",
+    "oracle-tol-negative",
+    "oracle-tol-nan",
+    "oracle-tol-inf",
+    "oracle-tol-below-float-resolution",
+    "oracle-tol-is-no-flag",
+    "oracle-seed-negative",
+    "alpha-order-bound",
+    "alpha-order-bound-sums-components",
+    "base-order-bound",
+    "ray-order-bound",
+    "t-range-order-bound",
+    "geometric-t-range-order-bound",
+    "symbol-term-bound",
+    "symbol-non-ascii-digit",
+    "symbol-superscript-exponent",
+    "verify-jobs-0",
+    "verify-jobs-negative",
+    "norms-jobs-0",
+    "oracle-quadrature-order-bound",
+    "oracle-quadrature-order-just-past-bound",
+    "oracle-quadrature-order-bound-counts-m",
+    "weight-order-bound",
+    "weight-order-bound-norms",
+    "weight-order-bound-verify-grid",
+    "dimension-bound",
+    "dimension-bound-verify",
+    "orthonormality-pairs-bound",
+    "orthonormality-pairs-bound-not-enumerated",
+    "closed-form-cases-bound",
+    "closed-form-cases-bound-huge-flag",
+    "oracle-evaluations-bound",
+    "oracle-evaluations-bound-dimension",
+    "g-names-flag",
+    "f-names-flag",
+    "t-geometric-empty-names-flag",
+    "op-names-flag",
+    "ray-names-flag",
+    "alpha-names-flag",
+    "samples-names-flag",
+    "argparse-invalid-choice",
+    "argparse-invalid-int",
+    "argparse-invalid-type",
+    "argparse-missing-required",
+    "argparse-unknown-command",
+    "symbol-nesting-bound",
+    "symbol-nesting-bound-names-flag",
+    "op-symbol-nesting-bound",
+    "op-hankel-symbol-nesting-bound",
+    "op-factor-bound",
+    "op-factor-bound-norms",
+]
+
+
+@pytest.mark.parametrize("argv, message", BAD_INPUT_CASES, ids=BAD_INPUT_IDS)
 def test_bad_input_exits_2(capsys, argv, message):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -923,6 +940,27 @@ def test_norms_fan_out_matches_serial_and_leaves_no_children(capsys, two_cpus):
     assert out1 == out2
     assert_no_children()
 
+
+def test_deepest_accepted_inputs_run_with_half_the_stack_to_spare(capsys, two_cpus):
+    # the parser, the operator tree, its application and the fan-out's
+    # pickling all recurse per level; at the bounds they fit in half of
+    # the recursion limit, inside the test runner's own frames
+    nested = "(" * MAX_SYMBOL_NESTING + "z" + ")" * MAX_SYMBOL_NESTING
+    hankel = "HP(conj(z); conj(z))"
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit // 2)
+    try:
+        parsed = run(capsys, "parse", "-n", "1", "-f", nested)
+        op = " * ".join([f"T({nested})"] + [hankel] * (MAX_OPERATOR_FACTORS - 1))
+        applied = run(capsys, "apply", "-n", "1", "--op", op, "--alpha", "3")
+        op = " * ".join([hankel] * MAX_OPERATOR_FACTORS)
+        fanned = run(capsys, "norms", "-n", "1", "--op", op, "--t", "1:2:linear", "--jobs", "2")
+    finally:
+        sys.setrecursionlimit(limit)
+    assert parsed == (0, "canonical: z\nterms: 1\n")
+    assert applied == (0, "e_4: 2\nsquared norm: 4\n")
+    assert fanned == (0, "t,alpha,squared_norm\n1,3,1\n2,4,1\n")
+    assert_no_children()
 
 def test_oracle_non_finite_estimate_fails(capsys):
     with warnings.catch_warnings(record=True) as caught:

@@ -8,16 +8,24 @@ The work flags are always given and bounded (n <= 2, --max-alpha <= 2,
 --max-component <= 1, --max-order <= 3, --samples <= 2000, at most 3 t
 values), and no mutation turns --jobs into a number above 1, so no run
 is slow and none forks.
+
+Every command line, fuzzed or listed, also gives the same exit code,
+stdout and stderr from the parser built for its command alone as from
+the parser of every command.
 """
 
 import contextlib
 import io
+import re
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fockop import cli
 from fockop.cli import main
+from test_cli import BAD_INPUT_CASES, STRICT_INT_CASES
 
 HUGE = "9" * 40
 
@@ -134,3 +142,59 @@ def test_fuzzed_command_lines_exit_cleanly(argv):
         assert len(lines) == 1 and lines[0].startswith("error: ")
     elif code == 0:
         assert run_main(argv)[1] == out
+
+
+# The timing line that ends a run's stderr: the one output that differs
+# between two runs of the same command line.
+TIMING = re.compile(r"^\[[0-9]+\.[0-9]{3}s\]\n", re.M)
+
+BUILD_PARSER = cli.build_parser
+
+
+def observed(argv):
+    """(exit code, stdout, stderr less the timing line) of ``main(argv)``;
+    help's ``SystemExit`` code stands for the exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(FIT_CSV)):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = f"SystemExit({exc.code})"
+    return code, out.getvalue(), TIMING.sub("", err.getvalue())
+
+
+def assert_parity(argv):
+    """``main`` builds one parser, for ``argv``'s first token, and its run
+    matches one with a parser of every command."""
+    commands = []
+
+    def spy(command=None):
+        commands.append(command)
+        return BUILD_PARSER(command)
+
+    with mock.patch.object(cli, "build_parser", spy):
+        one = observed(argv)
+    assert commands == [argv[0] if argv else None]
+    with mock.patch.object(cli, "build_parser", lambda command=None: BUILD_PARSER()):
+        full = observed(argv)
+    assert one == full
+
+
+LISTED_COMMAND_LINES = (
+    [list(argv) for argv, _ in BAD_INPUT_CASES + STRICT_INT_CASES]
+    + [[], ["-h"], ["--help"], ["bogus"], ["bogus", "-h"], ["-n", "1", "parse"], ["-h", "parse"]]
+    + [[command, "-h"] for command in cli._COMMANDS]
+    + [[command] for command in cli._COMMANDS]
+)
+
+
+@pytest.mark.parametrize("argv", LISTED_COMMAND_LINES)
+def test_listed_command_lines_match_the_full_parser(argv):
+    assert_parity(argv)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(command_lines())
+def test_fuzzed_command_lines_match_the_full_parser(argv):
+    assert_parity(argv)

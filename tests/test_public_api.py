@@ -210,6 +210,27 @@ def test_command_line_numbers_have_one_reader():
     assert sum(action.type is cli._int_arg for _, action in actions) >= 10
 
 
+def action_fields(action):
+    return (
+        action.option_strings, action.dest, action.type, action.default,
+        action.choices, action.required, action.help,
+    )
+
+
+def test_each_command_builds_only_its_own_arguments():
+    full = list(parser_actions(cli.build_parser(), "fockop"))
+    for name in cli._COMMANDS:
+        prog = f"fockop {name}"
+        one = list(parser_actions(cli.build_parser(name), "fockop"))
+        # the top-level parser, and the subcommand's own arguments alone
+        assert {p for p, _ in one} == {"fockop", prog}
+        assert [action_fields(a) for p, a in one if p == prog] == [action_fields(a) for p, a in full if p == prog]
+        (subparsers,) = [a for p, a in one if isinstance(a, argparse._SubParsersAction)]
+        (every,) = [a for p, a in full if p == "fockop" and isinstance(a, argparse._SubParsersAction)]
+        assert list(subparsers.choices) == [name]
+        assert subparsers.choices[name].get_default("handler") is every.choices[name].get_default("handler")
+
+
 def test_package_raises_only_its_own_errors():
     builtin_errors = {
         name for name, value in vars(builtins).items()

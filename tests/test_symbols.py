@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 
 from fockop.arith import MultiIndex, RadicalCoefficient
 from fockop.errors import InputError, SymbolSyntaxError
-from fockop.operators import parse_operator
+from fockop.operators import MAX_OPERATOR_FACTORS, Composition, parse_operator
 from fockop.symbols import (
     MAX_SYMBOL_DEGREE,
+    MAX_SYMBOL_NESTING,
     MAX_SYMBOL_TERMS,
     SymbolPolynomial,
     parse_symbol,
@@ -155,6 +156,35 @@ def test_term_bound_is_checked_before_expanding():
     with pytest.raises(SymbolSyntaxError, match="MAX_SYMBOL_TERMS") as err:
         parse_operator(text, 2)
     assert err.value.pos == text.index(";")
+
+
+def test_nesting_bound_counts_the_parentheses_open_at_once():
+    deepest = "(" * MAX_SYMBOL_NESTING + "z" + ")" * MAX_SYMBOL_NESTING
+    assert parse_symbol(f"-{deepest}^2", 1) == parse_symbol("-z^2", 1)
+    # parentheses side by side do not add up
+    assert parse_symbol(" + ".join([deepest] * 3), 1) == parse_symbol("3*z", 1)
+    text = "2*(" + deepest + ")"
+    with pytest.raises(SymbolSyntaxError, match="MAX_SYMBOL_NESTING = 100 nested") as err:
+        parse_symbol(text, 1)
+    assert err.value.pos == len("2*") + MAX_SYMBOL_NESTING
+    prefix = "T(z) * HP(z; "
+    text = prefix + "(" + deepest + "))"
+    with pytest.raises(SymbolSyntaxError, match="MAX_SYMBOL_NESTING") as err:
+        parse_operator(text, 1)
+    assert err.value.pos == len(prefix) + MAX_SYMBOL_NESTING
+
+
+def test_factor_bound_is_checked_at_the_star_past_it():
+    factors = ["T(z)", "HP(conj(z); z)"] * (MAX_OPERATOR_FACTORS // 2)
+    expr = parse_operator(" * ".join(factors), 1)
+    depth = 1
+    while isinstance(expr, Composition):
+        expr, depth = expr.outer, depth + 1
+    assert depth == MAX_OPERATOR_FACTORS
+    text = " * ".join(factors + ["T(conj(z))"])
+    with pytest.raises(SymbolSyntaxError, match="MAX_OPERATOR_FACTORS = 100 composed factors") as err:
+        parse_operator(text, 1)
+    assert err.value.pos == text.rindex("*")
 
 
 @st.composite
