@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from operator import add, sub
 from typing import List, Optional, Sequence, Tuple
 
 from .arith import MultiIndex, check_same_dimension
@@ -25,7 +26,6 @@ from .operators import (
     OperatorExpr,
     SpaceParams,
     apply_operator,
-    closed_form_min_alpha,
 )
 from .parallel import fan_out
 from .symbols import SymbolPolynomial, _monomial_text
@@ -217,13 +217,26 @@ def geometric_ts(lo: int = 64, hi: int = 4096, factor: int = 2) -> Tuple[int, ..
 
 
 def hankel_validity_base(f: SymbolPolynomial, g: SymbolPolynomial) -> MultiIndex:
-    """Smallest alpha admitted by the closed form for every term pair of (f, g)."""
+    """Smallest alpha admitted by the closed form for every term pair of (f, g).
+
+    A pair of terms z^beta conj(z)^gamma of f and z^mu conj(z)^nu of g
+    needs alpha_j >= |gamma_j - beta_j| + |mu_j - nu_j|
+    (``closed_form_min_alpha``); the largest over the pairs is the largest
+    first part over f's terms plus the largest second part over g's.  With
+    no pair (f or g zero) it is the zero index.
+    """
     check_same_dimension(f.dimension, g.dimension)
-    comps = [0] * f.dimension
-    for beta, gamma in f.terms:
-        for mu, nu in g.terms:
-            comps = list(map(max, comps, closed_form_min_alpha(beta, gamma, mu, nu)))
-    return MultiIndex(comps)
+    if not (f.terms and g.terms):
+        return MultiIndex.zero(f.dimension)
+    return MultiIndex(map(add, _widest_gaps(f), _widest_gaps(g)))
+
+
+def _widest_gaps(p: SymbolPolynomial) -> "list[int]":
+    """Componentwise max of |gamma - beta| over the terms of p."""
+    comps = [0] * p.dimension
+    for beta, gamma in p.terms:
+        comps = list(map(max, comps, map(abs, map(sub, gamma, beta))))
+    return comps
 
 
 def default_base(expr: OperatorExpr) -> MultiIndex:

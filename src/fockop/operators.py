@@ -683,7 +683,7 @@ class _OperatorParser(_Parser):
         if tok.value == "HP":
             semicolon = self.expect_op(";")
             right = self.parse_expr()
-            self.check_product(left, right, semicolon)  # HP(f; g) applies T_{conj(f) g}
+            self.check_product(len(left.terms), len(right.terms), semicolon)  # HP(f; g) applies T_{conj(f) g}
             self.expect_op(")")
             return HankelProductOp(left, right)
         self.expect_op(")")

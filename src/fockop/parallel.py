@@ -2,10 +2,13 @@
 
 The exact engine is pure Python, so threads share one interpreter lock
 and give no speedup; worker processes do.  ``fan_out`` maps a
-module-level function over picklable items in forked workers and
+module-level function over a sequence of items in forked workers and
 returns the results in item order, so output never depends on the job
 count.  The pool lives only inside the call: every worker has exited
 and been reaped when ``fan_out`` returns or raises.
+
+Workers inherit the items through the fork and are handed only their
+indices, so the items need not be picklable; the results must be.
 
 Workers are forked, not spawned: a fork starts in milliseconds and
 inherits the imported package, where a spawned worker would import it
@@ -44,15 +47,17 @@ def worker_count(jobs: int, items: int) -> int:
     return max(1, min(jobs, items, usable_cpus()))
 
 
-# Stop flag of the running pool: forked workers inherit it (an Event cannot
-# be pickled into a task), and ``fan_out`` sets it on the first exception.
+# Stop flag and items of the running pool: forked workers inherit both (an
+# Event cannot be pickled into a task, and an item need not be picklable).
+# ``fan_out`` sets the flag on the first exception.
 _stop = None
+_items: Optional[Sequence] = None
 
 
-def _unless_stopped(fn: Callable[[T], R], item: T) -> Optional[R]:
+def _unless_stopped(fn: Callable[[T], R], index: int) -> Optional[R]:
     if _stop.is_set():
         return None  # the fan-out has failed; nobody reads this result
-    return fn(item)
+    return fn(_items[index])
 
 
 def fan_out(
@@ -64,13 +69,13 @@ def fan_out(
     """``[fn(x) for x in items]``, spread over up to ``jobs`` processes.
 
     Runs in this process when ``worker_count(jobs, len(items))`` is 1.
-    ``fn`` must be a module-level function and the items and results
-    picklable.  ``on_result(result)`` runs here, in item order, as each
-    result becomes available.  The first exception, raised by ``fn`` or
-    by ``on_result``, is raised here; from then on no item starts, and
-    items already running finish before it is raised.
+    ``fn`` must be a module-level function and the results picklable
+    (the items need not be).  ``on_result(result)`` runs here, in item
+    order, as each result becomes available.  The first exception, raised
+    by ``fn`` or by ``on_result``, is raised here; from then on no item
+    starts, and items already running finish before it is raised.
     """
-    global _stop
+    global _stop, _items
     workers = worker_count(jobs, len(items))
     if workers == 1:
         return _collect(map(fn, items), on_result)
@@ -79,13 +84,17 @@ def fan_out(
 
     context = multiprocessing.get_context("fork")
     _stop = context.Event()
-    with ProcessPoolExecutor(workers, mp_context=context) as pool:
-        try:
-            return _collect(pool.map(partial(_unless_stopped, fn), items), on_result)
-        except BaseException:
-            _stop.set()
-            pool.shutdown(cancel_futures=True)
-            raise
+    _items = items
+    try:
+        with ProcessPoolExecutor(workers, mp_context=context) as pool:
+            try:
+                return _collect(pool.map(partial(_unless_stopped, fn), range(len(items))), on_result)
+            except BaseException:
+                _stop.set()
+                pool.shutdown(cancel_futures=True)
+                raise
+    finally:
+        _items = None
 
 
 def _collect(results: Iterable[R], on_result: Optional[Callable[[R], None]]) -> List[R]:

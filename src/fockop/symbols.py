@@ -8,16 +8,20 @@ always merged and zero terms dropped, so equal symbols have equal term
 maps.
 
 The parser builds these canonical values directly, with no validating
-constructor: each parse makes ``z_j`` and ``conj(z_j)`` once and shares
-them between the factors that name them, makes constants from the
-integers of the text, and sums an expression's terms into one new dict.
-No value the parser returns shares its term map with another.
+constructor.  A product term's factors other than parenthesized ones
+(``z_j``, ``conj(z_j)``, integers, ``a/b`` and ``i``, each with an
+optional power) fold into one monomial held as integers: the exponents
+of beta and gamma are added and the coefficient is multiplied as
+integer fields, canonicalized once per term.  Only a parenthesized
+factor is a symbol, and only those are multiplied as symbols.  An
+expression's terms are summed into one new dict, so no value the parser
+returns shares its term map with another.
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from math import comb
+from math import comb, gcd
 from typing import Dict, Iterable, NamedTuple, Optional, Tuple
 
 from .arith import (
@@ -125,20 +129,30 @@ class SymbolPolynomial:
 
     def __mul__(self, other: "SymbolPolynomial") -> "SymbolPolynomial":
         check_same_dimension(self.dimension, other.dimension)
-        # _merged's loop, inlined: feeding it a generator costs about 1 us more
-        # per single-term product, a few percent of the closed-form sweep.
-        acc: Dict[TermKey, RadicalCoefficient] = {}
+        if len(self.terms) == 1 or len(other.terms) == 1:  # no two pairs share a key
+            out = {}
+            for (b1, g1), c1 in self.terms.items():
+                for (b2, g2), c2 in other.terms.items():
+                    out[b1 + b2, g1 + g2] = c1 * c2
+            return _symbol(self.dimension, out)
+        # Each key's contributions are summed as the integer fields
+        # [re, im, den] of (re + im*i)/den (coefficients have radicand 1) and
+        # canonicalized once.  A sum that reaches zero drops its key, and its
+        # next contribution inserts the key again, last, as in ``_merge_into``.
+        sums: Dict[TermKey, list] = {}
+        right = [(b2, g2, c2.re_num, c2.im_num, c2.den) for (b2, g2), c2 in other.terms.items()]
         for (b1, g1), c1 in self.terms.items():
-            for (b2, g2), c2 in other.terms.items():
+            a1, i1, d1 = c1.re_num, c1.im_num, c1.den
+            for b2, g2, a2, i2, d2 in right:
                 key = (b1 + b2, g1 + g2)
-                c = c1 * c2
-                prev = acc.get(key)
-                total = c if prev is None else prev + c
-                if total.is_zero():
-                    acc.pop(key, None)
-                else:
-                    acc[key] = total
-        return _symbol(self.dimension, acc)
+                re, im, den = a1 * a2 - i1 * i2, a1 * i2 + i1 * a2, d1 * d2
+                acc = sums.setdefault(key, [0, 0, den])
+                g = gcd(acc[2], den)
+                x, y = den // g, acc[2] // g
+                acc[:] = acc[0] * x + re * y, acc[1] * x + im * y, acc[2] * x
+                if not (acc[0] or acc[1]):
+                    del sums[key]
+        return _symbol(self.dimension, {key: _radical(re, im, den, 1) for key, (re, im, den) in sums.items()})
 
     def __pow__(self, exponent: int) -> "SymbolPolynomial":
         if exponent < 0:
@@ -309,9 +323,9 @@ MAX_SYMBOL_DEGREE = 256
 MAX_SYMBOL_TERMS = 20_000
 
 # Bound on the parentheses open at once in ``base``, checked where a "(" opens.
-# Each level is four frames of the recursive descent (expr, term, factor,
-# base): the deepest text allowed takes about 400 of Python's default limit
-# of 1000 frames.
+# Each level is three frames of the recursive descent (``parse_expr``,
+# ``parse_term``, ``parse_group``): the deepest text allowed takes about 300
+# of Python's default limit of 1000 frames.
 MAX_SYMBOL_NESTING = 100
 
 
@@ -343,7 +357,9 @@ _T_OPERATOR = "operator"
 _T_OP = "op"
 _T_END = "end"
 _NAMES = {"conj": _T_CONJ, "i": _T_IMAG, "T": _T_OPERATOR, "HP": _T_OPERATOR}
-_IMAGINARY_UNIT = _radical(0, 1, 1, 1)
+# ASCII 0-9 only: ``str.isdigit`` also accepts '\u00b2' and other scripts' digits.
+_DIGITS = frozenset("0123456789")
+_OPS = frozenset("+-*/^();")
 
 
 class _Token(NamedTuple):
@@ -359,52 +375,44 @@ def _read_int(text: str, i: int, j: int) -> int:
         raise SymbolSyntaxError("number too long", text, i) from None
 
 
-def _is_digit(ch: str) -> bool:
-    """ASCII 0-9 only: ``str.isdigit`` also accepts '²' and other scripts' digits."""
-    return "0" <= ch <= "9"
-
-
 def _tokenize(text: str) -> "list[_Token]":
-    tokens = []
+    tokens: "list[_Token]" = []
+    append, new, digits, ops = tokens.append, tuple.__new__, _DIGITS, _OPS
     i = 0
     n = len(text)
     while i < n:
         ch = text[i]
-        if ch.isspace():
+        if ch in ops:
+            append(new(_Token, (_T_OP, ch, i)))
             i += 1
-            continue
-        if _is_digit(ch):
-            j = i
-            while j < n and _is_digit(text[j]):
+        elif ch in digits:
+            j = i + 1
+            while j < n and text[j] in digits:
                 j += 1
-            tokens.append(_Token(_T_INT, _read_int(text, i, j), i))
+            append(new(_Token, (_T_INT, _read_int(text, i, j), i)))
             i = j
-            continue
-        if ch.isalpha():
-            j = i
+        elif ch.isspace():
+            i += 1
+        elif ch.isalpha():
+            j = i + 1
             while j < n and text[j].isalpha():
                 j += 1
             word = text[i:j]
             if word == "z":
                 k = j
-                while k < n and _is_digit(text[k]):
+                while k < n and text[k] in digits:
                     k += 1
-                index = _read_int(text, j, k) if k > j else None
-                tokens.append(_Token(_T_VAR, index, i))
+                append(new(_Token, (_T_VAR, _read_int(text, j, k) if k > j else None, i)))
                 i = k
                 continue
             kind = _NAMES.get(word)
             if kind is None:
                 raise SymbolSyntaxError(f"unknown name '{word}'", text, i)
-            tokens.append(_Token(kind, word, i))
+            append(new(_Token, (kind, word, i)))
             i = j
-            continue
-        if ch in "+-*/^();":
-            tokens.append(_Token(_T_OP, ch, i))
-            i += 1
-            continue
-        raise SymbolSyntaxError(f"unexpected character '{ch}'", text, i)
-    tokens.append(_Token(_T_END, None, n))
+        else:
+            raise SymbolSyntaxError(f"unexpected character '{ch}'", text, i)
+    append(new(_Token, (_T_END, None, n)))
     return tokens
 
 
@@ -415,9 +423,7 @@ class _Parser:
         self.dimension = dimension
         self.tokens = _tokenize(text)
         self.pos = 0
-        self.depth = 0  # parentheses open in ``parse_base``
-        self.zero = MultiIndex._wrap((0,) * dimension)
-        self.variables: Dict[Tuple[int, bool], SymbolPolynomial] = {}
+        self.depth = 0  # parentheses open in ``parse_group``
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -445,126 +451,142 @@ class _Parser:
         return poly
 
     def parse_expr(self) -> SymbolPolynomial:
-        """The sum of the terms, added one by one into one new dict (the
-        terms it returns are never those of a shared variable)."""
+        """The sum of the terms, added one by one into one new dict."""
         negate = self.at_op("-")
         if negate:
             self.next()
         acc: Dict[TermKey, RadicalCoefficient] = {}
         while True:
-            terms = self.parse_term().terms.items()
-            _merge_into(acc, ((key, -c) for key, c in terms) if negate else terms)
+            self.parse_term(acc, negate)
             if not self.at_op("+", "-"):
                 return _symbol(self.dimension, acc)
             negate = self.next().value == "-"
 
-    def check_product(self, a: SymbolPolynomial, b: SymbolPolynomial, tok: _Token) -> None:
-        """Reject a product of more than MAX_SYMBOL_TERMS term pairs at ``tok``."""
-        if len(a.terms) * len(b.terms) > MAX_SYMBOL_TERMS:
-            message = (
-                f"product of {len(a.terms)} and {len(b.terms)} terms exceeds "
-                f"MAX_SYMBOL_TERMS = {MAX_SYMBOL_TERMS} term pairs"
-            )
+    def check_product(self, left: int, right: int, tok: _Token) -> None:
+        """Reject a product of a ``left``-term and a ``right``-term symbol,
+        more than MAX_SYMBOL_TERMS term pairs, at ``tok``."""
+        if left * right > MAX_SYMBOL_TERMS:
+            message = f"product of {left} and {right} terms exceeds MAX_SYMBOL_TERMS = {MAX_SYMBOL_TERMS} term pairs"
             raise SymbolSyntaxError(message, self.text, tok.pos)
 
-    def parse_term(self) -> SymbolPolynomial:
-        poly = self.parse_factor()
-        while self.at_op("*"):
-            tok = self.next()
-            rhs = self.parse_factor()
-            self.check_product(poly, rhs, tok)
-            poly = poly * rhs
-        return poly
+    def parse_term(self, acc: Dict[TermKey, RadicalCoefficient], negate: bool) -> None:
+        """Add the term, negated if ``negate``, into the terms ``acc``.
 
-    def parse_factor(self) -> SymbolPolynomial:
-        base = self.parse_base()
-        if self.at_op("^"):
-            self.next()
+        Every factor but a parenthesized one folds into one running
+        monomial: a variable's exponent into the integers of beta or gamma,
+        a number or ``i`` into the integer fields (re + im*i)/den of the
+        coefficient.  The parenthesized factors are multiplied left to right
+        into ``poly``, and the monomial multiplies their product once, at
+        the end.  A product with a one-term symbol keeps the other's term
+        order, so the terms come out in the order of multiplying the factors
+        left to right.  The product bound is checked at each '*' with the
+        term counts of that left-to-right product.
+        """
+        n = self.dimension
+        exps = [0] * (2 * n)  # beta, then gamma
+        re, im, den = (-1 if negate else 1), 0, 1
+        poly: Optional[SymbolPolynomial] = None  # the parenthesized factors' product
+        star: Optional[_Token] = None  # the '*' before the factor being read
+        while True:
+            # terms of the product so far, for the bound at the next '*'
+            left = (1 if poly is None else len(poly.terms)) if re or im else 0
             tok = self.next()
-            if tok.kind != _T_INT:
-                raise SymbolSyntaxError("exponent must be a nonnegative integer", self.text, tok.pos)
-            degree = max((b.order + g.order for b, g in base.terms), default=0) or 1
-            if degree * tok.value > MAX_SYMBOL_DEGREE:
-                message = f"degree {degree} * exponent {tok.value} exceeds MAX_SYMBOL_DEGREE = {MAX_SYMBOL_DEGREE}"
-                raise SymbolSyntaxError(message, self.text, tok.pos)
-            k = max(len(base.terms), 1)
-            pairs = _power_pairs(k, tok.value)
+            kind = tok.kind
+            size = 1  # terms of this factor
+            if kind == _T_VAR or kind == _T_CONJ:
+                j = self.parse_variable(tok)
+                exps[j] += self.parse_power(1, 1)
+            elif kind == _T_INT:
+                num, denom = tok.value, 1
+                if self.at_op("/"):
+                    self.next()
+                    tok = self.next()
+                    if tok.kind != _T_INT:
+                        raise SymbolSyntaxError("expected denominator digits", self.text, tok.pos)
+                    if tok.value == 0:
+                        raise SymbolSyntaxError("zero denominator", self.text, tok.pos)
+                    denom = tok.value
+                e = self.parse_power(1, 1)
+                num, denom = num**e, denom**e
+                re, im, den, size = re * num, im * num, den * denom, 1 if num else 0
+            elif kind == _T_IMAG:
+                for _ in range(self.parse_power(1, 1) % 4):
+                    re, im = -im, re
+            elif kind == _T_OP and tok.value == "(":
+                factor = self.parse_group(tok)
+                size = len(factor.terms)
+            else:
+                raise SymbolSyntaxError("expected a variable, number, 'i' or '('", self.text, tok.pos)
+            if star is not None:
+                self.check_product(left, size, star)
+            if kind == _T_OP and (re or im):  # a zero term multiplies nothing more
+                poly = factor if poly is None else poly * factor
+            if not self.at_op("*"):
+                break
+            star = self.next()
+        if re or im:
+            c = _radical(re, im, den, 1)
+            beta, gamma = MultiIndex._wrap(exps[:n]), MultiIndex._wrap(exps[n:])
+            if poly is None:
+                _merge_into(acc, (((beta, gamma), c),))
+            else:
+                _merge_into(acc, (((b + beta, g + gamma), a * c) for (b, g), a in poly.terms.items()))
+
+    def parse_power(self, degree: int, k: int) -> int:
+        """The exponent of a factor whose base has ``degree`` (at least 1)
+        and ``k`` terms (at least 1); 1 without a '^'.  Both bounds are
+        checked at the exponent, before the power is expanded."""
+        if not self.at_op("^"):
+            return 1
+        self.next()
+        tok = self.next()
+        if tok.kind != _T_INT:
+            raise SymbolSyntaxError("exponent must be a nonnegative integer", self.text, tok.pos)
+        e: int = tok.value  # type: ignore[assignment]
+        if degree * e > MAX_SYMBOL_DEGREE:
+            message = f"degree {degree} * exponent {e} exceeds MAX_SYMBOL_DEGREE = {MAX_SYMBOL_DEGREE}"
+            raise SymbolSyntaxError(message, self.text, tok.pos)
+        if k > 1:  # a one-term base needs one term pair per product
+            pairs = _power_pairs(k, e)
             if pairs > MAX_SYMBOL_TERMS:
                 message = (
-                    f"a {k}-term base to the power {tok.value} needs {pairs} term pairs in one "
+                    f"a {k}-term base to the power {e} needs {pairs} term pairs in one "
                     f"product, more than MAX_SYMBOL_TERMS = {MAX_SYMBOL_TERMS}"
                 )
                 raise SymbolSyntaxError(message, self.text, tok.pos)
-            return base ** tok.value
-        return base
+        return e
 
-    def parse_base(self) -> SymbolPolynomial:
-        tok = self.next()
-        if tok.kind == _T_INT:
-            value = _radical(tok.value, 0, 1, 1)
-            if self.at_op("/"):
-                self.next()
-                den = self.next()
-                if den.kind != _T_INT:
-                    raise SymbolSyntaxError("expected denominator digits", self.text, den.pos)
-                if den.value == 0:
-                    raise SymbolSyntaxError("zero denominator", self.text, den.pos)
-                value = _radical(tok.value, 0, den.value, 1)
-            return self.constant(value)
-        if tok.kind == _T_IMAG:
-            return self.constant(_IMAGINARY_UNIT)
-        if tok.kind == _T_VAR:
-            return self.variable(self._variable_index(tok), False)
-        if tok.kind == _T_CONJ:
+    def parse_group(self, tok: _Token) -> SymbolPolynomial:
+        """'(' expr ')' and its power, the '(' at ``tok`` already read."""
+        if self.depth == MAX_SYMBOL_NESTING:
+            message = f"more than MAX_SYMBOL_NESTING = {MAX_SYMBOL_NESTING} nested parentheses"
+            raise SymbolSyntaxError(message, self.text, tok.pos)
+        self.depth += 1
+        base = self.parse_expr()
+        self.expect_op(")")
+        self.depth -= 1
+        degree = max((b.order + g.order for b, g in base.terms), default=0) or 1
+        e = self.parse_power(degree, max(len(base.terms), 1))
+        return base if e == 1 else base**e
+
+    def parse_variable(self, tok: _Token) -> int:
+        """The position in beta, then gamma, of ``z_j`` or ``conj(z_j)``, which starts at ``tok``."""
+        conj = tok.kind == _T_CONJ
+        if conj:
             self.expect_op("(")
-            var = self.next()
-            if var.kind != _T_VAR:
-                raise SymbolSyntaxError("conj(...) takes a variable", self.text, var.pos)
-            j = self._variable_index(var)
-            self.expect_op(")")
-            return self.variable(j, True)
-        if tok.kind == _T_OP and tok.value == "(":
-            if self.depth == MAX_SYMBOL_NESTING:
-                message = f"more than MAX_SYMBOL_NESTING = {MAX_SYMBOL_NESTING} nested parentheses"
-                raise SymbolSyntaxError(message, self.text, tok.pos)
-            self.depth += 1
-            poly = self.parse_expr()
-            self.expect_op(")")
-            self.depth -= 1
-            return poly
-        raise SymbolSyntaxError("expected a variable, number, 'i' or '('", self.text, tok.pos)
-
-    def constant(self, value: RadicalCoefficient) -> SymbolPolynomial:
-        """The constant symbol ``value`` (radicand 1)."""
-        if value.is_zero():
-            return _symbol(self.dimension, {})
-        return _symbol(self.dimension, {(self.zero, self.zero): value})
-
-    def variable(self, j: int, conj: bool) -> SymbolPolynomial:
-        """z_j, or conj(z_j) if ``conj``, for a 0-based j: made once per
-        parse and shared by every factor that names it, which the algebra
-        may do because it never changes an operand."""
-        sym = self.variables.get((j, conj))
-        if sym is None:
-            zero = self.zero
-            unit = MultiIndex._wrap(zero[:j] + (1,) + zero[j + 1 :])
-            sym = _symbol(self.dimension, {(zero, unit) if conj else (unit, zero): RADICAL_ONE})
-            self.variables[j, conj] = sym
-        return sym
-
-    def _variable_index(self, tok: _Token) -> int:
+            tok = self.next()
+            if tok.kind != _T_VAR:
+                raise SymbolSyntaxError("conj(...) takes a variable", self.text, tok.pos)
         index: Optional[int] = tok.value  # type: ignore[assignment]
         if index is None:
             if self.dimension != 1:
-                raise SymbolSyntaxError(
-                    "bare 'z' is only valid in dimension 1; use z1..zn", self.text, tok.pos
-                )
-            return 0
-        if not 1 <= index <= self.dimension:
-            raise SymbolSyntaxError(
-                f"variable index {index} out of 1..{self.dimension}", self.text, tok.pos
-            )
-        return index - 1
+                raise SymbolSyntaxError("bare 'z' is only valid in dimension 1; use z1..zn", self.text, tok.pos)
+            index = 1
+        elif not 1 <= index <= self.dimension:
+            raise SymbolSyntaxError(f"variable index {index} out of 1..{self.dimension}", self.text, tok.pos)
+        if conj:
+            self.expect_op(")")
+        return index - 1 + (self.dimension if conj else 0)
 
 
 def parse_symbol(text: str, dimension: int) -> SymbolPolynomial:

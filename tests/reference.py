@@ -1,25 +1,28 @@
 """Test-side references: exact quantities the tests check the program
 against, computed from the package's public operators, the closed-form
 sweep's per-case loop (one engine apply per alpha), the default ray of
-an operator, a float Toeplitz coefficient from the oracle's quadrature,
-the recursive adaptive Simpson routine the oracle's level walk must
-match bit for bit, and the earlier float arithmetic of the Monte Carlo
-oracle."""
+an operator, its validity base over every term pair, the symbol
+tokenizer and parser that multiply factor by factor, a float Toeplitz
+coefficient from the oracle's quadrature, the recursive adaptive Simpson
+routine the oracle's level walk must match bit for bit, and the earlier
+float arithmetic of the Monte Carlo oracle."""
 
 import math
 from fractions import Fraction
 from itertools import product
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from fockop import operators, verify
 from fockop.analysis import RaySpec, default_base, geometric_ts, log_fraction
-from fockop.arith import MultiIndex
+from fockop.arith import RADICAL_ONE, MultiIndex, RadicalCoefficient, _radical
+from fockop.errors import SymbolSyntaxError
 from fockop.operators import (
     BasisExpansion,
     OperatorExpr,
     SpaceParams,
+    _OperatorParser,
     closed_form_min_alpha,
     hankel_product_apply,
 )
@@ -30,7 +33,27 @@ from fockop.oracle import (
     gamma_recurrence,
     quadrature_norm_sq,
 )
-from fockop.symbols import SymbolPolynomial
+from fockop.symbols import (
+    _NAMES,
+    _T_CONJ,
+    _T_END,
+    _T_IMAG,
+    _T_INT,
+    _T_OP,
+    _T_VAR,
+    MAX_SYMBOL_DEGREE,
+    MAX_SYMBOL_NESTING,
+    MAX_SYMBOL_TERMS,
+    SymbolPolynomial,
+    TermKey,
+    _merge_into,
+    _Parser,
+    _power_pairs,
+    _read_int,
+    _symbol,
+    _Token,
+    check_dimension,
+)
 
 
 def default_ray(expr: OperatorExpr, t_values: Optional[Sequence[int]] = None) -> RaySpec:
@@ -38,6 +61,16 @@ def default_ray(expr: OperatorExpr, t_values: Optional[Sequence[int]] = None) ->
     ``t_values`` (``analysis.geometric_ts()`` by default)."""
     ts = tuple(t_values) if t_values is not None else geometric_ts()
     return RaySpec(default_base(expr), MultiIndex.ones(expr.dimension), ts)
+
+
+def pairwise_validity_base(f: SymbolPolynomial, g: SymbolPolynomial) -> MultiIndex:
+    """Smallest alpha admitted by the closed form for every term pair of
+    (f, g): the componentwise max of ``closed_form_min_alpha`` over the pairs."""
+    comps = [0] * f.dimension
+    for beta, gamma in f.terms:
+        for mu, nu in g.terms:
+            comps = list(map(max, comps, closed_form_min_alpha(beta, gamma, mu, nu)))
+    return MultiIndex(comps)
 
 
 def hankel_vector_norm_sq(f: SymbolPolynomial, alpha: MultiIndex, sp: SpaceParams) -> Fraction:
@@ -235,3 +268,223 @@ def complex_product_mc_sums(a, b, m, weight, n, seed_seq, count, chunk):
         abs_sums += [np.sum(abs_w), np.sum(abs_w**2)]
         done += size
     return sums, abs_sums
+
+
+# ---------------------------------------------------------------------------
+# The symbol grammar as it was parsed factor by factor: every factor a
+# symbol, every '*' a product of symbols, every product summed term pair by
+# term pair in ``RadicalCoefficient`` arithmetic.
+
+
+def pairwise_product(a: SymbolPolynomial, b: SymbolPolynomial) -> SymbolPolynomial:
+    """a * b, each term pair's product added to its key's sum as a
+    ``RadicalCoefficient``; a sum that reaches zero drops its key, and a
+    later contribution inserts it again, last."""
+    acc: Dict[TermKey, RadicalCoefficient] = {}
+    for (b1, g1), c1 in a.terms.items():
+        for (b2, g2), c2 in b.terms.items():
+            key = (b1 + b2, g1 + g2)
+            c = c1 * c2
+            prev = acc.get(key)
+            total = c if prev is None else prev + c
+            if total.is_zero():
+                acc.pop(key, None)
+            else:
+                acc[key] = total
+    return _symbol(a.dimension, acc)
+
+
+def pairwise_power(base: SymbolPolynomial, exponent: int) -> SymbolPolynomial:
+    """base ** exponent by repeated squaring with ``pairwise_product``."""
+    if not exponent:
+        return SymbolPolynomial.constant(base.dimension, RADICAL_ONE)
+    while not exponent & 1:
+        base = pairwise_product(base, base)
+        exponent >>= 1
+    out = base
+    exponent >>= 1
+    while exponent:
+        base = pairwise_product(base, base)
+        if exponent & 1:
+            out = pairwise_product(out, base)
+        exponent >>= 1
+    return out
+
+
+def _is_digit(ch: str) -> bool:
+    return "0" <= ch <= "9"
+
+
+def reference_tokenize(text: str) -> "list[_Token]":
+    """The token list of ``text``, one character test at a time."""
+    tokens = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if _is_digit(ch):
+            j = i
+            while j < n and _is_digit(text[j]):
+                j += 1
+            tokens.append(_Token(_T_INT, _read_int(text, i, j), i))
+            i = j
+            continue
+        if ch.isalpha():
+            j = i
+            while j < n and text[j].isalpha():
+                j += 1
+            word = text[i:j]
+            if word == "z":
+                k = j
+                while k < n and _is_digit(text[k]):
+                    k += 1
+                index = _read_int(text, j, k) if k > j else None
+                tokens.append(_Token(_T_VAR, index, i))
+                i = k
+                continue
+            kind = _NAMES.get(word)
+            if kind is None:
+                raise SymbolSyntaxError(f"unknown name '{word}'", text, i)
+            tokens.append(_Token(kind, word, i))
+            i = j
+            continue
+        if ch in "+-*/^();":
+            tokens.append(_Token(_T_OP, ch, i))
+            i += 1
+            continue
+        raise SymbolSyntaxError(f"unexpected character '{ch}'", text, i)
+    tokens.append(_Token(_T_END, None, n))
+    return tokens
+
+
+class ReferenceParser(_Parser):
+    """The package's grammar with every factor parsed to a symbol: a
+    variable or constant is a one-term symbol, a power is expanded by
+    ``pairwise_power`` and each '*' multiplies by ``pairwise_product``."""
+
+    def __init__(self, text: str, dimension: int):
+        check_dimension(dimension)
+        self.text = text
+        self.dimension = dimension
+        self.tokens = reference_tokenize(text)
+        self.pos = 0
+        self.depth = 0
+        self.zero = MultiIndex._wrap((0,) * dimension)
+
+    def parse_expr(self) -> SymbolPolynomial:
+        negate = self.at_op("-")
+        if negate:
+            self.next()
+        acc: Dict[TermKey, RadicalCoefficient] = {}
+        while True:
+            terms = self.parse_term().terms.items()
+            _merge_into(acc, ((key, -c) for key, c in terms) if negate else terms)
+            if not self.at_op("+", "-"):
+                return _symbol(self.dimension, acc)
+            negate = self.next().value == "-"
+
+    def parse_term(self) -> SymbolPolynomial:
+        poly = self.parse_factor()
+        while self.at_op("*"):
+            tok = self.next()
+            rhs = self.parse_factor()
+            self.check_product(len(poly.terms), len(rhs.terms), tok)
+            poly = pairwise_product(poly, rhs)
+        return poly
+
+    def parse_factor(self) -> SymbolPolynomial:
+        base = self.parse_base()
+        if self.at_op("^"):
+            self.next()
+            tok = self.next()
+            if tok.kind != _T_INT:
+                raise SymbolSyntaxError("exponent must be a nonnegative integer", self.text, tok.pos)
+            degree = max((b.order + g.order for b, g in base.terms), default=0) or 1
+            if degree * tok.value > MAX_SYMBOL_DEGREE:
+                message = f"degree {degree} * exponent {tok.value} exceeds MAX_SYMBOL_DEGREE = {MAX_SYMBOL_DEGREE}"
+                raise SymbolSyntaxError(message, self.text, tok.pos)
+            k = max(len(base.terms), 1)
+            pairs = _power_pairs(k, tok.value)
+            if pairs > MAX_SYMBOL_TERMS:
+                message = (
+                    f"a {k}-term base to the power {tok.value} needs {pairs} term pairs in one "
+                    f"product, more than MAX_SYMBOL_TERMS = {MAX_SYMBOL_TERMS}"
+                )
+                raise SymbolSyntaxError(message, self.text, tok.pos)
+            return pairwise_power(base, tok.value)
+        return base
+
+    def parse_base(self) -> SymbolPolynomial:
+        tok = self.next()
+        if tok.kind == _T_INT:
+            value = _radical(tok.value, 0, 1, 1)
+            if self.at_op("/"):
+                self.next()
+                den = self.next()
+                if den.kind != _T_INT:
+                    raise SymbolSyntaxError("expected denominator digits", self.text, den.pos)
+                if den.value == 0:
+                    raise SymbolSyntaxError("zero denominator", self.text, den.pos)
+                value = _radical(tok.value, 0, den.value, 1)
+            return self.constant(value)
+        if tok.kind == _T_IMAG:
+            return self.constant(_radical(0, 1, 1, 1))
+        if tok.kind == _T_VAR:
+            return self.variable(self._variable_index(tok), False)
+        if tok.kind == _T_CONJ:
+            self.expect_op("(")
+            var = self.next()
+            if var.kind != _T_VAR:
+                raise SymbolSyntaxError("conj(...) takes a variable", self.text, var.pos)
+            j = self._variable_index(var)
+            self.expect_op(")")
+            return self.variable(j, True)
+        if tok.kind == _T_OP and tok.value == "(":
+            if self.depth == MAX_SYMBOL_NESTING:
+                message = f"more than MAX_SYMBOL_NESTING = {MAX_SYMBOL_NESTING} nested parentheses"
+                raise SymbolSyntaxError(message, self.text, tok.pos)
+            self.depth += 1
+            poly = self.parse_expr()
+            self.expect_op(")")
+            self.depth -= 1
+            return poly
+        raise SymbolSyntaxError("expected a variable, number, 'i' or '('", self.text, tok.pos)
+
+    def _variable_index(self, tok: _Token) -> int:
+        index: Optional[int] = tok.value  # type: ignore[assignment]
+        if index is None:
+            if self.dimension != 1:
+                raise SymbolSyntaxError(
+                    "bare 'z' is only valid in dimension 1; use z1..zn", self.text, tok.pos
+                )
+            return 0
+        if not 1 <= index <= self.dimension:
+            raise SymbolSyntaxError(
+                f"variable index {index} out of 1..{self.dimension}", self.text, tok.pos
+            )
+        return index - 1
+
+    def constant(self, value: RadicalCoefficient) -> SymbolPolynomial:
+        if value.is_zero():
+            return _symbol(self.dimension, {})
+        return _symbol(self.dimension, {(self.zero, self.zero): value})
+
+    def variable(self, j: int, conj: bool) -> SymbolPolynomial:
+        zero = self.zero
+        unit = MultiIndex._wrap(zero[:j] + (1,) + zero[j + 1 :])
+        return _symbol(self.dimension, {(zero, unit) if conj else (unit, zero): RADICAL_ONE})
+
+
+class ReferenceOperatorParser(_OperatorParser, ReferenceParser):
+    """The package's operator productions on top of ``ReferenceParser``."""
+
+
+def reference_parse_symbol(text: str, dimension: int) -> SymbolPolynomial:
+    return ReferenceParser(text, dimension).parse()
+
+
+def reference_parse_operator(text: str, dimension: int) -> OperatorExpr:
+    return ReferenceOperatorParser(text, dimension).parse()

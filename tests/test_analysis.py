@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,11 +20,11 @@ from fockop.analysis import (
     norm_squared_samples,
     predicted_exponent,
 )
-from fockop.arith import MultiIndex
+from fockop.arith import MultiIndex, RadicalCoefficient
 from fockop.errors import InputError
 from fockop.operators import SpaceParams, parse_operator
-from fockop.symbols import parse_symbol
-from reference import default_ray, hankel_vector_norm_sq, ratio_stabilization
+from fockop.symbols import SymbolPolynomial, parse_symbol
+from reference import default_ray, hankel_vector_norm_sq, pairwise_validity_base, ratio_stabilization
 
 
 def mi(*comps):
@@ -132,6 +133,29 @@ def test_validity_base_and_default_ray():
     ray = default_ray(expr)
     assert ray.t_values == geometric_ts()
     assert ray.direction == mi(1)
+
+
+def random_symbol(rng, n):
+    """0-12 terms of exponents 0-5 and coefficient 1: the validity base reads the support only."""
+    return SymbolPolynomial.from_terms(
+        n,
+        [
+            ((tuple(rng.randrange(6) for _ in range(n)), tuple(rng.randrange(6) for _ in range(n))), RadicalCoefficient(1))
+            for _ in range(rng.randrange(13))
+        ],
+    )
+
+
+def test_validity_base_matches_the_pairwise_maximum():
+    rng = random.Random(25)
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        f, g = random_symbol(rng, n), random_symbol(rng, n)
+        assert hankel_validity_base(f, g) == pairwise_validity_base(f, g)
+    zero = SymbolPolynomial.zero(2)
+    f = parse_symbol("z1^3*conj(z2) + conj(z1)", 2)
+    assert hankel_validity_base(f, zero) == hankel_validity_base(zero, f) == mi(0, 0)
+    assert type(hankel_validity_base(f, f)) is MultiIndex and hankel_validity_base(f, f) == mi(6, 2)
 
 
 # ---------------------------------------------------------------------------

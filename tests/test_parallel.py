@@ -1,5 +1,8 @@
 import concurrent.futures
+import os
 import pickle
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -88,6 +91,37 @@ def test_fan_out_stops_after_the_first_error(tmp_path, monkeypatch):
     started = sorted(int(path.name) for path in tmp_path.iterdir())
     assert started[:2] == [0, 1]
     assert len(started) <= 4, started
+
+
+# Unpicklable items through a real two-worker fan-out, in a child process
+# with a timeout: a fan-out that pickles its items can hang in the pool's
+# shutdown when that fails.
+UNPICKLABLE_ITEMS = """
+import pickle
+from fockop import parallel
+
+def call(thunk):
+    return thunk()
+
+parallel.usable_cpus = lambda: 2
+thunks = [lambda k=k: k * k for k in range(7)]
+try:
+    pickle.dumps(thunks[0])
+except Exception:
+    pass
+else:
+    raise SystemExit("a lambda pickled")
+assert parallel.fan_out(call, thunks, 2) == parallel.fan_out(call, thunks, 1) == [k * k for k in range(7)]
+assert parallel._items is None
+print("ok")
+"""
+
+
+def test_items_need_not_be_picklable():
+    src = str(Path(parallel.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", UNPICKLABLE_ITEMS], env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "ok\n", "")
 
 
 def test_usable_cpus_is_positive():

@@ -38,6 +38,13 @@ DELETED = [
     (symbols.SymbolPolynomial, "scaled"),
     (symbols, "Fraction"),
     (symbols, "dataclass"),
+    (symbols, "_is_digit"),
+    (symbols, "_IMAGINARY_UNIT"),
+    (symbols._Parser, "variable"),
+    (symbols._Parser, "constant"),
+    (symbols._Parser, "parse_factor"),
+    (symbols._Parser, "parse_base"),
+    (symbols._Parser, "_variable_index"),
     (operators, "matrix_entry"),
     (operators, "hankel_product_target"),
     (operators, "_sqrt_transition_factors"),

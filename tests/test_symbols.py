@@ -1,17 +1,25 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import (
+    pairwise_product,
+    reference_parse_operator,
+    reference_parse_symbol,
+    reference_tokenize,
+)
 
+from fockop import arith
 from fockop.arith import MultiIndex, RadicalCoefficient
 from fockop.errors import InputError, SymbolSyntaxError
-from fockop.operators import MAX_OPERATOR_FACTORS, Composition, parse_operator
+from fockop.operators import MAX_OPERATOR_FACTORS, Composition, HankelProductOp, ToeplitzOp, parse_operator
 from fockop.symbols import (
     MAX_SYMBOL_DEGREE,
     MAX_SYMBOL_NESTING,
     MAX_SYMBOL_TERMS,
     SymbolPolynomial,
+    _tokenize,
     parse_symbol,
 )
 
@@ -239,7 +247,7 @@ def test_parsed_symbols_are_canonical_and_not_aliased(data):
         assert type(key) is tuple and len(key) == 2
         assert all(type(index) is MultiIndex and len(index) == n for index in key)
         assert c.radicand == 1 and c == RadicalCoefficient(c.re, im=c.im)
-    # the variables a parse shares between its factors never leak into a result
+    # no two parses share a term map
     q = parse_symbol(text, n)
     assert q.terms is not p.terms
     key = (MultiIndex([7] * n), MultiIndex([0] * n))
@@ -248,7 +256,7 @@ def test_parsed_symbols_are_canonical_and_not_aliased(data):
         del q.terms[k]
     assert p == parse_symbol(text, n)
     assert parse_symbol(text, n).terms.keys() == p.terms.keys()
-    # a sum that began in a shared variable's terms would change its later uses
+    # a term map that a parse shared would change its later uses
     v = "z" if n == 1 else "z1"
     assert parse_symbol(f"{v} + ({text})*{v} - {v}", n) == p * parse_symbol(v, n)
 
@@ -279,6 +287,227 @@ def test_parsing_builds_no_coefficient_through_the_constructor(monkeypatch):
     monkeypatch.undo()
     assert len(p.terms) == 20
     assert op.inner.symbol == p
+
+
+# ---------------------------------------------------------------------------
+# the parser against the factor-by-factor reference (tests/reference.py)
+
+
+def terms(sym):
+    """A symbol's terms in their order, with the types of the keys."""
+    return sym.dimension, [(tuple(map(type, key)), key, c) for key, c in sym.terms.items()]
+
+
+def operator_terms(expr):
+    if isinstance(expr, Composition):
+        return operator_terms(expr.outer) + operator_terms(expr.inner)
+    if isinstance(expr, ToeplitzOp):
+        return [("T", terms(expr.symbol))]
+    assert isinstance(expr, HankelProductOp)
+    return [("HP", terms(expr.left), terms(expr.right))]
+
+
+def hankel_nodes(expr):
+    if isinstance(expr, Composition):
+        return hankel_nodes(expr.outer) + hankel_nodes(expr.inner)
+    return [expr] if isinstance(expr, HankelProductOp) else []
+
+
+def outcome(parse, text, n, view):
+    """``view`` of what ``parse`` returns, or the message and position it rejects ``text`` at."""
+    try:
+        return "parsed", view(parse(text, n))
+    except SymbolSyntaxError as err:
+        return "rejected", err.message, err.pos
+
+
+# Pieces of text that reach every branch of the tokenizer and every error of
+# the grammar: digits of other scripts, letters outside ASCII, Unicode spaces.
+FRAGMENTS = (
+    "z", "z1", "z2", "z3", "z0", "z4", "conj(", "conj", "i", "T(", "HP(", "w", "zz",
+    "0", "1", "2", "7", "12", "256", "257", "/", "/0", "^", "^2", "^256", "^257",
+    "(", ")", "*", "+", "-", ";", " ", "\t", "\u00a0", "\u3000",
+    "\u00b2", "\u0663", "\u00e9", "\u00bd", "$",
+)
+fragment_texts = st.lists(st.sampled_from(FRAGMENTS), max_size=24).map("".join)
+
+
+def symbol_texts(n):
+    """Symbol texts, mostly well formed: variables in and out of range,
+    numbers, fractions with zero denominators, i, powers up to and past
+    the degree bound, sums, products and nested parentheses."""
+    valid = [f"z{j}" for j in range(1, n + 1)] if n > 1 else ["z", "z1"]
+    var = st.sampled_from(valid * 4 + ["z", "z0", f"z{n + 1}"])
+    number = st.one_of(
+        st.sampled_from(["0", "1", "2", "3", "12", "i"]),
+        st.tuples(st.integers(0, 9), st.integers(0, 12)).map(lambda p: f"{p[0]}/{p[1]}"),
+    )
+    leaf = st.one_of(var, var.map(lambda v: f"conj({v})"), number)
+    power = st.one_of(st.integers(0, 5), st.sampled_from([64, 128, 255, 256, 257]))
+    powered_leaf = st.one_of(leaf, st.tuples(leaf, power).map(lambda p: f"{p[0]}^{p[1]}"))
+
+    def extend(inner):
+        return st.one_of(
+            st.lists(inner, min_size=2, max_size=4).map("*".join),
+            st.lists(st.tuples(st.sampled_from([" + ", " - ", "-"]), inner), min_size=2, max_size=4).map(
+                lambda parts: "".join(sign + body for sign, body in parts).lstrip(" +")
+            ),
+            inner.map(lambda body: f"({body})"),
+            st.tuples(inner, st.integers(0, 4)).map(lambda p: f"({p[0]})^{p[1]}"),
+        )
+
+    return st.recursive(powered_leaf, extend, max_leaves=10)
+
+
+def spliced(draw, text):
+    """``text``, now and then with a fragment put in at a drawn place."""
+    if not draw(st.integers(0, 3)):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(FRAGMENTS)) + text[at:]
+    return text
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_tokens_and_symbols_match_the_reference(data):
+    n = data.draw(st.integers(1, 3))
+    text = data.draw(st.one_of(fragment_texts, symbol_texts(n), symbol_texts(n)))
+    text = spliced(data.draw, text)
+    assert outcome(lambda t, _: _tokenize(t), text, n, list) == outcome(
+        lambda t, _: reference_tokenize(t), text, n, list
+    )
+    assert outcome(parse_symbol, text, n, terms) == outcome(reference_parse_symbol, text, n, terms)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_operators_match_the_reference(data):
+    n = data.draw(st.integers(1, 3))
+    atom = st.one_of(
+        symbol_texts(n).map(lambda f: f"T({f})"),
+        st.tuples(symbol_texts(n), symbol_texts(n)).map(lambda p: f"HP({p[0]}; {p[1]})"),
+    )
+    text = " * ".join(data.draw(st.lists(atom, min_size=1, max_size=3)))
+    text = spliced(data.draw, text)
+    got = outcome(parse_operator, text, n, operator_terms)
+    assert got == outcome(reference_parse_operator, text, n, operator_terms)
+    if got[0] == "parsed":
+        for node in hankel_nodes(parse_operator(text, n)):
+            assert terms(node.left_conj_right) == terms(pairwise_product(node.left_conj, node.right_nh))
+
+
+DEEPEST = "(" * MAX_SYMBOL_NESTING + "z1" + ")" * MAX_SYMBOL_NESTING
+
+# Texts at each bound of the grammar, in symbols and operators of dimension 2.
+BOUND_TEXTS = [
+    f"z1^{MAX_SYMBOL_DEGREE}", f"z1^{MAX_SYMBOL_DEGREE + 1}", f"i^{MAX_SYMBOL_DEGREE}*3/2^255",
+    f"(z1*conj(z2))^{MAX_SYMBOL_DEGREE // 2}", f"(z1*conj(z2))^{MAX_SYMBOL_DEGREE // 2 + 1}",
+    f"1 + 2^{MAX_SYMBOL_DEGREE + 1}", "0^0 + 0^3*z1 + z2^0", "((z1^16)^16)^2", "1" * 5000,
+    "(z1+z2+conj(z1)+conj(z2)+1)^40", f"({_powers_of_z1(200)})*({_powers_of_z1(101)})",
+    DEEPEST, f"-{DEEPEST}^2*{DEEPEST}", f"2*({DEEPEST})", f"T(z1) * HP(z1; ({DEEPEST}))",
+    f"HP({_powers_of_z1(200)}; {_powers_of_z1(101)})",
+    " * ".join(["T(z1)", "HP(conj(z1); z2)"] * (MAX_OPERATOR_FACTORS // 2)),
+    " * ".join(["T(z1)", "HP(conj(z1); z2)"] * (MAX_OPERATOR_FACTORS // 2) + ["T(z2)"]),
+]
+
+# Under a term bound of 50: a sum of more terms than the bound, products and
+# powers on each side of it, and products whose left or right side is zero.
+SMALL_TERM_BOUND = 50
+WIDE = " + ".join(f"z1^{a}*conj(z2)^{b}" for a in range(8) for b in range(8))
+SMALL_BOUND_TEXTS = [
+    f"({WIDE})", f"({WIDE})^1", f"({WIDE})^0", f"({WIDE})*2", f"2*({WIDE})", f"z2*({WIDE})*z1",
+    f"({WIDE})*0*({WIDE})", f"0*({WIDE})*({WIDE})", f"(z1 - z1)*({WIDE})*({WIDE})", f"({WIDE})*0^0",
+    f"({_powers_of_z1(10)})*({_powers_of_z1(5)})", f"({_powers_of_z1(10)})*3*({_powers_of_z1(6)})",
+    "(z1 + conj(z1))^12", "(z1 + conj(z1))^13", "(z1 + z2 + 1)^3", "(z1 + z2 + 1)^4", "(1 + z1)^2*(z2 - 1)^6",
+    f"HP({_powers_of_z1(10)}; {_powers_of_z1(6)})", f"HP({_powers_of_z1(10)}; {_powers_of_z1(5)})",
+]
+
+
+def assert_same_outcome(text, n):
+    if text.startswith(("T(", "HP(")):
+        assert outcome(parse_operator, text, n, operator_terms) == outcome(
+            reference_parse_operator, text, n, operator_terms
+        )
+    else:
+        assert outcome(parse_symbol, text, n, terms) == outcome(reference_parse_symbol, text, n, terms)
+
+
+@pytest.mark.parametrize("text", BOUND_TEXTS, ids=range(len(BOUND_TEXTS)))
+def test_bounds_fire_where_the_reference_fires_them(text):
+    assert_same_outcome(text, 2)
+
+
+@pytest.mark.parametrize("text", SMALL_BOUND_TEXTS, ids=range(len(SMALL_BOUND_TEXTS)))
+def test_term_bound_fires_where_the_reference_fires_it(text, monkeypatch):
+    monkeypatch.setattr("fockop.symbols.MAX_SYMBOL_TERMS", SMALL_TERM_BOUND)
+    monkeypatch.setattr("reference.MAX_SYMBOL_TERMS", SMALL_TERM_BOUND)
+    assert_same_outcome(text, 2)
+
+
+@st.composite
+def cancelling_symbols(draw, n):
+    """A symbol of 4-8 terms of low degree in few variables with
+    coefficients +-1, mostly, so that the pair products of two of them often
+    share keys, cancel and come back."""
+    items = []
+    for _ in range(draw(st.integers(4, 8))):
+        beta = MultiIndex([draw(st.integers(0, 4)) for _ in range(n)])
+        gamma = MultiIndex([draw(st.integers(0, 1)) for _ in range(n)])
+        c = draw(st.sampled_from([(1, 0), (-1, 0)] * 4 + [(0, 1), (0, -1), (Fraction(1, 2), 0), (-2, 3)]))
+        items.append(((beta, gamma), RadicalCoefficient(c[0], im=c[1])))
+    return SymbolPolynomial.from_terms(n, items)
+
+
+@given(st.data())
+def test_product_matches_the_pairwise_reference_in_order(data):
+    n = data.draw(st.integers(1, 2))
+    a, b = data.draw(cancelling_symbols(n)), data.draw(cancelling_symbols(n))
+    assert terms(a * b) == terms(pairwise_product(a, b))
+
+
+def test_product_inserts_a_cancelled_key_again_last():
+    # z^2 cancels at z * -z and comes back last, from z^2 * 1
+    a = parse_symbol("1 + z + z^2", 1)
+    b = parse_symbol("z^2 - z + 1", 1)
+    assert [key for key, _ in (a * b).terms.items()] == [(mi(0), mi(0)), (mi(4), mi(0)), (mi(2), mi(0))]
+    assert terms(a * b) == terms(pairwise_product(a, b))
+
+
+def test_monomial_terms_parse_with_no_symbol_product(monkeypatch):
+    products = []
+    mul = SymbolPolynomial.__mul__
+
+    def counted(a, b):
+        products.append((len(a.terms), len(b.terms)))
+        return mul(a, b)
+
+    monkeypatch.setattr(SymbolPolynomial, "__mul__", counted)
+    monomials = " - ".join(f"{k + 1}/3*i*z1^{k}*conj(z2)*z2^2*conj(z1)^3" for k in range(20))
+    assert len(parse_symbol(monomials, 2).terms) == 20
+    # one parenthesized factor per term, as in the benchmark's symbols, is not multiplied either
+    assert len(parse_symbol(DENSE_TWENTY, 2).terms) == 20
+    assert products == []
+    assert len(parse_symbol("(z1 + z2)*2*(z1 - conj(z2))*z1", 2).terms) == 4
+    assert products == [(2, 2)]
+
+
+def test_product_canonicalizes_each_key_once(monkeypatch):
+    a = parse_symbol(DENSE_TWENTY, 2)
+    b = parse_symbol("(1-2*i)*z1 + 1/2*conj(z2) - 3/4*i + 5/3*z1*z2 - conj(z1)^2", 2)
+    calls = []
+    radical = arith._radical
+
+    def counted(*fields):
+        calls.append(fields)
+        return radical(*fields)
+
+    # symbols calls it directly, RadicalCoefficient arithmetic through arith
+    monkeypatch.setattr(arith, "_radical", counted)
+    monkeypatch.setattr("fockop.symbols._radical", counted)
+    product = a * b
+    monkeypatch.undo()
+    assert 0 < len(calls) <= len(product.terms) < len(a.terms) * len(b.terms)
+    assert terms(product) == terms(pairwise_product(a, b))
 
 
 def test_symbol_rejects_a_coefficient_with_a_square_root():
