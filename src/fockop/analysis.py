@@ -64,28 +64,22 @@ _CASE_IS_BOUNDED = {
 
 @dataclass(frozen=True)
 class Verdict:
-    """Classification outcome; ``bounded`` carries the queried property
-    (boundedness, or compactness for the compactness question)."""
+    """Classification outcome: the matched case and its witness text."""
 
-    bounded: bool
     matched_case: VerdictCase
     witness: Optional[str] = None
 
-    def __post_init__(self):
-        if _CASE_IS_BOUNDED[self.matched_case] != self.bounded:
-            raise InternalInvariantError(
-                f"case {self.matched_case} is inconsistent with bounded={self.bounded}"
-            )
+    @property
+    def bounded(self) -> bool:
+        """The queried property (boundedness, or compactness for the
+        compactness question), which the case decides."""
+        return _CASE_IS_BOUNDED[self.matched_case]
 
 
 class SingleOperatorKind(Enum):
     TOEPLITZ = "toeplitz"
     HANKEL = "hankel"
     HANKEL_COMPACT = "hankel-compact"
-
-
-def _verdict(case: VerdictCase, witness: Optional[str] = None) -> Verdict:
-    return Verdict(_CASE_IS_BOUNDED[case], case, witness)
 
 
 def _first_nonconstant_term(p: SymbolPolynomial) -> str:
@@ -114,12 +108,12 @@ def classify_toeplitz_product(f: SymbolPolynomial, g: SymbolPolynomial) -> Verdi
     check_same_dimension(f.dimension, g.dimension)
     if f.is_zero() or g.is_zero():
         which = "f" if f.is_zero() else "g"
-        return _verdict(VerdictCase.ZERO_OPERATOR, f"{which} = 0, so the product is the zero operator")
+        return Verdict(VerdictCase.ZERO_OPERATOR, f"{which} = 0, so the product is the zero operator")
     if f.is_constant() and g.is_constant():
-        return _verdict(VerdictCase.BOTH_CONSTANT, "both symbols are constants")
+        return Verdict(VerdictCase.BOTH_CONSTANT, "both symbols are constants")
     bad = "f" if not f.is_constant() else "g"
     term = _first_nonconstant_term(f if bad == "f" else g)
-    return _verdict(VerdictCase.NON_CONSTANT_SYMBOL, f"{bad} contains the nonconstant term {term}")
+    return Verdict(VerdictCase.NON_CONSTANT_SYMBOL, f"{bad} contains the nonconstant term {term}")
 
 
 def classify_hankel_product(f: SymbolPolynomial, g: SymbolPolynomial) -> Verdict:
@@ -131,12 +125,12 @@ def classify_hankel_product(f: SymbolPolynomial, g: SymbolPolynomial) -> Verdict
     check_same_dimension(f.dimension, g.dimension)
     _, f_rest = f.holomorphic_split()
     if f_rest.is_zero():
-        return _verdict(VerdictCase.F_HOLOMORPHIC, "f is holomorphic, so its Hankel operator vanishes")
+        return Verdict(VerdictCase.F_HOLOMORPHIC, "f is holomorphic, so its Hankel operator vanishes")
     _, g_rest = g.holomorphic_split()
     if g_rest.is_zero():
-        return _verdict(VerdictCase.G_HOLOMORPHIC, "g is holomorphic, so its Hankel operator vanishes")
+        return Verdict(VerdictCase.G_HOLOMORPHIC, "g is holomorphic, so its Hankel operator vanishes")
     if f.dimension == 1 and _is_conjugate_linear(f_rest) and _is_conjugate_linear(g_rest):
-        return _verdict(
+        return Verdict(
             VerdictCase.N1_CONJUGATE_LINEAR,
             "n=1 and both non-holomorphic parts are multiples of conj(z)",
         )
@@ -144,11 +138,11 @@ def classify_hankel_product(f: SymbolPolynomial, g: SymbolPolynomial) -> Verdict
         bad = f_rest if not _is_conjugate_linear(f_rest) else g_rest
         which = "f" if bad is f_rest else "g"
         term = _first_bad_remainder_term(bad)
-        return _verdict(
+        return Verdict(
             VerdictCase.NON_HOLOMORPHIC_PAIR,
             f"{which} has non-holomorphic term {term} beyond a conj(z) multiple",
         )
-    return _verdict(
+    return Verdict(
         VerdictCase.NON_HOLOMORPHIC_PAIR,
         f"neither symbol is holomorphic and n={f.dimension} > 1 "
         f"(f: {_first_bad_remainder_term(f_rest)}, g: {_first_bad_remainder_term(g_rest)})",
@@ -158,23 +152,23 @@ def classify_hankel_product(f: SymbolPolynomial, g: SymbolPolynomial) -> Verdict
 def classify_single(kind: SingleOperatorKind, f: SymbolPolynomial) -> Verdict:
     if kind is SingleOperatorKind.TOEPLITZ:
         if f.is_constant():
-            return _verdict(VerdictCase.CONSTANT_SYMBOL, "constant symbols give bounded multiplication")
-        return _verdict(
+            return Verdict(VerdictCase.CONSTANT_SYMBOL, "constant symbols give bounded multiplication")
+        return Verdict(
             VerdictCase.NON_CONSTANT_SYMBOL,
             f"f contains the nonconstant term {_first_nonconstant_term(f)}",
         )
     _, rest = f.holomorphic_split()
     if rest.is_zero():
-        return _verdict(VerdictCase.HOLOMORPHIC, "f is holomorphic, so the Hankel operator vanishes")
+        return Verdict(VerdictCase.HOLOMORPHIC, "f is holomorphic, so the Hankel operator vanishes")
     if kind is SingleOperatorKind.HANKEL:
         if f.dimension == 1 and _is_conjugate_linear(rest):
-            return _verdict(VerdictCase.N1_CONJUGATE_LINEAR, "n=1 and f = holomorphic + a*conj(z)")
-        return _verdict(
+            return Verdict(VerdictCase.N1_CONJUGATE_LINEAR, "n=1 and f = holomorphic + a*conj(z)")
+        return Verdict(
             VerdictCase.NON_HOLOMORPHIC_SYMBOL,
             f"f has non-holomorphic term {_first_bad_remainder_term(rest)}",
         )
     if kind is SingleOperatorKind.HANKEL_COMPACT:
-        return _verdict(
+        return Verdict(
             VerdictCase.NON_HOLOMORPHIC_SYMBOL,
             "f is not holomorphic, so the Hankel operator is not compact",
         )

@@ -361,11 +361,6 @@ class RadicalCoefficient:
         a, b, d = self.re_num, self.im_num, self.den
         return Fraction((a * a + b * b) * self.radicand, d * d)
 
-    def to_complex(self) -> complex:
-        if not self.radicand:
-            return 0j
-        return complex(self.re_num / self.den, self.im_num / self.den) * math.sqrt(self.radicand)
-
     def __eq__(self, other) -> bool:
         if other.__class__ is not RadicalCoefficient:
             return NotImplemented

@@ -132,9 +132,10 @@ def _norm_ratio(a: MultiIndex, b: MultiIndex, sp: SpaceParams) -> RadicalCoeffic
 
     ``from_sqrt_ratio`` is looked up on the class at each call, so a
     wrapper bound there sees every square root the engine takes: the
-    orthonormal coefficient reads ``coeffs``, ``coefficient``,
-    ``BasisExpansion(...)``, ``basis_coefficient``, the reference
-    ``hankel_coeff_closed_form`` and a closed-form sweep mismatch's text.
+    orthonormal coefficient reads ``coeffs``, ``coefficient`` (and
+    ``toeplitz_mono_apply`` through it), ``BasisExpansion(...)``,
+    ``basis_coefficient``, ``hankel_coeff_closed_form`` and a closed-form
+    sweep mismatch's text.
     """
     num, den = _norm_ratio_runs(a, b, sp)
     return RadicalCoefficient.from_sqrt_ratio(
@@ -146,30 +147,18 @@ def _norm_ratio(a: MultiIndex, b: MultiIndex, sp: SpaceParams) -> RadicalCoeffic
 def toeplitz_mono_apply(
     beta: MultiIndex, gamma: MultiIndex, alpha: MultiIndex, sp: SpaceParams
 ) -> Optional[Tuple[MultiIndex, RadicalCoefficient]]:
-    """Image of e_alpha under multiplication by z^beta conj(z)^gamma + projection.
+    """Image of e_alpha under the Toeplitz operator of z^beta conj(z)^gamma.
 
     Returns ``(target, coefficient)``, or ``None`` when any component of
     ``tau = alpha + beta - gamma`` is negative (the image is the zero
-    vector).  The coefficient ``||z^(alpha+beta)||^2 / (||z^alpha|| ||z^tau||)``
-    is formed on the orthonormal basis, as the rational
-    prod_j (a_j+1)...(a_j+b_j) * (A+|beta|+1)...(A+|beta|+m) / ((A+1)...(A+m)),
-    A = n-1+|alpha|, times ``_norm_ratio(tau, alpha)`` = ||z^alpha||/||z^tau||:
-    a per-term radical path whose rational shares no factor with
-    ``toeplitz_apply``, which tests compare it with.  It shares only
-    ``_norm_ratio`` with coefficient reads, with the indices swapped.
+    vector).  Read from ``toeplitz_apply`` on e_alpha, with one square
+    root for the coefficient.
     """
-    n = sp.n
-    if not (len(beta) == len(gamma) == len(alpha) == n):
-        check_same_dimension(n, len(beta), len(gamma), len(alpha))
-    tau = tuple(a + b - g for a, b, g in zip(alpha, beta, gamma))
-    if min(tau) < 0:
+    image = toeplitz_apply(SymbolPolynomial.monomial(sp.n, beta, gamma), BasisExpansion.basis_vector(sp, alpha))
+    if image.is_zero():
         return None
-    order = n - 1 + sum(alpha)
-    rational = rising_product(order + sum(beta), sp.m)
-    for a, b in zip(alpha, beta):
-        rational *= rising_product(a, b)
-    tau = MultiIndex._wrap(tau)
-    return tau, _norm_ratio(tau, alpha, sp).scale_ratio(rational, rising_product(order, sp.m))
+    (tau,) = image.monomials
+    return tau, image.coefficient(tau)
 
 
 # ---------------------------------------------------------------------------
@@ -435,50 +424,13 @@ def hankel_coeff_closed_form(
     """Closed form of H*_f H_g e_alpha for monomial symbols: ``(target, coefficient)``.
 
     Here f = z^beta conj(z)^gamma, g = z^mu conj(z)^nu, and the image is
-    the coefficient times e_target, target = alpha+gamma+mu-beta-nu.
-    Requires alpha >= closed_form_min_alpha(beta, gamma, mu, nu)
-    componentwise; outside that range use hankel_product_apply, which has
-    no restriction.  The coefficient vanishes exactly when the bracket of
-    the two composition routes cancels (for gamma = 0 or nu = 0 in
-    particular).
+    the coefficient times e_target, target = alpha+gamma+mu-beta-nu: the
+    rational of ``_closed_form_monomial_coeffs`` times
+    ``||z^target||/||z^alpha||``, one square root.  alpha must lie in that
+    walk's validity range; hankel_product_apply has no restriction.
     """
-    n = sp.n
-    if not (len(beta) == len(gamma) == len(mu) == len(nu) == len(alpha) == n):
-        check_same_dimension(n, len(beta), len(gamma), len(mu), len(nu), len(alpha))
-    for a, k in zip(alpha, closed_form_min_alpha(beta, gamma, mu, nu)):
-        if a < k:
-            raise InputError(
-                "alpha outside the closed form's validity range; "
-                "use the composition path"
-            )
-    m = sp.m
-    tau = MultiIndex._wrap(
-        tuple(a + g_ + u - b - w for a, b, g_, u, w in zip(alpha, beta, gamma, mu, nu))
-    )
-
-    # empty rising products (count 0) are 1 and skipped
-    term1 = second = 1
-    for a, g_, u, w in zip(alpha, gamma, mu, nu):
-        if g_ or u:
-            term1 *= rising_product(a, g_ + u)
-        if u:
-            second *= rising_product(a, u)
-        if g_:
-            second *= rising_product(a + u - w, g_)
-    denom = weight = 1
-    if m:
-        order_a = sum(alpha)
-        order_gm = order_a + sum(gamma) + sum(mu)
-        term1 *= rising_product(n - 1 + order_gm, m)
-        order_am = order_a + sum(mu)
-        order_amn = order_am - sum(nu)
-        order_agmn = order_amn + sum(gamma)
-        second *= rising_product(n - 1 + order_am, m)
-        second *= rising_product(n - 1 + order_agmn, m)
-        denom = rising_product(n - 1 + order_amn, m)
-        weight = rising_product(n - 1 + order_a, m)
-    # ||z^alpha||/||z^tau|| times this rational is the coefficient
-    return tau, _norm_ratio(tau, alpha, sp).scale_ratio(term1 * denom - second, denom * weight)
+    ((tau, num, den),) = _closed_form_monomial_coeffs(beta, gamma, mu, nu, (alpha,), sp)
+    return tau, _norm_ratio(alpha, tau, sp).scale_ratio(num, den)
 
 
 def _closed_form_monomial_coeffs(
@@ -489,22 +441,24 @@ def _closed_form_monomial_coeffs(
     alphas,
     sp: SpaceParams,
 ) -> "list[tuple[MultiIndex, int, int]]":
-    """``hankel_coeff_closed_form`` in the monomial basis, for many alphas.
+    """Closed form of ``H*_f H_g z^alpha``, f = z^beta conj(z)^gamma and
+    g = z^mu conj(z)^nu, for many alphas: ``(tau, num, den)`` for each alpha
+    of ``alphas``, in order, with ``H*_f H_g z^alpha = (num/den) z^tau``,
+    tau = alpha+gamma+mu-beta-nu and ``den > 0``; no square root is taken.
 
-    Returns ``(tau, num, den)`` for each alpha of ``alphas``, in order, with
-    ``H*_f H_g z^alpha = (num/den) z^tau`` and ``den > 0``; no square root
-    is taken.  ``hankel_coeff_closed_form``'s coefficient is
-    ``(num/den) ||z^tau||/||z^alpha||``.  Multiplying its rational
-    ``(term1*denom - second) / (denom*weight)`` by
-    ``||z^alpha||^2/||z^tau||^2 = (alpha!/tau!) weight / w(|tau|)``, with
-    ``w(k) = (n+k)...(n-1+k+m)``, cancels ``weight``:
+    Every alpha must satisfy alpha >= closed_form_min_alpha(beta, gamma, mu,
+    nu) componentwise (hankel_product_apply has no restriction).  With
+    ``w(k) = (n+k)...(n-1+k+m)`` and a, g, u, v the components of alpha,
+    gamma, mu, nu, the routes T_{conj(f) g} and T_{conj(f)} T_g give
 
-        num/den = (term1*denom - second) * alpha!/tau! / (denom * w(|tau|)).
+        num/den = (P1 w(|a+g+u|) w(|a+u-v|) - P2 w(|a+u|) w(|a+g+u-v|))
+                  * alpha!/tau! / (w(|a+u-v|) w(|tau|)),
+        P1 = prod_j (a_j+1)...(a_j+g_j+u_j),
+        P2 = prod_j (a_j+1)...(a_j+u_j) * (a_j+u_j-v_j+1)...(a_j+u_j-v_j+g_j).
 
-    Every factor depends on one component of alpha or on |alpha| alone, so
-    each component's factors (``alpha!/tau!`` as one run per component)
-    and each order's weight runs are computed once, for the first alpha
-    that has them.  Every alpha must lie in the validity range.
+    Each component's factors (``alpha!/tau!`` as one run per component) and
+    each order's weight runs are computed once, for the first alpha that
+    has them.
     """
     n, m = sp.n, sp.m
     if not (len(beta) == len(gamma) == len(mu) == len(nu) == n):

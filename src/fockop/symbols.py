@@ -20,7 +20,6 @@ returns shares its term map with another.
 
 from __future__ import annotations
 
-from itertools import chain
 from math import comb, gcd
 from typing import Dict, Iterable, NamedTuple, Optional, Tuple
 
@@ -102,10 +101,6 @@ class SymbolPolynomial:
         check_same_dimension(dimension, b.dimension, g.dimension)
         return SymbolPolynomial(dimension, {(b, g): RADICAL_ONE})
 
-    @staticmethod
-    def from_terms(dimension: int, items: Iterable[Tuple[TermKey, RadicalCoefficient]]) -> "SymbolPolynomial":
-        return SymbolPolynomial(dimension, _merged(items))
-
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -119,7 +114,9 @@ class SymbolPolynomial:
 
     def __add__(self, other: "SymbolPolynomial") -> "SymbolPolynomial":
         check_same_dimension(self.dimension, other.dimension)
-        return _symbol(self.dimension, _merged(chain(self.terms.items(), other.terms.items())))
+        terms = dict(self.terms)
+        _merge_into(terms, other.terms.items())
+        return _symbol(self.dimension, terms)
 
     def __neg__(self) -> "SymbolPolynomial":
         return _symbol(self.dimension, {k: -c for k, c in self.terms.items()})
@@ -231,13 +228,6 @@ def _symbol(dimension: int, terms: Dict[TermKey, RadicalCoefficient]) -> SymbolP
     s.dimension = dimension
     s.terms = terms
     return s
-
-
-def _merged(items: Iterable[Tuple[TermKey, RadicalCoefficient]]) -> Dict[TermKey, RadicalCoefficient]:
-    """The terms ``items`` sum to: like terms merged, zero sums dropped."""
-    acc: Dict[TermKey, RadicalCoefficient] = {}
-    _merge_into(acc, items)
-    return acc
 
 
 def _merge_into(acc: Dict[TermKey, RadicalCoefficient], items: Iterable[Tuple[TermKey, RadicalCoefficient]]) -> None:
@@ -513,7 +503,7 @@ class _Parser:
                 for _ in range(self.parse_power(1, 1) % 4):
                     re, im = -im, re
             elif kind == _T_OP and tok.value == "(":
-                factor = self.parse_group(tok)
+                factor = self.parse_group(tok, bool(re or im))
                 size = len(factor.terms)
             else:
                 raise SymbolSyntaxError("expected a variable, number, 'i' or '('", self.text, tok.pos)
@@ -556,8 +546,12 @@ class _Parser:
                 raise SymbolSyntaxError(message, self.text, tok.pos)
         return e
 
-    def parse_group(self, tok: _Token) -> SymbolPolynomial:
-        """'(' expr ')' and its power, the '(' at ``tok`` already read."""
+    def parse_group(self, tok: _Token, expand: bool) -> SymbolPolynomial:
+        """'(' expr ')' and its power, the '(' at ``tok`` already read.
+
+        Without ``expand`` (the term's coefficient is already zero, so the
+        factor multiplies nothing) the power's bounds are still checked,
+        but the base is returned unexpanded."""
         if self.depth == MAX_SYMBOL_NESTING:
             message = f"more than MAX_SYMBOL_NESTING = {MAX_SYMBOL_NESTING} nested parentheses"
             raise SymbolSyntaxError(message, self.text, tok.pos)
@@ -567,7 +561,7 @@ class _Parser:
         self.depth -= 1
         degree = max((b.order + g.order for b, g in base.terms), default=0) or 1
         e = self.parse_power(degree, max(len(base.terms), 1))
-        return base if e == 1 else base**e
+        return base**e if expand and e != 1 else base
 
     def parse_variable(self, tok: _Token) -> int:
         """The position in beta, then gamma, of ``z_j`` or ``conj(z_j)``, which starts at ``tok``."""

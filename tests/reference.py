@@ -1,11 +1,13 @@
 """Test-side references: exact quantities the tests check the program
-against, computed from the package's public operators, the closed-form
-sweep's per-case loop (one engine apply per alpha), the default ray of
-an operator, its validity base over every term pair, the symbol
-tokenizer and parser that multiply factor by factor, a float Toeplitz
-coefficient from the oracle's quadrature, the recursive adaptive Simpson
-routine the oracle's level walk must match bit for bit, and the earlier
-float arithmetic of the Monte Carlo oracle."""
+against, computed from the package's public operators, the per-term
+radical Toeplitz action and the per-case Hankel closed form (each
+formula stated apart from the engine's), the closed-form sweep's
+per-case loop (one engine apply per alpha), the default ray of an
+operator, its validity base over every term pair, the symbol tokenizer
+and parser that multiply factor by factor, a float Toeplitz coefficient
+from the oracle's quadrature, the recursive adaptive Simpson routine the
+oracle's level walk must match bit for bit, and the earlier float
+arithmetic of the Monte Carlo oracle."""
 
 import math
 from fractions import Fraction
@@ -14,14 +16,22 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from fockop import operators, verify
+from fockop import verify
 from fockop.analysis import RaySpec, default_base, geometric_ts, log_fraction
-from fockop.arith import RADICAL_ONE, MultiIndex, RadicalCoefficient, _radical
-from fockop.errors import SymbolSyntaxError
+from fockop.arith import (
+    RADICAL_ONE,
+    MultiIndex,
+    RadicalCoefficient,
+    _radical,
+    check_same_dimension,
+    rising_product,
+)
+from fockop.errors import InputError, SymbolSyntaxError
 from fockop.operators import (
     BasisExpansion,
     OperatorExpr,
     SpaceParams,
+    _norm_ratio,
     _OperatorParser,
     closed_form_min_alpha,
     hankel_product_apply,
@@ -73,6 +83,98 @@ def pairwise_validity_base(f: SymbolPolynomial, g: SymbolPolynomial) -> MultiInd
     return MultiIndex(comps)
 
 
+def symbol_from_terms(dimension: int, items) -> SymbolPolynomial:
+    """The symbol the ``(key, coefficient)`` pairs ``items`` sum to, like
+    terms merged and zero sums dropped, checked as ``SymbolPolynomial``
+    checks its terms."""
+    acc: Dict[TermKey, RadicalCoefficient] = {}
+    _merge_into(acc, items)
+    return SymbolPolynomial(dimension, acc)
+
+
+def radical_to_complex(c: RadicalCoefficient) -> complex:
+    """The float value of ``c``."""
+    return complex(c.re_num / c.den, c.im_num / c.den) * math.sqrt(c.radicand)
+
+
+def toeplitz_mono_reference(
+    beta: MultiIndex, gamma: MultiIndex, alpha: MultiIndex, sp: SpaceParams
+) -> Optional[Tuple[MultiIndex, RadicalCoefficient]]:
+    """Image of e_alpha under the Toeplitz operator of z^beta conj(z)^gamma,
+    on the orthonormal basis, one term at a time.
+
+    Returns ``(target, coefficient)``, or ``None`` when any component of
+    ``tau = alpha + beta - gamma`` is negative.  The coefficient
+    ``||z^(alpha+beta)||^2 / (||z^alpha|| ||z^tau||)`` is the rational
+    prod_j (a_j+1)...(a_j+b_j) * (A+|beta|+1)...(A+|beta|+m) / ((A+1)...(A+m)),
+    A = n-1+|alpha|, times ``_norm_ratio(tau, alpha)`` = ||z^alpha||/||z^tau||:
+    a rational that shares no factor with ``operators._add_image``'s.
+    """
+    n = sp.n
+    if not (len(beta) == len(gamma) == len(alpha) == n):
+        check_same_dimension(n, len(beta), len(gamma), len(alpha))
+    tau = tuple(a + b - g for a, b, g in zip(alpha, beta, gamma))
+    if min(tau) < 0:
+        return None
+    order = n - 1 + sum(alpha)
+    rational = rising_product(order + sum(beta), sp.m)
+    for a, b in zip(alpha, beta):
+        rational *= rising_product(a, b)
+    tau = MultiIndex(tau)
+    return tau, _norm_ratio(tau, alpha, sp).scale_ratio(rational, rising_product(order, sp.m))
+
+
+def closed_form_case_reference(
+    beta: MultiIndex,
+    gamma: MultiIndex,
+    mu: MultiIndex,
+    nu: MultiIndex,
+    alpha: MultiIndex,
+    sp: SpaceParams,
+) -> Tuple[MultiIndex, RadicalCoefficient]:
+    """Closed form of H*_f H_g e_alpha for f = z^beta conj(z)^gamma and
+    g = z^mu conj(z)^nu, one case at a time, on the orthonormal basis:
+    ``(target, coefficient)``, target = alpha+gamma+mu-beta-nu.
+
+    The coefficient is ``||z^alpha||/||z^target||`` times the rational
+    ``(term1*denom - second) / (denom*weight)`` of the two composition
+    routes, each factor a rising product formed from the exponents: no
+    factor is shared with ``operators._closed_form_monomial_coeffs``, which
+    works in the monomial basis.  Requires alpha >=
+    closed_form_min_alpha(beta, gamma, mu, nu) componentwise.
+    """
+    n = sp.n
+    if not (len(beta) == len(gamma) == len(mu) == len(nu) == len(alpha) == n):
+        check_same_dimension(n, len(beta), len(gamma), len(mu), len(nu), len(alpha))
+    for a, k in zip(alpha, closed_form_min_alpha(beta, gamma, mu, nu)):
+        if a < k:
+            raise InputError("alpha outside the closed form's validity range; use the composition path")
+    m = sp.m
+    tau = MultiIndex(a + g_ + u - b - w for a, b, g_, u, w in zip(alpha, beta, gamma, mu, nu))
+    # empty rising products (count 0) are 1 and skipped
+    term1 = second = 1
+    for a, g_, u, w in zip(alpha, gamma, mu, nu):
+        if g_ or u:
+            term1 *= rising_product(a, g_ + u)
+        if u:
+            second *= rising_product(a, u)
+        if g_:
+            second *= rising_product(a + u - w, g_)
+    denom = weight = 1
+    if m:
+        order_a = sum(alpha)
+        order_gm = order_a + sum(gamma) + sum(mu)
+        term1 *= rising_product(n - 1 + order_gm, m)
+        order_am = order_a + sum(mu)
+        order_amn = order_am - sum(nu)
+        order_agmn = order_amn + sum(gamma)
+        second *= rising_product(n - 1 + order_am, m)
+        second *= rising_product(n - 1 + order_agmn, m)
+        denom = rising_product(n - 1 + order_amn, m)
+        weight = rising_product(n - 1 + order_a, m)
+    return tau, _norm_ratio(tau, alpha, sp).scale_ratio(term1 * denom - second, denom * weight)
+
+
 def hankel_vector_norm_sq(f: SymbolPolynomial, alpha: MultiIndex, sp: SpaceParams) -> Fraction:
     """Exact ||H_f e_alpha||^2 = <H*_f H_f e_alpha, e_alpha>."""
     image = hankel_product_apply(f, f, BasisExpansion.basis_vector(sp, alpha))
@@ -89,9 +191,8 @@ def closed_form_sweep_block(task) -> verify.ClosedFormSweep:
     each e_alpha alone, so a vanishing case (gamma = 0 or nu = 0) still
     runs the composition, and the target's coefficient is read with
     ``coefficient``; a case whose image holds any other monomial is stray
-    support.  The closed form is the public per-case
-    ``hankel_coeff_closed_form``, looked up on ``operators`` at each call,
-    so a test can replace it there."""
+    support.  The closed form is ``closed_form_case_reference``, looked up
+    on this module at each call, so a test can replace it here."""
     n, m, beta, max_component, max_alpha = task
     sp = SpaceParams(n, m)
     beta = MultiIndex(beta)
@@ -119,7 +220,7 @@ def closed_form_sweep_block(task) -> verify.ClosedFormSweep:
                 for comps in product(*(range(k, max_alpha + 1) for k in need)):
                     alpha = MultiIndex(comps)
                     out.cases += 1
-                    target, closed = operators.hankel_coeff_closed_form(beta, gamma, mu, nu, alpha, sp)
+                    target, closed = closed_form_case_reference(beta, gamma, mu, nu, alpha, sp)
                     image = hankel_product_apply(f, g, BasisExpansion.basis_vector(sp, alpha))
                     comp = image.coefficient(target)
                     if closed != comp:

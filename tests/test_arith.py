@@ -149,11 +149,9 @@ def test_gaussian_rational_ops():
     assert str(RadicalCoefficient(0, im=0)) == "0"
 
 
-def test_radical_conjugate_and_complex():
+def test_radical_conjugate():
     c = RadicalCoefficient(1, 2, im=1)
     assert c.conjugate() == RadicalCoefficient(1, 2, im=-1)
-    assert abs(c.to_complex() - complex(2**0.5, 2**0.5)) < 1e-12
-    assert RADICAL_ZERO.to_complex() == 0j
 
 
 # ---------------------------------------------------------------------------

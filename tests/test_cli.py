@@ -812,12 +812,14 @@ def test_verify_json_is_identical_for_every_jobs(capsys, two_cpus, argv):
 @pytest.fixture
 def broken_closed_form(monkeypatch):
     """A closed form that is off by a factor 2 at alpha_1 = 2: the sweep's
-    monomial-basis walk, and the per-case ``hankel_coeff_closed_form`` that
-    ``reference.closed_form_sweep_block`` reads."""
-    from fockop import operators, verify
+    monomial-basis walk, and the per-case ``closed_form_case_reference``
+    that ``reference.closed_form_sweep_block`` reads."""
+    import reference
+
+    from fockop import verify
 
     real_walk = verify._closed_form_monomial_coeffs
-    real_case = operators.hankel_coeff_closed_form
+    real_case = reference.closed_form_case_reference
 
     def walk_off(beta, gamma, mu, nu, alphas, sp):
         coeffs = real_walk(beta, gamma, mu, nu, alphas, sp)
@@ -831,7 +833,7 @@ def broken_closed_form(monkeypatch):
         return target, value.scale(2) if alpha[0] == 2 else value
 
     monkeypatch.setattr(verify, "_closed_form_monomial_coeffs", walk_off)
-    monkeypatch.setattr(operators, "hankel_coeff_closed_form", case_off)
+    monkeypatch.setattr(reference, "closed_form_case_reference", case_off)
 
 
 def test_failing_sweep_lists_are_identical_for_every_jobs(capsys, two_cpus, broken_closed_form):

@@ -6,7 +6,13 @@ from itertools import product
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
-from reference import default_ray, oracle_toeplitz_coeff
+from reference import (
+    closed_form_case_reference,
+    default_ray,
+    oracle_toeplitz_coeff,
+    symbol_from_terms,
+    toeplitz_mono_reference,
+)
 
 from fockop.arith import (
     MultiIndex,
@@ -333,12 +339,12 @@ def test_unlike_square_classes_are_rejected_on_merge():
 
 def _reference_toeplitz_apply(f, v):
     """T_f v as the merged sum of (c * k) * a over the images
-    k e_tau = toeplitz_mono_apply(beta, gamma, alpha) of every pair of a
-    source term c e_alpha and a symbol term a z^beta conj(z)^gamma."""
+    k e_tau = toeplitz_mono_reference(beta, gamma, alpha) of every pair of
+    a source term c e_alpha and a symbol term a z^beta conj(z)^gamma."""
     out = {}
     for alpha, c in v.coeffs.items():
         for (beta, gamma), a in f.terms.items():
-            hit = toeplitz_mono_apply(beta, gamma, alpha, v.space)
+            hit = toeplitz_mono_reference(beta, gamma, alpha, v.space)
             if hit is not None:
                 tau, k = hit
                 out[tau] = out.get(tau, RADICAL_ZERO) + (c * k) * a
@@ -512,7 +518,7 @@ def test_closed_form_monomial_coeffs_cancel_to_the_per_case_coefficient():
         out = []
         for beta, gamma, mu, nu, alphas, sp in cases:
             for alpha, (tau, num, den) in zip(alphas, walk(beta, gamma, mu, nu, alphas, sp)):
-                target, closed = hankel_coeff_closed_form(beta, gamma, mu, nu, alpha, sp)
+                target, closed = closed_form_case_reference(beta, gamma, mu, nu, alpha, sp)
                 assert tau == target
                 q = RadicalCoefficient(Fraction(num, den))
                 if q * _norm_ratio(alpha, tau, sp) != closed:
@@ -532,7 +538,7 @@ def test_closed_form_monomial_coeffs_cancel_to_the_per_case_coefficient():
         (alpha, sp)
         for beta, gamma, mu, nu, alphas, sp in cases
         for alpha in alphas
-        if not hankel_coeff_closed_form(beta, gamma, mu, nu, alpha, sp)[1].is_zero()
+        if not closed_form_case_reference(beta, gamma, mu, nu, alpha, sp)[1].is_zero()
         and sorted(alpha) != sorted(a + g + u - b - w for a, b, g, u, w in zip(alpha, beta, gamma, mu, nu))
     ]
     assert len(sensitive) > 100
@@ -735,7 +741,7 @@ def _reference_apply(shape, f, g, v):
     for sign, h, u in ((1, f_conj * g, v), (-1, f_conj, _reference_toeplitz_apply(g, v))):
         for alpha, c in u.coeffs.items():
             for (beta, gamma), a in h.terms.items():
-                hit = toeplitz_mono_apply(beta, gamma, alpha, v.space)
+                hit = toeplitz_mono_reference(beta, gamma, alpha, v.space)
                 if hit is not None:
                     tau, k = hit
                     out[tau] = out.get(tau, RADICAL_ZERO) + ((c * k) * a).scale(sign)
@@ -821,7 +827,7 @@ def _mixed_symbols(draw, n):
         beta = draw(nonzero) if kind in ("holomorphic", "mixed") else zero
         gamma = draw(nonzero) if kind in ("conjugate", "mixed") else zero
         terms.append(((beta, gamma), draw(_GAUSSIAN)))
-    return SymbolPolynomial.from_terms(n, terms)
+    return symbol_from_terms(n, terms)
 
 
 @st.composite

@@ -8,6 +8,7 @@ from reference import (
     reference_parse_operator,
     reference_parse_symbol,
     reference_tokenize,
+    symbol_from_terms,
 )
 
 from fockop import arith
@@ -455,7 +456,7 @@ def cancelling_symbols(draw, n):
         gamma = MultiIndex([draw(st.integers(0, 1)) for _ in range(n)])
         c = draw(st.sampled_from([(1, 0), (-1, 0)] * 4 + [(0, 1), (0, -1), (Fraction(1, 2), 0), (-2, 3)]))
         items.append(((beta, gamma), RadicalCoefficient(c[0], im=c[1])))
-    return SymbolPolynomial.from_terms(n, items)
+    return symbol_from_terms(n, items)
 
 
 @given(st.data())
@@ -491,6 +492,30 @@ def test_monomial_terms_parse_with_no_symbol_product(monkeypatch):
     assert products == [(2, 2)]
 
 
+def test_zero_term_expands_no_power(monkeypatch):
+    calls = []
+    mul, power = SymbolPolynomial.__mul__, SymbolPolynomial.__pow__
+
+    def counted(name, fn):
+        def wrapper(a, b):
+            calls.append(name)
+            return fn(a, b)
+
+        return wrapper
+
+    monkeypatch.setattr(SymbolPolynomial, "__mul__", counted("mul", mul))
+    monkeypatch.setattr(SymbolPolynomial, "__pow__", counted("pow", power))
+    assert parse_symbol("0*(z1+conj(z1))^256", 2).is_zero()
+    assert calls == []
+    # the power's bounds are still checked at its exponent
+    with pytest.raises(SymbolSyntaxError, match="MAX_SYMBOL_DEGREE") as err:
+        parse_symbol("0*(z1+conj(z1))^257", 2)
+    assert err.value.pos == len("0*(z1+conj(z1))^")
+    # a nonzero term still expands it
+    assert len(parse_symbol("1*(z1+conj(z1))^2", 2).terms) == 3
+    assert calls == ["pow", "mul"]
+
+
 def test_product_canonicalizes_each_key_once(monkeypatch):
     a = parse_symbol(DENSE_TWENTY, 2)
     b = parse_symbol("(1-2*i)*z1 + 1/2*conj(z2) - 3/4*i + 5/3*z1*z2 - conj(z1)^2", 2)
@@ -515,7 +540,7 @@ def test_symbol_rejects_a_coefficient_with_a_square_root():
     with pytest.raises(InputError, match="Gaussian rationals"):
         SymbolPolynomial.constant(1, RadicalCoefficient(1, 2))
     with pytest.raises(InputError, match="Gaussian rationals"):
-        SymbolPolynomial.from_terms(2, [((mi(1, 0), mi(0, 0)), RadicalCoefficient(3, 5))])
+        symbol_from_terms(2, [((mi(1, 0), mi(0, 0)), RadicalCoefficient(3, 5))])
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +589,7 @@ def symbols(draw):
         re = Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 4)))
         im = Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 4)))
         terms.append(((beta, gamma), RadicalCoefficient(re, im=im)))
-    return SymbolPolynomial.from_terms(dim, terms), dim
+    return symbol_from_terms(dim, terms), dim
 
 
 @given(symbols())
