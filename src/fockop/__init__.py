@@ -34,7 +34,7 @@ from .operators import (
     toeplitz_apply,
     toeplitz_mono_apply,
 )
-from .oracle import OracleConfig, OracleEstimate
+from .oracle import OracleEstimate
 from .symbols import SymbolPolynomial, parse_symbol
 
 __version__ = "0.1.0"
@@ -50,6 +50,6 @@ __all__ = [
     "SpaceParams", "ToeplitzOp", "apply_operator", "basis_coefficient",
     "hankel_coeff_closed_form", "hankel_product_apply",
     "monomial_inner", "parse_operator", "toeplitz_apply", "toeplitz_mono_apply",
-    "OracleConfig", "OracleEstimate",
+    "OracleEstimate",
     "SymbolPolynomial", "parse_symbol",
 ]

@@ -4,8 +4,8 @@ The classifiers are purely symbolic: they look only at term support
 (constant? holomorphic? conjugate-linear tail in one variable?) and
 return a verdict with the matched rule.  The growth-rate side samples
 exact squared norms along rays ``alpha(t) = base + t*direction`` and
-fits the amplitude exponent on a log-log scale, to be compared against
-the Stirling-predicted rational exponents.
+fits the amplitude exponent on a log-log scale; the caller compares the
+fit with the Stirling-predicted rational exponent (``predicted_exponent``).
 """
 
 from __future__ import annotations
@@ -199,7 +199,8 @@ class RaySpec:
         return self.base.scaled_add(t, self.direction)
 
 
-def geometric_ts(lo: int = 64, hi: int = 4096, factor: int = 2) -> Tuple[int, ...]:
+def geometric_ts(lo: int, hi: int, factor: int) -> Tuple[int, ...]:
+    """lo, lo*factor, lo*factor^2, ... up to hi."""
     if lo <= 0 or hi < lo or factor < 2:
         raise InputError("need 0 < lo <= hi and factor >= 2")
     out = []
@@ -322,7 +323,6 @@ class ExponentReport:
     """A fit; ``fitted_exponent`` and ``residual`` are None for a degenerate
     ray, one with a zero norm."""
 
-    predicted_exponent: Optional[Fraction]
     fitted_exponent: Optional[float]
     residual: Optional[float]
 
@@ -340,7 +340,6 @@ def log_fraction(x: Fraction) -> float:
 
 def fit_exponent(
     samples: Sequence[Tuple[int, Fraction]],
-    predicted: Optional[Fraction] = None,
 ) -> ExponentReport:
     """Least-squares amplitude exponent from (t, squared norm) samples.
 
@@ -358,7 +357,7 @@ def fit_exponent(
     if any(v < 0 for _, v in samples):
         raise InputError("squared norms cannot be negative")
     if any(v == 0 for _, v in samples):
-        return ExponentReport(predicted, None, None)
+        return ExponentReport(None, None)
     xs = [math.log(t) for t, _ in samples]
     ys = [0.5 * log_fraction(v) for _, v in samples]
     n = len(xs)
@@ -371,4 +370,4 @@ def fit_exponent(
     residual = max(
         abs(math.exp(y - (intercept + slope * x)) - 1.0) for x, y in zip(xs, ys)
     )
-    return ExponentReport(predicted, slope, residual)
+    return ExponentReport(slope, residual)

@@ -239,14 +239,12 @@ class RadicalCoefficient:
             return RADICAL_ZERO
         rd, id_ = re.denominator, im.denominator
         d = rd // gcd(rd, id_) * id_  # lcm of the two denominators
-        root_n, sf_n = square_free_split(radicand.numerator)
-        root_d, sf_d = square_free_split(radicand.denominator)
-        # sqrt(p/q) = root_n / (root_d * sf_d) * sqrt(sf_n * sf_d); sf_n, sf_d are coprime
+        root = cls.from_sqrt_ratio([radicand.numerator], [radicand.denominator])
         return _radical(
-            re.numerator * (d // rd) * root_n,
-            im.numerator * (d // id_) * root_n,
-            d * root_d * sf_d,
-            sf_n * sf_d,
+            re.numerator * (d // rd) * root.re_num,
+            im.numerator * (d // id_) * root.re_num,
+            d * root.den,
+            root.radicand,
         )
 
     def __reduce__(self):  # ``__new__`` takes arguments; pickle the canonical fields
@@ -311,9 +309,6 @@ class RadicalCoefficient:
             d1 * d2,
             r,
         )
-
-    def __sub__(self, other: "RadicalCoefficient") -> "RadicalCoefficient":
-        return self + (-other)
 
     def __mul__(self, other: "RadicalCoefficient") -> "RadicalCoefficient":
         r1, r2 = self.radicand, other.radicand

@@ -40,15 +40,14 @@ from .operators import (
     apply_operator,
     parse_operator,
 )
-from .oracle import DEFAULT_SEED, MAX_QUAD_ORDER, OracleConfig, check_mc_samples
+from .oracle import DEFAULT_SAMPLES, DEFAULT_SEED, MAX_QUAD_ORDER, check_mc_samples
 from .symbols import check_dimension, parse_symbol
 from . import verify as verify_mod
 
 
 def _with_source(source: str, fn, *args, **kwargs):
     """``fn(*args, **kwargs)``, with an ``InputError`` from the library
-    re-raised to name ``source``, the flag or environment variable whose
-    value it rejected."""
+    re-raised to name ``source``, the flag whose value it rejected."""
     try:
         return fn(*args, **kwargs)
     except InputError as exc:
@@ -342,16 +341,12 @@ def _cmd_fit(args) -> int:
             samples.append((_parse_int(parts[0]), _parse_rational(parts[2])))
         except InputError as exc:
             raise InputError(f"line {lineno}: bad sample {line!r}") from exc
-    report_obj = _with_source(source, fit_exponent, samples, predicted)
+    report_obj = _with_source(source, fit_exponent, samples)
     outputs = {
         "degenerate": report_obj.degenerate,
         "fitted_exponent": report_obj.fitted_exponent,
         "residual": report_obj.residual,
-        "predicted_exponent": (
-            str(report_obj.predicted_exponent)
-            if report_obj.predicted_exponent is not None
-            else None
-        ),
+        "predicted_exponent": None if predicted is None else str(predicted),
         "samples": len(samples),
     }
     report = {"command": "fit", "inputs": {"path": args.path}, "outputs": outputs}
@@ -369,19 +364,6 @@ def _cmd_fit(args) -> int:
             )
     _emit(report, args.format, lines)
     return 0
-
-
-def _env_override(name: str, flag: str, fallback):
-    """(value, source): the integer in the environment variable ``name`` if
-    set, read by ``_parse_int``, else the flag's value; ``source`` names
-    where the value came from."""
-    raw = os.environ.get(name)
-    if raw is None:
-        return fallback, flag
-    try:
-        return _parse_int(raw), name
-    except InputError as exc:
-        raise InputError(f"{name} must be an integer, got {raw!r}") from exc
 
 
 def _verify_grid(args, n_default: Tuple[int, ...], m_default: Tuple[int, ...]):
@@ -432,15 +414,14 @@ def _verify_closed_form(args) -> List[Tuple[str, bool, str]]:
 def _verify_oracle(args) -> List[Tuple[str, bool, str]]:
     # the n=1 routes default to m 0..3, Monte Carlo to m 0..2 and order <= 4
     n_values, mc_m = _verify_grid(args, (1, 2), (0, 1, 2))
-    seed, seed_source = _env_override("FOCKOP_SEED", "--seed", args.seed)
-    _at_least(seed, 0, seed_source)
-    samples, samples_source = _env_override("FOCKOP_SAMPLES", "--samples", args.samples)
+    seed = _at_least(args.seed, 0, "--seed")
+    samples = args.samples
     max_order = _at_least(args.max_order, 0, "--max-order")
     mc_ns, mc_order = [n for n in n_values if n >= 2], min(max_order, 4)
     if mc_ns:  # before the n=1 stage runs
-        _with_source(samples_source, check_mc_samples, samples)
+        _with_source("--samples", check_mc_samples, samples)
     evaluations = len(mc_m) * sum(math.comb(n + mc_order, n) for n in mc_ns) * samples
-    flags = f"{samples_source} with -n, -m and --max-order"
+    flags = "--samples with -n, -m and --max-order"
     what = "Monte Carlo case evaluations"
     _check_work(evaluations, MAX_VERIFY_EVALUATIONS, "MAX_VERIFY_EVALUATIONS", what, flags)
     checks = []
@@ -455,9 +436,8 @@ def _verify_oracle(args) -> List[Tuple[str, bool, str]]:
         det = verify_mod.verify_oracle_deterministic(det_m, max_order)
         detail = f"{det.cases} cases, max rel err {det.max_relative_error:.2e}"
         checks.append(("n=1 quadrature/gamma agreement", det.passed, detail))
-    cfg = OracleConfig(seed=seed, samples=samples)
     for n in mc_ns:
-        mc = _with_source(samples_source, verify_mod.verify_oracle_monte_carlo, n, mc_m, mc_order, cfg=cfg)
+        mc = verify_mod.verify_oracle_monte_carlo(n, mc_m, mc_order, seed, samples)
         detail = f"{mc.cases} cases, max {mc.max_sigmas:.2f} sigmas ({samples} samples, seed {seed})"
         checks.append((f"n={n} Monte Carlo bracket", mc.passed, detail))
     return checks
@@ -593,7 +573,7 @@ def _add_verify_args(p):
     p.add_argument("--max-component", type=_int_arg, default=2)
     p.add_argument("--max-alpha", type=_int_arg, default=12)
     p.add_argument("--seed", type=_int_arg, default=DEFAULT_SEED)
-    p.add_argument("--samples", type=_int_arg, default=OracleConfig.samples)
+    p.add_argument("--samples", type=_int_arg, default=DEFAULT_SAMPLES)
     p.add_argument("--jobs", type=_int_arg, default=1, help="worker processes (>= 1); output does not depend on it")
     p.add_argument("--format", choices=("json", "table"), default="table")
     p.set_defaults(handler=_cmd_verify)

@@ -3,10 +3,11 @@
 Nothing here touches the exact big-integer/rational code paths.  Each
 route is its own function: ``quadrature_norm_sq`` integrates the radial
 integral adaptively (n = 1), ``gamma_norm_sq`` multiplies float
-Gamma-function recurrences grown out of Gamma(1) = 1, and ``_mc_inner``
-takes seeded importance-sampled Monte Carlo against the standard complex
-Gaussian (n >= 2).  Agreement of these routes with the exact engine is
-the point; sharing code with it would verify nothing.
+Gamma-function recurrences grown out of Gamma(1) = 1, and
+``_mc_inner(cases, seed, samples)`` takes seeded importance-sampled
+Monte Carlo against the standard complex Gaussian (n >= 2).  Agreement
+of these routes with the exact engine is the point; sharing code with
+it would verify nothing.
 
 Monte Carlo cases of one dimension share their draws (common random
 numbers): each chunk of ``MC_CHUNK`` samples is drawn once and every
@@ -41,13 +42,9 @@ from .arith import MultiIndex, check_same_dimension
 from .errors import InputError
 from .operators import SpaceParams
 
+# The defaults of ``verify oracle``'s ``--seed`` and ``--samples``.
 DEFAULT_SEED = 20417
-
-
-@dataclass(frozen=True)
-class OracleConfig:
-    seed: int = DEFAULT_SEED
-    samples: int = 200_000
+DEFAULT_SAMPLES = 200_000
 
 
 @dataclass(frozen=True)
@@ -320,12 +317,11 @@ def check_mc_samples(samples: int) -> None:
 
 
 def _mc_inner(
-    cases: Sequence[Tuple[MultiIndex, MultiIndex, SpaceParams]], cfg: OracleConfig
+    cases: Sequence[Tuple[MultiIndex, MultiIndex, SpaceParams]], seed: int, samples: int
 ) -> MonteCarloBatch:
     """Monte Carlo estimates of <z^a, z^b> in sp for every case ``(a, b, sp)``,
-    all from one stream of draws seeded by ``cfg.seed``."""
-    total = cfg.samples
-    check_mc_samples(total)
+    each from the same ``samples`` draws of one stream seeded by ``seed``."""
+    check_mc_samples(samples)
     if not cases:
         return MonteCarloBatch(())
     n = cases[0][2].n
@@ -334,20 +330,20 @@ def _mc_inner(
     # times the normalizing constant of the weighted measure
     work = [(a, b, sp.m, gamma_recurrence(n) / gamma_recurrence(sp.m + n)) for a, b, sp in cases]
     # the seed's first child stream; the pinned oracle estimates depend on it
-    stream = np.random.SeedSequence(cfg.seed).spawn(1)[0]
+    stream = np.random.SeedSequence(seed).spawn(1)[0]
     estimates = []
-    for sums in _mc_sums(work, n, stream, total, MC_CHUNK):
-        mean_re = sums[0] / total
-        var_re = max(sums[1] / total - mean_re**2, 0.0)
-        mean_im = sums[2] / total
-        var_im = max(sums[3] / total - mean_im**2, 0.0)
+    for sums in _mc_sums(work, n, stream, samples, MC_CHUNK):
+        mean_re = sums[0] / samples
+        var_re = max(sums[1] / samples - mean_re**2, 0.0)
+        mean_im = sums[2] / samples
+        var_im = max(sums[3] / samples - mean_im**2, 0.0)
         estimates.append(
             OracleEstimate(
                 value=mean_re,
-                standard_error=math.sqrt(var_re / total),
-                samples=total,
+                standard_error=math.sqrt(var_re / samples),
+                samples=samples,
                 imag_value=mean_im,
-                imag_standard_error=math.sqrt(var_im / total),
+                imag_standard_error=math.sqrt(var_im / samples),
             )
         )
     return MonteCarloBatch(tuple(estimates))

@@ -118,12 +118,6 @@ class SymbolPolynomial:
         _merge_into(terms, other.terms.items())
         return _symbol(self.dimension, terms)
 
-    def __neg__(self) -> "SymbolPolynomial":
-        return _symbol(self.dimension, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: "SymbolPolynomial") -> "SymbolPolynomial":
-        return self + (-other)
-
     def __mul__(self, other: "SymbolPolynomial") -> "SymbolPolynomial":
         check_same_dimension(self.dimension, other.dimension)
         if len(self.terms) == 1 or len(other.terms) == 1:  # no two pairs share a key

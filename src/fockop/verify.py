@@ -5,7 +5,9 @@ acceptance suite: exact orthonormality of the normalized monomial
 basis, agreement of the closed-form Hankel-product coefficient with the
 composition route on its validity range (with vanishing-pattern
 bookkeeping), and agreement of the exact inner products with the
-floating-point oracle.
+floating-point oracle, within ``DETERMINISTIC_REL_TOL`` and ``MC_MAX_PULL``.
+Every grid, seed and sample count comes from the caller; the CLI states
+each default once.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from itertools import product
 from typing import Callable, List, Optional, Sequence
 
 from .arith import MultiIndex, RADICAL_ONE, RADICAL_ZERO
-from .oracle import OracleConfig, _mc_inner, gamma_norm_sq, quadrature_norm_sq
+from .oracle import _mc_inner, gamma_norm_sq, quadrature_norm_sq
 from .operators import (
     SpaceParams,
     _closed_form_monomial_coeffs,
@@ -329,6 +331,10 @@ class OracleAgreementResult:
 # show against the exact inner products, and against each other.
 DETERMINISTIC_REL_TOL = 1e-10
 
+# Largest distance, in standard errors, of a Monte Carlo estimate from the
+# exact inner product.
+MC_MAX_PULL = 3.0
+
 
 def verify_oracle_deterministic(m_values: Sequence[int], max_order: int) -> OracleAgreementResult:
     """n=1: exact inner products vs quadrature and Gamma-recurrence routes,
@@ -373,17 +379,18 @@ def verify_oracle_monte_carlo(
     n: int,
     m_values: Sequence[int],
     max_order: int,
-    sigmas: float = 3.0,
-    cfg: OracleConfig = OracleConfig(),
+    seed: int,
+    samples: int,
 ) -> MonteCarloAgreementResult:
-    """n>=2: seeded Monte Carlo must bracket each exact value within ``sigmas``.
+    """n>=2: Monte Carlo at ``samples`` draws seeded by ``seed`` must bracket
+    each exact value within ``MC_MAX_PULL`` standard errors.
 
     All cases are estimated in one call, from the same draws.
     """
     out = MonteCarloAgreementResult()
     spaces = [SpaceParams(n, m) for m in m_values]
     cases = [(a, a, sp) for sp in spaces for a in indices_up_to_order(n, max_order)]
-    estimates = _mc_inner(cases, cfg).estimates
+    estimates = _mc_inner(cases, seed, samples).estimates
     for (a, _, sp), est in zip(cases, estimates):
         exact = float(monomial_inner(a, a, sp))
         out.cases += 1
@@ -396,9 +403,9 @@ def verify_oracle_monte_carlo(
         else:
             pull = math.inf  # a NaN or infinite estimate brackets nothing
         out.max_sigmas = max(out.max_sigmas, pull)
-        if pull > sigmas:
+        if pull > MC_MAX_PULL:
             out.failures.append(
                 f"m={sp.m} a={tuple(a)}: {est.value:.8f} vs exact {exact:.8f} "
-                f"is {pull:.2f} standard errors (> {sigmas})"
+                f"is {pull:.2f} standard errors (> {MC_MAX_PULL})"
             )
     return out

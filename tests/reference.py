@@ -68,8 +68,8 @@ from fockop.symbols import (
 
 def default_ray(expr: OperatorExpr, t_values: Optional[Sequence[int]] = None) -> RaySpec:
     """The ray from the operator's validity base along (1, ..., 1), at
-    ``t_values`` (``analysis.geometric_ts()`` by default)."""
-    ts = tuple(t_values) if t_values is not None else geometric_ts()
+    ``t_values`` (by default those of ``norms``' ``--t 64:4096:geometric``)."""
+    ts = tuple(t_values) if t_values is not None else geometric_ts(64, 4096, 2)
     return RaySpec(default_base(expr), MultiIndex.ones(expr.dimension), ts)
 
 

@@ -266,24 +266,6 @@ def test_verify_oracle_deterministic_only(capsys):
     assert json.loads(out)["outputs"]["passed"] is True
 
 
-def test_verify_oracle_env_seed_override(capsys, monkeypatch):
-    monkeypatch.setenv("FOCKOP_SEED", "99")
-    code, out = run(
-        capsys,
-        "verify", "oracle", "-n", "2", "-m", "0", "--max-order", "2",
-        "--samples", "20000", "--seed", "1", "--format", "json",
-    )
-    assert code == 0
-    checks = json.loads(out)["outputs"]["checks"]
-    assert any("seed 99" in c["detail"] for c in checks)
-
-
-def test_verify_oracle_bad_env_seed(capsys, monkeypatch):
-    monkeypatch.setenv("FOCKOP_SEED", "not-a-number")
-    code = main(["verify", "oracle", "-n", "1", "-m", "0"])
-    assert code == 2
-
-
 def test_norms_json_and_csv_carry_identical_numbers(capsys):
     args = [
         "norms", "-n", "1", "-m", "0",
@@ -297,18 +279,6 @@ def test_norms_json_and_csv_carry_identical_numbers(capsys):
     assert len(csv_rows) == len(json_rows)
     for (t, alpha, norm), row in zip(csv_rows, json_rows):
         assert row == {"t": int(t), "alpha": alpha, "squared_norm": norm}
-
-
-def test_verify_env_samples_override(capsys, monkeypatch):
-    monkeypatch.setenv("FOCKOP_SAMPLES", "30000")
-    code, out = run(
-        capsys,
-        "verify", "oracle", "-n", "2", "-m", "0", "--max-order", "2",
-        "--samples", "999", "--format", "json",
-    )
-    assert code == 0
-    checks = json.loads(out)["outputs"]["checks"]
-    assert any("30000 samples" in c["detail"] for c in checks)
 
 
 def test_fit_reads_stdin(capsys, monkeypatch):
@@ -535,7 +505,15 @@ STRICT_INT_CASES = [
     (("verify", "hankel-closed-form", "-n", "1", "--max-component", " 2"), "--max-component"),
     (("verify", "hankel-closed-form", "-n", "1", "--max-alpha", "٣"), "--max-alpha"),
     (("verify", "oracle", "-n", "2", "--seed", "+5"), "--seed"),
+    (("verify", "oracle", "-n", "2", "--seed", "x"), "--seed"),
+    (("verify", "oracle", "-n", "2", "--seed", " 5"), "--seed"),
+    (("verify", "oracle", "-n", "2", "--seed", "1_0"), "--seed"),
+    (("verify", "oracle", "-n", "2", "--seed", "٣"), "--seed"),
     (("verify", "oracle", "-n", "2", "--samples", "1_000"), "--samples"),
+    (("verify", "oracle", "-n", "2", "--samples", "abc"), "--samples"),
+    (("verify", "oracle", "-n", "2", "--samples", "1000 "), "--samples"),
+    (("verify", "oracle", "-n", "2", "--samples", "١٠٠٠"), "--samples"),
+    (("verify", "oracle", "-n", "2", "--samples", "+1000"), "--samples"),
 ]
 
 
@@ -565,7 +543,15 @@ STRICT_INT_CASES = [
         "verify-max-component-space",
         "verify-max-alpha-arabic-indic-digit",
         "verify-seed-plus-sign",
+        "verify-seed-letter",
+        "verify-seed-space",
+        "verify-seed-underscore",
+        "verify-seed-arabic-indic-digit",
         "verify-samples-underscore",
+        "verify-samples-letters",
+        "verify-samples-trailing-space",
+        "verify-samples-arabic-indic-digit",
+        "verify-samples-plus-sign",
     ],
 )
 def test_integers_are_ascii_digits_only(capsys, argv, flag):
@@ -633,62 +619,44 @@ def test_fit_reads_fractions_and_decimals(capsys, monkeypatch, predicted, norm):
     assert outputs["fitted_exponent"] == pytest.approx(0.5)
 
 
-@pytest.mark.parametrize(
-    "name, value, message",
-    [
-        ("FOCKOP_SEED", "-1", "FOCKOP_SEED must be >= 0"),
-        ("FOCKOP_SEED", "x", "FOCKOP_SEED must be an integer, got 'x'"),
-        ("FOCKOP_SAMPLES", "abc", "FOCKOP_SAMPLES must be an integer, got 'abc'"),
-        ("FOCKOP_SEED", " 5", "FOCKOP_SEED must be an integer, got ' 5'"),
-        ("FOCKOP_SEED", "1_0", "FOCKOP_SEED must be an integer, got '1_0'"),
-        ("FOCKOP_SEED", "٣", "FOCKOP_SEED must be an integer, got '٣'"),
-        ("FOCKOP_SEED", "+7", "FOCKOP_SEED must be an integer, got '+7'"),
-        ("FOCKOP_SAMPLES", "1000 ", "FOCKOP_SAMPLES must be an integer, got '1000 '"),
-        ("FOCKOP_SAMPLES", "1_000", "FOCKOP_SAMPLES must be an integer, got '1_000'"),
-        ("FOCKOP_SAMPLES", "١٠٠٠", "FOCKOP_SAMPLES must be an integer, got '١٠٠٠'"),
-        ("FOCKOP_SAMPLES", "+1000", "FOCKOP_SAMPLES must be an integer, got '+1000'"),
-        ("FOCKOP_SAMPLES", "1", "FOCKOP_SAMPLES: Monte Carlo needs at least 2 samples"),
-    ],
-)
-def test_bad_oracle_environment_exits_2(capsys, monkeypatch, name, value, message):
-    monkeypatch.setenv(name, value)
-    code = main(["verify", "oracle", "-n", "1,2", "--max-order", "1"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert message in captured.err
+# Environment variables the oracle once read, each with values that would
+# have changed its output or failed it; the command reads none of them.
+ORACLE_ENVIRONMENT = {
+    # a tolerance this loose would fail the n=1 check's 1e-10 bound
+    "FOCKOP_TOL": ["1e-9"],
+    "FOCKOP_SEED": ["99", "-1", "x", "+7"],
+    "FOCKOP_SAMPLES": ["30000", "1", "abc", "1_000"],
+}
 
 
 def test_quadrature_tolerance_is_not_read_from_the_environment(capsys, monkeypatch):
-    argv = ["verify", "oracle", "-n", "1", "--max-order", "1"]
+    # the n=1 routes and Monte Carlo at n=2, whose detail names the seed and samples
+    argv = ["verify", "oracle", "-n", "1,2", "-m", "0", "--max-order", "1", "--samples", "2000"]
     code, unset = run(capsys, *argv)
     assert code == 0
-    # a tolerance this loose would fail the check's 1e-10 bound
-    monkeypatch.setenv("FOCKOP_TOL", "1e-9")
-    code, out = run(capsys, *argv)
-    assert code == 0
-    assert out == unset
+    assert "(2000 samples, seed 20417)" in unset
+    for name, values in ORACLE_ENVIRONMENT.items():
+        for value in values:
+            monkeypatch.setenv(name, value)
+            code, out = run(capsys, *argv)
+            assert code == 0, (name, value)
+            assert out == unset, (name, value)
+        monkeypatch.delenv(name)
 
 
-@pytest.mark.parametrize("env, argv_tail, source", [
-    ({}, ("--samples", "1"), "--samples"),
-    ({}, ("--samples", "-5"), "--samples"),
-    ({"FOCKOP_SAMPLES": "0"}, (), "FOCKOP_SAMPLES"),
-])
-def test_too_few_samples_exit_2_before_the_quadrature_stage(capsys, monkeypatch, env, argv_tail, source):
+@pytest.mark.parametrize("samples", ["1", "-5", "0"])
+def test_too_few_samples_exit_2_before_the_quadrature_stage(capsys, monkeypatch, samples):
     from fockop import cli as cli_mod
 
     def unreachable(*args, **kwargs):
         raise AssertionError("the n=1 stage ran before --samples was checked")
 
     monkeypatch.setattr(cli_mod.verify_mod, "verify_oracle_deterministic", unreachable)
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
-    code = main(["verify", "oracle", "-n", "1,2", "-m", "0,1,2,3", "--max-order", "80", *argv_tail])
+    code = main(["verify", "oracle", "-n", "1,2", "-m", "0,1,2,3", "--max-order", "80", "--samples", samples])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert f"error: {source}: Monte Carlo needs at least 2 samples" in captured.err
+    assert "error: --samples: Monte Carlo needs at least 2 samples" in captured.err
 
 
 def test_fit_missing_file_exits_2(capsys, tmp_path):

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import tracemalloc
 
@@ -11,18 +10,18 @@ from reference import (
     radical_to_complex,
     recursive_gamma_integral_quadrature,
     recursive_simpson,
-    toeplitz_mono_reference,
 )
 
-from fockop import oracle
+from fockop import oracle, verify
 from fockop.arith import MultiIndex
 from fockop.errors import InputError
-from fockop.operators import SpaceParams, monomial_inner
+from fockop.operators import BasisExpansion, SpaceParams, monomial_inner, toeplitz_apply
 from fockop.oracle import (
+    DEFAULT_SAMPLES,
+    DEFAULT_SEED,
     MAX_QUAD_DEPTH,
     MAX_QUAD_ORDER,
     QUAD_REL_TOL,
-    OracleConfig,
     OracleEstimate,
     _mc_inner,
     _mc_sums,
@@ -33,6 +32,7 @@ from fockop.oracle import (
     gamma_recurrence,
     quadrature_norm_sq,
 )
+from fockop.symbols import SymbolPolynomial
 from fockop.verify import indices_up_to_order, verify_oracle_deterministic, verify_oracle_monte_carlo
 
 
@@ -40,13 +40,9 @@ def mi(*comps):
     return MultiIndex(comps)
 
 
-def mc_estimate(a, b, sp, cfg):
+def mc_estimate(a, b, sp, seed, samples):
     """The Monte Carlo estimate of <z^a, z^b> in sp, asked for alone."""
-    return _mc_inner([(a, b, sp)], cfg).estimates[0]
-
-
-def test_oracle_config_holds_the_cli_settings_only():
-    assert [f.name for f in dataclasses.fields(OracleConfig)] == ["seed", "samples"]
+    return _mc_inner([(a, b, sp)], seed, samples).estimates[0]
 
 
 def test_gamma_recurrence_small_values():
@@ -121,8 +117,7 @@ def test_quadrature_rejected_for_higher_dimensions():
 def test_monte_carlo_brackets_exact_value():
     sp = SpaceParams(2, 1)
     a = mi(1, 0)
-    cfg = OracleConfig(seed=11, samples=200_000)
-    est = mc_estimate(a, a, sp, cfg)
+    est = mc_estimate(a, a, sp, 11, 200_000)
     exact = float(monomial_inner(a, a, sp))  # 3/2
     assert est.standard_error is not None and est.standard_error > 0
     assert abs(est.value - exact) <= 3 * est.standard_error
@@ -131,8 +126,7 @@ def test_monte_carlo_brackets_exact_value():
 
 def test_monte_carlo_off_diagonal_is_noise_around_zero():
     sp = SpaceParams(2, 1)
-    cfg = OracleConfig(seed=7, samples=100_000)
-    est = mc_estimate(mi(1, 0), mi(0, 1), sp, cfg)
+    est = mc_estimate(mi(1, 0), mi(0, 1), sp, 7, 100_000)
     assert abs(est.value) <= 3 * est.standard_error
     assert abs(est.imag_value) <= 3 * est.imag_standard_error
 
@@ -140,9 +134,8 @@ def test_monte_carlo_off_diagonal_is_noise_around_zero():
 def test_monte_carlo_is_deterministic_given_seed():
     sp = SpaceParams(2, 0)
     a = mi(2, 1)
-    cfg = OracleConfig(seed=123, samples=50_000)
-    est1 = mc_estimate(a, a, sp, cfg)
-    est2 = mc_estimate(a, a, sp, cfg)
+    est1 = mc_estimate(a, a, sp, 123, 50_000)
+    est2 = mc_estimate(a, a, sp, 123, 50_000)
     assert est1 == est2
 
 
@@ -150,10 +143,12 @@ def test_oracle_toeplitz_coeff_matches_engine():
     sp = SpaceParams(1, 0)
     assert abs(oracle_toeplitz_coeff(mi(1), mi(0), mi(3), sp) - 2.0) <= 1e-10
 
+    # m > 0 and a conjugate factor: the engine's weight runs take part
     sp1 = SpaceParams(1, 1)
     value = oracle_toeplitz_coeff(mi(1), mi(1), mi(2), sp1)
-    _, coeff = toeplitz_mono_reference(mi(1), mi(1), mi(2), sp1)
-    assert abs(value - radical_to_complex(coeff).real) <= 1e-10
+    f = SymbolPolynomial.monomial(1, mi(1), mi(1))
+    image = toeplitz_apply(f, BasisExpansion.basis_vector(sp1, mi(2)))
+    assert abs(value - radical_to_complex(image.coefficient(mi(2))).real) <= 1e-10
 
     assert oracle_toeplitz_coeff(mi(0), mi(1), mi(0), sp) == 0.0
 
@@ -196,15 +191,14 @@ def _per_case_worker(a, b, sp, weight, seed_seq, count, chunk):
     return sums
 
 
-def _stream(cfg):
-    """The oracle's stream for ``cfg``: the seed's first child."""
-    return np.random.SeedSequence(cfg.seed).spawn(1)[0]
+def _stream(seed):
+    """The oracle's stream for ``seed``: the seed's first child."""
+    return np.random.SeedSequence(seed).spawn(1)[0]
 
 
-def _per_case_estimate(a, b, sp, cfg, chunk):
-    total = cfg.samples
+def _per_case_estimate(a, b, sp, seed, total, chunk):
     weight = gamma_recurrence(sp.n) / gamma_recurrence(sp.m + sp.n)
-    sums = _per_case_worker(a, b, sp, weight, _stream(cfg), total, chunk)
+    sums = _per_case_worker(a, b, sp, weight, _stream(seed), total, chunk)
     mean_re = sums[0] / total
     mean_im = sums[2] / total
     return OracleEstimate(
@@ -225,37 +219,39 @@ def _mc_cases(n):
 
 
 MC_BATCHES = pytest.mark.parametrize(
-    "n, cfg, chunk",
+    "n, seed, samples, chunk",
     [
-        (2, OracleConfig(seed=5, samples=3_000), oracle.MC_CHUNK),
-        (2, OracleConfig(seed=6, samples=2_500), 1_000),  # three chunks, the last one short
-        (3, OracleConfig(seed=8, samples=2_000), 700),
+        (2, 5, 3_000, oracle.MC_CHUNK),
+        (2, 6, 2_500, 1_000),  # three chunks, the last one short
+        (3, 8, 2_000, 700),
     ],
     ids=["n2-one-chunk", "n2-partial-chunk", "n3-chunks"],
 )
 
 
 @MC_BATCHES
-def test_batched_monte_carlo_is_bit_identical_to_per_case(n, cfg, chunk, monkeypatch):
+def test_batched_monte_carlo_is_bit_identical_to_per_case(n, seed, samples, chunk, monkeypatch):
     monkeypatch.setattr(oracle, "MC_CHUNK", chunk)
     cases = _mc_cases(n)
-    batch = _mc_inner(cases, cfg)
+    batch = _mc_inner(cases, seed, samples)
     assert len(batch.estimates) == len(cases)
-    assert batch.samples == len(cases) * cfg.samples
+    assert batch.samples == len(cases) * samples
     for (a, b, sp), est in zip(cases, batch.estimates):
-        ref = _per_case_estimate(a, b, sp, cfg, chunk)
+        ref = _per_case_estimate(a, b, sp, seed, samples, chunk)
         assert est.value == ref.value
         assert est.standard_error == ref.standard_error
         assert est.imag_value == ref.imag_value
         assert est.imag_standard_error == ref.imag_standard_error
         assert est == ref
-        assert mc_estimate(a, b, sp, cfg) == ref
+        assert mc_estimate(a, b, sp, seed, samples) == ref
 
 
-@pytest.mark.parametrize("cfg, chunk", [(OracleConfig(seed=3, samples=4_000), 1_500)], ids=["chunks"])
-def test_monte_carlo_agreement_matches_per_case_loop(cfg, chunk, monkeypatch):
+@pytest.mark.parametrize("seed, samples, chunk", [(3, 4_000, 1_500)], ids=["chunks"])
+def test_monte_carlo_agreement_matches_per_case_loop(seed, samples, chunk, monkeypatch):
     monkeypatch.setattr(oracle, "MC_CHUNK", chunk)
-    n, m_values, max_order, sigmas = 2, (0, 1, 2), 3, 1.0  # low enough that some cases fail
+    sigmas = 1.0  # low enough that some cases fail
+    monkeypatch.setattr(verify, "MC_MAX_PULL", sigmas)
+    n, m_values, max_order = 2, (0, 1, 2), 3
     cases = 0
     failures = []
     max_sigmas = 0.0
@@ -263,7 +259,7 @@ def test_monte_carlo_agreement_matches_per_case_loop(cfg, chunk, monkeypatch):
         sp = SpaceParams(n, m)
         for a in indices_up_to_order(n, max_order):
             exact = float(monomial_inner(a, a, sp))
-            est = _per_case_estimate(a, a, sp, cfg, chunk)
+            est = _per_case_estimate(a, a, sp, seed, samples, chunk)
             cases += 1
             if est.standard_error == 0:
                 if est.value != exact:
@@ -276,7 +272,7 @@ def test_monte_carlo_agreement_matches_per_case_loop(cfg, chunk, monkeypatch):
                     f"m={m} a={tuple(a)}: {est.value:.8f} vs exact {exact:.8f} "
                     f"is {pull:.2f} standard errors (> {sigmas})"
                 )
-    out = verify_oracle_monte_carlo(n, m_values, max_order, sigmas, cfg)
+    out = verify_oracle_monte_carlo(n, m_values, max_order, seed, samples)
     assert out.cases == cases
     assert out.max_sigmas == max_sigmas
     assert out.failures == failures
@@ -287,7 +283,7 @@ UNIT_ROUNDOFF = 2.0**-53
 
 
 @MC_BATCHES
-def test_modulus_phase_sums_match_the_complex_product_within_rounding(n, cfg, chunk):
+def test_modulus_phase_sums_match_the_complex_product_within_rounding(n, seed, samples, chunk):
     """The kernel's sums against the complex-product loop it replaced.
 
     Both routes compute the same w per sample from the same draws, each to
@@ -316,12 +312,12 @@ def test_modulus_phase_sums_match_the_complex_product_within_rounding(n, cfg, ch
     """
     cases = _mc_cases(n)
     work = [(a, b, sp.m, gamma_recurrence(n) / gamma_recurrence(sp.m + n)) for a, b, sp in cases]
-    sums = _mc_sums(work, n, _stream(cfg), cfg.samples, chunk)
-    size = min(chunk, cfg.samples)
-    chunks = math.ceil(cfg.samples / chunk)
+    sums = _mc_sums(work, n, _stream(seed), samples, chunk)
+    size = min(chunk, samples)
+    chunks = math.ceil(samples / chunk)
     depth = math.ceil(math.log2(size)) + 25 + math.ceil(size / 8192) + chunks
     for (a, b, m, weight), new in zip(work, sums):
-        old, (abs_sum, abs_sq_sum) = complex_product_mc_sums(a, b, m, weight, n, _stream(cfg), cfg.samples, chunk)
+        old, (abs_sum, abs_sq_sum) = complex_product_mc_sums(a, b, m, weight, n, _stream(seed), samples, chunk)
         k = 3 * (a.order + b.order) + 2 * n * (m + 1) + 4
         bound = 1.005 * 2 * (k + depth) * UNIT_ROUNDOFF * abs_sum
         sq_bound = 1.005 * 4 * (k + depth + 1) * UNIT_ROUNDOFF * abs_sq_sum
@@ -336,7 +332,7 @@ def test_modulus_phase_sums_match_the_complex_product_within_rounding(n, cfg, ch
 def test_monte_carlo_diagonal_cases_are_exactly_real(n, monkeypatch):
     monkeypatch.setattr(oracle, "MC_CHUNK", 900)
     cases = [(a, b, sp) for a, b, sp in _mc_cases(n) if a == b]
-    for est in _mc_inner(cases, OracleConfig(seed=9, samples=2_000)).estimates:
+    for est in _mc_inner(cases, 9, 2_000).estimates:
         assert est.imag_value == 0.0
         assert est.imag_standard_error == 0.0
 
@@ -345,33 +341,32 @@ def test_monte_carlo_working_memory_is_bounded():
     # the 45 default n=2 cases of `verify oracle` in one chunk of 200 000
     # samples: at most 112 bytes per sample, what the complex-product kernel took
     cases = [(a, a, SpaceParams(2, m)) for m in (0, 1, 2) for a in indices_up_to_order(2, 4)]
-    cfg = OracleConfig(samples=200_000)
-    _mc_inner(cases[:1], OracleConfig(samples=2))  # numpy's first-call allocations
+    samples = 200_000
+    _mc_inner(cases[:1], DEFAULT_SEED, 2)  # numpy's first-call allocations
     tracemalloc.start()
     try:
-        _mc_inner(cases, cfg)
+        _mc_inner(cases, DEFAULT_SEED, samples)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 112 * cfg.samples, peak
+    assert peak <= 112 * samples, peak
 
 
 @pytest.mark.parametrize("samples", [2.5, 10.0, "10", None])
 def test_monte_carlo_rejects_non_integer_samples(samples):
     with pytest.raises(InputError, match="samples must be an integer"):
-        mc_estimate(mi(1, 0), mi(1, 0), SpaceParams(2, 0), OracleConfig(samples=samples))
+        mc_estimate(mi(1, 0), mi(1, 0), SpaceParams(2, 0), DEFAULT_SEED, samples)
 
 
 def test_monte_carlo_accepts_numpy_integer_samples():
-    cfg = OracleConfig(seed=4, samples=np.int64(1_000))
-    assert mc_estimate(mi(1, 0), mi(1, 0), SpaceParams(2, 0), cfg) == mc_estimate(
-        mi(1, 0), mi(1, 0), SpaceParams(2, 0), OracleConfig(seed=4, samples=1_000)
+    assert mc_estimate(mi(1, 0), mi(1, 0), SpaceParams(2, 0), 4, np.int64(1_000)) == mc_estimate(
+        mi(1, 0), mi(1, 0), SpaceParams(2, 0), 4, 1_000
     )
 
 
 def test_monte_carlo_needs_one_dimension_per_batch():
     with pytest.raises(InputError, match="dimensions differ: 2 vs 1"):
-        _mc_inner([(mi(1, 0), mi(1, 0), SpaceParams(2, 0)), (mi(1), mi(1), SpaceParams(1, 0))], OracleConfig())
+        _mc_inner([(mi(1, 0), mi(1, 0), SpaceParams(2, 0)), (mi(1), mi(1), SpaceParams(1, 0))], DEFAULT_SEED, DEFAULT_SAMPLES)
 
 
 def test_quadrature_is_memoized_per_distinct_k():

@@ -30,6 +30,7 @@ DELETED = [
     (arith.RadicalCoefficient, "normalize"),
     (arith.RadicalCoefficient, "rational"),
     (arith.RadicalCoefficient, "to_complex"),
+    (arith.RadicalCoefficient, "__sub__"),
     (arith, "run_square_free_split"),
     (arith, "RUN_SPLIT_CACHE_SIZE"),
     (arith, "sqrt_of_split_ratio"),
@@ -39,6 +40,8 @@ DELETED = [
     (symbols.SymbolPolynomial, "is_holomorphic"),
     (symbols.SymbolPolynomial, "scaled"),
     (symbols.SymbolPolynomial, "from_terms"),
+    (symbols.SymbolPolynomial, "__neg__"),
+    (symbols.SymbolPolynomial, "__sub__"),
     (symbols, "_merged"),
     (symbols, "Fraction"),
     (symbols, "dataclass"),
@@ -64,9 +67,7 @@ DELETED = [
     (analysis, "default_ray"),
     (analysis.ExponentReport, "samples"),
     (analysis, "_verdict"),
-    (oracle.OracleConfig, "workers"),
-    (oracle.OracleConfig, "chunk"),
-    (oracle.OracleConfig, "quad_tol"),
+    (oracle, "OracleConfig"),
     (oracle, "MIN_QUAD_TOL"),
     (oracle, "QUADRATURE_CACHE_SIZE"),
     (oracle.OracleEstimate, "method"),
@@ -79,6 +80,16 @@ DELETED = [
     (errors, "DimensionMismatchError"),
     (errors, "ValidityRangeError"),
     (errors, "RadicandMismatchError"),
+    (cli, "_env_override"),
+]
+
+# Parameters (and a constructor's fields) that were deleted: each only
+# handed the caller's own value back, or no caller set it.
+DELETED_PARAMETERS = [
+    (verify.verify_oracle_monte_carlo, "sigmas"),
+    (verify.verify_oracle_monte_carlo, "cfg"),
+    (analysis.fit_exponent, "predicted"),
+    (analysis.ExponentReport, "predicted_exponent"),
 ]
 
 # Functions and methods that no module of the package but ``__init__``
@@ -87,6 +98,8 @@ DELETED = [
 # nowhere.
 LIBRARY_ONLY = {
     "arith.RadicalCoefficient.abs_sq": "|c|^2 of a coefficient, read by library callers and the tests",
+    "analysis.predicted_exponent": "the Stirling-predicted rate a caller compares a fit with; "
+    "the tests' rate checks read it",
     "operators.toeplitz_mono_apply": "one basis action read from toeplitz_apply; the benchmark tracer wraps it",
     "operators.hankel_coeff_closed_form": "one closed-form case read from the monomial-basis walk; "
     "the benchmark tracer wraps it",
@@ -104,13 +117,16 @@ ORACLE_IMPORTS = {"arith.MultiIndex", "arith.check_same_dimension", "operators.S
 # ``HP(...; ...)`` the CLI applies, not a basis action called directly.
 VERIFY_FORBIDDEN_IMPORTS = {"operators.toeplitz_apply", "operators._add_image"}
 
-# The grid parameters of the verify sweeps.  The CLI states each grid
-# default once; a default here would be a second copy.
-VERIFY_GRIDS = [
+# Parameters that the CLI's flags set: the grids of the verify sweeps, the
+# oracle's seed and sample count, and the t values of ``--t``.  The CLI
+# states each default once; a default here would be a second copy.
+CLI_SETTINGS = [
     (verify.verify_orthonormality, ("n_values", "m_values", "max_order")),
     (verify.sweep_hankel_closed_form, ("n_values", "m_values", "max_component", "max_alpha")),
     (verify.verify_oracle_deterministic, ("m_values", "max_order")),
-    (verify.verify_oracle_monte_carlo, ("n", "m_values", "max_order")),
+    (verify.verify_oracle_monte_carlo, ("n", "m_values", "max_order", "seed", "samples")),
+    (oracle._mc_inner, ("seed", "samples")),
+    (analysis.geometric_ts, ("lo", "hi", "factor")),
 ]
 
 # The package's ``functools`` caches, each with the hits it was measured to
@@ -193,14 +209,35 @@ def test_benchmark_tracer_names_resolve_on_the_package():
     assert missing == []
 
 
-def test_verify_sweeps_have_no_default_grid():
+def test_deleted_parameters_stay_deleted():
+    left = [f"{fn.__name__}({name})" for fn, name in DELETED_PARAMETERS if name in inspect.signature(fn).parameters]
+    assert left == []
+
+
+def test_cli_settings_have_no_library_default():
     defaulted = [
         f"{fn.__name__}({name})"
-        for fn, names in VERIFY_GRIDS
+        for fn, names in CLI_SETTINGS
         for name in names
         if inspect.signature(fn).parameters[name].default is not inspect.Parameter.empty
     ]
     assert defaulted == []
+
+
+def test_package_reads_no_environment_variable():
+    # every setting has one source, a flag or an argument
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in ("environ", "environb", "getenv", "getenvb"):
+                found.append(f"{path.name}:{node.lineno} reads os.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                found += [
+                    f"{path.name}:{node.lineno} imports os.{alias.name}"
+                    for alias in node.names
+                    if alias.name in ("environ", "environb", "getenv", "getenvb")
+                ]
+    assert found == []
 
 
 def test_every_cache_has_a_measured_reason():
