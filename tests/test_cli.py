@@ -505,15 +505,7 @@ STRICT_INT_CASES = [
     (("verify", "hankel-closed-form", "-n", "1", "--max-component", " 2"), "--max-component"),
     (("verify", "hankel-closed-form", "-n", "1", "--max-alpha", "٣"), "--max-alpha"),
     (("verify", "oracle", "-n", "2", "--seed", "+5"), "--seed"),
-    (("verify", "oracle", "-n", "2", "--seed", "x"), "--seed"),
-    (("verify", "oracle", "-n", "2", "--seed", " 5"), "--seed"),
-    (("verify", "oracle", "-n", "2", "--seed", "1_0"), "--seed"),
-    (("verify", "oracle", "-n", "2", "--seed", "٣"), "--seed"),
     (("verify", "oracle", "-n", "2", "--samples", "1_000"), "--samples"),
-    (("verify", "oracle", "-n", "2", "--samples", "abc"), "--samples"),
-    (("verify", "oracle", "-n", "2", "--samples", "1000 "), "--samples"),
-    (("verify", "oracle", "-n", "2", "--samples", "١٠٠٠"), "--samples"),
-    (("verify", "oracle", "-n", "2", "--samples", "+1000"), "--samples"),
 ]
 
 
@@ -543,15 +535,7 @@ STRICT_INT_CASES = [
         "verify-max-component-space",
         "verify-max-alpha-arabic-indic-digit",
         "verify-seed-plus-sign",
-        "verify-seed-letter",
-        "verify-seed-space",
-        "verify-seed-underscore",
-        "verify-seed-arabic-indic-digit",
         "verify-samples-underscore",
-        "verify-samples-letters",
-        "verify-samples-trailing-space",
-        "verify-samples-arabic-indic-digit",
-        "verify-samples-plus-sign",
     ],
 )
 def test_integers_are_ascii_digits_only(capsys, argv, flag):
@@ -617,6 +601,54 @@ def test_fit_reads_fractions_and_decimals(capsys, monkeypatch, predicted, norm):
     outputs = json.loads(out)["outputs"]
     assert outputs["predicted_exponent"] == str(Fraction(predicted))
     assert outputs["fitted_exponent"] == pytest.approx(0.5)
+
+
+# The oracle's seed and sample count, each refused with its own message
+# before any stage runs.
+ORACLE_FLAG_CASES = [
+    ("--seed", "-1", "error: --seed must be >= 0, got -1"),
+    ("--seed", "x", "error: argument --seed: not an integer: 'x'"),
+    ("--seed", " 5", "error: argument --seed: not an integer: ' 5'"),
+    ("--seed", "1_0", "error: argument --seed: not an integer: '1_0'"),
+    ("--seed", "٣", "error: argument --seed: not an integer: '٣'"),
+    ("--seed", "+7", "error: argument --seed: not an integer: '+7'"),
+    ("--samples", "abc", "error: argument --samples: not an integer: 'abc'"),
+    ("--samples", "1000 ", "error: argument --samples: not an integer: '1000 '"),
+    ("--samples", "1_000", "error: argument --samples: not an integer: '1_000'"),
+    ("--samples", "١٠٠٠", "error: argument --samples: not an integer: '١٠٠٠'"),
+    ("--samples", "+1000", "error: argument --samples: not an integer: '+1000'"),
+    ("--samples", "1", "error: --samples: Monte Carlo needs at least 2 samples"),
+]
+
+
+def oracle_flag_argv(flag, value):
+    return ["verify", "oracle", "-n", "1,2", "--max-order", "1", f"{flag}={value}"]
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    ORACLE_FLAG_CASES,
+    ids=[
+        "seed-negative",
+        "seed-letter",
+        "seed-space",
+        "seed-underscore",
+        "seed-arabic-indic-digit",
+        "seed-plus-sign",
+        "samples-letters",
+        "samples-trailing-space",
+        "samples-underscore",
+        "samples-arabic-indic-digit",
+        "samples-plus-sign",
+        "samples-too-few",
+    ],
+)
+def test_bad_oracle_flag_exits_2(capsys, flag, value, message):
+    code = main(oracle_flag_argv(flag, value))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [message]
 
 
 # Environment variables the oracle once read, each with values that would

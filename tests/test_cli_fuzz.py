@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from fockop import cli
 from fockop.cli import main
-from test_cli import BAD_INPUT_CASES, STRICT_INT_CASES
+from test_cli import BAD_INPUT_CASES, ORACLE_FLAG_CASES, STRICT_INT_CASES, oracle_flag_argv
 
 HUGE = "9" * 40
 
@@ -186,6 +186,7 @@ LISTED_COMMAND_LINES = (
     + [[], ["-h"], ["--help"], ["bogus"], ["bogus", "-h"], ["-n", "1", "parse"], ["-h", "parse"]]
     + [[command, "-h"] for command in cli._COMMANDS]
     + [[command] for command in cli._COMMANDS]
+    + [oracle_flag_argv(flag, value) for flag, value, _ in ORACLE_FLAG_CASES]
 )
 
 
