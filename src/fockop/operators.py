@@ -305,36 +305,62 @@ def toeplitz_apply(f: SymbolPolynomial, v: BasisExpansion) -> BasisExpansion:
         r = ||z^(alpha+beta)||^2 / ||z^tau||^2
           = prod_j (t_j+1)...(t_j+g_j) * (N+m+1)...(N+m+|gamma|) / ((N+1)...(N+|gamma|)),
 
-    N = n-1+|tau|: runs of |gamma| factors, whatever m is.  The
-    contributions to each target are summed as integer fields and
-    canonicalized once.  They share their radicand when v's monomial
-    coefficients do, as every vector built from a basis vector does
-    (radicand 1); unlike radicands on a merge would mean the input
-    expansion mixed incompatible square classes and are rejected.
+    N = n-1+|tau|: runs of |gamma| factors, whatever m is.  ``_add_image``
+    sums the contributions to each target as integer fields, and
+    ``_summed`` canonicalizes each sum once, here.  They share their
+    radicand when v's monomial coefficients do, as every vector built
+    from a basis vector does (radicand 1); unlike radicands on a merge
+    would mean the input expansion mixed incompatible square classes and
+    are rejected.  v's ``monomials`` dict is read, never changed.
     """
     sums: Dict[MultiIndex, list] = {}
-    _add_image(sums, f, v, 1)
+    _add_image(sums, f, v.space, v.monomials, 1)
     return _summed(v, sums)
 
 
-def _add_image(sums: Dict[MultiIndex, list], f: SymbolPolynomial, v: BasisExpansion, sign: int) -> None:
-    """Add ``sign * T_f v`` into ``sums``, which maps each target tau to the
-    fields ``[re, im, den, radicand]`` of ``(re + im*i)/den * sqrt(radicand)``
-    (see ``toeplitz_apply``)."""
-    sp = v.space
+def _action_terms(f: SymbolPolynomial) -> list:
+    """f's terms as ``_add_image`` walks them: ``(beta - gamma, gamma,
+    |beta| - |gamma|, |gamma|, re, im, den)`` for each term
+    ``(re + im*i)/den z^beta conj(z)^gamma``, in f's term order.
+
+    Derived from ``f.terms`` on the first apply of f and kept on f
+    (``SymbolPolynomial._action``), so a symbol applied to many vectors
+    builds it once; it never changes f's value.
+    """
+    table = f._action
+    if table is None:
+        table = f._action = [
+            (tuple(map(sub, beta, gamma)), gamma, sum(beta) - sum(gamma), sum(gamma), a.re_num, a.im_num, a.den)
+            for (beta, gamma), a in f.terms.items()
+        ]
+    return table
+
+
+def _add_image(sums: Dict[MultiIndex, list], f: SymbolPolynomial, sp: SpaceParams, source, sign: int) -> None:
+    """Add ``sign * T_f`` of the vector ``sum source[alpha] z^alpha`` in
+    ``sp`` into ``sums`` (see ``toeplitz_apply``), and read ``source`` only.
+
+    ``sums`` maps each target tau to the fields ``[re, im, den, radicand]``
+    of ``(re + im*i)/den * sqrt(radicand)``, summed but not canonicalized.
+    ``source`` is a vector's ``monomials``, or another ``sums``: a
+    coefficient that is such a list is read as it is, and skipped when it
+    sums to zero.
+    """
     if sp.n != f.dimension:
         check_same_dimension(sp.n, f.dimension)
     n1, m = sp.n - 1, sp.m
-    # symbol coefficients have radicand 1: a = (ar + ai*i)/ad
-    terms = [
-        (tuple(map(sub, beta, gamma)), gamma, sum(beta) - sum(gamma), sum(gamma),
-         sign * a.re_num, sign * a.im_num, a.den)
-        for (beta, gamma), a in f.terms.items()
-    ]
+    terms = _action_terms(f)
     # perm(s + c, c) is rising_product(s, c), called directly in this loop
-    for alpha, q in v.monomials.items():
+    for alpha, q in source.items():
+        if type(q) is list:
+            qr, qi, qd, radicand = q
+            if not (qr or qi):
+                continue
+        else:
+            qr, qi, qd, radicand = q.re_num, q.im_num, q.den, q.radicand
+        if sign < 0:
+            qr, qi = -qr, -qi
         order = n1 + sum(alpha)
-        qr, qi, qd, radicand = q.re_num, q.im_num, q.den, q.radicand
         for step, gamma, shift, order_g, ar, ai, ad in terms:
             tau = _new_index(MultiIndex, map(add, alpha, step))
             num = 1
@@ -393,17 +419,25 @@ def hankel_product_apply(
     ``f_conj`` = conj(f) and ``f_conj_g`` = conj(f) * g are built here
     unless the caller built them already (``HankelProductOp`` does, once,
     from the non-holomorphic parts of f and g, which give the same
-    product; the closed-form sweep builds conj(f) once per gamma).
-    Both images keep v's anchor, so their contributions are summed into
-    one set of targets and each target is canonicalized once.
+    product; the closed-form sweep builds conj(f) once per gamma, and
+    conj(f) * g once per exponent sum).  The image ``T_g v`` is left as
+    ``_add_image``'s summed integer fields, which the ``conj(f)`` stage
+    reads as they are (zero sums skipped).
+    Both stages keep v's anchor, so the contributions of ``T_{conj(f) g} v``
+    and then of ``-T_{conj(f)} T_g v`` are summed into one set of targets,
+    and each target is canonicalized once, in the final ``_summed``.
+    v's ``monomials`` dict is read, never changed.
     """
     if f_conj is None:
         f_conj = f.conjugate()
     if f_conj_g is None:
         f_conj_g = f_conj * g
+    sp = v.space
+    inner: Dict[MultiIndex, list] = {}
+    _add_image(inner, g, sp, v.monomials, 1)
     sums: Dict[MultiIndex, list] = {}
-    _add_image(sums, f_conj_g, v, 1)
-    _add_image(sums, f_conj, toeplitz_apply(g, v), -1)
+    _add_image(sums, f_conj_g, sp, v.monomials, 1)
+    _add_image(sums, f_conj, sp, inner, -1)
     return _summed(v, sums)
 
 

@@ -61,9 +61,14 @@ class SymbolPolynomial:
     it as a pair of ``MultiIndex``, and checks that each coefficient has
     radicand 1; the algebra, whose results keep these properties, builds
     them with ``_symbol`` and skips the checks.
+
+    ``_action`` is None until the operator engine first applies the
+    symbol; it then holds the terms' table for the basis action
+    (``operators._action_terms``), derived once from ``terms``.  It is
+    not part of the value: ``==`` and ``pretty`` read ``terms`` alone.
     """
 
-    __slots__ = ("dimension", "terms")
+    __slots__ = ("dimension", "terms", "_action")
 
     def __init__(self, dimension: int, terms: Dict[TermKey, RadicalCoefficient]):
         check_dimension(dimension)
@@ -77,6 +82,7 @@ class SymbolPolynomial:
             checked[_as_index(beta), _as_index(gamma)] = c
         self.dimension = dimension
         self.terms = checked
+        self._action = None
 
     # -- construction -----------------------------------------------------
 
@@ -221,6 +227,7 @@ def _symbol(dimension: int, terms: Dict[TermKey, RadicalCoefficient]) -> SymbolP
     s = object.__new__(SymbolPolynomial)
     s.dimension = dimension
     s.terms = terms
+    s._action = None
     return s
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 from itertools import product
+from operator import add
 from typing import Callable, List, Optional, Sequence
 
 from .arith import MultiIndex, RADICAL_ONE, RADICAL_ZERO
@@ -25,7 +26,6 @@ from .operators import (
     _expansion,
     _norm_ratio,
     basis_coefficient,
-    closed_form_min_alpha,
     hankel_product_apply,
     monomial_inner,
 )
@@ -161,19 +161,29 @@ class ClosedFormSweep:
 def _sweep_block(task) -> ClosedFormSweep:
     """The sweep over every (gamma, mu, nu) for one ``(n, m, beta)``.
 
-    ``task`` is ``(n, m, beta, max_component, max_alpha)``.  Each symbol
-    z^mu conj(z)^nu is built once per block, and conj(z^beta conj(z)^gamma)
-    once per gamma.  The Hankel product of an exponent tuple is applied
-    once, only when the tuple has at least one alpha in the validity range.
+    ``task`` is ``(n, m, beta, max_component, max_alpha)``.  What a tuple
+    only looks up is set up once per block: per (mu, nu) the symbol
+    g = z^mu conj(z)^nu, the distances |mu_j - nu_j| and whether nu = 0;
+    per gamma the symbol conj(f) = conj(z^beta conj(z)^gamma) and the
+    distances |gamma_j - beta_j|; and conj(f) g = z^(gamma+mu)
+    conj(z)^(beta+nu) once per (gamma + mu, nu), shared by the tuples
+    with those sums.  A tuple's least alpha (``closed_form_min_alpha``) is
+    the sum of its two distances, so a gamma with one distance above
+    ``max_alpha`` has no tuple with an alpha in the validity range: its
+    tuples are counted and skipped together.  The Hankel product of an
+    exponent tuple is applied once, with ``hankel_product_apply``, only
+    when the tuple has at least one alpha in the validity range.
 
     That one apply serves all of the tuple's alphas at once: it acts on
-    ``sum z^alpha / ||z^anchor||`` over them.  It is exact per alpha.  Both
-    symbols are monomials, so every contribution from z^alpha lands on
-    alpha + gamma + mu - beta - nu, and distinct alphas never share a
-    target.  Each target's monomial coefficient q is therefore summed from
-    the same integers, in the same order, as an apply to z^alpha alone
-    would sum it: ``H*_f H_g z^alpha = q z^target``.  A monomial of the
-    image that is no alpha's target is stray support of the tuple.
+    ``sum z^alpha / ||z^anchor||`` over them, a vector built once per
+    least alpha and shared, unchanged, by every tuple with that least
+    alpha.  It is exact per alpha.  Both symbols are monomials, so every
+    contribution from z^alpha lands on alpha + gamma + mu - beta - nu, and
+    distinct alphas never share a target.  Each target's monomial
+    coefficient q is therefore summed from the same integers, in the same
+    order, as an apply to z^alpha alone would sum it:
+    ``H*_f H_g z^alpha = q z^target``.  A monomial of the image that is no
+    alpha's target is stray support of the tuple.
 
     Each case compares q with the closed form in the same basis,
     ``num/den`` from ``_closed_form_monomial_coeffs``, by cross-multiplying
@@ -185,7 +195,16 @@ def _sweep_block(task) -> ClosedFormSweep:
     sp = SpaceParams(n, m)
     beta = MultiIndex(beta)
     exps = indices_by_component(n, max_component)
-    right = {(mu, nu): SymbolPolynomial.monomial(n, mu, nu) for mu in exps for nu in exps}
+    right = [
+        (mu, nu, SymbolPolynomial.monomial(n, mu, nu), [abs(u - w) for u, w in zip(mu, nu)], nu.order == 0)
+        for mu in exps
+        for nu in exps
+    ]
+    # per least alpha: its alphas, in the order of indices_by_component(n,
+    # max_alpha), and the vector sum z^alpha / ||z^(least alpha)|| over them
+    vectors = {}
+    # conj(f) g by (gamma + mu, nu)
+    products = {}
     out = ClosedFormSweep()
 
     def tuple_label() -> str:  # formatted only for a tuple or case in a failure list
@@ -198,59 +217,66 @@ def _sweep_block(task) -> ClosedFormSweep:
         return f"{tuple_label()} alpha={tuple(alpha)}"
 
     for gamma in exps:
+        f_gap = [abs(g_ - b) for b, g_ in zip(beta, gamma)]
+        if max(f_gap) > max_alpha:
+            out.tuples += len(right)  # no tuple of this gamma has an alpha in range
+            continue
         gamma_zero = gamma.order == 0
         f = SymbolPolynomial.monomial(n, beta, gamma)
         f_conj = f.conjugate()
-        for mu in exps:
-            for nu in exps:
-                out.tuples += 1
-                need = closed_form_min_alpha(beta, gamma, mu, nu)
-                if max(need) > max_alpha:
-                    continue  # no alpha in the validity range
-                expect_zero = gamma_zero or nu.order == 0
-                degenerate = m == 0 and sum(x * y for x, y in zip(gamma, nu)) == 0
-                # the alphas with need <= alpha <= max_alpha, in the order
-                # of indices_by_component(n, max_alpha)
+        for mu, nu, g, g_gap, nu_zero in right:
+            out.tuples += 1
+            need = tuple(map(add, f_gap, g_gap))
+            if max(need) > max_alpha:
+                continue  # no alpha in the validity range
+            expect_zero = gamma_zero or nu_zero
+            degenerate = m == 0 and sum(x * y for x, y in zip(gamma, nu)) == 0
+            shared = vectors.get(need)
+            if shared is None:
                 alphas = [
                     MultiIndex._wrap(comps)
                     for comps in product(*(range(k, max_alpha + 1) for k in need))
                 ]
-                g = right[mu, nu]
-                image = hankel_product_apply(
-                    f, g, _expansion(sp, alphas[0], dict.fromkeys(alphas, RADICAL_ONE)),
-                    f_conj=f_conj, f_conj_g=f_conj * g,
-                ).monomials
-                closed_forms = _closed_form_monomial_coeffs(beta, gamma, mu, nu, alphas, sp)
-                targets = set()
-                for alpha, (target, num, den) in zip(alphas, closed_forms):
-                    out.cases += 1
-                    targets.add(target)
-                    q = image.get(target)
-                    if q is None:
-                        agree = not num
-                    else:  # q == num/den, q canonical with den > 0
-                        agree = q.re_num * den == num * q.den and not q.im_num and q.radicand == 1
-                    if not agree:
-                        ratio = _norm_ratio(alpha, target, sp)
-                        comp = RADICAL_ZERO if q is None else q * ratio
-                        out.mismatches.append(
-                            f"{label()}: closed {ratio.scale_ratio(num, den)} vs composition {comp}"
-                        )
-                    if expect_zero:
-                        if num:
-                            out.vanish_false_nonzero.append(label())
-                    elif not num:
-                        if degenerate:
-                            out.degenerate_zero_cases += 1
-                        else:
-                            out.vanish_false_zero_strict.append(label())
-                    elif degenerate:
-                        out.degenerate_nonzero.append(label())
-                stray = sorted(tau for tau in image if tau not in targets)
-                if stray:
-                    out.stray_support.append(
-                        f"{tuple_label()}: stray targets {[tuple(tau) for tau in stray]}"
+                shared = vectors[need] = (
+                    alphas, _expansion(sp, alphas[0], dict.fromkeys(alphas, RADICAL_ONE))
+                )
+            alphas, v = shared
+            key = (*map(add, gamma, mu), *nu)
+            f_conj_g = products.get(key)
+            if f_conj_g is None:
+                f_conj_g = products[key] = f_conj * g
+            image = hankel_product_apply(f, g, v, f_conj=f_conj, f_conj_g=f_conj_g).monomials
+            closed_forms = _closed_form_monomial_coeffs(beta, gamma, mu, nu, alphas, sp)
+            targets = set()
+            for alpha, (target, num, den) in zip(alphas, closed_forms):
+                out.cases += 1
+                targets.add(target)
+                q = image.get(target)
+                if q is None:
+                    agree = not num
+                else:  # q == num/den, q canonical with den > 0
+                    agree = q.re_num * den == num * q.den and not q.im_num and q.radicand == 1
+                if not agree:
+                    ratio = _norm_ratio(alpha, target, sp)
+                    comp = RADICAL_ZERO if q is None else q * ratio
+                    out.mismatches.append(
+                        f"{label()}: closed {ratio.scale_ratio(num, den)} vs composition {comp}"
                     )
+                if expect_zero:
+                    if num:
+                        out.vanish_false_nonzero.append(label())
+                elif not num:
+                    if degenerate:
+                        out.degenerate_zero_cases += 1
+                    else:
+                        out.vanish_false_zero_strict.append(label())
+                elif degenerate:
+                    out.degenerate_nonzero.append(label())
+            stray = sorted(tau for tau in image if tau not in targets)
+            if stray:
+                out.stray_support.append(
+                    f"{tuple_label()}: stray targets {[tuple(tau) for tau in stray]}"
+                )
     return out
 
 

@@ -855,11 +855,15 @@ def test_failing_sweep_lists_are_identical_for_every_jobs(capsys, two_cpus, brok
 
 
 # Blocks of the sweep that both routes run: every beta at n=1
-# (--max-component 2) and n=2 (--max-component 1), one beta at n=3.
+# (--max-component 2) and n=2 (--max-component 1), one beta at n=3, and
+# one at n=1 (--max-component 4) whose gamma = (4,) lies farther than
+# --max-alpha 3 from beta, so ``_sweep_block`` skips that gamma's tuples
+# together.
 REFERENCE_BLOCKS = (
     [(1, (b,), 2) for b in range(3)]
     + [(2, (b1, b2), 1) for b1 in range(2) for b2 in range(2)]
     + [(3, (1, 0, 1), 1)]
+    + [(1, (0,), 4)]
 )
 
 

@@ -467,6 +467,42 @@ def test_hankel_product_outside_closed_form_range():
     )
 
 
+@pytest.mark.parametrize("f_text, g_text", [
+    ("conj(z)", "z*conj(z) - 3"),
+    ("(1+2*i)*conj(z)", "(2-i)*(z*conj(z) - 3)"),
+])
+def test_hankel_product_reads_an_all_zero_inner_sum(f_text, g_text):
+    # n=1, m=0: T_{z conj(z)} e_a = (a+1) e_a, so on the whole symbols, as
+    # the sweep applies them, T_g e_2 sums to zero on e_2 and the conj(f)
+    # stage reads nothing but that zero sum
+    sp = SpaceParams(1, 0)
+    f, g = parse_symbol(f_text, 1), parse_symbol(g_text, 1)
+    v = e(sp, 2)
+    assert toeplitz_apply(g, v).is_zero()
+    out = hankel_product_apply(f, g, v)
+    assert out == _reference_apply("HP({f}; {g})", f, g, v)
+    assert out == toeplitz_apply(f.conjugate() * g, v)
+    assert not out.is_zero()
+
+
+def test_applies_leave_the_input_monomials_alone():
+    # the closed-form sweep hands one vector to every tuple with the same
+    # least alpha; the symbols keep their values after their first apply
+    import pickle
+
+    sp = SpaceParams(2, 1)
+    v = BasisExpansion(sp, {mi(1, 2): RADICAL_ONE, mi(2, 1): RadicalCoefficient(Fraction(1, 3), im=2)})
+    before = list(v.monomials.items())
+    texts = ("conj(z1)*z2 + z1^2 - 1", "conj(z2)^2 + i*z1*conj(z1)", "1")
+    f, g, one = (parse_symbol(text, 2) for text in texts)
+    for out in (toeplitz_apply(f, v), hankel_product_apply(f, g, v), toeplitz_apply(one, v)):
+        assert out.monomials is not v.monomials
+        assert list(v.monomials.items()) == before
+    for text, s in zip(texts, (f, g, one)):
+        assert s == parse_symbol(text, 2) and s.pretty() == parse_symbol(text, 2).pretty()
+        assert pickle.loads(pickle.dumps(s)) == s
+
+
 def test_hankel_product_weighted_identity_case():
     sp = SpaceParams(1, 2)
     zbar = parse_symbol("conj(z)", 1)

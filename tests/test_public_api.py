@@ -66,6 +66,7 @@ DELETED = [
     (analysis, "ratio_stabilization"),
     (analysis, "default_ray"),
     (analysis.ExponentReport, "samples"),
+    (analysis.ExponentReport, "predicted_exponent"),
     (analysis, "_verdict"),
     (oracle, "OracleConfig"),
     (oracle, "MIN_QUAD_TOL"),
@@ -89,7 +90,6 @@ DELETED_PARAMETERS = [
     (verify.verify_oracle_monte_carlo, "sigmas"),
     (verify.verify_oracle_monte_carlo, "cfg"),
     (analysis.fit_exponent, "predicted"),
-    (analysis.ExponentReport, "predicted_exponent"),
 ]
 
 # Functions and methods that no module of the package but ``__init__``
@@ -150,9 +150,13 @@ def test_every_exported_name_resolves_once():
 
 
 def test_deleted_names_stay_deleted():
+    # only a module's name could be re-exported: a deleted field or method
+    # may share its name with an exported function
     left = [
         name for owner, name in DELETED
-        if name in vars(owner) or name in getattr(owner, "__dataclass_fields__", {}) or name in fockop.__all__
+        if name in vars(owner)
+        or name in getattr(owner, "__dataclass_fields__", {})
+        or (inspect.ismodule(owner) and name in fockop.__all__)
     ]
     assert not left
 
