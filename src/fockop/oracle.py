@@ -12,7 +12,11 @@ it would verify nothing.
 Monte Carlo cases of one dimension share their draws (common random
 numbers): each chunk of ``MC_CHUNK`` samples is drawn once and every
 case is evaluated on it, so a case's estimate is the same whether it is
-asked for alone or with others.  A case's integrand is a real modulus
+asked for alone or with others.  The chunk size does fix an estimate's
+last bits: each chunk is summed pairwise and the chunk sums are added
+in turn, so another ``MC_CHUNK`` moves every estimate by a few units in
+the last place.  It is sized for the cache, not for the arithmetic (see
+its comment).  A case's integrand is a real modulus
 times a complex phase; a diagonal case <z^a, z^a> has no phase, runs in
 real float64 arithmetic and reports an imaginary part of exactly 0.
 
@@ -249,6 +253,12 @@ def _mc_sums(cases, n: int, seed_seq: "np.random.SeedSequence", count: int, chun
     scales = {(m, weight) for _, _, m, weight in cases if m}
     phased = any(a != b for a, b in groups)
     sums = np.zeros((len(cases), 4))
+    # every chunk writes its draws, moduli and real products into the same
+    # three arrays: allocated afresh per chunk, arrays of this size stay in
+    # the malloc heap and fragment it (the `oracle-mc` benchmark's peak RSS
+    # rose by 1 MB)
+    full = min(chunk, count)
+    draws, moduli, products = np.empty((full, 2 * n)), np.empty((n, full)), np.empty(full)
     done = 0
     # at large m (300 at n = 3) R**m overflows and the weight underflows to 0;
     # the estimate turns inf or nan and its check fails, so numpy's warnings
@@ -256,13 +266,12 @@ def _mc_sums(cases, n: int, seed_seq: "np.random.SeedSequence", count: int, chun
     with np.errstate(over="ignore", invalid="ignore"):
         while done < count:
             size = min(chunk, count - done)
-            xy = rng.standard_normal((size, 2 * n))
+            xy = rng.standard_normal(out=draws[:size])
             xy *= math.sqrt(0.5)
             z = xy[:, :n] + 1j * xy[:, n:] if phased else None
             np.square(xy, out=xy)
-            r = np.empty((n, size))  # r[j] = |z_j|^2, one contiguous row per j
+            r = moduli[:, :size]  # r[j] = |z_j|^2, one contiguous row per j
             np.add(xy[:, :n].T, xy[:, n:].T, out=r)
-            del xy
             radial = {}  # (m, weight) -> R**m * weight
             if scales:
                 big_r = r.sum(axis=0)
@@ -270,7 +279,7 @@ def _mc_sums(cases, n: int, seed_seq: "np.random.SeedSequence", count: int, chun
                     radial[m, weight] = big_r**m
                     radial[m, weight] *= weight
                 del big_r
-            buf = np.empty(size)
+            buf = products[:size]
             for (a, b), members in groups.items():
                 modulus = phase = None
                 for j in range(n):
@@ -298,8 +307,15 @@ def _mc_sums(cases, n: int, seed_seq: "np.random.SeedSequence", count: int, chun
 
 
 # Most Monte Carlo samples drawn at once; each chunk holds 2n float64
-# draws per sample.
-MC_CHUNK = 1 << 18
+# draws per sample.  A chunk's arrays (1 MB of draws, 256 KB per modulus
+# or product at n = 2) fit a 4 MB L2 cache; at 2^18 the 200 000 default
+# samples were one chunk, whose 6.4 MB of draws and ten or so live 1.6 MB
+# arrays did not.  The `oracle-mc` benchmark (`bench/run.py --workload
+# oracle-mc --seed 1 --seconds 15`, 2-core Xeon VM) ran at 873-936 cases/s
+# at 2^18, 1011-1013 at 2^14, 1060-1100 at 2^15 and 972-1022 at 2^16, two
+# runs each, with every pinned digest matching at each size; ten pairs of
+# 2^15 against 2^18 are in BENCH_29.json.
+MC_CHUNK = 1 << 15
 
 # Fewest Monte Carlo samples per case: the standard error of a mean needs
 # a sample variance.

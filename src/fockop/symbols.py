@@ -37,10 +37,10 @@ from .errors import InputError, SymbolSyntaxError
 TermKey = Tuple[MultiIndex, MultiIndex]
 
 # Largest dimension n.  Every multi-index holds n ints, and the Monte Carlo
-# oracle draws each chunk of up to oracle.MC_CHUNK = 2^18 samples as 2n
-# floats per sample and folds them into n moduli |z_j|^2, about 6 MB per
-# unit of n; only an off-diagonal case adds a complex view, 4 MB more per
-# unit of n.
+# oracle draws each chunk of up to oracle.MC_CHUNK = 2^15 samples as 2n
+# floats per sample and folds them into n moduli |z_j|^2, 0.75 MB per unit
+# of n (24 MB at n = 32); an off-diagonal case adds a complex view, 0.5 MB
+# more per unit of n.
 MAX_DIMENSION = 32
 
 

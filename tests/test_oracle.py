@@ -224,8 +224,9 @@ MC_BATCHES = pytest.mark.parametrize(
         (2, 5, 3_000, oracle.MC_CHUNK),
         (2, 6, 2_500, 1_000),  # three chunks, the last one short
         (3, 8, 2_000, 700),
+        (2, 11, 2 * oracle.MC_CHUNK + 17, oracle.MC_CHUNK),  # the shipped chunk, twice and a tail
     ],
-    ids=["n2-one-chunk", "n2-partial-chunk", "n3-chunks"],
+    ids=["n2-one-chunk", "n2-partial-chunk", "n3-chunks", "n2-shipped-chunks"],
 )
 
 
@@ -338,8 +339,9 @@ def test_monte_carlo_diagonal_cases_are_exactly_real(n, monkeypatch):
 
 
 def test_monte_carlo_working_memory_is_bounded():
-    # the 45 default n=2 cases of `verify oracle` in one chunk of 200 000
-    # samples: at most 112 bytes per sample, what the complex-product kernel took
+    # the 45 default n=2 cases of `verify oracle` at 200 000 samples, drawn
+    # in chunks of at most MC_CHUNK: at most 112 bytes per sample, what the
+    # complex-product kernel took
     cases = [(a, a, SpaceParams(2, m)) for m in (0, 1, 2) for a in indices_up_to_order(2, 4)]
     samples = 200_000
     _mc_inner(cases[:1], DEFAULT_SEED, 2)  # numpy's first-call allocations
@@ -350,6 +352,27 @@ def test_monte_carlo_working_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 112 * samples, peak
+
+
+# Bytes by which the working memory of four times the samples may exceed
+# that of the default count: a few numpy array headers and Python floats,
+# far below one chunk's draws (32 bytes per sample at n = 2).
+MC_PEAK_SLACK = 16_384
+
+
+def test_monte_carlo_working_memory_does_not_grow_with_the_samples():
+    # the 45 default n=2 cases of `verify oracle`
+    cases = [(a, a, SpaceParams(2, m)) for m in (0, 1, 2) for a in indices_up_to_order(2, 4)]
+    _mc_inner(cases[:1], DEFAULT_SEED, 2)  # numpy's first-call allocations
+    peaks = []
+    for samples in (DEFAULT_SAMPLES, 4 * DEFAULT_SAMPLES):
+        tracemalloc.start()
+        try:
+            _mc_inner(cases, DEFAULT_SEED, samples)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + MC_PEAK_SLACK, peaks
 
 
 @pytest.mark.parametrize("samples", [2.5, 10.0, "10", None])
