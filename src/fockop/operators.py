@@ -16,6 +16,13 @@ squared norm is rational too.  A square root, the ratio
 ``||z^tau||/||z^anchor||``, enters only when an orthonormal coefficient
 is read, and it keeps the result inside the RadicalCoefficient closure.
 
+A basis action sums its image's coefficients as integer fields keyed by
+packed indices (INDEX_COMPONENT_BOUND), and returns an image that holds
+those raw sums.  Canonicalization happens only where ``monomials`` is
+read, once per target; ``squared_norm`` and the next stage of a
+composition read the raw sums, so ``norms`` canonicalizes nothing and
+takes no square root.
+
 Hankel products are never materialized through the projection
 complement; the product ``H*_f H_g`` is evaluated through the operator
 identity ``T_{conj(f) g} - T_{conj(f)} T_g``, which holds with no
@@ -28,7 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, gcd, perm, prod
-from operator import add, sub
+from operator import add
+from struct import Struct
 from typing import Dict, Optional, Tuple
 
 from .arith import (
@@ -42,7 +50,7 @@ from .arith import (
     rising_product,
 )
 from .errors import InputError, InternalInvariantError, SymbolSyntaxError
-from .symbols import _T_END, _T_OPERATOR, SymbolPolynomial, _Parser, check_dimension
+from .symbols import MAX_DIMENSION, _T_END, _T_OPERATOR, SymbolPolynomial, _Parser, check_dimension
 
 
 # Largest weight order m.  A basis action's rational factors are runs of
@@ -177,9 +185,20 @@ class BasisExpansion:
     vector was built from a basis vector.  Each read converts from it:
     ``coeffs`` takes one square root per entry on every read, and
     ``coefficient`` one for the entry it returns.
+
+    Canonicalization happens where ``monomials`` is read.  An image that
+    ``toeplitz_apply`` or ``hankel_product_apply`` returns holds its
+    monomial coefficients as the basis action summed them: integer fields
+    under packed keys (``_add_image``), not yet canonical.  ``monomials``
+    canonicalizes each of them on its first read and keeps the dict;
+    ``squared_norm`` and the next basis action of a composition read the
+    raw fields through ``_source``, so neither canonicalizes anything.
+    ``_source`` packs a vector's indices on its first call and keeps the
+    records, so a vector applied many times packs once.  Both are derived
+    data: do not change a vector's ``monomials`` after reading them.
     """
 
-    __slots__ = ("space", "anchor", "monomials")
+    __slots__ = ("space", "anchor", "_monomials", "_sums", "_packed")
 
     def __init__(self, space: SpaceParams, coeffs: Dict[MultiIndex, RadicalCoefficient]):
         for tau in coeffs:
@@ -188,13 +207,39 @@ class BasisExpansion:
         self.space = space
         self.anchor = next(iter(coeffs), None) or MultiIndex.zero(space.n)
         # c_tau e_tau = c_tau ||z^anchor||/||z^tau|| * z^tau/||z^anchor||
-        self.monomials = {tau: c * _norm_ratio(tau, self.anchor, space) for tau, c in coeffs.items()}
+        self._monomials = {tau: c * _norm_ratio(tau, self.anchor, space) for tau, c in coeffs.items()}
+        self._sums = self._packed = None
 
     @staticmethod
     def basis_vector(space: SpaceParams, alpha: MultiIndex) -> "BasisExpansion":
         alpha = MultiIndex(alpha)
         check_same_dimension(space.n, alpha.dimension)
         return _expansion(space, alpha, {alpha: RADICAL_ONE})
+
+    @property
+    def monomials(self) -> Dict[MultiIndex, RadicalCoefficient]:
+        """The canonical coefficients ``q_tau`` by tau; an image's raw sums
+        are canonicalized on the first read, once, and the dict is kept."""
+        out = self._monomials
+        if out is None:
+            out = self._monomials = _canonical(self.space.n, self._sums)
+        return out
+
+    def _source(self) -> list:
+        """The vector as ``_add_image`` and ``squared_norm`` read it: one
+        record ``(key, tau, n-1+|tau|, re, im, den, radicand)`` per nonzero
+        monomial coefficient ``(re + im*i)/den * sqrt(radicand)``, ``key``
+        the packed tau (see INDEX_COMPONENT_BOUND, which every component
+        must lie below).  Read from an image's raw sums, else from
+        ``monomials``; built on the first call and kept."""
+        records = self._packed
+        if records is None:
+            if self._sums is not None:
+                records = _sum_records(self.space.n, self._sums)
+            else:
+                records = _monomial_records(self.space.n, self._monomials)
+            self._packed = records
+        return records
 
     def is_zero(self) -> bool:
         return not self.monomials
@@ -215,7 +260,8 @@ class BasisExpansion:
 
     def squared_norm(self) -> Fraction:
         """Exact Parseval sum: |q_tau|^2 ||z^tau||^2 / ||z^anchor||^2 over the
-        monomials; no square root is taken.
+        monomials, read from the source records (``_source``): an image's
+        raw sums are not canonicalized, and no square root is taken.
 
         Each ratio of norms is the product of the runs of
         ``_norm_ratio_runs(anchor, tau)``.  A component's run depends on
@@ -232,9 +278,8 @@ class BasisExpansion:
         columns = [(x, {}) for x in anchor]
         weights: Dict[int, Tuple[int, int]] = {}
         num, den = 0, 1
-        for tau, q in self.monomials.items():
-            a, b, d = q.re_num, q.im_num, q.den
-            t_num = (a * a + b * b) * q.radicand
+        for _, tau, base_b, a, b, d, radicand in self._source():
+            t_num = (a * a + b * b) * radicand
             t_den = d * d
             for y, (x, runs) in zip(tau, columns):
                 if y != x:
@@ -246,7 +291,6 @@ class BasisExpansion:
                     else:
                         t_den *= r
             if m:
-                base_b = sp.n - 1 + sum(tau)
                 w = weights.get(base_b)
                 if w is None:
                     (ns, nc), (ds, dc) = _weight_runs(base_a, base_b, m)
@@ -279,18 +323,92 @@ class BasisExpansion:
 
 
 def _expansion(
-    space: SpaceParams, anchor: MultiIndex, monomials: Dict[MultiIndex, RadicalCoefficient]
+    space: SpaceParams,
+    anchor: MultiIndex,
+    monomials: Optional[Dict[MultiIndex, RadicalCoefficient]],
+    sums: Optional[Dict[int, list]] = None,
 ) -> BasisExpansion:
-    """The vector ``sum(monomials[tau] * z^tau) / ||z^anchor||`` (internal)."""
+    """The vector ``sum(monomials[tau] * z^tau) / ||z^anchor||`` (internal),
+    or, with ``monomials`` None, the image of the raw ``sums`` of a basis
+    action (``_add_image``), canonicalized when ``monomials`` is first read."""
     v = object.__new__(BasisExpansion)
     v.space = space
     v.anchor = anchor
-    v.monomials = monomials
+    v._monomials = monomials
+    v._sums = sums
+    v._packed = None
     return v
 
 
-# A MultiIndex built without validation: ``_add_image`` checks a target's
-# components for negatives before using it (with gamma = 0 there are none).
+# ---------------------------------------------------------------------------
+# packed multi-indices
+
+# Inside a basis action a multi-index tau of n components is one integer,
+# its key ``sum tau_j << (64*j)``: a symbol term moves every index by one
+# integer add, of its step key, and the sums are keyed by ints, which hash
+# faster than tuples (packed exponent vectors, as in Monagan and Pearce,
+# CASC 2007).  The kernel reads only components below
+# INDEX_COMPONENT_BOUND, of a vector (``_source``) and of a symbol's
+# exponents (``_action_terms``), and raises InputError for any other.  A
+# target's components then lie in (-2**62, 2**63): no 64-bit field carries
+# into the next, and a negative component sets bit 63 of its field (in
+# the two's complement that Python's ``&`` reads).  The CLI's
+# ``MAX_ALPHA_ORDER`` is far below the bound.
+INDEX_COMPONENT_BOUND = 2**62
+# per dimension n: the n fields as bytes, bit 63 of each field, and bits
+# 62 and 63 of each field, where a component at or above the bound shows
+_FIELDS = [Struct(f"<{n}Q") for n in range(MAX_DIMENSION + 1)]
+_NEGATIVE = [sum(1 << (64 * j + 63) for j in range(n)) for n in range(MAX_DIMENSION + 1)]
+_ABOVE_BOUND = [bits | bits >> 1 for bits in _NEGATIVE]
+
+
+def _bound_error(components) -> InputError:
+    return InputError(f"index component {max(components)} is not below INDEX_COMPONENT_BOUND = 2**62")
+
+
+def _monomial_records(n: int, monomials: Dict[MultiIndex, RadicalCoefficient]) -> list:
+    """The source records (see ``BasisExpansion._source``) of canonical ``monomials``."""
+    pack = _FIELDS[n].pack
+    records = []
+    for tau, q in monomials.items():
+        if max(tau) >= INDEX_COMPONENT_BOUND:
+            raise _bound_error(tau)
+        key = int.from_bytes(pack(*tau), "little")
+        records.append((key, tau, n - 1 + sum(tau), q.re_num, q.im_num, q.den, q.radicand))
+    return records
+
+
+def _sum_records(n: int, sums: Dict[int, list]) -> list:
+    """The source records of the nonzero raw ``sums`` of an image, each
+    key decoded once."""
+    unpack = _FIELDS[n].unpack
+    width = 8 * n
+    above = _ABOVE_BOUND[n]
+    n1 = n - 1
+    records = []
+    for key, (re, im, den, radicand) in sums.items():
+        if re or im:
+            tau = unpack(key.to_bytes(width, "little"))
+            if key & above:
+                raise _bound_error(tau)
+            records.append((key, tau, n1 + sum(tau), re, im, den, radicand))
+    return records
+
+
+def _canonical(n: int, sums: Dict[int, list]) -> Dict[MultiIndex, RadicalCoefficient]:
+    """The canonical monomial coefficients of the raw ``sums`` of an image:
+    each nonzero sum canonicalized once, under its decoded multi-index."""
+    unpack = _FIELDS[n].unpack
+    width = 8 * n
+    return {
+        _new_index(MultiIndex, unpack(key.to_bytes(width, "little"))): _radical(re, im, den, radicand)
+        for key, (re, im, den, radicand) in sums.items()
+        if re or im
+    }
+
+
+# A MultiIndex built without validation, from components known to be
+# nonnegative integers.
 _new_index = tuple.__new__
 
 
@@ -306,22 +424,35 @@ def toeplitz_apply(f: SymbolPolynomial, v: BasisExpansion) -> BasisExpansion:
           = prod_j (t_j+1)...(t_j+g_j) * (N+m+1)...(N+m+|gamma|) / ((N+1)...(N+|gamma|)),
 
     N = n-1+|tau|: runs of |gamma| factors, whatever m is.  ``_add_image``
-    sums the contributions to each target as integer fields, and
-    ``_summed`` canonicalizes each sum once, here.  They share their
-    radicand when v's monomial coefficients do, as every vector built
-    from a basis vector does (radicand 1); unlike radicands on a merge
-    would mean the input expansion mixed incompatible square classes and
-    are rejected.  v's ``monomials`` dict is read, never changed.
+    sums the contributions to each target as integer fields, and the
+    image returned holds those raw sums, not canonicalized here: its
+    ``monomials`` canonicalizes each target once, on the first read, while
+    its ``squared_norm`` and the next basis action of a composition read
+    the sums as they are.  They share their radicand when v's monomial
+    coefficients do, as every vector built from a basis vector does
+    (radicand 1); unlike radicands on a merge would mean the input
+    expansion mixed incompatible square classes and are rejected.  v's
+    ``monomials`` dict is read, never changed.  Every index component of
+    v and every exponent of f must lie below INDEX_COMPONENT_BOUND.
     """
-    sums: Dict[MultiIndex, list] = {}
-    _add_image(sums, f, v.space, v.monomials, 1)
-    return _summed(v, sums)
+    sums: Dict[int, list] = {}
+    _add_image(sums, f, v.space, v._source(), 1)
+    return _expansion(v.space, v.anchor, None, sums)
 
 
-def _action_terms(f: SymbolPolynomial) -> list:
-    """f's terms as ``_add_image`` walks them: ``(beta - gamma, gamma,
-    |beta| - |gamma|, |gamma|, re, im, den)`` for each term
+def _action_terms(f: SymbolPolynomial) -> tuple:
+    """f's terms as ``_add_image`` walks them: ``(reach, rows)``, with a
+    row ``(step, rises, |beta|, |gamma|, re, im, den)`` for each term
     ``(re + im*i)/den z^beta conj(z)^gamma``, in f's term order.
+
+    ``step`` is the packed ``beta - gamma`` (see INDEX_COMPONENT_BOUND):
+    a source's key plus the step is its target's.  ``rises`` holds
+    ``(j, beta_j, gamma_j)`` for each j with gamma_j > 0, the run
+    ``(tau_j+1)...(tau_j+gamma_j)`` = ``perm(alpha_j + beta_j, gamma_j)``;
+    it is empty exactly when the term cannot send an index below zero.
+    ``reach`` is the packed componentwise largest ``gamma_j - beta_j``
+    (0 where none is positive): no term sends an alpha with
+    ``alpha_j >= reach_j`` for every j to a negative target.
 
     Derived from ``f.terms`` on the first apply of f and kept on f
     (``SymbolPolynomial._action``), so a symbol applied to many vectors
@@ -329,54 +460,67 @@ def _action_terms(f: SymbolPolynomial) -> list:
     """
     table = f._action
     if table is None:
-        table = f._action = [
-            (tuple(map(sub, beta, gamma)), gamma, sum(beta) - sum(gamma), sum(gamma), a.re_num, a.im_num, a.den)
-            for (beta, gamma), a in f.terms.items()
-        ]
+        pack = _FIELDS[f.dimension].pack
+        reach = [0] * f.dimension
+        rows = []
+        for (beta, gamma), a in f.terms.items():
+            if max(beta) >= INDEX_COMPONENT_BOUND or max(gamma) >= INDEX_COMPONENT_BOUND:
+                raise _bound_error((*beta, *gamma))
+            rises = []
+            for j, (b, g) in enumerate(zip(beta, gamma)):
+                if g:
+                    rises.append((j, b, g))
+                    if g - b > reach[j]:
+                        reach[j] = g - b
+            step = int.from_bytes(pack(*beta), "little") - int.from_bytes(pack(*gamma), "little")
+            rows.append((step, rises, sum(beta), sum(gamma), a.re_num, a.im_num, a.den))
+        table = f._action = (int.from_bytes(pack(*reach), "little"), rows)
     return table
 
 
-def _add_image(sums: Dict[MultiIndex, list], f: SymbolPolynomial, sp: SpaceParams, source, sign: int) -> None:
-    """Add ``sign * T_f`` of the vector ``sum source[alpha] z^alpha`` in
-    ``sp`` into ``sums`` (see ``toeplitz_apply``), and read ``source`` only.
+def _add_image(sums: Dict[int, list], f: SymbolPolynomial, sp: SpaceParams, source: list, sign: int) -> None:
+    """Add ``sign * T_f`` of the vector of the source records ``source``
+    (see ``BasisExpansion._source``) in ``sp`` into ``sums`` (see
+    ``toeplitz_apply``), and read ``source`` only.
 
-    ``sums`` maps each target tau to the fields ``[re, im, den, radicand]``
-    of ``(re + im*i)/den * sqrt(radicand)``, summed but not canonicalized.
-    ``source`` is a vector's ``monomials``, or another ``sums``: a
-    coefficient that is such a list is read as it is, and skipped when it
-    sums to zero.
+    ``sums`` maps each target tau's packed key (see INDEX_COMPONENT_BOUND)
+    to the fields ``[re, im, den, radicand]`` of
+    ``(re + im*i)/den * sqrt(radicand)``, summed but never canonicalized
+    here: a target's key is its source's key plus the term's step.  A sum
+    may reach zero; ``_sum_records`` and ``_canonical``, the two readers of
+    ``sums``, skip it.  A target with a negative component is skipped: a
+    source that reaches the symbol's ``reach`` in every component has no
+    such target, and only a source that does not tests each term's
+    target, by its fields' sign bits.
     """
     if sp.n != f.dimension:
         check_same_dimension(sp.n, f.dimension)
-    n1, m = sp.n - 1, sp.m
-    terms = _action_terms(f)
+    m = sp.m
+    negative = _NEGATIVE[sp.n]
+    reach, terms = _action_terms(f)
     # perm(s + c, c) is rising_product(s, c), called directly in this loop
-    for alpha, q in source.items():
-        if type(q) is list:
-            qr, qi, qd, radicand = q
-            if not (qr or qi):
-                continue
-        else:
-            qr, qi, qd, radicand = q.re_num, q.im_num, q.den, q.radicand
+    for key, alpha, order, qr, qi, qd, radicand in source:
         if sign < 0:
             qr, qi = -qr, -qi
-        order = n1 + sum(alpha)
-        for step, gamma, shift, order_g, ar, ai, ad in terms:
-            tau = _new_index(MultiIndex, map(add, alpha, step))
-            num = 1
+        short = (key - reach) & negative  # some alpha_j < reach_j
+        for step, rises, order_b, order_g, ar, ai, ad in terms:
+            tau = key + step
             den = qd * ad
-            if order_g:
-                if min(tau) < 0:
+            if rises:
+                if short and tau & negative:
                     continue
-                for t, g in zip(tau, gamma):
-                    if g:
-                        num *= perm(t + g, g)
+                num = 1
+                for j, b, g in rises:
+                    num *= perm(alpha[j] + b, g)
                 if m:
-                    base = order + shift + order_g
+                    base = order + order_b
                     num *= perm(base + m, order_g)
                     den *= perm(base, order_g)
-            re = (qr * ar - qi * ai) * num
-            im = (qr * ai + qi * ar) * num
+                re = (qr * ar - qi * ai) * num
+                im = (qr * ai + qi * ar) * num
+            else:
+                re = qr * ar - qi * ai
+                im = qr * ai + qi * ar
             acc = sums.get(tau)
             if acc is None or not (acc[0] or acc[1]):
                 sums[tau] = [re, im, den, radicand]
@@ -395,17 +539,6 @@ def _add_image(sums: Dict[MultiIndex, list], f: SymbolPolynomial, sp: SpaceParam
                 acc[2] *= x
 
 
-def _summed(v: BasisExpansion, sums: Dict[MultiIndex, list]) -> BasisExpansion:
-    """The vector of ``sums`` (see ``_add_image``) in v's space, anchored at
-    v's anchor: each nonzero sum canonicalized once."""
-    out = {
-        tau: _radical(re, im, den, radicand)
-        for tau, (re, im, den, radicand) in sums.items()
-        if re or im
-    }
-    return _expansion(v.space, v.anchor, out)
-
-
 def hankel_product_apply(
     f: SymbolPolynomial,
     g: SymbolPolynomial,
@@ -422,10 +555,12 @@ def hankel_product_apply(
     product; the closed-form sweep builds conj(f) once per gamma, and
     conj(f) * g once per exponent sum).  The image ``T_g v`` is left as
     ``_add_image``'s summed integer fields, which the ``conj(f)`` stage
-    reads as they are (zero sums skipped).
+    reads as they are (zero sums skipped), never canonicalized.
     Both stages keep v's anchor, so the contributions of ``T_{conj(f) g} v``
-    and then of ``-T_{conj(f)} T_g v`` are summed into one set of targets,
-    and each target is canonicalized once, in the final ``_summed``.
+    and then of ``-T_{conj(f)} T_g v`` are summed into one set of targets.
+    The image returned holds those raw sums, as ``toeplitz_apply``'s does:
+    each target is canonicalized once, when the image's ``monomials`` is
+    first read, and its ``squared_norm`` canonicalizes none.
     v's ``monomials`` dict is read, never changed.
     """
     if f_conj is None:
@@ -433,12 +568,13 @@ def hankel_product_apply(
     if f_conj_g is None:
         f_conj_g = f_conj * g
     sp = v.space
-    inner: Dict[MultiIndex, list] = {}
-    _add_image(inner, g, sp, v.monomials, 1)
-    sums: Dict[MultiIndex, list] = {}
-    _add_image(sums, f_conj_g, sp, v.monomials, 1)
-    _add_image(sums, f_conj, sp, inner, -1)
-    return _summed(v, sums)
+    source = v._source()
+    inner: Dict[int, list] = {}
+    _add_image(inner, g, sp, source, 1)
+    sums: Dict[int, list] = {}
+    _add_image(sums, f_conj_g, sp, source, 1)
+    _add_image(sums, f_conj, sp, _sum_records(sp.n, inner), -1)
+    return _expansion(sp, v.anchor, None, sums)
 
 
 def closed_form_min_alpha(beta, gamma, mu, nu) -> "list[int]":

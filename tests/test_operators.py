@@ -14,6 +14,7 @@ from reference import (
     toeplitz_mono_reference,
 )
 
+from fockop import arith
 from fockop.arith import (
     MultiIndex,
     RADICAL_ONE,
@@ -25,6 +26,7 @@ from fockop.arith import (
 )
 from fockop.errors import InputError, InternalInvariantError, SymbolSyntaxError
 from fockop.operators import (
+    INDEX_COMPONENT_BOUND,
     MAX_WEIGHT_ORDER,
     BasisExpansion,
     Composition,
@@ -416,6 +418,44 @@ def test_apply_dimension_mismatch():
         toeplitz_apply(parse_symbol("z1", 2), e(SpaceParams(1, 0), 0))
 
 
+@pytest.mark.parametrize("huge, text", [
+    # the huge component's exponents are equal in every term, so the
+    # reference takes no square root of a ~62-bit integer; the other
+    # component moves up, down and below zero
+    (0, "z1*conj(z1) + 2*z2 - i*conj(z2)^2 + 3*z1*conj(z1)*conj(z2)^5 + 7"),
+    (1, "(1/2)*z1^2*z2*conj(z2) - conj(z1) + z2^3*conj(z2)^3 - 4*i*conj(z1)^4"),
+])
+def test_index_components_below_the_bound_are_exact_and_at_it_rejected(huge, text):
+    sp = SpaceParams(2, 0)
+    f = parse_symbol(text, 2)
+
+    def index(big, small):
+        comps = [small, small]
+        comps[huge] = big
+        return mi(*comps)
+
+    top = INDEX_COMPONENT_BOUND - 1
+    # ||z^(top, 1)|| = ||z^(top, 0)|| at m = 0, so both monomial coefficients
+    # have radicand 1
+    v = BasisExpansion(sp, {index(top, 1): RADICAL_ONE, index(top, 0): RadicalCoefficient(Fraction(2, 3), im=-1)})
+    image = toeplitz_apply(f, v)
+    assert image == _reference_toeplitz_apply(f, v)
+    assert max(tau[huge] for tau in image.monomials) == top
+    with pytest.raises(InputError, match=r"component 4611686018427387904 is not below INDEX_COMPONENT_BOUND = 2\*\*62"):
+        toeplitz_apply(f, BasisExpansion.basis_vector(sp, index(INDEX_COMPONENT_BOUND, 3)))
+    with pytest.raises(InputError, match="INDEX_COMPONENT_BOUND"):
+        hankel_product_apply(f, f, BasisExpansion.basis_vector(sp, index(INDEX_COMPONENT_BOUND, 3)))
+    # an image's component at the bound is rejected where the image enters the kernel
+    up = toeplitz_apply(parse_symbol(f"z{huge + 1}", 2), BasisExpansion.basis_vector(sp, index(top, 3)))
+    assert list(up.monomials) == [index(INDEX_COMPONENT_BOUND, 3)]
+    with pytest.raises(InputError, match="INDEX_COMPONENT_BOUND"):
+        toeplitz_apply(f, up)
+    # and so is a symbol's exponent at the bound
+    exponent = index(INDEX_COMPONENT_BOUND, 0)
+    with pytest.raises(InputError, match="INDEX_COMPONENT_BOUND"):
+        toeplitz_apply(SymbolPolynomial(2, {(exponent, mi(0, 0)): RADICAL_ONE}), e(sp, 1, 1))
+
+
 # ---------------------------------------------------------------------------
 # Hankel products
 
@@ -720,6 +760,9 @@ _SHAPES = {
     "T({f})": lambda f, g: ToeplitzOp(f),
     "HP({f}; {g})": HankelProductOp,
     "T({f}) * T({g})": lambda f, g: Composition(ToeplitzOp(f), ToeplitzOp(g)),
+    "T({f}) * HP({f}; {g}) * T({g})": lambda f, g: Composition(
+        Composition(ToeplitzOp(f), HankelProductOp(f, g)), ToeplitzOp(g)
+    ),
 }
 
 
@@ -767,11 +810,17 @@ def _reference_apply(shape, f, g, v):
     """The operator ``_SHAPES[shape](f, g)`` applied to v on the per-term
     radical path of ``_reference_toeplitz_apply``.  For ``HP`` the
     contributions of T_{conj(f) g} v and of -T_{conj(f)} (T_g v) are
-    merged in one sum, in that order, as the engine merges them."""
+    merged in one sum, in that order, as the engine merges them; inside
+    the three-factor shape ``HP`` runs on the symbols' non-holomorphic
+    parts, as ``HankelProductOp`` does."""
     if shape == "T({f})":
         return _reference_toeplitz_apply(f, v)
     if shape == "T({f}) * T({g})":
         return _reference_toeplitz_apply(f, _reference_toeplitz_apply(g, v))
+    if shape == "T({f}) * HP({f}; {g}) * T({g})":
+        parts = (f.holomorphic_split()[1], g.holomorphic_split()[1])
+        inner = _reference_apply("HP({f}; {g})", *parts, _reference_toeplitz_apply(g, v))
+        return _reference_toeplitz_apply(f, inner)
     f_conj = f.conjugate()
     out = {}
     for sign, h, u in ((1, f_conj * g, v), (-1, f_conj, _reference_toeplitz_apply(g, v))):
@@ -804,6 +853,20 @@ def _engine_cases(draw):
     return draw(st.sampled_from(sorted(_SHAPES))), f, g, v
 
 
+def _stored_targets(image):
+    """The multi-index of every raw sum an image holds, decoded from its
+    packed key field by field, a negative component included."""
+    for key in image._sums:
+        tau = []
+        for _ in range(image.space.n):
+            field = key & (2**64 - 1)
+            x = field - 2**64 if field >> 63 else field
+            tau.append(x)
+            key = (key - x) >> 64
+        assert key == 0
+        yield tau
+
+
 @given(_engine_cases())
 @example(("T({f})", parse_symbol("z^2 + 1", 1), parse_symbol("1", 1),
           BasisExpansion(SpaceParams(1, 1000), {mi(0): RADICAL_ONE, mi(2): RADICAL_ONE})))
@@ -811,6 +874,16 @@ def _engine_cases(draw):
           BasisExpansion.basis_vector(SpaceParams(2, 1000), mi(3, 4))))
 @example(("T({f}) * T({g})", parse_symbol("z1 + z2*conj(z3) - z3^2", 3), parse_symbol("conj(z1)*z2 - 2", 3),
           BasisExpansion(SpaceParams(3, 40), {mi(1, 2, 3): RADICAL_ONE, mi(2, 1, 3): RadicalCoefficient(1, 2)})))
+# small alphas: conj(z1)^3, conj(z2)^2 and conj(z2)^3 send (1, 0) and its
+# images below zero in some component, so those targets are skipped while
+# other terms of the same symbols land
+@example(("T({f}) * HP({f}; {g}) * T({g})", parse_symbol("conj(z1)^3*z2 + z1 - 2*conj(z2)^2", 2),
+          parse_symbol("conj(z2)^3 + z1*conj(z1) + i*z2", 2), BasisExpansion.basis_vector(SpaceParams(2, 7), mi(1, 0))))
+@example(("T({f}) * HP({f}; {g}) * T({g})", parse_symbol("(1-2*i)*conj(z)^2 + z^3 - 1/2", 1),
+          parse_symbol("conj(z)*z^2 + 3*conj(z)^3", 1),
+          BasisExpansion(SpaceParams(1, 1), {mi(0): RADICAL_ONE, mi(2): RadicalCoefficient(Fraction(1, 3), im=2)})))
+@example(("T({f})", parse_symbol("conj(z1)^2*conj(z3) + z2*conj(z2) - 3*conj(z2)^3", 3), parse_symbol("1", 3),
+          BasisExpansion(SpaceParams(3, 0), {mi(2, 0, 1): RADICAL_ONE, mi(0, 3, 0): RadicalCoefficient(2)})))
 def test_engine_matches_the_per_term_radical_reference(case):
     shape, f, g, v = case
     op = _SHAPES[shape](f, g)
@@ -827,11 +900,17 @@ def test_engine_matches_the_per_term_radical_reference(case):
             apply_operator(op, v)
         return
     image = apply_operator(op, v)
+    # the squared norm read from the raw sums canonicalizes nothing
+    raw = image.squared_norm()
+    assert image._monomials is None
+    # a target with a negative component is skipped, not stored as a zero sum
+    assert all(min(tau) >= 0 for tau in _stored_targets(image))
     # one coefficient at a time first, then the whole expansion
     for tau, c in expected.coeffs.items():
         assert image.coefficient(tau) == c
     assert len(image.monomials) == len(expected.coeffs)
-    assert image.squared_norm() == sum(c.abs_sq() for c in expected.coeffs.values())
+    assert raw == sum(c.abs_sq() for c in expected.coeffs.values())
+    assert raw == image.squared_norm() == _expansion(v.space, image.anchor, image.monomials).squared_norm()
     assert image == expected
     if (f, g) != whole:
         # wherever the whole symbols' reference gives an image, it is the same
@@ -919,6 +998,48 @@ def test_norm_samples_take_no_square_root(monkeypatch):
         image = apply_operator(expr, BasisExpansion.basis_vector(sp, ray.alpha_at(t)))
         assert value == sum(c.abs_sq() for c in image.coeffs.values())
     assert calls
+
+
+def count_radicals(patch) -> list:
+    """Bind a counting ``_radical``, the canonicalization of a radical
+    coefficient, in every package module that calls it; returns the list
+    it appends to."""
+    import fockop
+
+    calls = []
+    original = arith._radical
+
+    def counted(*fields):
+        calls.append(1)
+        return original(*fields)
+
+    modules = [m for m in vars(fockop).values() if getattr(m, "_radical", None) is original]
+    assert {m.__name__ for m in modules} >= {"fockop.arith", "fockop.operators", "fockop.symbols"}
+    for module in modules:
+        patch.setattr(module, "_radical", counted)
+    return calls
+
+
+@pytest.mark.parametrize("text", [
+    "HP(z1^2*conj(z2) + 3*conj(z1)*z2 - (1/2)*i*z1*conj(z1)^2 + conj(z2)^3 + 2*z2^2 - i*conj(z1)*conj(z2) + z1 + 5;"
+    " conj(z1)^2*z2 - 2*z1*conj(z2) + (3/4)*conj(z1) + i*z2^2*conj(z2) + conj(z2)^2 - z1*z2 + 7*conj(z1)*conj(z2))",
+    "T(z1^2*conj(z2) + 3*conj(z1)*z2 - (1/2)*i*z1*conj(z1)^2 + conj(z2)^3 + 2*z2^2 + z1 + 5)"
+    " * T(conj(z1)^2*z2 - 2*z1*conj(z2) + (3/4)*conj(z1) + i*z2^2*conj(z2) + conj(z2)^2 - z1*z2)",
+], ids=["dense-HP", "T*T"])
+def test_norm_samples_canonicalize_nothing(monkeypatch, text):
+    from fockop.analysis import norm_squared_samples
+
+    expr = parse_operator(text, 2)
+    sp = SpaceParams(2, 7)
+    ray = default_ray(expr, (64, 65, 66))
+    roots = count_square_roots(monkeypatch)
+    radicals = count_radicals(monkeypatch)
+    samples = norm_squared_samples(expr, ray, sp)
+    assert roots == [] and radicals == []
+    for t, value in samples:
+        image = apply_operator(expr, BasisExpansion.basis_vector(sp, ray.alpha_at(t)))
+        assert value == sum(c.abs_sq() for c in image.coeffs.values())
+    assert roots and radicals
 
 
 def test_passing_closed_form_sweep_takes_no_square_root(monkeypatch):

@@ -304,6 +304,31 @@ def test_verify_composes_through_the_cli_hankel_product_route(monkeypatch):
     assert (op.left, op.right) == (f, g)
 
 
+def test_apply_operator_runs_the_module_toeplitz_apply(monkeypatch):
+    # bench/run.py's tracer wraps the module-global toeplitz_apply; every
+    # T(...) apply_operator runs, alone or composed, goes through it
+    calls = []
+    real = operators.toeplitz_apply
+
+    def spy(f, v):
+        calls.append(f)
+        return real(f, v)
+
+    monkeypatch.setattr(operators, "toeplitz_apply", spy)
+    f = symbols.parse_symbol("z1*conj(z2) + z2^2 - 3", 2)
+    g = symbols.parse_symbol("conj(z1)^2 + 2*z1*z2 + i", 2)
+    v = operators.BasisExpansion.basis_vector(operators.SpaceParams(2, 1), (2, 3))
+    T, HP, C = operators.ToeplitzOp, operators.HankelProductOp, operators.Composition
+    assert operators.apply_operator(T(f), v) == real(f, v)
+    assert calls == [f]
+    calls.clear()
+    assert operators.apply_operator(C(T(f), T(g)), v) == real(f, real(g, v))
+    assert calls == [g, f]
+    calls.clear()
+    operators.apply_operator(C(HP(f, g), T(g)), v)
+    assert calls == [g]
+
+
 def parser_actions(parser, prog):
     """(command, action) for every action of ``parser`` and its subparsers."""
     for action in parser._actions:
