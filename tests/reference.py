@@ -28,11 +28,14 @@ from fockop.arith import (
 )
 from fockop.errors import InputError, SymbolSyntaxError
 from fockop.operators import (
+    MAX_OPERATOR_FACTORS,
     BasisExpansion,
+    Composition,
+    HankelProductOp,
     OperatorExpr,
     SpaceParams,
+    ToeplitzOp,
     _norm_ratio,
-    _OperatorParser,
     closed_form_min_alpha,
     hankel_product_apply,
 )
@@ -50,6 +53,7 @@ from fockop.symbols import (
     _T_IMAG,
     _T_INT,
     _T_OP,
+    _T_OPERATOR,
     _T_VAR,
     MAX_SYMBOL_DEGREE,
     MAX_SYMBOL_NESTING,
@@ -57,7 +61,6 @@ from fockop.symbols import (
     SymbolPolynomial,
     TermKey,
     _merge_into,
-    _Parser,
     _power_pairs,
     _read_int,
     _symbol,
@@ -461,10 +464,12 @@ def reference_tokenize(text: str) -> "list[_Token]":
     return tokens
 
 
-class ReferenceParser(_Parser):
+class ReferenceParser:
     """The package's grammar with every factor parsed to a symbol: a
     variable or constant is a one-term symbol, a power is expanded by
-    ``pairwise_power`` and each '*' multiplies by ``pairwise_product``."""
+    ``pairwise_power`` and each '*' multiplies by ``pairwise_product``.
+    It shares no parser code with the package: the token cursor and the
+    product bound are stated here too."""
 
     def __init__(self, text: str, dimension: int):
         check_dimension(dimension)
@@ -474,6 +479,38 @@ class ReferenceParser(_Parser):
         self.pos = 0
         self.depth = 0
         self.zero = MultiIndex._wrap((0,) * dimension)
+
+    def peek(self) -> _Token:
+        return self.tokens[self.pos]
+
+    def next(self) -> _Token:
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect_op(self, op: str) -> _Token:
+        tok = self.next()
+        if tok.kind != _T_OP or tok.value != op:
+            raise SymbolSyntaxError(f"expected '{op}'", self.text, tok.pos)
+        return tok
+
+    def at_op(self, *ops: str) -> bool:
+        tok = self.peek()
+        return tok.kind == _T_OP and tok.value in ops
+
+    def parse(self) -> SymbolPolynomial:
+        poly = self.parse_expr()
+        tail = self.peek()
+        if tail.kind != _T_END:
+            raise SymbolSyntaxError("trailing input after expression", self.text, tail.pos)
+        return poly
+
+    def check_product(self, left: int, right: int, tok: _Token) -> None:
+        """Reject a product of a ``left``-term and a ``right``-term symbol,
+        more than MAX_SYMBOL_TERMS term pairs, at ``tok``."""
+        if left * right > MAX_SYMBOL_TERMS:
+            message = f"product of {left} and {right} terms exceeds MAX_SYMBOL_TERMS = {MAX_SYMBOL_TERMS} term pairs"
+            raise SymbolSyntaxError(message, self.text, tok.pos)
 
     def parse_expr(self) -> SymbolPolynomial:
         negate = self.at_op("-")
@@ -579,8 +616,35 @@ class ReferenceParser(_Parser):
         return _symbol(self.dimension, {(zero, unit) if conj else (unit, zero): RADICAL_ONE})
 
 
-class ReferenceOperatorParser(_OperatorParser, ReferenceParser):
+class ReferenceOperatorParser(ReferenceParser):
     """The package's operator productions on top of ``ReferenceParser``."""
+
+    def parse(self) -> OperatorExpr:
+        expr = self.parse_atom()
+        factors = 1
+        while self.peek().kind != _T_END:
+            star = self.expect_op("*")
+            if factors == MAX_OPERATOR_FACTORS:
+                message = f"more than MAX_OPERATOR_FACTORS = {MAX_OPERATOR_FACTORS} composed factors"
+                raise SymbolSyntaxError(message, self.text, star.pos)
+            expr = Composition(expr, self.parse_atom())
+            factors += 1
+        return expr
+
+    def parse_atom(self) -> OperatorExpr:
+        tok = self.next()
+        if tok.kind != _T_OPERATOR:
+            raise SymbolSyntaxError("expected T(...) or HP(...; ...)", self.text, tok.pos)
+        self.expect_op("(")
+        left = self.parse_expr()
+        if tok.value == "HP":
+            semicolon = self.expect_op(";")
+            right = self.parse_expr()
+            self.check_product(len(left.terms), len(right.terms), semicolon)  # HP(f; g) applies T_{conj(f) g}
+            self.expect_op(")")
+            return HankelProductOp(left, right)
+        self.expect_op(")")
+        return ToeplitzOp(left)
 
 
 def reference_parse_symbol(text: str, dimension: int) -> SymbolPolynomial:

@@ -15,6 +15,7 @@ from fockop import analysis, arith, cli, errors, operators, oracle, symbols, ver
 README = Path(__file__).resolve().parents[1] / "README.md"
 BENCH_RUN = Path(__file__).resolve().parents[1] / "bench" / "run.py"
 SOURCE = Path(fockop.__file__).resolve().parent
+REFERENCE = Path(__file__).resolve().parent / "reference.py"
 
 # Names that were deleted because nothing in the program used them, or
 # because another name does their work.
@@ -111,6 +112,11 @@ LIBRARY_ONLY = {
 # (``monomial_inner``, ``_norm_ratio``, ``RadicalCoefficient``) would make
 # the oracle check the engine against itself.
 ORACLE_IMPORTS = {"arith.MultiIndex", "arith.check_same_dimension", "operators.SpaceParams"}
+
+# What ``tests/reference.py`` may not import: the package's parser classes.
+# A reference parser that inherited their cursor, product bound or operator
+# productions would change with the parser it checks.
+REFERENCE_FORBIDDEN_IMPORTS = {"symbols._Parser", "operators._OperatorParser"}
 
 # What ``verify`` may not import from the engine: its composition route is
 # ``hankel_product_apply``, the function ``apply_operator`` runs for every
@@ -277,6 +283,12 @@ def test_oracle_shares_no_code_with_the_exact_engine():
     imports = package_imports(SOURCE / "oracle.py")
     assert imports
     assert [name for name in imports if name not in ORACLE_IMPORTS and not name.startswith("errors.")] == []
+
+
+def test_reference_parser_shares_no_parser_code_with_the_package():
+    imports = package_imports(REFERENCE)
+    assert imports
+    assert REFERENCE_FORBIDDEN_IMPORTS.isdisjoint(imports)
 
 
 def test_verify_composes_through_the_cli_hankel_product_route(monkeypatch):
