@@ -8,19 +8,31 @@ always merged and zero terms dropped, so equal symbols have equal term
 maps.
 
 The parser builds these canonical values directly, with no validating
-constructor.  A product term's factors other than parenthesized ones
-(``z_j``, ``conj(z_j)``, integers, ``a/b`` and ``i``, each with an
-optional power) fold into one monomial held as integers: the exponents
-of beta and gamma are added and the coefficient is multiplied as
-integer fields, canonicalized once per term.  Only a parenthesized
-factor is a symbol, and only those are multiplied as symbols.  An
+constructor.  It reads the text in one scan, at a cursor, with compiled
+regular expressions: there is no token list.  One ``fullmatch`` first
+checks that the whole text is lexically valid; when it is not, the
+tokenizer runs to raise the first lexical error, so that error beats any
+earlier grammar error.  A product term with no nested parenthesis (a
+flat term) is matched whole, and its factors (``z_j``, ``conj(z_j)``,
+integers, ``a/b``, ``i`` and a Gaussian-integer constant ``(a±b*i)``,
+each with an optional power) fold straight from the text into one
+monomial held as integers: the exponents of beta and gamma are added and
+the coefficient is multiplied as integer fields, canonicalized once per
+term.  Any other term, or a flat term that breaks a rule of the grammar,
+is read token by token by the recursive descent, from the same position.
+There the same fold applies to every factor but a parenthesized one,
+which is a symbol; only those are multiplied as symbols.  An
 expression's terms are summed into one new dict, so no value the parser
 returns shares its term map with another.
 """
 
 from __future__ import annotations
 
+import re
+import sys
+from itertools import chain
 from math import comb, gcd
+from struct import Struct
 from typing import Dict, Iterable, NamedTuple, Optional, Tuple
 
 from .arith import (
@@ -136,20 +148,41 @@ class SymbolPolynomial:
         # [re, im, den] of (re + im*i)/den (coefficients have radicand 1) and
         # canonicalized once.  A sum that reaches zero drops its key, and its
         # next contribution inserts the key again, last, as in ``_merge_into``.
-        sums: Dict[TermKey, list] = {}
-        right = [(b2, g2, c2.re_num, c2.im_num, c2.den) for (b2, g2), c2 in other.terms.items()]
+        # A key is the term's exponents beta then gamma, packed into one int
+        # (see _PACKED_EXPONENT_BOUND), so a product's key is one int add;
+        # past the bound it is their 2n-component MultiIndex, whose + also
+        # adds componentwise.
+        n = self.dimension
+        packed = max(map(max, chain(*self.terms, *other.terms)), default=0) < _PACKED_EXPONENT_BOUND
+        fields = _KEY_FIELDS[n]
+
+        def encode(beta, gamma):
+            if packed:
+                return int.from_bytes(fields.pack(*beta, *gamma), "little")
+            return MultiIndex._wrap((*beta, *gamma))
+
+        sums: Dict[object, list] = {}
+        right = [(encode(b2, g2), c2.re_num, c2.im_num, c2.den) for (b2, g2), c2 in other.terms.items()]
         for (b1, g1), c1 in self.terms.items():
-            a1, i1, d1 = c1.re_num, c1.im_num, c1.den
-            for b2, g2, a2, i2, d2 in right:
-                key = (b1 + b2, g1 + g2)
+            k1, a1, i1, d1 = encode(b1, g1), c1.re_num, c1.im_num, c1.den
+            for k2, a2, i2, d2 in right:
+                key = k1 + k2
                 re, im, den = a1 * a2 - i1 * i2, a1 * i2 + i1 * a2, d1 * d2
-                acc = sums.setdefault(key, [0, 0, den])
+                acc = sums.get(key)
+                if acc is None:  # the product of two nonzero coefficients is nonzero
+                    sums[key] = [re, im, den]
+                    continue
                 g = gcd(acc[2], den)
                 x, y = den // g, acc[2] // g
                 acc[:] = acc[0] * x + re * y, acc[1] * x + im * y, acc[2] * x
                 if not (acc[0] or acc[1]):
                     del sums[key]
-        return _symbol(self.dimension, {key: _radical(re, im, den, 1) for key, (re, im, den) in sums.items()})
+        out = {}
+        width = 16 * n
+        for key, (re, im, den) in sums.items():
+            exps = fields.unpack(key.to_bytes(width, "little")) if packed else key
+            out[MultiIndex._wrap(exps[:n]), MultiIndex._wrap(exps[n:])] = _radical(re, im, den, 1)
+        return _symbol(n, out)
 
     def __pow__(self, exponent: int) -> "SymbolPolynomial":
         if exponent < 0:
@@ -216,6 +249,15 @@ class SymbolPolynomial:
         return out
 
 
+# A product's term key packs the exponents beta, then gamma, into one
+# integer, 64 bits per exponent: ``sum e_k << (64*k)`` over the 2n
+# exponents (packed exponent vectors, as in Monagan and Pearce, CASC 2007).
+# Two exponents below the bound sum below 2**64, so the key of a product of
+# terms is the sum of their keys, no field carrying into the next.
+_PACKED_EXPONENT_BOUND = 2**63
+_KEY_FIELDS = [Struct(f"<{2 * n}Q") for n in range(MAX_DIMENSION + 1)]
+
+
 def _as_index(index) -> MultiIndex:
     """``index`` as a ``MultiIndex``; a checked key that is one already is kept."""
     return index if type(index) is MultiIndex else MultiIndex(index)
@@ -280,10 +322,16 @@ def _coefficient_text(c: RadicalCoefficient, has_monomial: bool) -> "tuple[str, 
 # ---------------------------------------------------------------------------
 # parser
 #
-# One grammar and one tokenizer: ``parse_symbol`` starts at ``expr`` and
+# One grammar and one scanner: ``parse_symbol`` starts at ``expr`` and
 # ``operators.parse_operator`` at ``op``.  The two operator productions live in
 # a ``_Parser`` subclass there, because this module cannot import the operator
-# types.  A syntax error carries its position in the whole text parsed.
+# types.  ``_scan`` reads the token at a position of the text; ``_tokenize``,
+# the list of them, runs only to raise a lexical error that ``_LEXICAL``, the
+# check of the whole text, has found.  ``parse_expr`` matches each flat term
+# (``_FLAT_TERM``) whole, and folds it in only when it ends at a term boundary
+# and breaks no rule below; else ``parse_term`` reads it token by token and
+# raises the error.  A syntax error carries its position in the whole text
+# parsed.
 #
 # op      := atom ("*" atom)* ;
 # atom    := "T" "(" expr ")" | "HP" "(" expr ";" expr ")" ;
@@ -348,15 +396,30 @@ _T_OPERATOR = "operator"
 _T_OP = "op"
 _T_END = "end"
 _NAMES = {"conj": _T_CONJ, "i": _T_IMAG, "T": _T_OPERATOR, "HP": _T_OPERATOR}
-# ASCII 0-9 only: ``str.isdigit`` also accepts '\u00b2' and other scripts' digits.
-_DIGITS = frozenset("0123456789")
-_OPS = frozenset("+-*/^();")
 
 
 class _Token(NamedTuple):
     kind: str
     value: object
     pos: int
+
+
+# The token at a position, past any whitespace (``\s`` is exactly
+# ``str.isspace``): digits (ASCII 0-9 only: ``str.isdigit`` also accepts
+# '²' and other scripts' digits), 'z' and its index digits, a name, an
+# operator, or else one character that starts no token (none at the end).
+_TOKEN = re.compile(r"\s*(?:([0-9]+)|(z[0-9]*)|(conj|HP|T|i)|([-+*/^();])|(.?))", re.S)
+
+# A text with no lexical error and no number too long for ``int()`` under
+# any limit the interpreter allows (``sys.int_info``): ASCII whitespace and
+# operators, letter runs that are exactly a name, and digit runs of at most
+# str_digits_check_threshold digits.  A run of whitespace and operators
+# ends where a name or digits start, and a name or a digit run is matched
+# whole, so a text that fails backtracks over each character once.
+_LEXICAL = re.compile(
+    r"(?:[-+*/^();\t-\r\x1c- ]*(?:(?:conj|HP|T|i|z)(?![A-Za-z])|[0-9]{1,%d}(?![0-9])))*[-+*/^();\t-\r\x1c- ]*"
+    % sys.int_info.str_digits_check_threshold
+)
 
 
 def _read_int(text: str, i: int, j: int) -> int:
@@ -366,62 +429,86 @@ def _read_int(text: str, i: int, j: int) -> int:
         raise SymbolSyntaxError("number too long", text, i) from None
 
 
+def _scan(text: str, i: int) -> "tuple[_Token, int]":
+    """The token that starts at ``i`` or after the whitespace there, and
+    the index just past it; a lexical error raises ``SymbolSyntaxError``."""
+    m = _TOKEN.match(text, i)
+    k = m.lastindex
+    start, end = m.span(k)
+    if k == 4:
+        return tuple.__new__(_Token, (_T_OP, text[start], start)), end
+    if k == 1:
+        return tuple.__new__(_Token, (_T_INT, _read_int(text, start, end), start)), end
+    if k == 5:
+        if start == end:
+            return tuple.__new__(_Token, (_T_END, None, start)), end
+        if not text[start].isalpha():
+            raise SymbolSyntaxError(f"unexpected character '{text[start]}'", text, start)
+    # a name, a 'z' or another letter: its run of letters must be the name
+    word_end = start + 1 if k == 2 else end
+    letters = word_end
+    while letters < len(text) and text[letters].isalpha():
+        letters += 1
+    if k == 5 or letters > word_end:
+        raise SymbolSyntaxError(f"unknown name '{text[start:letters]}'", text, start)
+    if k == 2:
+        index = _read_int(text, word_end, end) if end > word_end else None
+        return tuple.__new__(_Token, (_T_VAR, index, start)), end
+    return tuple.__new__(_Token, (_NAMES[text[start:end]], text[start:end], start)), end
+
+
 def _tokenize(text: str) -> "list[_Token]":
+    """The tokens of ``text`` that ``_scan`` reads one after another, the
+    last ``_T_END``; the first lexical error raises ``SymbolSyntaxError``."""
     tokens: "list[_Token]" = []
-    append, new, digits, ops = tokens.append, tuple.__new__, _DIGITS, _OPS
     i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch in ops:
-            append(new(_Token, (_T_OP, ch, i)))
-            i += 1
-        elif ch in digits:
-            j = i + 1
-            while j < n and text[j] in digits:
-                j += 1
-            append(new(_Token, (_T_INT, _read_int(text, i, j), i)))
-            i = j
-        elif ch.isspace():
-            i += 1
-        elif ch.isalpha():
-            j = i + 1
-            while j < n and text[j].isalpha():
-                j += 1
-            word = text[i:j]
-            if word == "z":
-                k = j
-                while k < n and text[k] in digits:
-                    k += 1
-                append(new(_Token, (_T_VAR, _read_int(text, j, k) if k > j else None, i)))
-                i = k
-                continue
-            kind = _NAMES.get(word)
-            if kind is None:
-                raise SymbolSyntaxError(f"unknown name '{word}'", text, i)
-            append(new(_Token, (kind, word, i)))
-            i = j
-        else:
-            raise SymbolSyntaxError(f"unexpected character '{ch}'", text, i)
-    append(new(_Token, (_T_END, None, n)))
-    return tokens
+    while True:
+        tok, i = _scan(text, i)
+        tokens.append(tok)
+        if tok.kind == _T_END:
+            return tokens
+
+
+# A factor of a flat term: z_j, conj(z_j), a, a/b, i or a Gaussian-integer
+# constant (a+b*i), (a-b*i), (a+i) or (a-i), with an optional power.  "{g}"
+# is "" in ``_FLAT_FACTOR``, whose groups are the factor's fields, and "?:"
+# inside ``_FLAT_TERM``.
+_FACTOR = (
+    r"(?:({g}z[0-9]*)|conj\s*\(\s*({g}z[0-9]*)\s*\)|({g}[0-9]+)(?:\s*/\s*({g}[0-9]+))?|({g}i)"
+    r"|\(\s*({g}[0-9]+)\s*({g}[-+])\s*(?:({g}[0-9]+)\s*\*\s*)?i\s*\))(?:\s*\^\s*({g}[0-9]+))?"
+)
+_FLAT_FACTOR = re.compile(_FACTOR.format(g=""))
+# A flat term, group 1, that ends at a term boundary: the sign of the next
+# term (group 2, read), ';' or ')' (not read) or the end of the text.
+_FLAT_TERM = re.compile(r"\s*({0}(?:\s*\*\s*{0})*)\s*(?:([-+])|(?=[;)])|\Z)".format(_FACTOR.format(g="?:")))
+
+# Per dimension n, the position in beta of each variable the flat-term
+# fold reads: z1..zn, and bare 'z' at n = 1.  Any other spelling ('z',
+# 'z0', 'z01', an index past n) leaves the term to the general path.
+_VARIABLE_SLOTS = [{}] + [
+    {f"z{j + 1}": j for j in range(n)} | ({"z": 0} if n == 1 else {}) for n in range(1, MAX_DIMENSION + 1)
+]
 
 
 class _Parser:
+    """A recursive-descent parser over ``_scan``'s tokens: ``tok`` is the
+    token at the cursor and ``end`` the index just past it."""
+
     def __init__(self, text: str, dimension: int):
         check_dimension(dimension)
+        if _LEXICAL.fullmatch(text) is None:
+            _tokenize(text)  # raises the text's first lexical error, if it has one
         self.text = text
         self.dimension = dimension
-        self.tokens = _tokenize(text)
-        self.pos = 0
+        self.tok, self.end = _scan(text, 0)
         self.depth = 0  # parentheses open in ``parse_group``
 
     def peek(self) -> _Token:
-        return self.tokens[self.pos]
+        return self.tok
 
     def next(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
+        tok = self.tok
+        self.tok, self.end = _scan(self.text, self.end)
         return tok
 
     def expect_op(self, op: str) -> _Token:
@@ -431,7 +518,7 @@ class _Parser:
         return tok
 
     def at_op(self, *ops: str) -> bool:
-        tok = self.peek()
+        tok = self.tok
         return tok.kind == _T_OP and tok.value in ops
 
     def parse(self) -> SymbolPolynomial:
@@ -442,16 +529,85 @@ class _Parser:
         return poly
 
     def parse_expr(self) -> SymbolPolynomial:
-        """The sum of the terms, added one by one into one new dict."""
+        """The sum of the terms, added one by one into one new dict.
+
+        A flat term is read straight from the text (``fold_flat_term``),
+        with the sign after it and no token.  Any other term is read token
+        by token (``parse_term``), from the cursor moved to where it
+        starts."""
         negate = self.at_op("-")
         if negate:
             self.next()
         acc: Dict[TermKey, RadicalCoefficient] = {}
+        text, pos = self.text, self.tok.pos
         while True:
+            m = _FLAT_TERM.match(text, pos)
+            if m is not None and self.fold_flat_term(m.span(1), acc, negate):
+                sign, pos = m.group(2), m.end()
+                if sign is not None:
+                    negate = sign == "-"
+                    continue
+                self.tok, self.end = _scan(text, pos)
+                return _symbol(self.dimension, acc)
+            self.tok, self.end = _scan(text, pos)
             self.parse_term(acc, negate)
             if not self.at_op("+", "-"):
                 return _symbol(self.dimension, acc)
             negate = self.next().value == "-"
+            pos = self.tok.pos
+
+    def fold_flat_term(self, span: "tuple[int, int]", acc: Dict[TermKey, RadicalCoefficient], negate: bool) -> bool:
+        """Add the flat term at ``span`` of the text, negated if ``negate``,
+        into the terms ``acc``, as ``parse_term`` would.
+
+        Its factors fold into one monomial held as integers, the exponents
+        of beta and gamma and the coefficient's fields (re + im*i)/den,
+        canonicalized once.  Adds nothing and returns False when a factor
+        breaks a rule of the grammar (an unknown variable, a zero
+        denominator, a power past MAX_SYMBOL_DEGREE, a Gaussian constant's
+        '(' past MAX_SYMBOL_NESTING): ``parse_term`` then raises the error.
+        """
+        n = self.dimension
+        slots = _VARIABLE_SLOTS[n]
+        exps = [0] * (2 * n)  # beta, then gamma
+        re, im, den = (-1 if negate else 1), 0, 1
+        for var, conj, num, denom, imag, g_re, g_sign, g_im, power in _FLAT_FACTOR.findall(self.text, *span):
+            e = int(power) if power else 1
+            if e > MAX_SYMBOL_DEGREE:
+                return False
+            if var:
+                j = slots.get(var)
+                if j is None:
+                    return False
+                exps[j] += e
+            elif conj:
+                j = slots.get(conj)
+                if j is None:
+                    return False
+                exps[j + n] += e
+            elif num:
+                a = int(num) ** e
+                if denom:
+                    b = int(denom)
+                    if not b:
+                        return False
+                    den *= b**e
+                re, im = re * a, im * a
+            elif imag:
+                for _ in range(e % 4):
+                    re, im = -im, re
+            else:
+                if self.depth == MAX_SYMBOL_NESTING:
+                    return False
+                a, b = int(g_re), (int(g_im) if g_im else 1)
+                if g_sign == "-":
+                    b = -b
+                for _ in range(e):
+                    re, im = re * a - im * b, re * b + im * a
+        if re or im:
+            key = (MultiIndex._wrap(exps[:n]), MultiIndex._wrap(exps[n:]))
+            _merge_into(acc, ((key, _radical(re, im, den, 1)),))
+        return True
 
     def check_product(self, left: int, right: int, tok: _Token) -> None:
         """Reject a product of a ``left``-term and a ``right``-term symbol,

@@ -20,6 +20,8 @@ from fockop.symbols import (
     MAX_SYMBOL_NESTING,
     MAX_SYMBOL_TERMS,
     SymbolPolynomial,
+    _PACKED_EXPONENT_BOUND,
+    _Parser,
     _tokenize,
     parse_symbol,
 )
@@ -290,6 +292,32 @@ def test_parsing_builds_no_coefficient_through_the_constructor(monkeypatch):
     assert op.inner.symbol == p
 
 
+def test_flat_terms_are_folded_straight_from_the_text(monkeypatch):
+    calls = []
+
+    def spy(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr("fockop.symbols._tokenize", spy("_tokenize", _tokenize))
+    monkeypatch.setattr(_Parser, "parse_term", spy("parse_term", _Parser.parse_term))
+    hankel = "HP((1-2*i)*z1*conj(z2) + 3/4*z2^2; conj(z1)^2 - i*z2)"
+    p = parse_symbol(DENSE_TWENTY, 2)
+    op = parse_operator(hankel, 2)
+    assert calls == []
+    # the spies fire where the fast path does not reach
+    parse_symbol("(z1 + z2)*z1", 2)
+    with pytest.raises(SymbolSyntaxError):
+        parse_symbol("z1 + $", 2)
+    assert calls == ["parse_term", "_tokenize"]
+    monkeypatch.undo()
+    assert terms(p) == terms(reference_parse_symbol(DENSE_TWENTY, 2))
+    assert operator_terms(op) == operator_terms(reference_parse_operator(hankel, 2))
+
+
 # ---------------------------------------------------------------------------
 # the parser against the factor-by-factor reference (tests/reference.py)
 
@@ -397,6 +425,26 @@ def test_operators_match_the_reference(data):
             assert terms(node.left_conj_right) == terms(pairwise_product(node.left_conj, node.right_nh))
 
 
+# Five terms of the benchmark's shape, every kind of flat factor among them.
+SPLICED_SYMBOL = "3*z1^2*conj(z2) - (1-2*i)*z2 + 1/2*z1*z2 - i*conj(z1)^3 + 5/3"
+
+
+@pytest.mark.parametrize(
+    "text", [SPLICED_SYMBOL, f"HP({SPLICED_SYMBOL}; conj(z1)*z2^2 - (3+i)*z1)"], ids=["symbol", "hankel-product"]
+)
+def test_every_fragment_spliced_in_matches_the_reference(text):
+    for at in range(len(text) + 1):
+        for fragment in FRAGMENTS:
+            assert_same_outcome(text[:at] + fragment + text[at:], 2)
+
+
+def test_a_lexical_error_beats_an_earlier_grammar_error():
+    for parse in (parse_symbol, reference_parse_symbol):
+        with pytest.raises(SymbolSyntaxError) as err:
+            parse("z1 + + $", 2)
+        assert (err.value.message, err.value.pos) == ("unexpected character '$'", 7)
+
+
 DEEPEST = "(" * MAX_SYMBOL_NESTING + "z1" + ")" * MAX_SYMBOL_NESTING
 
 # Texts at each bound of the grammar, in symbols and operators of dimension 2.
@@ -409,6 +457,9 @@ BOUND_TEXTS = [
     f"HP({_powers_of_z1(200)}; {_powers_of_z1(101)})",
     " * ".join(["T(z1)", "HP(conj(z1); z2)"] * (MAX_OPERATOR_FACTORS // 2)),
     " * ".join(["T(z1)", "HP(conj(z1); z2)"] * (MAX_OPERATOR_FACTORS // 2) + ["T(z2)"]),
+    # a Gaussian-integer constant's '(' is a nesting level, in a flat term too
+    "(" * (MAX_SYMBOL_NESTING - 1) + "(1-2*i)^2*z1" + ")" * (MAX_SYMBOL_NESTING - 1),
+    "(" * MAX_SYMBOL_NESTING + "(1-2*i)^2*z1" + ")" * MAX_SYMBOL_NESTING,
 ]
 
 # Under a term bound of 50: a sum of more terms than the bound, products and
@@ -472,6 +523,27 @@ def test_product_inserts_a_cancelled_key_again_last():
     b = parse_symbol("z^2 - z + 1", 1)
     assert [key for key, _ in (a * b).terms.items()] == [(mi(0), mi(0)), (mi(4), mi(0)), (mi(2), mi(0))]
     assert terms(a * b) == terms(pairwise_product(a, b))
+
+
+def test_product_of_exponents_at_and_past_the_packed_bound_matches_the_pairwise_reference():
+    # the constructor takes any exponent; a key at or past the packed field's
+    # bound is summed as a tuple, with the same terms in the same order
+    for big in (2**40, _PACKED_EXPONENT_BOUND - 1, _PACKED_EXPONENT_BOUND, 2**64, 2**70):
+        a = symbol_from_terms(
+            2,
+            [
+                ((mi(big, 0), mi(0, 1)), g(1)),
+                ((mi(0, 0), mi(0, 0)), g(-1)),
+                ((mi(1, big), mi(big, 0)), g(Fraction(1, 2), 3)),
+            ],
+        )
+        b = symbol_from_terms(
+            2,
+            [((mi(0, 0), mi(0, 0)), g(1)), ((mi(big, 0), mi(0, 1)), g(1)), ((mi(0, 2), mi(3, big)), g(0, -1))],
+        )
+        assert terms(a * b) == terms(pairwise_product(a, b))
+        assert terms(b * a) == terms(pairwise_product(b, a))
+        assert terms(a * a) == terms(pairwise_product(a, a))
 
 
 def test_monomial_terms_parse_with_no_symbol_product(monkeypatch):
