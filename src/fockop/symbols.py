@@ -483,8 +483,8 @@ _FLAT_FACTOR = re.compile(_FACTOR.format(g=""))
 _FLAT_TERM = re.compile(r"\s*({0}(?:\s*\*\s*{0})*)\s*(?:([-+])|(?=[;)])|\Z)".format(_FACTOR.format(g="?:")))
 
 # Per dimension n, the position in beta of each variable the flat-term
-# fold reads: z1..zn, and bare 'z' at n = 1.  Any other spelling ('z',
-# 'z0', 'z01', an index past n) leaves the term to the general path.
+# fold reads: z1..zn, and bare 'z' at n = 1.  Any other spelling ('z' at
+# n > 1, 'z0', 'z01', an index past n) leaves the term to the general path.
 _VARIABLE_SLOTS = [{}] + [
     {f"z{j + 1}": j for j in range(n)} | ({"z": 0} if n == 1 else {}) for n in range(1, MAX_DIMENSION + 1)
 ]
