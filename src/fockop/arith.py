@@ -27,6 +27,7 @@ to share between threads.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -206,17 +207,69 @@ def _radical(a: int, b: int, d: int, r: int) -> "RadicalCoefficient":
     return _raw_radical(a, b, d, r)
 
 
+# ---------------------------------------------------------------------------
+# decimal text of exact values
+#
+# ``int`` converts at most ``sys.get_int_max_str_digits()`` digits to or from
+# text, a limit the environment sets (``PYTHONINTMAXSTRDIGITS``, as low as
+# ``sys.int_info.str_digits_check_threshold`` = 640).  The package converts
+# longer numbers in pieces of _DIGIT_PIECE digits, below any such limit, so
+# what it reads and prints never depends on it.
+_DIGIT_PIECE = sys.int_info.str_digits_check_threshold // 2
+# An int of at most this many bits has at most _DIGIT_PIECE digits (8 < 10).
+_SHORT_BITS = 3 * _DIGIT_PIECE
+
+
+def exact_text(x: "int | Fraction") -> str:
+    """``str(x)`` of an int or a Fraction, with every digit however many
+    there are: the text every exact value that reaches output is written in."""
+    if isinstance(x, int):
+        return _int_text(x)
+    text = _int_text(x.numerator)
+    return text if x.denominator == 1 else f"{text}/{_int_text(x.denominator)}"
+
+
+def _int_text(x: int) -> str:
+    if x.bit_length() <= _SHORT_BITS:
+        return str(x)
+    if x < 0:
+        return "-" + _digits(-x, 0)
+    return _digits(x, 0)
+
+
+def _digits(x: int, width: int) -> str:
+    """The digits of ``x >= 0``, zero-padded on the left to ``width``:
+    split at about half its digits until each part is short."""
+    bits = x.bit_length()
+    if bits <= _SHORT_BITS:
+        return str(x).zfill(width)
+    k = bits * 3 // 20  # about half of the bits * log10(2) digits
+    high, low = divmod(x, 10**k)
+    return _digits(high, width - k) + _digits(low, k)
+
+
+def int_from_digits(digits: str) -> int:
+    """The int of a string of ASCII digits, however long, read in pieces."""
+    if len(digits) <= _DIGIT_PIECE:
+        return int(digits)
+    value = 0
+    for i in range(0, len(digits), _DIGIT_PIECE):
+        piece = digits[i : i + _DIGIT_PIECE]
+        value = value * 10 ** len(piece) + int(piece)
+    return value
+
+
 def format_gaussian(c: "RadicalCoefficient") -> str:
     """Render the rational factor ``(re_num + im_num*i) / den`` of ``c``
-    like '3', '-2/5', '3*i', '1/2-2*i', '0'."""
+    like '3', '-2/5', '3*i', '1/2-2*i', '0' (see ``exact_text``)."""
     if not c.im_num:
-        return str(c.re)
+        return exact_text(c.re)
     im = c.im
-    im_mag = "i" if abs(im) == 1 else f"{abs(im)}*i"
+    im_mag = "i" if abs(im) == 1 else f"{exact_text(abs(im))}*i"
     if not c.re_num:
         return im_mag if im > 0 else f"-{im_mag}"
     sign = "+" if im > 0 else "-"
-    return f"{c.re}{sign}{im_mag}"
+    return f"{exact_text(c.re)}{sign}{im_mag}"
 
 
 class RadicalCoefficient:
@@ -377,7 +430,7 @@ class RadicalCoefficient:
             return "0"
         if self.radicand == 1:
             return format_gaussian(self)
-        return f"({format_gaussian(self)})*sqrt({self.radicand})"
+        return f"({format_gaussian(self)})*sqrt({exact_text(self.radicand)})"
 
 
 RADICAL_ZERO = _raw_radical(0, 0, 1, 0)

@@ -32,7 +32,7 @@ from .analysis import (
     geometric_ts,
     norm_squared_samples,
 )
-from .arith import MultiIndex, RadicalCoefficient, format_gaussian
+from .arith import MultiIndex, RadicalCoefficient, exact_text, format_gaussian
 from .errors import InputError, InternalInvariantError
 from .operators import (
     BasisExpansion,
@@ -131,7 +131,7 @@ def _at_least(value: int, low: int, source: str) -> int:
 
 
 def _coeff_dict(c: RadicalCoefficient) -> dict:
-    return {"rational": format_gaussian(c), "radicand": str(c.radicand)}
+    return {"rational": format_gaussian(c), "radicand": exact_text(c.radicand)}
 
 
 # Most t values one --t range may ask for; each one is an exact operator
@@ -251,7 +251,7 @@ def _cmd_apply(args) -> int:
     alpha = _parse_alpha(args.alpha, args.n, "--alpha")
     image = apply_operator(expr, BasisExpansion.basis_vector(sp, alpha))
     items = image.sorted_items()
-    squared_norm = image.squared_norm()
+    squared_norm = exact_text(image.squared_norm())
     report = {
         "command": "apply",
         "space": {"n": sp.n, "m": sp.m},
@@ -260,7 +260,7 @@ def _cmd_apply(args) -> int:
             "expansion": [
                 {"alpha": _alpha_str(a), "coeff": _coeff_dict(c)} for a, c in items
             ],
-            "squared_norm": str(squared_norm),
+            "squared_norm": squared_norm,
         },
     }
     lines = [f"e_{_alpha_str(a)}: {c}" for a, c in items] or ["0 (zero vector)"]
@@ -283,7 +283,7 @@ def _cmd_norms(args) -> int:
     ray = _with_source("--ray", RaySpec, base, direction, ts)
     samples = norm_squared_samples(expr, ray, sp, jobs=jobs)
     rows = [
-        (t, _alpha_str(ray.alpha_at(t)), str(v)) for t, v in samples
+        (t, _alpha_str(ray.alpha_at(t)), exact_text(v)) for t, v in samples
     ]
     if args.format == "csv":
         print("t,alpha,squared_norm")
@@ -346,7 +346,7 @@ def _cmd_fit(args) -> int:
         "degenerate": report_obj.degenerate,
         "fitted_exponent": report_obj.fitted_exponent,
         "residual": report_obj.residual,
-        "predicted_exponent": None if predicted is None else str(predicted),
+        "predicted_exponent": None if predicted is None else exact_text(predicted),
         "samples": len(samples),
     }
     report = {"command": "fit", "inputs": {"path": args.path}, "outputs": outputs}
@@ -359,7 +359,7 @@ def _cmd_fit(args) -> int:
         ]
         if predicted is not None:
             lines.append(
-                f"predicted: {predicted} (|fit - predicted| = "
+                f"predicted: {exact_text(predicted)} (|fit - predicted| = "
                 f"{abs(report_obj.fitted_exponent - float(predicted)):.4f})"
             )
     _emit(report, args.format, lines)

@@ -49,7 +49,7 @@ from .arith import (
     check_same_dimension,
     rising_product,
 )
-from .errors import InputError, InternalInvariantError, SymbolSyntaxError
+from .errors import InputError, SymbolSyntaxError
 from .symbols import MAX_DIMENSION, _T_END, _T_OPERATOR, SymbolPolynomial, _Parser, check_dimension
 
 
@@ -362,6 +362,11 @@ _NEGATIVE = [sum(1 << (64 * j + 63) for j in range(n)) for n in range(MAX_DIMENS
 _ABOVE_BOUND = [bits | bits >> 1 for bits in _NEGATIVE]
 
 
+def _pack(n: int, components) -> int:
+    """The packed key of n components, each below INDEX_COMPONENT_BOUND."""
+    return int.from_bytes(_FIELDS[n].pack(*components), "little")
+
+
 def _bound_error(components) -> InputError:
     return InputError(f"index component {max(components)} is not below INDEX_COMPONENT_BOUND = 2**62")
 
@@ -430,8 +435,9 @@ def toeplitz_apply(f: SymbolPolynomial, v: BasisExpansion) -> BasisExpansion:
     its ``squared_norm`` and the next basis action of a composition read
     the sums as they are.  They share their radicand when v's monomial
     coefficients do, as every vector built from a basis vector does
-    (radicand 1); unlike radicands on a merge would mean the input
-    expansion mixed incompatible square classes and are rejected.  v's
+    (radicand 1).  A vector that mixes square classes can send two of
+    them to one target, a sum no ``RadicalCoefficient`` holds: unlike
+    radicands on a merge raise ``InputError``, naming both.  v's
     ``monomials`` dict is read, never changed.  Every index component of
     v and every exponent of f must lie below INDEX_COMPONENT_BOUND.
     """
@@ -525,8 +531,9 @@ def _add_image(sums: Dict[int, list], f: SymbolPolynomial, sp: SpaceParams, sour
             if acc is None or not (acc[0] or acc[1]):
                 sums[tau] = [re, im, den, radicand]
             elif acc[3] != radicand:
-                raise InternalInvariantError(
-                    f"cannot add unlike radicands {acc[3]} and {radicand}"
+                raise InputError(
+                    f"cannot add unlike radicands {acc[3]} and {radicand}: the vector "
+                    "mixes square classes whose images meet"
                 )
             elif acc[2] == den:
                 acc[0] += re
@@ -560,8 +567,11 @@ def hankel_product_apply(
     and then of ``-T_{conj(f)} T_g v`` are summed into one set of targets.
     The image returned holds those raw sums, as ``toeplitz_apply``'s does:
     each target is canonicalized once, when the image's ``monomials`` is
-    first read, and its ``squared_norm`` canonicalizes none.
-    v's ``monomials`` dict is read, never changed.
+    first read, and its ``squared_norm`` canonicalizes none.  The
+    closed-form sweep (``verify._sweep_block``) reads the raw sums too,
+    under its targets' packed keys, and reads ``monomials`` only for a
+    case or a tuple it reports.  v's ``monomials`` dict is read, never
+    changed.
     """
     if f_conj is None:
         f_conj = f.conjugate()
@@ -610,6 +620,7 @@ def _closed_form_monomial_coeffs(
     nu: MultiIndex,
     alphas,
     sp: SpaceParams,
+    memo: Optional[dict] = None,
 ) -> "list[tuple[MultiIndex, int, int]]":
     """Closed form of ``H*_f H_g z^alpha``, f = z^beta conj(z)^gamma and
     g = z^mu conj(z)^nu, for many alphas: ``(tau, num, den)`` for each alpha
@@ -628,24 +639,36 @@ def _closed_form_monomial_coeffs(
 
     Each component's factors (``alpha!/tau!`` as one run per component) and
     each order's weight runs are computed once, for the first alpha that
-    has them.
+    has them.  ``memo``, when given, keeps them for later calls too (the
+    closed-form sweep passes one dict per block): a component's factors
+    under ``(beta_j, gamma_j, mu_j, nu_j)`` and then alpha_j, and an order's
+    weight runs under ``(n, m)`` with the shifts below and then |alpha|.
+    Each key determines its value, and a component's least alpha_j follows
+    from its key, so a memo hit is only possible for an alpha_j that passed
+    the validity check before.
     """
     n, m = sp.n, sp.m
     if not (len(beta) == len(gamma) == len(mu) == len(nu) == n):
         check_same_dimension(n, len(beta), len(gamma), len(mu), len(nu))
+    if memo is None:
+        memo = {}
     step = tuple(g_ + u - b - w for b, g_, u, w in zip(beta, gamma, mu, nu))
     # per component: (gamma_j + mu_j, gamma_j, mu_j, nu_j, step_j, least
     # alpha_j, {alpha_j: factors}); perm(a + c, c) is rising_product(a, c),
     # called directly in this loop
-    columns = [
-        (g_ + u, g_, u, w, s, k, {})
-        for g_, u, w, s, k in zip(gamma, mu, nu, step, closed_form_min_alpha(beta, gamma, mu, nu))
-    ]
+    columns = []
+    for b, g_, u, w, s, k in zip(beta, gamma, mu, nu, step, closed_form_min_alpha(beta, gamma, mu, nu)):
+        seen = memo.get((b, g_, u, w))
+        if seen is None:
+            seen = memo[(b, g_, u, w)] = {}
+        columns.append((g_ + u, g_, u, w, s, k, seen))
     # |alpha| + these is the order of alpha+gamma+mu, alpha+mu, alpha+mu-nu,
     # alpha+gamma+mu-nu and tau
     order_g, order_m, order_n = sum(gamma), sum(mu), sum(nu)
     shifts = (order_g + order_m, order_m, order_m - order_n, order_g + order_m - order_n, sum(step))
-    weights: Dict[int, Tuple[int, int, int]] = {}
+    weights = memo.get((n, m, *shifts))
+    if weights is None:
+        weights = memo[(n, m, *shifts)] = {}
     out = []
     for alpha in alphas:
         if len(alpha) != n:

@@ -42,7 +42,9 @@ from .arith import (
     _radical,
     check_index,
     check_same_dimension,
+    exact_text,
     format_gaussian,
+    int_from_digits,
 )
 from .errors import InputError, SymbolSyntaxError
 
@@ -310,13 +312,13 @@ def _coefficient_text(c: RadicalCoefficient, has_monomial: bool) -> "tuple[str, 
     if c.im:
         sign = "+" if c.im > 0 else "-"
         mag = abs(c.im)
-        body = "i" if mag == 1 else f"{mag}*i"
+        body = "i" if mag == 1 else f"{exact_text(mag)}*i"
         return sign, body
     sign = "+" if c.re >= 0 else "-"
     mag = abs(c.re)
     if has_monomial and mag == 1:
         return sign, ""
-    return sign, str(mag)
+    return sign, exact_text(mag)
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +415,9 @@ _TOKEN = re.compile(r"\s*(?:([0-9]+)|(z[0-9]*)|(conj|HP|T|i)|([-+*/^();])|(.?))"
 # A text with no lexical error and no number too long for ``int()`` under
 # any limit the interpreter allows (``sys.int_info``): ASCII whitespace and
 # operators, letter runs that are exactly a name, and digit runs of at most
-# str_digits_check_threshold digits.  A run of whitespace and operators
+# str_digits_check_threshold digits.  Only such a text has its flat terms
+# folded with ``int()``; any other is read token by token, each number by
+# ``_read_int``.  A run of whitespace and operators
 # ends where a name or digits start, and a name or a digit run is matched
 # whole, so a text that fails backtracks over each character once.
 _LEXICAL = re.compile(
@@ -422,11 +426,16 @@ _LEXICAL = re.compile(
 )
 
 
+# Most digits of one number in the grammar: a bound of its own (the
+# interpreter's default limit on int-string conversion), so a text is
+# accepted or rejected the same under any limit the interpreter runs under.
+MAX_NUMBER_DIGITS = 4300
+
+
 def _read_int(text: str, i: int, j: int) -> int:
-    try:
-        return int(text[i:j])
-    except ValueError:  # more digits than the interpreter converts from text
-        raise SymbolSyntaxError("number too long", text, i) from None
+    if j - i > MAX_NUMBER_DIGITS:
+        raise SymbolSyntaxError(f"number too long: more than MAX_NUMBER_DIGITS = {MAX_NUMBER_DIGITS} digits", text, i)
+    return int_from_digits(text[i:j])
 
 
 def _scan(text: str, i: int) -> "tuple[_Token, int]":
@@ -496,7 +505,10 @@ class _Parser:
 
     def __init__(self, text: str, dimension: int):
         check_dimension(dimension)
-        if _LEXICAL.fullmatch(text) is None:
+        # flat terms fold with int(), so only a text whose numbers it reads
+        # under any limit: one with a longer digit run is read by tokens
+        self.fold = _LEXICAL.fullmatch(text) is not None
+        if not self.fold:
             _tokenize(text)  # raises the text's first lexical error, if it has one
         self.text = text
         self.dimension = dimension
@@ -532,16 +544,17 @@ class _Parser:
         """The sum of the terms, added one by one into one new dict.
 
         A flat term is read straight from the text (``fold_flat_term``),
-        with the sign after it and no token.  Any other term is read token
-        by token (``parse_term``), from the cursor moved to where it
-        starts."""
+        with the sign after it and no token, unless the text has a digit
+        run too long for ``int()`` under some limit (``fold`` is False).
+        Any other term is read token by token (``parse_term``), from the
+        cursor moved to where it starts."""
         negate = self.at_op("-")
         if negate:
             self.next()
         acc: Dict[TermKey, RadicalCoefficient] = {}
-        text, pos = self.text, self.tok.pos
+        text, pos, fold = self.text, self.tok.pos, self.fold
         while True:
-            m = _FLAT_TERM.match(text, pos)
+            m = _FLAT_TERM.match(text, pos) if fold else None
             if m is not None and self.fold_flat_term(m.span(1), acc, negate):
                 sign, pos = m.group(2), m.end()
                 if sign is not None:

@@ -25,6 +25,7 @@ from .operators import (
     _closed_form_monomial_coeffs,
     _expansion,
     _norm_ratio,
+    _pack,
     basis_coefficient,
     hankel_product_apply,
     monomial_inner,
@@ -163,48 +164,67 @@ def _sweep_block(task) -> ClosedFormSweep:
 
     ``task`` is ``(n, m, beta, max_component, max_alpha)``.  What a tuple
     only looks up is set up once per block: per (mu, nu) the symbol
-    g = z^mu conj(z)^nu, the distances |mu_j - nu_j| and whether nu = 0;
-    per gamma the symbol conj(f) = conj(z^beta conj(z)^gamma) and the
-    distances |gamma_j - beta_j|; and conj(f) g = z^(gamma+mu)
-    conj(z)^(beta+nu) once per (gamma + mu, nu), shared by the tuples
-    with those sums.  A tuple's least alpha (``closed_form_min_alpha``) is
-    the sum of its two distances, so a gamma with one distance above
-    ``max_alpha`` has no tuple with an alpha in the validity range: its
-    tuples are counted and skipped together.  The Hankel product of an
-    exponent tuple is applied once, with ``hankel_product_apply``, only
-    when the tuple has at least one alpha in the validity range.
+    g = z^mu conj(z)^nu, the distances |mu_j - nu_j|, whether nu = 0 and
+    the packed ``mu - nu``; per gamma the symbol conj(f) = conj(z^beta
+    conj(z)^gamma), the distances |gamma_j - beta_j| and the packed
+    ``gamma - beta``; and conj(f) g = z^(gamma+mu) conj(z)^(beta+nu) once
+    per (gamma + mu, nu), shared by the tuples with those sums.  One
+    ``memo`` serves every ``_closed_form_monomial_coeffs`` call of the
+    block, so each component's factors and each order's weight runs are
+    computed once per block.  A tuple's least alpha
+    (``closed_form_min_alpha``) is the sum of its two distances, so a
+    gamma with one distance above ``max_alpha`` has no tuple with an alpha
+    in the validity range: its tuples are counted and skipped together.
+    The Hankel product of an exponent tuple is applied once, with
+    ``hankel_product_apply``, only when the tuple has at least one alpha
+    in the validity range.
 
     That one apply serves all of the tuple's alphas at once: it acts on
     ``sum z^alpha / ||z^anchor||`` over them, a vector built once per
-    least alpha and shared, unchanged, by every tuple with that least
-    alpha.  It is exact per alpha.  Both symbols are monomials, so every
-    contribution from z^alpha lands on alpha + gamma + mu - beta - nu, and
-    distinct alphas never share a target.  Each target's monomial
-    coefficient q is therefore summed from the same integers, in the same
-    order, as an apply to z^alpha alone would sum it:
-    ``H*_f H_g z^alpha = q z^target``.  A monomial of the image that is no
-    alpha's target is stray support of the tuple.
+    least alpha, with its alphas' packed keys, and shared, unchanged, by
+    every tuple with that least alpha.  It is exact per alpha.  Both
+    symbols are monomials, so every contribution from z^alpha lands on
+    alpha + gamma + mu - beta - nu, and distinct alphas never share a
+    target.  Each target's monomial coefficient q is therefore summed from
+    the same integers, in the same order, as an apply to z^alpha alone
+    would sum it: ``H*_f H_g z^alpha = q z^target``.  A monomial of the
+    image that is no alpha's target is stray support of the tuple.
 
     Each case compares q with the closed form in the same basis,
-    ``num/den`` from ``_closed_form_monomial_coeffs``, by cross-multiplying
-    integers.  The orthonormal coefficients, both ``q`` and ``num/den``
-    times ``_norm_ratio(alpha, target)``, are formed only for a mismatch's
+    ``num/den`` from ``_closed_form_monomial_coeffs``, on the image's raw
+    sums: the fields ``[re, im, den, radicand]`` under the packed target,
+    the alpha's key plus the tuple's packed shift.  The case agrees when
+    the sum is absent or zero and ``num`` is 0, or when ``im`` is 0, the
+    radicand 1 and ``re * den_cf == num * den`` (both denominators are
+    positive).  Any other case is only a candidate: it is decided again on
+    the canonical coefficient, from the image's ``monomials``, as the
+    mismatch's text is.  Stray support shows as more nonzero raw sums
+    than alphas whose target holds one; only then is the stray list read
+    from ``monomials``.  A passing tuple canonicalizes nothing.  The
+    orthonormal coefficients, both ``q`` and ``num/den`` times
+    ``_norm_ratio(alpha, target)``, are formed only for a mismatch's
     text; they are equal exactly when ``q == num/den``.
     """
     n, m, beta, max_component, max_alpha = task
     sp = SpaceParams(n, m)
     beta = MultiIndex(beta)
+    beta_key = _pack(n, beta)
     exps = indices_by_component(n, max_component)
     right = [
-        (mu, nu, SymbolPolynomial.monomial(n, mu, nu), [abs(u - w) for u, w in zip(mu, nu)], nu.order == 0)
+        (
+            mu, nu, SymbolPolynomial.monomial(n, mu, nu), [abs(u - w) for u, w in zip(mu, nu)],
+            nu.order == 0, _pack(n, mu) - _pack(n, nu),
+        )
         for mu in exps
         for nu in exps
     ]
     # per least alpha: its alphas, in the order of indices_by_component(n,
-    # max_alpha), and the vector sum z^alpha / ||z^(least alpha)|| over them
+    # max_alpha), their packed keys, and the vector sum z^alpha /
+    # ||z^(least alpha)|| over them
     vectors = {}
     # conj(f) g by (gamma + mu, nu)
     products = {}
+    memo = {}
     out = ClosedFormSweep()
 
     def tuple_label() -> str:  # formatted only for a tuple or case in a failure list
@@ -222,9 +242,10 @@ def _sweep_block(task) -> ClosedFormSweep:
             out.tuples += len(right)  # no tuple of this gamma has an alpha in range
             continue
         gamma_zero = gamma.order == 0
+        f_shift = _pack(n, gamma) - beta_key
         f = SymbolPolynomial.monomial(n, beta, gamma)
         f_conj = f.conjugate()
-        for mu, nu, g, g_gap, nu_zero in right:
+        for mu, nu, g, g_gap, nu_zero, g_shift in right:
             out.tuples += 1
             need = tuple(map(add, f_gap, g_gap))
             if max(need) > max_alpha:
@@ -238,30 +259,45 @@ def _sweep_block(task) -> ClosedFormSweep:
                     for comps in product(*(range(k, max_alpha + 1) for k in need))
                 ]
                 shared = vectors[need] = (
-                    alphas, _expansion(sp, alphas[0], dict.fromkeys(alphas, RADICAL_ONE))
+                    alphas,
+                    [_pack(n, alpha) for alpha in alphas],
+                    _expansion(sp, alphas[0], dict.fromkeys(alphas, RADICAL_ONE)),
                 )
-            alphas, v = shared
+            alphas, keys, v = shared
             key = (*map(add, gamma, mu), *nu)
             f_conj_g = products.get(key)
             if f_conj_g is None:
                 f_conj_g = products[key] = f_conj * g
-            image = hankel_product_apply(f, g, v, f_conj=f_conj, f_conj_g=f_conj_g).monomials
-            closed_forms = _closed_form_monomial_coeffs(beta, gamma, mu, nu, alphas, sp)
-            targets = set()
-            for alpha, (target, num, den) in zip(alphas, closed_forms):
-                out.cases += 1
-                targets.add(target)
-                q = image.get(target)
-                if q is None:
+            image = hankel_product_apply(f, g, v, f_conj=f_conj, f_conj_g=f_conj_g)
+            sums = image._sums
+            closed_forms = _closed_form_monomial_coeffs(beta, gamma, mu, nu, alphas, sp, memo)
+            shift = f_shift + g_shift
+            out.cases += len(alphas)
+            present = hits = 0  # alphas whose target holds a sum, a nonzero one
+            for alpha, alpha_key, (target, num, den) in zip(alphas, keys, closed_forms):
+                raw = sums.get(alpha_key + shift)
+                if raw is None:
                     agree = not num
-                else:  # q == num/den, q canonical with den > 0
-                    agree = q.re_num * den == num * q.den and not q.im_num and q.radicand == 1
-                if not agree:
-                    ratio = _norm_ratio(alpha, target, sp)
-                    comp = RADICAL_ZERO if q is None else q * ratio
-                    out.mismatches.append(
-                        f"{label()}: closed {ratio.scale_ratio(num, den)} vs composition {comp}"
-                    )
+                else:
+                    present += 1
+                    re, im, raw_den, radicand = raw
+                    if re or im:
+                        hits += 1
+                        agree = not im and radicand == 1 and re * den == num * raw_den
+                    else:
+                        agree = not num
+                if not agree:  # decided again on the canonical q
+                    q = image.monomials.get(target)
+                    if q is None:
+                        agree = not num
+                    else:  # q == num/den, q canonical with den > 0
+                        agree = q.re_num * den == num * q.den and not q.im_num and q.radicand == 1
+                    if not agree:
+                        ratio = _norm_ratio(alpha, target, sp)
+                        comp = RADICAL_ZERO if q is None else q * ratio
+                        out.mismatches.append(
+                            f"{label()}: closed {ratio.scale_ratio(num, den)} vs composition {comp}"
+                        )
                 if expect_zero:
                     if num:
                         out.vanish_false_nonzero.append(label())
@@ -272,8 +308,9 @@ def _sweep_block(task) -> ClosedFormSweep:
                         out.vanish_false_zero_strict.append(label())
                 elif degenerate:
                     out.degenerate_nonzero.append(label())
-            stray = sorted(tau for tau in image if tau not in targets)
-            if stray:
+            if len(sums) != present and hits != sum(1 for raw in sums.values() if raw[0] or raw[1]):
+                targets = {target for target, _, _ in closed_forms}
+                stray = sorted(tau for tau in image.monomials if tau not in targets)
                 out.stray_support.append(
                     f"{tuple_label()}: stray targets {[tuple(tau) for tau in stray]}"
                 )

@@ -767,6 +767,66 @@ def test_closed_stdout_exits_141_without_a_traceback(argv):
     assert err == b""
 
 
+def _digits(x: int) -> str:
+    # decimal's conversion does not go through int's digit limit
+    from decimal import Decimal
+
+    return str(Decimal(x))
+
+
+def _fockop_process(argv, limit):
+    """``fockop argv`` in a new interpreter, with PYTHONINTMAXSTRDIGITS set
+    to ``limit`` (unset when None): (exit code, stdout, stderr)."""
+    import os
+    import subprocess
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
+    env["PYTHONPATH"] = src
+    if limit is not None:
+        env["PYTHONINTMAXSTRDIGITS"] = str(limit)
+    proc = subprocess.run(
+        [sys.executable, "-m", "fockop.cli", *argv], capture_output=True, text=True, env=env, timeout=60,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+NINES = 10**2200 - 1  # 2200 nines
+
+
+@pytest.mark.parametrize("limit", [None, 640], ids=["default-limit", "limit-640"])
+def test_long_exact_values_print_every_digit_under_any_int_limit(limit):
+    nines = _digits(NINES)
+    code, out, err = _fockop_process(("parse", "-n", "1", "-f", f"{nines}^2"), limit)
+    assert (code, "Traceback" in err) == (0, False)
+    assert out == f"canonical: {_digits(NINES**2)}\nterms: 1\n"
+
+    # T(N z) T(N z) e_1 = N^2 ||z^3||/||z|| e_3 = N^2 sqrt(6) e_3 at n = 1, m = 0
+    code, out, err = _fockop_process(
+        ("apply", "-n", "1", "-m", "0", "--op", f"T({nines}*z)*T({nines}*z)", "--alpha", "1"), limit
+    )
+    assert (code, "Traceback" in err) == (0, False)
+    assert out == f"e_3: ({_digits(NINES**2)})*sqrt(6)\nsquared norm: {_digits(6 * NINES**4)}\n"
+
+
+def test_long_numbers_read_the_same_under_any_int_limit():
+    seven_hundred = "9" * 700
+    parsed = [_fockop_process(("parse", "-n", "1", "-f", seven_hundred), limit) for limit in (None, 640)]
+    assert parsed[0] == parsed[1]
+    assert parsed[0][:2] == (0, f"canonical: {seven_hundred}\nterms: 1\n")
+    # the grammar's own bound, MAX_NUMBER_DIGITS, rejects a longer number at its position
+    from fockop.symbols import MAX_NUMBER_DIGITS
+
+    too_long = "z + " + "9" * (MAX_NUMBER_DIGITS + 1)
+    rejected = [_fockop_process(("parse", "-n", "1", "-f", too_long), limit) for limit in (None, 640)]
+    assert rejected[0] == rejected[1]
+    code, out, err = rejected[0]
+    assert (code, out) == (2, "")
+    assert err.startswith("error: -f: number too long: more than MAX_NUMBER_DIGITS = 4300 digits (at position 4:")
+    assert _fockop_process(("parse", "-n", "1", "-f", "9" * MAX_NUMBER_DIGITS), 640)[0] == 0
+
+
 # ---------------------------------------------------------------------------
 # process fan-out: output independent of --jobs, no process left behind
 
@@ -821,8 +881,8 @@ def broken_closed_form(monkeypatch):
     real_walk = verify._closed_form_monomial_coeffs
     real_case = reference.closed_form_case_reference
 
-    def walk_off(beta, gamma, mu, nu, alphas, sp):
-        coeffs = real_walk(beta, gamma, mu, nu, alphas, sp)
+    def walk_off(beta, gamma, mu, nu, alphas, sp, memo=None):
+        coeffs = real_walk(beta, gamma, mu, nu, alphas, sp, memo)
         return [
             (target, 2 * num if alpha[0] == 2 else num, den)
             for alpha, (target, num, den) in zip(alphas, coeffs)
@@ -887,13 +947,14 @@ def test_sweep_block_matches_the_per_case_reference(request, m, broken):
 
 def test_stray_support_is_flagged_per_tuple(capsys, monkeypatch):
     from fockop import verify
-    from fockop.arith import RADICAL_ONE, MultiIndex
+    from fockop.operators import _pack
 
     real = verify.hankel_product_apply
 
     def leaky(f, g, v, **built):
         image = real(f, g, v, **built)
-        image.monomials[MultiIndex((99,) * v.space.n)] = RADICAL_ONE
+        # the raw sums [re, im, den, radicand] the sweep reads: 1 at z^99
+        image._sums[_pack(v.space.n, (99,) * v.space.n)] = [1, 0, 1, 1]
         return image
 
     monkeypatch.setattr(verify, "hankel_product_apply", leaky)
@@ -908,6 +969,98 @@ def test_stray_support_is_flagged_per_tuple(capsys, monkeypatch):
     assert captured.out.startswith(
         "FAIL  closed-form vs composition: n=1 m=0 beta=(0,) gamma=(0,) mu=(0,) nu=(0,): stray targets [(99,)]"
     )
+
+
+@pytest.mark.parametrize("m", [0, 1, 7])
+def test_closed_form_memo_gives_every_tuple_a_fresh_calls_result(m):
+    from itertools import product
+
+    from fockop.errors import InputError
+    from fockop.operators import SpaceParams, _closed_form_monomial_coeffs, closed_form_min_alpha
+    from fockop.verify import indices_by_component
+    from fockop.arith import MultiIndex
+
+    max_alpha = 3
+    for n, beta, max_component in REFERENCE_BLOCKS:
+        sp = SpaceParams(n, m)
+        beta = MultiIndex(beta)
+        exps = indices_by_component(n, max_component)
+        memo = {}
+        below = []  # tuples with an alpha just below their least alpha
+        for gamma, mu, nu in product(exps, repeat=3):
+            need = closed_form_min_alpha(beta, gamma, mu, nu)
+            if max(need) > max_alpha:
+                continue
+            alphas = [MultiIndex(a) for a in product(*(range(k, max_alpha + 1) for k in need))]
+            shared = _closed_form_monomial_coeffs(beta, gamma, mu, nu, alphas, sp, memo)
+            assert shared == _closed_form_monomial_coeffs(beta, gamma, mu, nu, alphas, sp), (beta, gamma, mu, nu)
+            below += [
+                (gamma, mu, nu, j, MultiIndex(need[:j] + [k - 1] + need[j + 1:]))
+                for j, k in enumerate(need)
+                if k
+            ]
+        assert below
+        for gamma, mu, nu, j, alpha in below:
+            # another tuple's component key already holds alpha_j, under its key
+            assert any(alpha[j] in seen for key, seen in memo.items() if len(key) == 4)
+            with pytest.raises(InputError, match="validity range"):
+                _closed_form_monomial_coeffs(beta, gamma, mu, nu, [alpha], sp, memo)
+
+
+def _one_target_scaled(monkeypatch, pick, fields):
+    """Patch the sweep's ``hankel_product_apply``: in each image of a tuple
+    for which ``pick(f, g)`` holds, the first nonzero raw sum's fields
+    ``[re, im, den, radicand]`` become ``fields(re, im, den, radicand)``."""
+    from fockop import verify
+
+    real = verify.hankel_product_apply
+
+    def scaled(f, g, v, **built):
+        image = real(f, g, v, **built)
+        if pick(f, g):
+            for raw in image._sums.values():
+                if raw[0] or raw[1]:
+                    raw[:] = fields(*raw)
+                    break
+        return image
+
+    monkeypatch.setattr(verify, "hankel_product_apply", scaled)
+
+
+def test_raw_sums_are_compared_by_value(monkeypatch):
+    from fockop.verify import sweep_hankel_closed_form
+
+    from fockop import operators
+
+    grid = ((1, 2), (0, 1), 1, 3)
+    plain = sweep_hankel_closed_form(*grid)
+    _one_target_scaled(monkeypatch, lambda f, g: True, lambda re, im, den, r: [7 * re, 7 * im, 7 * den, r])
+    # decided on the raw sums alone: no case is a candidate read again
+    canonical = []
+    monkeypatch.setattr(operators, "_canonical", lambda n, sums: canonical.append(n))
+    scaled = sweep_hankel_closed_form(*grid)
+    assert canonical == []
+    assert not scaled.mismatches and not scaled.stray_support
+    assert vars(scaled) == vars(plain)
+
+
+def test_a_wrong_raw_sum_is_reported_with_the_canonical_text(capsys, monkeypatch):
+    from fockop.arith import MultiIndex
+    from fockop.operators import SpaceParams, hankel_coeff_closed_form
+    from fockop.symbols import SymbolPolynomial
+    from fockop.verify import sweep_hankel_closed_form
+
+    # f = conj(z), g = conj(z): the only alpha is (2,), its target (2,)
+    zero, one, two = MultiIndex((0,)), MultiIndex((1,)), MultiIndex((2,))
+    f = g = SymbolPolynomial.monomial(1, zero, one)
+    target, closed = hankel_coeff_closed_form(zero, one, zero, one, two, SpaceParams(1, 1))
+    assert target == two and not closed.is_zero()
+    _one_target_scaled(monkeypatch, lambda f_, g_: f_ == f and g_ == g, lambda re, im, den, r: [2 * re, 2 * im, den, r])
+    sweep = sweep_hankel_closed_form((1,), (1,), 1, 2)
+    assert sweep.mismatches == [
+        f"n=1 m=1 beta=(0,) gamma=(1,) mu=(0,) nu=(1,) alpha=(2,): closed {closed} vs composition {closed.scale(2)}"
+    ]
+    assert not sweep.stray_support
 
 
 def test_sweep_progress_reaches_the_total(two_cpus):

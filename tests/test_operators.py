@@ -332,11 +332,21 @@ def test_apply_merges_contributions_to_one_target():
 
 def test_unlike_square_classes_are_rejected_on_merge():
     # T_{z^2+1} on (e_0 + e_2) funnels sqrt(2)-class and rational-class
-    # contributions onto e_2: outside the engine's closure, must abort
+    # contributions onto e_2: outside the engine's closure, the caller's
+    # vector is rejected
     sp = SpaceParams(1, 0)
     v = BasisExpansion(sp, {mi(0): RADICAL_ONE, mi(2): RADICAL_ONE})
-    with pytest.raises(InternalInvariantError, match="unlike radicands"):
+    with pytest.raises(InputError, match="unlike radicands"):
         toeplitz_apply(parse_symbol("z^2 + 1", 1), v)
+
+
+def test_a_vector_whose_square_classes_meet_is_an_input_error():
+    # e_0 + e_1 at m = 1 is z^0 + z^1/sqrt(2) over ||1||: T_{z+1} sends the
+    # rational class of e_0 and the sqrt(2) class of e_1 both onto z^1
+    v = BasisExpansion(SpaceParams(1, 1), {mi(0): RADICAL_ONE, mi(1): RADICAL_ONE})
+    with pytest.raises(InputError, match="cannot add unlike radicands 1 and 2") as caught:
+        toeplitz_apply(parse_symbol("z + 1", 1), v)
+    assert not isinstance(caught.value, InternalInvariantError)
 
 
 def _reference_toeplitz_apply(f, v):
@@ -896,7 +906,7 @@ def test_engine_matches_the_per_term_radical_reference(case):
     try:
         expected = _reference_apply(shape, f, g, v)
     except InternalInvariantError:  # the input mixes square classes that meet
-        with pytest.raises(InternalInvariantError, match="unlike radicands"):
+        with pytest.raises(InputError, match="unlike radicands"):
             apply_operator(op, v)
         return
     image = apply_operator(op, v)
@@ -1050,3 +1060,23 @@ def test_passing_closed_form_sweep_takes_no_square_root(monkeypatch):
     assert calls == [] and split_lookups() == splits
     assert sweep.closed_form_matches
     assert sweep.cases == closed_form_case_count(*grid)
+
+
+def test_passing_closed_form_sweep_canonicalizes_nothing(monkeypatch):
+    from fockop import operators
+
+    calls = []
+    original = operators._canonical
+
+    def counted(n, sums):
+        calls.append(n)
+        return original(n, sums)
+
+    monkeypatch.setattr(operators, "_canonical", counted)
+    sweep = sweep_hankel_closed_form((1, 2), (0, 1), 2, 3)
+    assert calls == []
+    assert sweep.closed_form_matches
+    # the spy sees an image's monomials read
+    sp = SpaceParams(2, 1)
+    hankel_product_apply(parse_symbol("conj(z1)", 2), parse_symbol("conj(z2)", 2), e(sp, 1, 1)).monomials
+    assert calls == [2]
