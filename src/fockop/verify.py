@@ -193,7 +193,9 @@ def _sweep_block(task) -> ClosedFormSweep:
     Each case compares q with the closed form in the same basis,
     ``num/den`` from ``_closed_form_monomial_coeffs``, on the image's raw
     sums: the fields ``[re, im, den, radicand]`` under the packed target,
-    the alpha's key plus the tuple's packed shift.  The case agrees when
+    the alpha's key plus the tuple's packed shift (an alpha in the validity
+    range has a target with no negative component, so no field borrows
+    from the next).  The case agrees when
     the sum is absent or zero and ``num`` is 0, or when ``im`` is 0, the
     radicand 1 and ``re * den_cf == num * den`` (both denominators are
     positive).  Any other case is only a candidate: it is decided again on
